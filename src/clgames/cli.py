@@ -218,6 +218,7 @@ def _cmd_game(args) -> int:
         start=start,
         rounds=args.rounds,
         term_depth=args.term_depth,
+        build_strategies=args.strategy is not None,
         max_positions=args.max_positions,
     )
     lines = [f"game value ({args.rounds} round(s)): {format_rat(result.value)}"]
@@ -434,7 +435,7 @@ def _demo_cardinality_witness(args, lines, checks):
     start = Position((1,), (1,))
     cases = []
     for rounds in (1, 2, 3):
-        result = game_value(pair, start=start, rounds=rounds)
+        result = game_value(pair, start=start, rounds=rounds, build_strategies=False)
         ok = result.value == eps / 2
         _check(
             lines,

@@ -12,9 +12,10 @@ On finite structures the game value
 
 is attained, so eps-queries reduce to one exact minimax quantity: II wins
 the r-round game at precision eps iff V_r <= eps.  The solver memoizes on
-positions (as sets of pairs when the signature is relational, where the
-order provably does not matter) and produces strategy certificates for both
-players.
+positions (as sets of pairs when the leaf is atomic and the signature is
+relational, where the order provably does not matter) and produces strategy
+certificates for both players.  It is also the kernel of the rank recursion
+in ``clgames.infinitary``, which only swaps the leaf's formula family.
 
 With function symbols the leaf check ranges over atoms up to a stated term
 depth and the value is labelled depth-truncated.
@@ -26,7 +27,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from .formulas import enumerate_atomic, evaluate
+from .formulas import enumerate_atomic, evaluate, is_delta_formula
 from .moduli import PwlModulus
 from .rationals import format_rat
 from .structures import NamedPair
@@ -130,31 +131,27 @@ class GameValueResult:
 class GameSolver:
     """Backward-induction solver for one structure pair.
 
-    Caches the atom list per tuple length, leaf discrepancies per position,
-    and minimax values per (position, rounds).  Positions are keyed by the
-    set of played pairs when the signature is relational (the value is
-    order- and multiplicity-invariant there); ordered tuples otherwise.
+    Caches the leaf's formula family per tuple length, leaf scores per
+    position, and minimax values per (position, rounds), all charged to one
+    position cap.  Positions are keyed by the set of played pairs when the
+    leaf is atomic and the signature relational (the value is order- and
+    multiplicity-invariant there); ordered tuples otherwise.  A subclass
+    with another leaf overrides ``family`` and clears ``atomic_leaf``.
     """
 
-    def __init__(
-        self,
-        pair: NamedPair,
-        term_depth: int = 0,
-        max_positions: int | None = None,
-        use_set_keys: bool | None = None,
-    ):
+    atomic_leaf = True
+
+    def __init__(self, pair: NamedPair, term_depth: int = 0, max_positions: int | None = None):
         self.pair = pair
         self.term_depth = term_depth
         self.cap = default_position_cap() if max_positions is None else max_positions
-        if use_set_keys is None:
-            use_set_keys = pair.signature.is_relational
-        self.use_set_keys = use_set_keys
-        self._atoms: dict[int, list] = {}
+        self._set_keys = self.atomic_leaf and pair.signature.is_relational
+        self._families: dict[int, list] = {}
         self._leaf: dict = {}
         self._values: dict = {}
 
     def _key(self, position: Position):
-        if self.use_set_keys:
+        if self._set_keys:
             return frozenset(zip(position.left, position.right))
         return (position.left, position.right)
 
@@ -162,34 +159,28 @@ class GameSolver:
         if len(self._leaf) + len(self._values) >= self.cap:
             raise ResourceCapError(self.cap)
 
-    def atoms(self, k: int) -> list:
-        if k not in self._atoms:
-            self._atoms[k] = enumerate_atomic(self.pair.signature, k, self.term_depth)
-        return self._atoms[k]
+    def family(self, k: int) -> list:
+        """The formulas in x0..x{k-1} that score a k-pair leaf: the atoms at
+        the solver's term depth."""
+        return enumerate_atomic(self.pair.signature, k, self.term_depth)
 
     def leaf(self, position: Position) -> Fraction:
-        """Least eps such that the position is a partial eps-isomorphism
-        (over atoms at the solver's term depth)."""
+        """Largest value gap over the leaf family at the position; for the
+        atomic family, the least eps making it a partial eps-isomorphism."""
         key = self._key(position)
         if key in self._leaf:
             return self._leaf[key]
         self._charge()
-        if self.use_set_keys:
+        if self._set_keys:
             pairs = sorted(key)
             left = tuple(a for a, _ in pairs)
             right = tuple(b for _, b in pairs)
         else:
             left, right = position.left, position.right
-        env_l = dict(enumerate(left))
-        env_r = dict(enumerate(right))
-        best = _ZERO
-        for atom in self.atoms(len(left)):
-            gap = abs(
-                evaluate(atom, self.pair.left, env_l) - evaluate(atom, self.pair.right, env_r)
-            )
-            if gap > best:
-                best = gap
-        self._leaf[key] = best
+        k = len(left)
+        if k not in self._families:
+            self._families[k] = self.family(k)
+        best = self._leaf[key] = _max_gap(self.pair, self._families[k], left, right)
         return best
 
     def moves(self):
@@ -211,16 +202,17 @@ class GameSolver:
         if key in self._values:
             return self._values[key]
         self._charge()
-        best = _ZERO
+        best = self._values[key] = self.best_move(position, rounds)[2]
+        return best
+
+    def best_move(self, position: Position, rounds: int):
+        """I's value-maximizing move as (side, element, value), first in
+        canonical order on ties."""
+        best = None
         for side, element in self.moves():
-            reply_best = None
-            for reply in self.responses(side):
-                v = self.value(self.child(position, side, element, reply), rounds - 1)
-                if reply_best is None or v < reply_best:
-                    reply_best = v
-            if reply_best > best:
-                best = reply_best
-        self._values[key] = best
+            _, worst = self.best_reply(position, side, element, rounds)
+            if best is None or worst > best[2]:
+                best = (side, element, worst)
         return best
 
     def best_reply(self, position: Position, side: str, element: int, rounds_left: int):
@@ -247,20 +239,25 @@ class GameSolver:
     def i_witness_tree(self, position: Position, rounds: int) -> IWitnessNode | None:
         if rounds == 0:
             return None
-        best = None
-        for side, element in self.moves():
-            worst = min(
-                self.value(self.child(position, side, element, reply), rounds - 1)
-                for reply in self.responses(side)
-            )
-            if best is None or worst > best[0]:
-                best = (worst, side, element)
-        _, side, element = best
+        side, element, _ = self.best_move(position, rounds)
         continuations = {
             reply: self.i_witness_tree(self.child(position, side, element, reply), rounds - 1)
             for reply in self.responses(side)
         }
         return IWitnessNode(side, element, continuations)
+
+
+def _max_gap(pair: NamedPair, formulas, left: tuple, right: tuple) -> Fraction:
+    """Largest |value on the left - value on the right| over the formulas,
+    with x_i bound to left[i] and right[i]; 0 for no formulas."""
+    env_l = dict(enumerate(left))
+    env_r = dict(enumerate(right))
+    best = _ZERO
+    for phi in formulas:
+        gap = abs(evaluate(phi, pair.left, env_l) - evaluate(phi, pair.right, env_r))
+        if gap > best:
+            best = gap
+    return best
 
 
 def atomic_discrepancy(pair: NamedPair, position: Position, term_depth: int = 0) -> Fraction:
@@ -278,19 +275,14 @@ def is_partial_eps_delta_iso(
     term_depth: int = 0,
 ) -> bool:
     """Check the position against atomic delta-formulas only."""
-    from .formulas import is_delta_formula
-
     position.check_against(pair)
     sig = pair.signature
-    env_l = dict(enumerate(position.left))
-    env_r = dict(enumerate(position.right))
-    for atom in enumerate_atomic(sig, len(position), term_depth):
-        if not is_delta_formula(atom, sig, delta):
-            continue
-        gap = abs(evaluate(atom, pair.left, env_l) - evaluate(atom, pair.right, env_r))
-        if gap > epsilon:
-            return False
-    return True
+    atoms = [
+        atom
+        for atom in enumerate_atomic(sig, len(position), term_depth)
+        if is_delta_formula(atom, sig, delta)
+    ]
+    return _max_gap(pair, atoms, position.left, position.right) <= epsilon
 
 
 def game_value(
@@ -300,13 +292,14 @@ def game_value(
     term_depth: int = 0,
     build_strategies: bool = True,
     max_positions: int | None = None,
-    use_set_keys: bool | None = None,
 ) -> GameValueResult:
     """Exact minimax value of the rounds-long game from the start position,
     with optimal-strategy certificates for both players."""
+    if rounds < 0:
+        raise ValueError(f"rounds must be non-negative, got {rounds}")
     start = start or Position()
     start.check_against(pair)
-    solver = GameSolver(pair, term_depth, max_positions, use_set_keys)
+    solver = GameSolver(pair, term_depth, max_positions)
     value = solver.value(start, rounds)
     ii_tree = i_tree = None
     if build_strategies:
@@ -413,16 +406,7 @@ def play_interactive(
         if human_side == "I":
             side, element = _prompt_spoiler_move(pair, ask, say)
         else:
-            # solver spoils: strongest move
-            best = None
-            for mv_side, mv_elt in solver.moves():
-                worst = min(
-                    solver.value(solver.child(position, mv_side, mv_elt, reply), left_rounds - 1)
-                    for reply in solver.responses(mv_side)
-                )
-                if best is None or worst > best[0]:
-                    best = (worst, mv_side, mv_elt)
-            _, side, element = best
+            side, element, _ = solver.best_move(position, left_rounds)
             label = (pair.left if side == "L" else pair.right).points[element]
             say(f"I plays {'A' if side == 'L' else 'B'} {label}")
         if human_side == "II":

@@ -43,7 +43,6 @@ from .formulas import (
     TruncAdd,
     TruncSub,
     enumerate_atomic,
-    evaluate,
     free_vars,
     is_atomic,
     modulus_of,
@@ -144,75 +143,26 @@ def generate_basic_family(
     return [phi for phi in candidates if check_basic_omega(phi, sig, omega)]
 
 
-class RAlphaSolver:
-    """Memoized rank recursion over one structure pair.
+class RAlphaSolver(GameSolver):
+    """Memoized rank recursion over one structure pair: the finite game's
+    minimax with the leaf scored over the chosen family.
 
-    Entries are keyed by (clock stage, position); positions collapse to sets
-    of pairs only in the atomic/relational case (the omega leaf is
-    coordinate-indexed, so play order matters there).
+    Positions collapse to sets of pairs only in the atomic/relational case
+    (the omega leaf is coordinate-indexed, so play order matters there).
     """
 
     def __init__(self, pair: NamedPair, leaf: LeafFamily, max_positions: int | None = None):
-        self.pair = pair
         self.leaf_family = leaf
-        self.cap = default_position_cap() if max_positions is None else max_positions
-        atomic = isinstance(leaf, AtomicLeaf)
-        depth = leaf.term_depth
-        self._game = GameSolver(
-            pair,
-            term_depth=depth,
-            max_positions=self.cap,
-            use_set_keys=atomic and pair.signature.is_relational,
+        self.atomic_leaf = isinstance(leaf, AtomicLeaf)
+        super().__init__(pair, leaf.term_depth, max_positions)
+
+    def family(self, k: int) -> list:
+        if self.atomic_leaf:
+            return super().family(k)
+        leaf = self.leaf_family
+        return generate_basic_family(
+            self.pair.signature, k, leaf.omega, leaf.term_depth, leaf.scale_factors
         )
-        self._atomic = atomic
-        self._families: dict[int, list] = {}
-        self._table: dict = {}
-
-    def _leaf(self, position: Position) -> Fraction:
-        if self._atomic:
-            return self._game.leaf(position)
-        k = len(position)
-        if k not in self._families:
-            self._families[k] = generate_basic_family(
-                self.pair.signature,
-                k,
-                self.leaf_family.omega,
-                self.leaf_family.term_depth,
-                self.leaf_family.scale_factors,
-            )
-        env_l = dict(enumerate(position.left))
-        env_r = dict(enumerate(position.right))
-        best = _ZERO
-        for phi in self._families[k]:
-            gap = abs(
-                evaluate(phi, self.pair.left, env_l) - evaluate(phi, self.pair.right, env_r)
-            )
-            if gap > best:
-                best = gap
-        return best
-
-    def _key(self, position: Position, alpha: int):
-        return (alpha, self._game._key(position) if self._atomic else (position.left, position.right))
-
-    def value(self, position: Position, alpha: int) -> Fraction:
-        if alpha == 0:
-            return self._leaf(position)
-        key = self._key(position, alpha)
-        if key in self._table:
-            return self._table[key]
-        if len(self._table) >= self.cap:
-            raise ResourceCapError(self.cap)
-        best = _ZERO
-        for side, element in self._game.moves():
-            reply_best = None
-            for reply in self._game.responses(side):
-                v = self.value(self._game.child(position, side, element, reply), alpha - 1)
-                if reply_best is None or v < reply_best:
-                    reply_best = v
-            if reply_best > best:
-                best = reply_best
-        self._table[key] = best
-        return best
 
 
 def r_alpha(
@@ -254,13 +204,13 @@ class DynamicSolver:
 
     def value(self, position: Position, clock: int) -> Fraction:
         if clock == 0:
-            return self.inner._leaf(position)
-        key = (clock, self.inner._key(position, 0)[1])
+            return self.inner.leaf(position)
+        key = (clock, self.inner._key(position))
         if key in self._memo:
             return self._memo[key]
         if len(self._memo) >= self.inner.cap:
             raise ResourceCapError(self.inner.cap)
-        game = self.inner._game
+        game = self.inner
         best = _ZERO
         for spent in range(clock):
             for side, element in game.moves():
@@ -277,7 +227,7 @@ class DynamicSolver:
 
     def principal_variation(self, position: Position, clock: int) -> list:
         line = []
-        game = self.inner._game
+        game = self.inner
         while clock > 0:
             target = self.value(position, clock)
             found = None
@@ -347,7 +297,7 @@ def omega_game_value_atomic(
     if 2 ** n_pairs > cap:
         raise ResourceCapError(cap)
 
-    game = GameSolver(pair, term_depth=term_depth, max_positions=cap, use_set_keys=True)
+    game = GameSolver(pair, term_depth=term_depth, max_positions=cap)
     pair_list = [(a, b) for a in range(nl) for b in range(nr)]
     bit = {ab: 1 << i for i, ab in enumerate(pair_list)}
 

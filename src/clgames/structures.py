@@ -532,19 +532,41 @@ def structure_to_json(structure: MetricStructure) -> dict:
     }
 
 
+def _field(data, name: str, decode, default=None):
+    """decode(data[name]), or the default when the field is absent (None
+    makes it required); a missing or ill-shaped field becomes a ValueError
+    that names it."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    if name not in data:
+        if default is None:
+            raise ValueError(f"missing field {name!r}")
+        return default
+    try:
+        return decode(data[name])
+    except KeyError as exc:
+        raise ValueError(f"field {name!r}: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"field {name!r}: {exc}") from None
+
+
+def _tables(decode_value):
+    """Decoder for {symbol: {"(i,j,...)": value}} tables."""
+    return lambda raw: {
+        name: {_key_to_tuple(k): decode_value(v) for k, v in table.items()}
+        for name, table in raw.items()
+    }
+
+
 def structure_from_json(data: dict) -> MetricStructure:
-    sig = signature_from_json(data["signature"])
-    points = tuple(str(p) for p in data["points"])
-    dist = tuple(tuple(rat_from_json(v) for v in row) for row in data["dist"])
-    preds = {
-        name: {_key_to_tuple(k): rat_from_json(v) for k, v in table.items()}
-        for name, table in data.get("predicates", {}).items()
-    }
-    funcs = {
-        name: {_key_to_tuple(k): int(v) for k, v in table.items()}
-        for name, table in data.get("functions", {}).items()
-    }
-    consts = {name: int(v) for name, v in data.get("constants", {}).items()}
+    sig = _field(data, "signature", signature_from_json)
+    points = _field(data, "points", lambda raw: tuple(str(p) for p in raw))
+    dist = _field(
+        data, "dist", lambda raw: tuple(tuple(rat_from_json(v) for v in row) for row in raw)
+    )
+    preds = _field(data, "predicates", _tables(rat_from_json), {})
+    funcs = _field(data, "functions", _tables(int), {})
+    consts = _field(data, "constants", lambda raw: {name: int(v) for name, v in raw.items()}, {})
     return MetricStructure(
         signature=sig,
         points=points,
@@ -576,7 +598,8 @@ def pair_to_json(pair: NamedPair) -> dict:
 
 def pair_from_json(data: dict) -> NamedPair:
     return NamedPair(
-        left=structure_from_json(data["left"]), right=structure_from_json(data["right"])
+        left=_field(data, "left", structure_from_json),
+        right=_field(data, "right", structure_from_json),
     )
 
 

@@ -14,10 +14,12 @@ from itertools import product
 
 from clgames.formulas import enumerate_atomic, evaluate
 from clgames.game import Position
+from clgames.infinitary import generate_basic_family
 from clgames.moduli import capped_linear
 from clgames.structures import (
     MetricStructure,
     NamedPair,
+    FunctionSymbol,
     PredicateSymbol,
     Signature,
 )
@@ -28,13 +30,21 @@ DIST_GRID = (F(1, 2), F(5, 8), F(3, 4), F(7, 8), F(1))
 VALUE_GRID = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
 
 
-def random_signature(rng: random.Random, max_predicates: int = 2, with_constant: bool = False):
+def random_signature(
+    rng: random.Random,
+    max_predicates: int = 2,
+    with_constant: bool = False,
+    with_function: bool = False,
+):
+    """A unary function symbol, when asked for, gets the modulus min(2t, 1):
+    any point map respects it at distances >= 1/2."""
     preds = []
     for i in range(rng.randint(1, max_predicates)):
         arity = rng.choice((1, 1, 2))
         preds.append(PredicateSymbol(f"P{i}", arity, capped_linear(2)))
     constants = ("c",) if with_constant else ()
-    return Signature(predicates=tuple(preds), constants=constants)
+    functions = (FunctionSymbol("f", 1, capped_linear(2)),) if with_function else ()
+    return Signature(predicates=tuple(preds), functions=functions, constants=constants)
 
 
 def random_structure(
@@ -56,18 +66,25 @@ def random_structure(
         p.name: {args: rng.choice(values) for args in product(range(n), repeat=p.arity)}
         for p in signature.predicates
     }
+    funcs = {
+        f.name: {args: rng.randrange(n) for args in product(range(n), repeat=f.arity)}
+        for f in signature.functions
+    }
     cmap = {c: rng.randrange(n) for c in signature.constants}
     return MetricStructure(
         signature=signature,
         points=tuple(f"p{i}" for i in range(n)),
         dist=tuple(tuple(row) for row in dist),
         predicate_tables=tables,
+        function_tables=funcs,
         constant_map=cmap,
     )
 
 
-def random_pair(rng: random.Random, max_points: int = 4, with_constant: bool = False) -> NamedPair:
-    sig = random_signature(rng, with_constant=with_constant)
+def random_pair(
+    rng: random.Random, max_points: int = 4, with_constant: bool = False, with_function: bool = False
+) -> NamedPair:
+    sig = random_signature(rng, with_constant=with_constant, with_function=with_function)
     return NamedPair(
         random_structure(rng, sig, max_points=max_points),
         random_structure(rng, sig, max_points=max_points),
@@ -118,14 +135,37 @@ def _farity(structure, name):
     return structure.signature.function(name).arity
 
 
-def plain_leaf(pair: NamedPair, left: tuple, right: tuple, term_depth: int = 0) -> Fraction:
-    """Order-respecting leaf discrepancy, independent of the solver caches."""
+def _max_gap(pair: NamedPair, formulas, left: tuple, right: tuple) -> Fraction:
     env_l = dict(enumerate(left))
     env_r = dict(enumerate(right))
     best = F(0)
-    for atom in enumerate_atomic(pair.signature, len(left), term_depth):
-        gap = abs(evaluate(atom, pair.left, env_l) - evaluate(atom, pair.right, env_r))
+    for phi in formulas:
+        gap = abs(evaluate(phi, pair.left, env_l) - evaluate(phi, pair.right, env_r))
         best = max(best, gap)
+    return best
+
+
+def plain_leaf(pair: NamedPair, left: tuple, right: tuple, term_depth: int = 0) -> Fraction:
+    """Order-respecting leaf discrepancy, independent of the solver caches."""
+    return _max_gap(pair, enumerate_atomic(pair.signature, len(left), term_depth), left, right)
+
+
+def _ordered_minimax(pair: NamedPair, left: tuple, right: tuple, rounds: int, leaf) -> Fraction:
+    if rounds == 0:
+        return leaf(left, right)
+    best = F(0)
+    for a in range(pair.left.size):
+        worst = min(
+            _ordered_minimax(pair, left + (a,), right + (b,), rounds - 1, leaf)
+            for b in range(pair.right.size)
+        )
+        best = max(best, worst)
+    for b in range(pair.right.size):
+        worst = min(
+            _ordered_minimax(pair, left + (a,), right + (b,), rounds - 1, leaf)
+            for a in range(pair.left.size)
+        )
+        best = max(best, worst)
     return best
 
 
@@ -133,22 +173,28 @@ def brute_force_game_value(
     pair: NamedPair, left: tuple, right: tuple, rounds: int, term_depth: int = 0
 ) -> Fraction:
     """Unmemoized minimax over ordered positions: the game-tree oracle."""
-    if rounds == 0:
-        return plain_leaf(pair, left, right, term_depth)
-    best = F(0)
-    for a in range(pair.left.size):
-        worst = min(
-            brute_force_game_value(pair, left + (a,), right + (b,), rounds - 1, term_depth)
-            for b in range(pair.right.size)
-        )
-        best = max(best, worst)
-    for b in range(pair.right.size):
-        worst = min(
-            brute_force_game_value(pair, left + (a,), right + (b,), rounds - 1, term_depth)
-            for a in range(pair.left.size)
-        )
-        best = max(best, worst)
-    return best
+    return _ordered_minimax(
+        pair, left, right, rounds, lambda lp, rp: plain_leaf(pair, lp, rp, term_depth)
+    )
+
+
+def brute_force_rank_omega_leaf(
+    pair: NamedPair, left: tuple, right: tuple, alpha: int, leaf
+) -> Fraction:
+    """Unmemoized rank recursion over ordered positions whose leaves are
+    scored over ``generate_basic_family`` for the OmegaLeaf ``leaf``: the
+    oracle for ``r_alpha`` with the omega leaf."""
+    families = {}
+
+    def score(lp: tuple, rp: tuple) -> Fraction:
+        k = len(lp)
+        if k not in families:
+            families[k] = generate_basic_family(
+                pair.signature, k, leaf.omega, leaf.term_depth, leaf.scale_factors
+            )
+        return _max_gap(pair, families[k], lp, rp)
+
+    return _ordered_minimax(pair, left, right, alpha, score)
 
 
 def _extend(position: Position, side: str, element: int, reply: int) -> Position:

@@ -147,6 +147,49 @@ class TestGameCommand:
         assert rc == 1
         assert "cap" in capsys.readouterr().err
 
+    def test_negative_rounds_exit_one(self, pair_file, capsys):
+        rc = main(["game", "--pair", str(pair_file), "--rounds", "-1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "rounds" in err and err.count("\n") == 1
+
+    def test_certificates_built_only_for_strategy_file(self, pair_file, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("strategy tree built without --strategy")
+
+        monkeypatch.setattr("clgames.game.GameSolver.ii_strategy_tree", refuse)
+        monkeypatch.setattr("clgames.game.GameSolver.i_witness_tree", refuse)
+        rc = main(["game", "--pair", str(pair_file), "--rounds", "2"])
+        assert rc == 0
+        assert "1/8" in capsys.readouterr().out
+
+
+class TestMalformedPairJson:
+    def run_with(self, pair_file, capsys, edit):
+        blob = json.loads(pair_file.read_text())
+        edit(blob)
+        pair_file.write_text(json.dumps(blob))
+        rc = main(["game", "--pair", str(pair_file), "--rounds", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        return err
+
+    def test_dist_not_a_matrix(self, pair_file, capsys):
+        err = self.run_with(pair_file, capsys, lambda blob: blob["left"].update(dist=5))
+        assert "'left'" in err and "'dist'" in err
+
+    def test_float_distance(self, pair_file, capsys):
+        def edit(blob):
+            blob["right"]["dist"][0][1] = 0.5
+
+        err = self.run_with(pair_file, capsys, edit)
+        assert "'right'" in err and "'dist'" in err and "float" in err
+
+    def test_missing_side(self, pair_file, capsys):
+        err = self.run_with(pair_file, capsys, lambda blob: blob.pop("right"))
+        assert "missing field 'right'" in err
+
 
 class TestRalphaCommand:
     def test_finite_alpha(self, pair_file, capsys):

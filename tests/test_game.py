@@ -136,18 +136,36 @@ class TestGameValue:
             assert v2 == F(1, m + 1)
 
     def test_set_abstraction_matches_ordered_search(self):
+        # relational pairs (constants included) are solved over sets of
+        # played pairs; starts with a repeated, reordered pair must agree
+        # with the ordered oracle
         rng = random.Random(17)
-        for _ in range(6):
-            pair = helpers.random_pair(rng, max_points=3)
-            assert pair.signature.is_relational
-            for n in (1, 2):
-                with_sets = game_value(
-                    pair, rounds=n, build_strategies=False, use_set_keys=True
-                ).value
-                ordered = game_value(
-                    pair, rounds=n, build_strategies=False, use_set_keys=False
-                ).value
-                assert with_sets == ordered
+        for with_constant in (False, True):
+            for _ in range(4):
+                pair = helpers.random_pair(rng, max_points=3, with_constant=with_constant)
+                assert pair.signature.is_relational
+                a, c = (rng.randrange(pair.left.size) for _ in range(2))
+                b, d = (rng.randrange(pair.right.size) for _ in range(2))
+                for left, right in (((), ()), ((a, c), (b, d)), ((c, a, c), (d, b, d))):
+                    for n in (1, 2):
+                        expected = helpers.brute_force_game_value(pair, left, right, n)
+                        start = Position(left, right)
+                        result = game_value(pair, start=start, rounds=n, build_strategies=False)
+                        assert result.value == expected
+
+    def test_ordered_positions_with_function_symbols_match_brute_force(self):
+        rng = random.Random(18)
+        for _ in range(4):
+            pair = helpers.random_pair(rng, max_points=3, with_constant=True, with_function=True)
+            assert not pair.signature.is_relational
+            for n in (0, 1, 2):
+                expected = helpers.brute_force_game_value(pair, (), (), n, term_depth=1)
+                result = game_value(pair, rounds=n, term_depth=1, build_strategies=False)
+                assert result.value == expected
+
+    def test_negative_rounds_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            game_value(PAIR_55, rounds=-1)
 
     def test_resource_cap(self):
         with pytest.raises(ResourceCapError) as err:

@@ -292,6 +292,21 @@ class TestOmegaLeaf:
                 )
                 assert omega.value(pos, 0) >= atomic.value(pos, 0)
 
+    def test_rank_recursion_matches_ordered_oracle(self):
+        # x0 is held to the identity modulus and later variables to 2t, so
+        # the certified family, and with it the leaf, depends on play order
+        leaf = OmegaLeaf(
+            WeakModulus(
+                coords=(identity_modulus(),), tail=linear_modulus(2), aggregator=Aggregator.MAX
+            )
+        )
+        rng = random.Random(45)
+        for _ in range(4):
+            pair = helpers.random_pair(rng, max_points=3)
+            for alpha in (0, 1, 2):
+                expected = helpers.brute_force_rank_omega_leaf(pair, (), (), alpha, leaf)
+                assert r_alpha(pair, alpha=alpha, leaf=leaf) == expected
+
     def test_rank_recursion_with_omega_leaf(self):
         generous = WeakModulus(coords=(), tail=linear_modulus(2), aggregator=Aggregator.MAX)
         value = r_alpha(PAIR_55, START_11, alpha=1, leaf=OmegaLeaf(generous))
