@@ -54,13 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for sampling helpers; every command here is deterministic "
-        "given its inputs and this seed",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a structure file against all axioms")
@@ -121,10 +114,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (StructureValidationError, ResourceCapError, FormulaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (StructureValidationError, ResourceCapError, FormulaError,
+            ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,6 +27,8 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+
 from .formulas import enumerate_atomic, evaluate, is_delta_formula
 from .moduli import PwlModulus
 from .rationals import format_rat
@@ -132,11 +134,15 @@ class GameSolver:
     """Backward-induction solver for one structure pair.
 
     Caches the leaf's formula family per tuple length, leaf scores per
-    position, and minimax values per (position, rounds), all charged to one
-    position cap.  Positions are keyed by the set of played pairs when the
-    leaf is atomic and the signature relational (the value is order- and
-    multiplicity-invariant there); ordered tuples otherwise.  A subclass
-    with another leaf overrides ``family`` and clears ``atomic_leaf``.
+    position, and minimax values per (position, rounds).  Every memo entry,
+    including those of the dynamic and infinite-game searches built on this
+    solver, goes through ``memoize`` and is charged to one position cap.
+    Positions are keyed by the set of played pairs when the leaf is atomic
+    and the signature relational (the value is order- and
+    multiplicity-invariant there); ordered tuples otherwise.  With set keys
+    a leaf of more pairs than the largest atom can mention is the max over
+    its subsets of that size.  A subclass with another leaf overrides
+    ``family`` and clears ``atomic_leaf``.
     """
 
     atomic_leaf = True
@@ -146,18 +152,27 @@ class GameSolver:
         self.term_depth = term_depth
         self.cap = default_position_cap() if max_positions is None else max_positions
         self._set_keys = self.atomic_leaf and pair.signature.is_relational
+        # an atom mentions at most this many played pairs
+        self._width = max([2] + [p.arity for p in pair.signature.predicates])
+        self._entries = 0
         self._families: dict[int, list] = {}
         self._leaf: dict = {}
         self._values: dict = {}
 
     def _key(self, position: Position):
+        """The memo key: the sorted distinct played pairs with set keys, else
+        the ordered tuples."""
         if self._set_keys:
-            return frozenset(zip(position.left, position.right))
+            return tuple(sorted(set(zip(position.left, position.right))))
         return (position.left, position.right)
 
-    def _charge(self):
-        if len(self._leaf) + len(self._values) >= self.cap:
+    def memoize(self, table: dict, key, value):
+        """Store ``table[key] = value``, charging the entry to the cap."""
+        if self._entries >= self.cap:
             raise ResourceCapError(self.cap)
+        self._entries += 1
+        table[key] = value
+        return value
 
     def family(self, k: int) -> list:
         """The formulas in x0..x{k-1} that score a k-pair leaf: the atoms at
@@ -170,18 +185,25 @@ class GameSolver:
         key = self._key(position)
         if key in self._leaf:
             return self._leaf[key]
-        self._charge()
-        if self._set_keys:
-            pairs = sorted(key)
-            left = tuple(a for a, _ in pairs)
-            right = tuple(b for _, b in pairs)
+        return self._leaf_at(key)
+
+    def _leaf_at(self, key) -> Fraction:
+        if key in self._leaf:
+            return self._leaf[key]
+        if self._set_keys and len(key) > self._width:
+            # every atom lies within some width-pair subset of the position
+            best = max(self._leaf_at(sub) for sub in combinations(key, self._width))
         else:
-            left, right = position.left, position.right
-        k = len(left)
-        if k not in self._families:
-            self._families[k] = self.family(k)
-        best = self._leaf[key] = _max_gap(self.pair, self._families[k], left, right)
-        return best
+            if self._set_keys:
+                left = tuple(a for a, _ in key)
+                right = tuple(b for _, b in key)
+            else:
+                left, right = key
+            k = len(left)
+            if k not in self._families:
+                self._families[k] = self.family(k)
+            best = _max_gap(self.pair, self._families[k], left, right)
+        return self.memoize(self._leaf, key, best)
 
     def moves(self):
         yield from (("L", a) for a in range(self.pair.left.size))
@@ -201,9 +223,7 @@ class GameSolver:
         key = (self._key(position), rounds)
         if key in self._values:
             return self._values[key]
-        self._charge()
-        best = self._values[key] = self.best_move(position, rounds)[2]
-        return best
+        return self.memoize(self._values, key, self.best_move(position, rounds)[2])
 
     def best_move(self, position: Position, rounds: int):
         """I's value-maximizing move as (side, element, value), first in
@@ -378,6 +398,8 @@ def play_interactive(
     ``A <point>`` / ``B <point>`` for the spoiler (structure side first) or
     as a bare point label for the duplicator.  Returns a transcript dict.
     """
+    if rounds < 0:
+        raise ValueError(f"rounds must be non-negative, got {rounds}")
     stdin = in_stream if in_stream is not None else sys.stdin
     stdout = out_stream if out_stream is not None else sys.stdout
     human_side = human_side.upper()

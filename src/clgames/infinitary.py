@@ -24,7 +24,9 @@ Leaf families:
 The infinite game only stabilizes, at desk scale, because positions can be
 abstracted to finite sets of pairs; that is valid for the atomic leaf on
 relational signatures and invalid for the coordinate-indexed omega leaf,
-which is therefore rejected by the fixpoint solver.
+which is therefore rejected by the fixpoint solver.  That solver runs on the
+game kernel: its positions, moves, replies, leaf scores and position cap are
+those of ``GameSolver``.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .formulas import (
     is_atomic,
     modulus_of,
 )
-from .game import GameSolver, Position, ResourceCapError, default_position_cap
+from .game import GameSolver, Position, ResourceCapError
 from .moduli import WeakModulus, linear_modulus, modulus_leq
 from .structures import MetricStructure, NamedPair, PredicateSymbol, Signature
 
@@ -208,8 +210,6 @@ class DynamicSolver:
         key = (clock, self.inner._key(position))
         if key in self._memo:
             return self._memo[key]
-        if len(self._memo) >= self.inner.cap:
-            raise ResourceCapError(self.inner.cap)
         game = self.inner
         best = _ZERO
         for spent in range(clock):
@@ -222,8 +222,7 @@ class DynamicSolver:
                         reply_best = v
                 if reply_best > best:
                     best = reply_best
-        self._memo[key] = best
-        return best
+        return game.memoize(self._memo, key, best)
 
     def principal_variation(self, position: Position, clock: int) -> list:
         line = []
@@ -281,88 +280,42 @@ def omega_game_value_atomic(
     hold forever.
 
     Positions are abstracted to sets of pairs (valid for relational
-    signatures), making the state space the finite lattice of subsets of
-    left x right; the value function is computed in one pass over that
-    lattice from supersets down.  At a position, a spoiler element that has
-    a "stay" response (a pair already played) imposes no constraint; the
-    others force the min over proper extensions.
+    signatures), so the game is a memoized recursion over the sets reachable
+    from the start.  A spoiler move on a point already covered is answered by
+    a stay (repeating the played pair forever) and imposes nothing; a move on
+    an uncovered point forces the min over its replies, each of which covers
+    one more point.  Once every point on both sides is covered, only the leaf
+    remains, memoized by the solver's leaf table.  Elsewhere the leaf needs
+    no separate term: it is monotone in the set, so every forced value
+    already bounds it.
     """
     if not pair.signature.is_relational:
         raise ValueError("the infinite-game solver needs a relational signature")
     start = start or Position()
     start.check_against(pair)
-    cap = default_position_cap() if max_positions is None else max_positions
-    nl, nr = pair.left.size, pair.right.size
-    n_pairs = nl * nr
-    if 2 ** n_pairs > cap:
-        raise ResourceCapError(cap)
+    game = GameSolver(pair, term_depth=term_depth, max_positions=max_positions)
+    memo: dict = {}
 
-    game = GameSolver(pair, term_depth=term_depth, max_positions=cap)
-    pair_list = [(a, b) for a in range(nl) for b in range(nr)]
-    bit = {ab: 1 << i for i, ab in enumerate(pair_list)}
+    def value(position: Position) -> Fraction:
+        key = game._key(position)
+        if key in memo:
+            return memo[key]
+        covered = {("L", a) for a, _ in key} | {("R", b) for _, b in key}
+        forced = [
+            min(value(game.child(position, side, e, reply)) for reply in game.responses(side))
+            for side, e in game.moves()
+            if (side, e) not in covered
+        ]
+        if not forced:
+            return game.leaf(position)
+        return game.memoize(memo, key, max(forced))
 
-    start_mask = 0
-    for ab in zip(start.left, start.right):
-        start_mask |= bit[ab]
-
-    def subset_leaf(indices: tuple[int, ...]) -> Fraction:
-        pairs = [pair_list[i] for i in indices]
-        return game.leaf(Position(tuple(a for a, _ in pairs), tuple(b for _, b in pairs)))
-
-    full = (1 << n_pairs) - 1
-    max_arity = max((p.arity for p in pair.signature.predicates), default=1)
-    leaf_table: list[Fraction] | None = None
-    if max_arity <= 2:
-        # every atom touches at most two played pairs, so a position's leaf
-        # is the max over its <=2-element subsets; build it bottom-up
-        disc1 = [subset_leaf((i,)) for i in range(n_pairs)]
-        disc2 = {}
-        for i in range(n_pairs):
-            for j in range(i + 1, n_pairs):
-                disc2[(i, j)] = subset_leaf((i, j))
-        base = subset_leaf(())
-        leaf_table = [base] * (full + 1)
-        for mask in range(1, full + 1):
-            low = (mask & -mask).bit_length() - 1
-            rest = mask ^ (1 << low)
-            v = max(leaf_table[rest], disc1[low])
-            r = rest
-            while r:
-                j = (r & -r).bit_length() - 1
-                key = (low, j) if low < j else (j, low)
-                if disc2[key] > v:
-                    v = disc2[key]
-                r ^= 1 << j
-            leaf_table[mask] = v
-
-    def mask_leaf(mask: int) -> Fraction:
-        if leaf_table is not None:
-            return leaf_table[mask]
-        return subset_leaf(tuple(i for i in range(n_pairs) if mask >> i & 1))
-
-    masks = [m for m in range(start_mask, full + 1) if m & start_mask == start_mask]
-    masks.sort(key=lambda m: -bin(m).count("1"))
-    value: dict[int, Fraction] = {}
-    for mask in masks:
-        v = mask_leaf(mask)
-        for side, size, other in (("L", nl, nr), ("R", nr, nl)):
-            for element in range(size):
-                options = []
-                stays = False
-                for reply in range(other):
-                    ab = (element, reply) if side == "L" else (reply, element)
-                    child = mask | bit[ab]
-                    if child == mask:
-                        stays = True
-                        break
-                    options.append(value[child])
-                if stays:
-                    continue  # the duplicator repeats the played pair forever
-                forced = min(options)
-                if forced > v:
-                    v = forced
-        value[mask] = v
-    return value[start_mask]
+    try:
+        return value(start)
+    except RecursionError:
+        # the depth is at most the number u of uncovered points; a stack too
+        # shallow for it means more than C(u/2, 3) > 700,000 reachable sets
+        raise ResourceCapError(game.cap) from None
 
 
 def build_nested_levels_pair(m: int, level_size: int) -> NamedPair:

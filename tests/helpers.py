@@ -9,6 +9,7 @@ Tighter-modulus fixtures for perturbation tests are built explicitly.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -35,13 +36,17 @@ def random_signature(
     max_predicates: int = 2,
     with_constant: bool = False,
     with_function: bool = False,
+    with_ternary: bool = False,
 ):
     """A unary function symbol, when asked for, gets the modulus min(2t, 1):
-    any point map respects it at distances >= 1/2."""
+    any point map respects it at distances >= 1/2; so does the ternary
+    predicate T added by ``with_ternary``."""
     preds = []
     for i in range(rng.randint(1, max_predicates)):
         arity = rng.choice((1, 1, 2))
         preds.append(PredicateSymbol(f"P{i}", arity, capped_linear(2)))
+    if with_ternary:
+        preds.append(PredicateSymbol("T", 3, capped_linear(2)))
     constants = ("c",) if with_constant else ()
     functions = (FunctionSymbol("f", 1, capped_linear(2)),) if with_function else ()
     return Signature(predicates=tuple(preds), functions=functions, constants=constants)
@@ -82,13 +87,30 @@ def random_structure(
 
 
 def random_pair(
-    rng: random.Random, max_points: int = 4, with_constant: bool = False, with_function: bool = False
+    rng: random.Random,
+    max_points: int = 4,
+    with_constant: bool = False,
+    with_function: bool = False,
+    with_ternary: bool = False,
 ) -> NamedPair:
-    sig = random_signature(rng, with_constant=with_constant, with_function=with_function)
+    sig = random_signature(
+        rng, with_constant=with_constant, with_function=with_function, with_ternary=with_ternary
+    )
     return NamedPair(
         random_structure(rng, sig, max_points=max_points),
         random_structure(rng, sig, max_points=max_points),
     )
+
+
+def redrawn_copy(structure: MetricStructure, rng: random.Random, entries: int) -> MetricStructure:
+    """The structure with ``entries`` predicate-table entries redrawn: paired
+    with the original it is nearly isomorphic, so a few atoms decide the
+    game, where random pairs mostly differ everywhere."""
+    tables = {name: dict(table) for name, table in structure.predicate_tables.items()}
+    for _ in range(entries):
+        name = rng.choice(sorted(tables))
+        tables[name][rng.choice(sorted(tables[name]))] = rng.choice(VALUE_GRID)
+    return replace(structure, predicate_tables=tables)
 
 
 def permuted_copy(structure: MetricStructure, rng: random.Random) -> MetricStructure:
@@ -226,12 +248,19 @@ def best_leaf_against_i(pair, position, node, term_depth: int = 0) -> Fraction:
     return best
 
 
-def value_iteration_omega(pair: NamedPair, term_depth: int = 0) -> Fraction:
-    """Infinite-game value by repeated clock sweeps until the whole table is
-    stable: the independent oracle for the single-pass fixpoint solver."""
+def value_iteration_omega(
+    pair: NamedPair, term_depth: int = 0, start: Position | None = None
+) -> Fraction:
+    """Infinite-game value from ``start`` (default: no pairs played) by
+    repeated clock sweeps over every set of pairs until the whole table is
+    stable: the independent oracle for the memoized fixpoint solver."""
     nl, nr = pair.left.size, pair.right.size
     pair_list = [(a, b) for a in range(nl) for b in range(nr)]
     masks = range(1 << len(pair_list))
+    start_mask = 0
+    if start is not None:
+        for ab in zip(start.left, start.right):
+            start_mask |= 1 << pair_list.index(ab)
 
     def leaf(mask: int) -> Fraction:
         pairs = [pair_list[i] for i in range(len(pair_list)) if mask >> i & 1]
@@ -253,5 +282,5 @@ def value_iteration_omega(pair: NamedPair, term_depth: int = 0) -> Fraction:
                 v = max(v, forced)
             nxt[mask] = v
         if nxt == values:
-            return values[0]
+            return values[start_mask]
         values = nxt

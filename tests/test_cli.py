@@ -282,6 +282,17 @@ class TestPlayCommand:
         assert rc == 0
         assert "II wins" in capsys.readouterr().out
 
+    def test_negative_rounds_exit_one(self, pair_file, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        rc = main(["play", "--pair", str(pair_file), "--rounds", "-1", "--epsilon", "1/4"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "rounds" in captured.err
+        assert captured.err.count("\n") == 1
+
 
 class TestUsageErrors:
     def test_no_command(self):

@@ -1,5 +1,6 @@
 """Finite-game solver: leaf discrepancy, minimax values, certificates, REPL."""
 
+import dataclasses
 import io
 import random
 from fractions import Fraction
@@ -46,16 +47,35 @@ class TestAtomicDiscrepancy:
         assert atomic_discrepancy(PAIR_55, Position((0, 1), (0, 1))) == 0
 
     def test_matches_plain_leaf_on_random_positions(self):
+        # up to 6 pairs, with repeats: longer than any atom, so the solver
+        # scores them through their subsets of the largest atom's width
         rng = random.Random(6)
-        for _ in range(10):
-            pair = helpers.random_pair(rng)
-            for _ in range(5):
-                k = rng.randint(0, 3)
-                left = tuple(rng.randrange(pair.left.size) for _ in range(k))
-                right = tuple(rng.randrange(pair.right.size) for _ in range(k))
-                assert atomic_discrepancy(pair, Position(left, right)) == helpers.plain_leaf(
-                    pair, left, right
-                )
+        for extras in ({}, {"with_constant": True}, {"with_constant": True, "with_ternary": True}):
+            for _ in range(4):
+                pair = helpers.random_pair(rng, **extras)
+                for _ in range(5):
+                    k = rng.randint(0, 6)
+                    left = tuple(rng.randrange(pair.left.size) for _ in range(k))
+                    right = tuple(rng.randrange(pair.right.size) for _ in range(k))
+                    assert atomic_discrepancy(pair, Position(left, right)) == helpers.plain_leaf(
+                        pair, left, right
+                    )
+
+    def test_ternary_atom_on_three_distinct_pairs(self):
+        # the pair differs only at T(p0, p1, p2), which no two played pairs
+        # can show
+        rng = random.Random(7)
+        sig = helpers.random_signature(rng, with_ternary=True)
+        left = helpers.random_structure(rng, sig, n_points=3)
+        old = left.predicate_tables["T"][(0, 1, 2)]
+        tables = {name: dict(table) for name, table in left.predicate_tables.items()}
+        tables["T"][(0, 1, 2)] = F(1) if old < F(1, 2) else F(0)
+        pair = NamedPair(left, dataclasses.replace(left, predicate_tables=tables))
+        gap = abs(tables["T"][(0, 1, 2)] - old)
+        for played in ((0, 1), (0, 1, 2), (2, 0, 1, 0), (1, 2, 0, 2, 1)):
+            expected = helpers.plain_leaf(pair, played, played)
+            assert expected == (gap if len(set(played)) == 3 else 0)
+            assert atomic_discrepancy(pair, Position(played, played)) == expected
 
     def test_invalid_position_rejected(self):
         with pytest.raises(ValueError):
@@ -140,9 +160,11 @@ class TestGameValue:
         # played pairs; starts with a repeated, reordered pair must agree
         # with the ordered oracle
         rng = random.Random(17)
-        for with_constant in (False, True):
-            for _ in range(4):
-                pair = helpers.random_pair(rng, max_points=3, with_constant=with_constant)
+        for with_constant, with_ternary in ((False, False), (True, False), (True, True)):
+            for _ in range(3):
+                pair = helpers.random_pair(
+                    rng, max_points=3, with_constant=with_constant, with_ternary=with_ternary
+                )
                 assert pair.signature.is_relational
                 a, c = (rng.randrange(pair.left.size) for _ in range(2))
                 b, d = (rng.randrange(pair.right.size) for _ in range(2))
@@ -290,6 +312,14 @@ class TestInteractivePlay:
             in_stream=io.StringIO(""), out_stream=stdout,
         )
         assert outcome["winner"] == "II" and outcome["discrepancy"] == 0
+
+    def test_negative_rounds_rejected(self):
+        stdout = io.StringIO()
+        with pytest.raises(ValueError, match="non-negative"):
+            play_interactive(
+                PAIR_55, rounds=-1, epsilon=F(1, 4), in_stream=io.StringIO(""), out_stream=stdout
+            )
+        assert stdout.getvalue() == ""
 
     def test_human_duplicator_against_solver(self):
         # the solver spoils optimally; whatever it opens with, the exchange

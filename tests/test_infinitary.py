@@ -15,9 +15,10 @@ from clgames.formulas import (
     Var,
     modulus_of,
 )
-from clgames.game import Position, game_value
+from clgames.game import Position, ResourceCapError, game_value
 from clgames.infinitary import (
     AtomicLeaf,
+    DynamicSolver,
     OmegaLeaf,
     RAlphaSolver,
     build_nested_levels_pair,
@@ -42,7 +43,7 @@ from clgames.structures import (
     find_isomorphism,
     validate,
 )
-from clgames.witnesses import cardinality_witness_pair
+from clgames.witnesses import cardinality_witness_pair, discrete_structure
 
 import helpers
 
@@ -132,6 +133,19 @@ class TestDynamicGame:
         clocks = [entry[0] for entry in result.principal_variation]
         assert all(b < a for a, b in zip([3] + clocks, clocks))
 
+    def test_cap_counts_memo_and_leaf_tables_together(self):
+        rng = random.Random(44)
+        sig = helpers.random_signature(rng)
+        pair = NamedPair(
+            helpers.random_structure(rng, sig, n_points=4),
+            helpers.random_structure(rng, sig, n_points=4),
+        )
+        solver = DynamicSolver(pair, AtomicLeaf(), max_positions=300)
+        with pytest.raises(ResourceCapError):
+            solver.value(Position(), 3)
+        inner = solver.inner
+        assert len(solver._memo) + len(inner._leaf) + len(inner._values) <= 300
+
     def test_finite_clock_required(self):
         from clgames.infinitary import OmegaFixpoint
 
@@ -199,6 +213,37 @@ class TestOmegaGame:
         for _ in range(6):
             pair = helpers.random_pair(rng, max_points=3)
             assert omega_game_value_atomic(pair) == helpers.value_iteration_omega(pair)
+        # a ternary predicate and a constant, from the empty start and from
+        # starts with a repeated pair; at most 6 pairs keeps the oracle fast,
+        # and nearly isomorphic pairs keep the values apart
+        for nl, nr in ((2, 2), (2, 2), (2, 3), (3, 2)):
+            sig = helpers.random_signature(rng, with_constant=True, with_ternary=True)
+            left = helpers.random_structure(rng, sig, n_points=nl)
+            if nl == nr:
+                right = helpers.redrawn_copy(left, rng, entries=2)
+            else:
+                right = helpers.random_structure(rng, sig, n_points=nr)
+            pair = NamedPair(left, right)
+            a, b = rng.randrange(nl), rng.randrange(nr)
+            for start in (Position(), Position((a,), (b,)), Position((a, 1, a), (b, 0, b))):
+                expected = helpers.value_iteration_omega(pair, start=start)
+                assert omega_game_value_atomic(pair, start=start) == expected
+
+    def test_resource_cap(self):
+        # charged per memo entry: a 3+3 pair needs more than 50
+        rng = random.Random(43)
+        sig = helpers.random_signature(rng)
+        pair = NamedPair(
+            helpers.random_structure(rng, sig, n_points=3),
+            helpers.random_structure(rng, sig, n_points=3),
+        )
+        with pytest.raises(ResourceCapError):
+            omega_game_value_atomic(pair, max_positions=50)
+        assert omega_game_value_atomic(pair) == helpers.value_iteration_omega(pair)
+        # a search deeper than the interpreter's stack fails at the cap too
+        big = discrete_structure(200)
+        with pytest.raises(ResourceCapError):
+            omega_game_value_atomic(NamedPair(big, big))
 
     def test_equals_stabilized_clock_value(self):
         rng = random.Random(42)
