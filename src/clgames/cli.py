@@ -112,6 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    cap = getattr(args, "max_positions", None)
+    if cap is not None and cap < 1:
+        parser.exit(2, f"error: --max-positions must be at least 1, got {cap}\n")
     try:
         return _dispatch(args)
     except (StructureValidationError, ResourceCapError, FormulaError,

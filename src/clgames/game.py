@@ -17,6 +17,13 @@ relational, where the order provably does not matter) and produces strategy
 certificates for both players.  It is also the kernel of the rank recursion
 in ``clgames.infinitary``, which only swaps the leaf's formula family.
 
+With set keys the pair is compiled into integer tables over one common
+denominator, so leaf scores and minimax values are compared as integers and
+become ``Fraction``s only when they leave the solver.  The spoiler scan
+prunes exactly (an alpha cutoff, Knuth & Moore 1975): the leaf only grows
+along play, so V_{r-1}(p + (a,b)) >= leaf(p), and a move whose replies
+already reach the best value so far cannot be I's first best move.
+
 With function symbols the leaf check ranges over atoms up to a stated term
 depth and the value is labelled depth-truncated.
 """
@@ -25,9 +32,12 @@ from __future__ import annotations
 
 import os
 import sys
+from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import lcm
 
 from .formulas import enumerate_atomic, evaluate, is_delta_formula
 from .moduli import PwlModulus
@@ -59,9 +69,25 @@ def default_position_cap() -> int:
     if raw is None:
         return DEFAULT_MAX_POSITIONS
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"{_ENV_CAP} must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise ValueError(f"{_ENV_CAP} must be at least 1, got {cap}")
+    return cap
+
+
+@contextmanager
+def rounds_within_stack(rounds: int):
+    """Turn a search too deep for the interpreter's recursion limit into a
+    ValueError: the minimax recursion is as deep as the rounds."""
+    try:
+        yield
+    except RecursionError:
+        raise ValueError(
+            f"{rounds} rounds need a recursion deeper than the interpreter's limit "
+            f"of {sys.getrecursionlimit()} frames; use fewer rounds"
+        ) from None
 
 
 class ResourceCapError(RuntimeError):
@@ -133,16 +159,26 @@ class GameValueResult:
 class GameSolver:
     """Backward-induction solver for one structure pair.
 
-    Caches the leaf's formula family per tuple length, leaf scores per
-    position, and minimax values per (position, rounds).  Every memo entry,
-    including those of the dynamic and infinite-game searches built on this
-    solver, goes through ``memoize`` and is charged to one position cap.
-    Positions are keyed by the set of played pairs when the leaf is atomic
-    and the signature relational (the value is order- and
-    multiplicity-invariant there); ordered tuples otherwise.  With set keys
-    a leaf of more pairs than the largest atom can mention is the max over
-    its subsets of that size.  A subclass with another leaf overrides
-    ``family`` and clears ``atomic_leaf``.
+    Positions are keyed by the set of played pairs (a sorted tuple of
+    distinct pairs) when the leaf is atomic and the signature relational,
+    where the value is order- and multiplicity-invariant; by the ordered
+    tuples otherwise.  The minimax recurses over these keys.
+
+    With set keys the pair is compiled once into integer distance and
+    predicate tables over the lcm of their denominators; constants are extra
+    (left point, right point) terms.  A key of at most w = max(2, largest
+    arity) pairs is scored directly on those tables, over the same atoms as
+    ``enumerate_atomic``; a longer key is the max over its w-pair subsets.
+    Leaf and value memos then hold integers, and ``leaf``, ``value``,
+    ``best_move`` and ``best_reply`` return them as ``Fraction``s.  Ordered
+    keys (function symbols, or a subclass with another leaf, which overrides
+    ``family`` and clears ``atomic_leaf``) score the leaf family's ASTs.
+
+    The spoiler scan prunes exactly: the replies to a move stop at the first
+    one no greater than the best value found so far, or than leaf(p) before
+    any move is scored.  Every memo entry, including those of the dynamic
+    and infinite-game searches built on this solver, goes through
+    ``memoize`` and is charged to one position cap.
     """
 
     atomic_leaf = True
@@ -150,7 +186,11 @@ class GameSolver:
     def __init__(self, pair: NamedPair, term_depth: int = 0, max_positions: int | None = None):
         self.pair = pair
         self.term_depth = term_depth
-        self.cap = default_position_cap() if max_positions is None else max_positions
+        if max_positions is None:
+            max_positions = default_position_cap()
+        elif max_positions < 1:
+            raise ValueError(f"the position cap must be at least 1, got {max_positions}")
+        self.cap = max_positions
         self._set_keys = self.atomic_leaf and pair.signature.is_relational
         # an atom mentions at most this many played pairs
         self._width = max([2] + [p.arity for p in pair.signature.predicates])
@@ -158,6 +198,36 @@ class GameSolver:
         self._families: dict[int, list] = {}
         self._leaf: dict = {}
         self._values: dict = {}
+        if self._set_keys:
+            self._compile()
+
+    def _compile(self):
+        """Integer distance and predicate tables over the common denominator
+        ``_den`` of every value in them, and the constants' point pairs."""
+        sides = (self.pair.left, self.pair.right)
+        preds = self.pair.signature.predicates
+        tables = [[s.predicate_tables[p.name] for s in sides] for p in preds]
+        dens = {v.denominator for s in sides for row in s.dist for v in row}
+        dens.update(v.denominator for pt in tables for t in pt for v in t.values())
+        den = self._den = lcm(*dens)
+
+        def scaled(v) -> int:
+            return v.numerator * (den // v.denominator)
+
+        self._dist = [[[scaled(v) for v in row] for row in s.dist] for s in sides]
+        self._preds = [
+            (p.arity, *({args: scaled(v) for args, v in t.items()} for t in pt))
+            for p, pt in zip(preds, tables)
+        ]
+        self._constants = tuple(
+            (self.pair.left.constant(c), self.pair.right.constant(c))
+            for c in self.pair.signature.constants
+        )
+
+    def _fraction(self, v) -> Fraction:
+        """A memoized number as a Fraction: integers over the common
+        denominator with set keys; ordered keys hold Fractions already."""
+        return Fraction(v, self._den) if self._set_keys else v
 
     def _key(self, position: Position):
         """The memo key: the sorted distinct played pairs with set keys, else
@@ -165,6 +235,19 @@ class GameSolver:
         if self._set_keys:
             return tuple(sorted(set(zip(position.left, position.right))))
         return (position.left, position.right)
+
+    def _child(self, key, side: str, element: int, reply: int):
+        """The key after the spoiler plays ``element`` on ``side`` and the
+        duplicator ``reply`` on the other side."""
+        a, b = (element, reply) if side == "L" else (reply, element)
+        if not self._set_keys:
+            left, right = key
+            return (left + (a,), right + (b,))
+        pair = (a, b)
+        i = bisect_left(key, pair)
+        if i < len(key) and key[i] == pair:
+            return key
+        return key[:i] + (pair,) + key[i:]
 
     def memoize(self, table: dict, key, value):
         """Store ``table[key] = value``, charging the entry to the cap."""
@@ -182,28 +265,45 @@ class GameSolver:
     def leaf(self, position: Position) -> Fraction:
         """Largest value gap over the leaf family at the position; for the
         atomic family, the least eps making it a partial eps-isomorphism."""
-        key = self._key(position)
-        if key in self._leaf:
-            return self._leaf[key]
-        return self._leaf_at(key)
+        return self._fraction(self._leaf_at(self._key(position)))
 
-    def _leaf_at(self, key) -> Fraction:
+    def _leaf_at(self, key):
         if key in self._leaf:
             return self._leaf[key]
-        if self._set_keys and len(key) > self._width:
-            # every atom lies within some width-pair subset of the position
-            best = max(self._leaf_at(sub) for sub in combinations(key, self._width))
-        else:
-            if self._set_keys:
-                left = tuple(a for a, _ in key)
-                right = tuple(b for _, b in key)
-            else:
-                left, right = key
+        if not self._set_keys:
+            left, right = key
             k = len(left)
             if k not in self._families:
                 self._families[k] = self.family(k)
             best = _max_gap(self.pair, self._families[k], left, right)
+        elif len(key) > self._width:
+            # every atom lies within some width-pair subset of the position
+            best = max(self._leaf_at(sub) for sub in combinations(key, self._width))
+        else:
+            best = self._score(key)
         return self.memoize(self._leaf, key, best)
+
+    def _score(self, key) -> int:
+        """Largest integer gap over the atoms of a set key: d(t, u) for
+        distinct terms and P over all term tuples, where the terms are the
+        played pairs and the constants."""
+        terms = key + self._constants
+        lefts = [a for a, _ in terms]
+        rights = [b for _, b in terms]
+        dist_l, dist_r = self._dist
+        best = 0
+        for i in range(len(terms)):
+            row_l, row_r = dist_l[lefts[i]], dist_r[rights[i]]
+            for j in range(i + 1, len(terms)):
+                gap = abs(row_l[lefts[j]] - row_r[rights[j]])
+                if gap > best:
+                    best = gap
+        for arity, table_l, table_r in self._preds:
+            for xs, ys in zip(product(lefts, repeat=arity), product(rights, repeat=arity)):
+                gap = abs(table_l[xs] - table_r[ys])
+                if gap > best:
+                    best = gap
+        return best
 
     def moves(self):
         yield from (("L", a) for a in range(self.pair.left.size))
@@ -218,30 +318,50 @@ class GameSolver:
         return position.extended(reply, element)
 
     def value(self, position: Position, rounds: int) -> Fraction:
+        return self._fraction(self._value(self._key(position), rounds))
+
+    def _value(self, key, rounds: int):
         if rounds == 0:
-            return self.leaf(position)
-        key = (self._key(position), rounds)
-        if key in self._values:
-            return self._values[key]
-        return self.memoize(self._values, key, self.best_move(position, rounds)[2])
+            return self._leaf_at(key)
+        memo_key = (key, rounds)
+        if memo_key in self._values:
+            return self._values[memo_key]
+        return self.memoize(self._values, memo_key, self._scan(key, rounds)[2])
 
     def best_move(self, position: Position, rounds: int):
         """I's value-maximizing move as (side, element, value), first in
         canonical order on ties."""
+        side, element, worst = self._scan(self._key(position), rounds)
+        return side, element, self._fraction(worst)
+
+    def _scan(self, key, rounds: int):
+        # a move's replies stop at the first one at most ``bound``: such a
+        # move cannot beat the best so far, and the first move's value is
+        # then exactly leaf(p), below which no child value lies
+        bound = self._leaf_at(key)
         best = None
         for side, element in self.moves():
-            _, worst = self.best_reply(position, side, element, rounds)
+            _, worst = self._reply(key, side, element, rounds, bound)
             if best is None or worst > best[2]:
                 best = (side, element, worst)
+                bound = worst
         return best
 
     def best_reply(self, position: Position, side: str, element: int, rounds_left: int):
         """II's value-minimizing reply (first in canonical order on ties)."""
+        reply, worst = self._reply(self._key(position), side, element, rounds_left)
+        return reply, self._fraction(worst)
+
+    def _reply(self, key, side: str, element: int, rounds: int, bound=None):
+        """II's first value-minimizing reply and its value, or the first reply
+        whose value is at most ``bound``."""
         best_reply, best_val = None, None
         for reply in self.responses(side):
-            v = self.value(self.child(position, side, element, reply), rounds_left - 1)
+            v = self._value(self._child(key, side, element, reply), rounds - 1)
             if best_val is None or v < best_val:
                 best_reply, best_val = reply, v
+                if bound is not None and v <= bound:
+                    break
         return best_reply, best_val
 
     def ii_strategy_tree(self, position: Position, rounds: int) -> IIStrategyNode | None:
@@ -320,11 +440,12 @@ def game_value(
     start = start or Position()
     start.check_against(pair)
     solver = GameSolver(pair, term_depth, max_positions)
-    value = solver.value(start, rounds)
     ii_tree = i_tree = None
-    if build_strategies:
-        ii_tree = solver.ii_strategy_tree(start, rounds)
-        i_tree = solver.i_witness_tree(start, rounds)
+    with rounds_within_stack(rounds):
+        value = solver.value(start, rounds)
+        if build_strategies:
+            ii_tree = solver.ii_strategy_tree(start, rounds)
+            i_tree = solver.i_witness_tree(start, rounds)
     return GameValueResult(
         value=value,
         rounds=rounds,

@@ -49,7 +49,7 @@ from .formulas import (
     is_atomic,
     modulus_of,
 )
-from .game import GameSolver, Position, ResourceCapError
+from .game import GameSolver, Position, ResourceCapError, rounds_within_stack
 from .moduli import WeakModulus, linear_modulus, modulus_leq
 from .structures import MetricStructure, NamedPair, PredicateSymbol, Signature
 
@@ -180,7 +180,8 @@ def r_alpha(
     if alpha < 0:
         raise ValueError("clock stage must be non-negative")
     solver = RAlphaSolver(pair, leaf or AtomicLeaf(), max_positions)
-    return solver.value(position, alpha)
+    with rounds_within_stack(alpha):
+        return solver.value(position, alpha)
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,8 @@ class DynamicSolver:
     Each round the spoiler picks an element and a clock value strictly below
     the remaining one; the round with clock 0 is still played, then the leaf
     is scored.  Kept deliberately independent of the rank recursion: the
-    spoiler's clock choice is searched, not assumed maximal.
+    spoiler's clock choice is searched, not assumed maximal.  It shares only
+    the kernel's position keys and leaf scores (integers with set keys).
     """
 
     def __init__(self, pair: NamedPair, leaf: LeafFamily, max_positions: int | None = None):
@@ -205,24 +207,26 @@ class DynamicSolver:
         self._memo: dict = {}
 
     def value(self, position: Position, clock: int) -> Fraction:
-        if clock == 0:
-            return self.inner.leaf(position)
-        key = (clock, self.inner._key(position))
-        if key in self._memo:
-            return self._memo[key]
+        return self.inner._fraction(self._value(self.inner._key(position), clock))
+
+    def _value(self, key, clock: int):
         game = self.inner
-        best = _ZERO
+        if clock == 0:
+            return game._leaf_at(key)
+        memo_key = (clock, key)
+        if memo_key in self._memo:
+            return self._memo[memo_key]
+        best = None
         for spent in range(clock):
             for side, element in game.moves():
                 reply_best = None
                 for reply in game.responses(side):
-                    child = game.child(position, side, element, reply)
-                    v = self.value(child, spent)
+                    v = self._value(game._child(key, side, element, reply), spent)
                     if reply_best is None or v < reply_best:
                         reply_best = v
-                if reply_best > best:
+                if best is None or reply_best > best:
                     best = reply_best
-        return game.memoize(self._memo, key, best)
+        return game.memoize(self._memo, memo_key, best)
 
     def principal_variation(self, position: Position, clock: int) -> list:
         line = []
@@ -265,8 +269,9 @@ def dynamic_game_value(
     start = start or Position()
     start.check_against(pair)
     solver = DynamicSolver(pair, leaf or AtomicLeaf(), max_positions)
-    value = solver.value(start, clock.rounds)
-    pv = tuple(solver.principal_variation(start, clock.rounds))
+    with rounds_within_stack(clock.rounds):
+        value = solver.value(start, clock.rounds)
+        pv = tuple(solver.principal_variation(start, clock.rounds))
     return DynamicGameResult(value=value, clock=clock.rounds, principal_variation=pv)
 
 
@@ -296,22 +301,21 @@ def omega_game_value_atomic(
     game = GameSolver(pair, term_depth=term_depth, max_positions=max_positions)
     memo: dict = {}
 
-    def value(position: Position) -> Fraction:
-        key = game._key(position)
+    def value(key) -> int:
         if key in memo:
             return memo[key]
         covered = {("L", a) for a, _ in key} | {("R", b) for _, b in key}
         forced = [
-            min(value(game.child(position, side, e, reply)) for reply in game.responses(side))
+            min(value(game._child(key, side, e, reply)) for reply in game.responses(side))
             for side, e in game.moves()
             if (side, e) not in covered
         ]
         if not forced:
-            return game.leaf(position)
+            return game._leaf_at(key)
         return game.memoize(memo, key, max(forced))
 
     try:
-        return value(start)
+        return game._fraction(value(game._key(start)))
     except RecursionError:
         # the depth is at most the number u of uncovered points; a stack too
         # shallow for it means more than C(u/2, 3) > 700,000 reachable sets

@@ -29,6 +29,10 @@ F = Fraction
 
 DIST_GRID = (F(1, 2), F(5, 8), F(3, 4), F(7, 8), F(1))
 VALUE_GRID = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
+# grids with pairwise coprime denominators, for the integer tables' common
+# denominator; the distances stay in [1/2, 1]
+COPRIME_DIST_GRID = (F(1, 2), F(4, 7), F(3, 5), F(2, 3), F(1))
+COPRIME_VALUE_GRID = (F(0), F(1, 3), F(2, 5), F(3, 7), F(1))
 
 
 def random_signature(
@@ -58,14 +62,16 @@ def random_structure(
     n_points: int | None = None,
     max_points: int = 4,
     values: tuple = VALUE_GRID,
+    distances: tuple = DIST_GRID,
 ) -> MetricStructure:
     """Valid when every predicate modulus allows diffs of max(values)-min(values)
-    at distance 1/2; the default grid suits the min(2t,1) modulus."""
+    at distance 1/2 and the distances lie in [1/2, 1]; the default grids suit
+    the min(2t,1) modulus."""
     n = n_points if n_points is not None else rng.randint(2, max_points)
     dist = [[F(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            v = rng.choice(DIST_GRID)
+            v = rng.choice(distances)
             dist[i][j] = dist[j][i] = v
     tables = {
         p.name: {args: rng.choice(values) for args in product(range(n), repeat=p.arity)}
@@ -198,6 +204,33 @@ def brute_force_game_value(
     return _ordered_minimax(
         pair, left, right, rounds, lambda lp, rp: plain_leaf(pair, lp, rp, term_depth)
     )
+
+
+def first_best_move(pair: NamedPair, left: tuple, right: tuple, rounds: int):
+    """I's first value-maximizing move in canonical order (left points, then
+    right points) as (side, element, value), by a full scan over the
+    brute-force values of the children."""
+    best = None
+    for side, size in (("L", pair.left.size), ("R", pair.right.size)):
+        for element in range(size):
+            _, worst = first_best_reply(pair, left, right, side, element, rounds)
+            if best is None or worst > best[2]:
+                best = (side, element, worst)
+    return best
+
+
+def first_best_reply(
+    pair: NamedPair, left: tuple, right: tuple, side: str, element: int, rounds: int
+):
+    """II's first value-minimizing reply to I's move as (reply, value), by a
+    full scan over the brute-force values of the children."""
+    best = None
+    for reply in range(pair.right.size if side == "L" else pair.left.size):
+        a, b = (element, reply) if side == "L" else (reply, element)
+        v = brute_force_game_value(pair, left + (a,), right + (b,), rounds - 1)
+        if best is None or v < best[1]:
+            best = (reply, v)
+    return best
 
 
 def brute_force_rank_omega_leaf(

@@ -153,6 +153,32 @@ class TestGameCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "rounds" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_non_positive_cap_usage_error(self, pair_file, capsys, cap):
+        with pytest.raises(SystemExit) as err:
+            main(["game", "--pair", str(pair_file), "--rounds", "1", "--max-positions", cap])
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert err_text.startswith("error:") and "--max-positions must be at least 1" in err_text
+        assert err_text.count("\n") == 1
+
+    def test_non_positive_cap_from_environment(self, pair_file, capsys, monkeypatch):
+        monkeypatch.setenv("CLGAMES_MAX_POSITIONS", "0")
+        rc = main(["game", "--pair", str(pair_file), "--rounds", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "CLGAMES_MAX_POSITIONS must be at least 1" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv", [["game", "--rounds", "5000"], ["ralpha", "--alpha", "5000"]]
+    )
+    def test_too_many_rounds_exit_one(self, pair_file, capsys, argv):
+        rc = main([argv[0], "--pair", str(pair_file), *argv[1:]])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "recursion" in err and err.count("\n") == 1
+
     def test_certificates_built_only_for_strategy_file(self, pair_file, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("strategy tree built without --strategy")

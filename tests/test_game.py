@@ -189,18 +189,27 @@ class TestGameValue:
         with pytest.raises(ValueError, match="non-negative"):
             game_value(PAIR_55, rounds=-1)
 
+    def test_rounds_deeper_than_the_stack_rejected(self):
+        # the search dives to the full depth first, so this fails at once
+        with pytest.raises(ValueError, match="recursion"):
+            game_value(PAIR_55, rounds=5000)
+
     def test_resource_cap(self):
         with pytest.raises(ResourceCapError) as err:
             game_value(PAIR_55, rounds=3, build_strategies=False, max_positions=5)
         assert "5" in str(err.value)
+        for cap in (0, -3):
+            with pytest.raises(ValueError, match="at least 1"):
+                game_value(PAIR_55, rounds=1, max_positions=cap)
 
     def test_resource_cap_from_environment(self, monkeypatch):
         monkeypatch.setenv("CLGAMES_MAX_POSITIONS", "5")
         with pytest.raises(ResourceCapError):
             game_value(PAIR_55, rounds=3, build_strategies=False)
-        monkeypatch.setenv("CLGAMES_MAX_POSITIONS", "bogus")
-        with pytest.raises(ValueError):
-            game_value(PAIR_55, rounds=1, build_strategies=False)
+        for raw in ("bogus", "0", "-3"):
+            monkeypatch.setenv("CLGAMES_MAX_POSITIONS", raw)
+            with pytest.raises(ValueError, match="CLGAMES_MAX_POSITIONS"):
+                game_value(PAIR_55, rounds=1, build_strategies=False)
 
 
 class TestCertificates:

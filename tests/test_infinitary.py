@@ -1,7 +1,9 @@
 """Rank recursion, dynamic-clock games, the infinite-game fixpoint, and the
 coordinate-indexed leaf families."""
 
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -96,6 +98,10 @@ class TestRAlpha:
         for alpha in range(5):
             assert r_alpha(pair, alpha=alpha) == 0
 
+    def test_clock_deeper_than_the_stack_rejected(self):
+        with pytest.raises(ValueError, match="recursion"):
+            r_alpha(PAIR_55, alpha=5000)
+
     def test_matches_game_value_at_every_rank(self):
         rng = random.Random(34)
         for _ in range(5):
@@ -145,6 +151,24 @@ class TestDynamicGame:
             solver.value(Position(), 3)
         inner = solver.inner
         assert len(solver._memo) + len(inner._leaf) + len(inner._values) <= 300
+
+    def test_clock_deeper_than_the_stack_rejected(self):
+        # ordered keys (a function symbol) grow every round, so the clocked
+        # search recurses once per clock step; a lowered limit keeps the
+        # work before the overflow small
+        rng = random.Random(45)
+        sig = helpers.random_signature(rng, with_function=True)
+        pair = NamedPair(
+            helpers.random_structure(rng, sig, n_points=1),
+            helpers.random_structure(rng, sig, n_points=1),
+        )
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 80)
+        try:
+            with pytest.raises(ValueError, match="recursion"):
+                dynamic_game_value(pair, 200)
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_finite_clock_required(self):
         from clgames.infinitary import OmegaFixpoint
