@@ -115,11 +115,18 @@ def main(argv=None) -> int:
     cap = getattr(args, "max_positions", None)
     if cap is not None and cap < 1:
         parser.exit(2, f"error: --max-positions must be at least 1, got {cap}\n")
+    depth = getattr(args, "term_depth", None)
+    if depth is not None and depth < 0:
+        parser.exit(2, f"error: --term-depth must be non-negative, got {depth}\n")
     try:
         return _dispatch(args)
     except (StructureValidationError, ResourceCapError, FormulaError,
             ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError as exc:
+        # a formula or a JSON file nested deeper than the parsers can follow
+        print(f"error: input nested too deeply ({exc})", file=sys.stderr)
         return 1
 
 

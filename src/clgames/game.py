@@ -11,18 +11,18 @@ On finite structures the game value
     V_{r+1}(p) = max( max_a min_b V_r(p + (a,b)),  max_b min_a V_r(p + (a,b)) )
 
 is attained, so eps-queries reduce to one exact minimax quantity: II wins
-the r-round game at precision eps iff V_r <= eps.  The solver memoizes on
-positions (as sets of pairs when the leaf is atomic and the signature is
-relational, where the order provably does not matter) and produces strategy
-certificates for both players.  It is also the kernel of the rank recursion
-in ``clgames.infinitary``, which only swaps the leaf's formula family.
+the r-round game at precision eps iff V_r <= eps.  The solver produces
+strategy certificates for both players and is the kernel of the rank
+recursion in ``clgames.infinitary``.
 
-With set keys the pair is compiled into integer tables over one common
-denominator, so leaf scores and minimax values are compared as integers and
-become ``Fraction``s only when they leave the solver.  The spoiler scan
-prunes exactly (an alpha cutoff, Knuth & Moore 1975): the leaf only grows
-along play, so V_{r-1}(p + (a,b)) >= leaf(p), and a move whose replies
-already reach the best value so far cannot be I's first best move.
+It memoizes on sets of played pairs, function symbols included: the atoms
+at a term depth over a position are closed under renaming its variables,
+and a repeated pair adds no new term value, so the atomic leaf, and with it
+every game value, depends only on the set of distinct played pairs.  Values
+are integers over one common denominator inside the solver.  The spoiler
+scan prunes exactly (an alpha cutoff, Knuth & Moore 1975): the leaf only
+grows along play, so V_{r-1}(p + (a,b)) >= leaf(p), and a move whose
+replies already reach the best value so far cannot be I's first best move.
 
 With function symbols the leaf check ranges over atoms up to a stated term
 depth and the value is labelled depth-truncated.
@@ -159,20 +159,15 @@ class GameValueResult:
 class GameSolver:
     """Backward-induction solver for one structure pair.
 
-    Positions are keyed by the set of played pairs (a sorted tuple of
-    distinct pairs) when the leaf is atomic and the signature relational,
-    where the value is order- and multiplicity-invariant; by the ordered
-    tuples otherwise.  The minimax recurses over these keys.
-
-    With set keys the pair is compiled once into integer distance and
-    predicate tables over the lcm of their denominators; constants are extra
-    (left point, right point) terms.  A key of at most w = max(2, largest
-    arity) pairs is scored directly on those tables, over the same atoms as
-    ``enumerate_atomic``; a longer key is the max over its w-pair subsets.
-    Leaf and value memos then hold integers, and ``leaf``, ``value``,
-    ``best_move`` and ``best_reply`` return them as ``Fraction``s.  Ordered
-    keys (function symbols, or a subclass with another leaf, which overrides
-    ``family`` and clears ``atomic_leaf``) score the leaf family's ASTs.
+    Positions are keyed by the sorted tuple of distinct played pairs, and
+    the minimax recurses over these keys.  The pair is compiled once into
+    integer tables over the lcm of its denominators; a key's terms are its
+    pairs and the constants, closed ``term_depth`` times under the function
+    tables.  An atom mentions at most w = max(2, largest predicate arity) *
+    max(1, largest function arity)^term_depth played pairs, so a key of at
+    most w pairs is scored directly, over the same atoms as
+    ``enumerate_atomic``, and a longer key is the max over its w-pair
+    subsets.  Memos hold integers; the public methods return ``Fraction``s.
 
     The spoiler scan prunes exactly: the replies to a move stop at the first
     one no greater than the best value found so far, or than leaf(p) before
@@ -181,9 +176,9 @@ class GameSolver:
     ``memoize`` and is charged to one position cap.
     """
 
-    atomic_leaf = True
-
     def __init__(self, pair: NamedPair, term_depth: int = 0, max_positions: int | None = None):
+        if term_depth < 0:
+            raise ValueError(f"term depth must be non-negative, got {term_depth}")
         self.pair = pair
         self.term_depth = term_depth
         if max_positions is None:
@@ -191,15 +186,14 @@ class GameSolver:
         elif max_positions < 1:
             raise ValueError(f"the position cap must be at least 1, got {max_positions}")
         self.cap = max_positions
-        self._set_keys = self.atomic_leaf and pair.signature.is_relational
-        # an atom mentions at most this many played pairs
-        self._width = max([2] + [p.arity for p in pair.signature.predicates])
+        # an atom mentions at most this many played pairs; no key holds more than |L| * |R|
+        sig, depth = pair.signature, min(term_depth, pair.left.size * pair.right.size)
+        arities = [f.arity for f in sig.functions]
+        self._width = max([2] + [p.arity for p in sig.predicates]) * max([1] + arities) ** depth
         self._entries = 0
-        self._families: dict[int, list] = {}
         self._leaf: dict = {}
         self._values: dict = {}
-        if self._set_keys:
-            self._compile()
+        self._compile()
 
     def _compile(self):
         """Integer distance and predicate tables over the common denominator
@@ -219,31 +213,25 @@ class GameSolver:
             (p.arity, *({args: scaled(v) for args, v in t.items()} for t in pt))
             for p, pt in zip(preds, tables)
         ]
+        funcs = self.pair.signature.functions
+        self._funcs = [(f.arity, *(s.function_tables[f.name] for s in sides)) for f in funcs]
         self._constants = tuple(
             (self.pair.left.constant(c), self.pair.right.constant(c))
             for c in self.pair.signature.constants
         )
 
     def _fraction(self, v) -> Fraction:
-        """A memoized number as a Fraction: integers over the common
-        denominator with set keys; ordered keys hold Fractions already."""
-        return Fraction(v, self._den) if self._set_keys else v
+        """A memoized integer as a Fraction over the common denominator."""
+        return Fraction(v, self._den)
 
     def _key(self, position: Position):
-        """The memo key: the sorted distinct played pairs with set keys, else
-        the ordered tuples."""
-        if self._set_keys:
-            return tuple(sorted(set(zip(position.left, position.right))))
-        return (position.left, position.right)
+        """The memo key: the sorted distinct played pairs."""
+        return tuple(sorted(set(zip(position.left, position.right))))
 
     def _child(self, key, side: str, element: int, reply: int):
         """The key after the spoiler plays ``element`` on ``side`` and the
         duplicator ``reply`` on the other side."""
-        a, b = (element, reply) if side == "L" else (reply, element)
-        if not self._set_keys:
-            left, right = key
-            return (left + (a,), right + (b,))
-        pair = (a, b)
+        pair = (element, reply) if side == "L" else (reply, element)
         i = bisect_left(key, pair)
         if i < len(key) and key[i] == pair:
             return key
@@ -257,26 +245,15 @@ class GameSolver:
         table[key] = value
         return value
 
-    def family(self, k: int) -> list:
-        """The formulas in x0..x{k-1} that score a k-pair leaf: the atoms at
-        the solver's term depth."""
-        return enumerate_atomic(self.pair.signature, k, self.term_depth)
-
     def leaf(self, position: Position) -> Fraction:
-        """Largest value gap over the leaf family at the position; for the
-        atomic family, the least eps making it a partial eps-isomorphism."""
+        """Largest atomic value gap at the position: the least eps making it
+        a partial eps-isomorphism."""
         return self._fraction(self._leaf_at(self._key(position)))
 
     def _leaf_at(self, key):
         if key in self._leaf:
             return self._leaf[key]
-        if not self._set_keys:
-            left, right = key
-            k = len(left)
-            if k not in self._families:
-                self._families[k] = self.family(k)
-            best = _max_gap(self.pair, self._families[k], left, right)
-        elif len(key) > self._width:
+        if len(key) > self._width:
             # every atom lies within some width-pair subset of the position
             best = max(self._leaf_at(sub) for sub in combinations(key, self._width))
         else:
@@ -285,9 +262,18 @@ class GameSolver:
 
     def _score(self, key) -> int:
         """Largest integer gap over the atoms of a set key: d(t, u) for
-        distinct terms and P over all term tuples, where the terms are the
-        played pairs and the constants."""
+        distinct terms and P over all term tuples, the terms being the pairs
+        and the constants closed ``term_depth`` times under the functions."""
         terms = key + self._constants
+        for _ in range(self.term_depth if self._funcs else 0):
+            new = {
+                (table_l[tuple(a for a, _ in args)], table_r[tuple(b for _, b in args)])
+                for arity, table_l, table_r in self._funcs
+                for args in product(terms, repeat=arity)
+            }.difference(terms)
+            if not new:
+                break
+            terms += tuple(new)
         lefts = [a for a, _ in terms]
         rights = [b for _, b in terms]
         dist_l, dist_r = self._dist

@@ -22,9 +22,9 @@ Leaf families:
   the weak modulus.
 
 The infinite game only stabilizes, at desk scale, because positions can be
-abstracted to finite sets of pairs; that is valid for the atomic leaf on
-relational signatures and invalid for the coordinate-indexed omega leaf,
-which is therefore rejected by the fixpoint solver.  That solver runs on the
+abstracted to finite sets of pairs; that is valid for the atomic leaf and
+invalid for the coordinate-indexed omega leaf, which is therefore rejected
+(with function symbols) by the fixpoint solver.  That solver runs on the
 game kernel: its positions, moves, replies, leaf scores and position cap are
 those of ``GameSolver``.
 """
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 
 from .formulas import (
@@ -49,7 +50,7 @@ from .formulas import (
     is_atomic,
     modulus_of,
 )
-from .game import GameSolver, Position, ResourceCapError, rounds_within_stack
+from .game import GameSolver, Position, ResourceCapError, _max_gap, rounds_within_stack
 from .moduli import WeakModulus, linear_modulus, modulus_leq
 from .structures import MetricStructure, NamedPair, PredicateSymbol, Signature
 
@@ -149,22 +150,37 @@ class RAlphaSolver(GameSolver):
     """Memoized rank recursion over one structure pair: the finite game's
     minimax with the leaf scored over the chosen family.
 
-    Positions collapse to sets of pairs only in the atomic/relational case
-    (the omega leaf is coordinate-indexed, so play order matters there).
+    With the atomic leaf this is the kernel itself; an ``OmegaLeaf`` is
+    coordinate-indexed, so play order matters, and gives an ``_OmegaLeafSolver``.
     """
 
+    def __new__(cls, pair: NamedPair, leaf: LeafFamily, max_positions: int | None = None):
+        return super().__new__(_OmegaLeafSolver if isinstance(leaf, OmegaLeaf) else cls)
+
     def __init__(self, pair: NamedPair, leaf: LeafFamily, max_positions: int | None = None):
-        self.leaf_family = leaf
-        self.atomic_leaf = isinstance(leaf, AtomicLeaf)
         super().__init__(pair, leaf.term_depth, max_positions)
 
-    def family(self, k: int) -> list:
-        if self.atomic_leaf:
-            return super().family(k)
-        leaf = self.leaf_family
-        return generate_basic_family(
-            self.pair.signature, k, leaf.omega, leaf.term_depth, leaf.scale_factors
-        )
+
+class _OmegaLeafSolver(RAlphaSolver):
+    """The rank recursion with the coordinate-indexed ``OmegaLeaf``: keys in
+    play order, leaves as Fractions (denominator 1) over the family's ASTs."""
+
+    def __init__(self, pair: NamedPair, leaf: OmegaLeaf, max_positions: int | None = None):
+        super().__init__(pair, leaf, max_positions)
+        # every key is scored whole: the family has no w-pair subset rule
+        self._den, self._width = 1, float("inf")
+        self._family = cache(lambda k: generate_basic_family(
+            pair.signature, k, leaf.omega, leaf.term_depth, leaf.scale_factors))
+
+    def _key(self, position: Position):
+        return tuple(zip(position.left, position.right))
+
+    def _child(self, key, side: str, element: int, reply: int):
+        return key + ((element, reply) if side == "L" else (reply, element),)
+
+    def _score(self, key):
+        left, right = tuple(a for a, _ in key), tuple(b for _, b in key)
+        return _max_gap(self.pair, self._family(len(key)), left, right)
 
 
 def r_alpha(
@@ -198,8 +214,11 @@ class DynamicSolver:
     Each round the spoiler picks an element and a clock value strictly below
     the remaining one; the round with clock 0 is still played, then the leaf
     is scored.  Kept deliberately independent of the rank recursion: the
-    spoiler's clock choice is searched, not assumed maximal.  It shares only
-    the kernel's position keys and leaf scores (integers with set keys).
+    spoiler's clock choice is searched, not assumed maximal.  The value at
+    clock c is the better of spending c - 1 now and spending less, which is
+    the value at clock c - 1, so every choice is searched in time linear in
+    the clock (and in a recursion as deep as the clock).  It shares only the
+    kernel's position keys and leaf scores.
     """
 
     def __init__(self, pair: NamedPair, leaf: LeafFamily, max_positions: int | None = None):
@@ -216,16 +235,16 @@ class DynamicSolver:
         memo_key = (clock, key)
         if memo_key in self._memo:
             return self._memo[memo_key]
-        best = None
-        for spent in range(clock):
-            for side, element in game.moves():
-                reply_best = None
-                for reply in game.responses(side):
-                    v = self._value(game._child(key, side, element, reply), spent)
-                    if reply_best is None or v < reply_best:
-                        reply_best = v
-                if best is None or reply_best > best:
-                    best = reply_best
+        # spending less than clock - 1 is worth the value at clock - 1
+        best = self._value(key, clock - 1) if clock > 1 else None
+        for side, element in game.moves():
+            reply_best = None
+            for reply in game.responses(side):
+                v = self._value(game._child(key, side, element, reply), clock - 1)
+                if reply_best is None or v < reply_best:
+                    reply_best = v
+            if best is None or reply_best > best:
+                best = reply_best
         return game.memoize(self._memo, memo_key, best)
 
     def principal_variation(self, position: Position, clock: int) -> list:
@@ -284,9 +303,9 @@ def omega_game_value_atomic(
     """Value of the never-ending game: the least precision the duplicator can
     hold forever.
 
-    Positions are abstracted to sets of pairs (valid for relational
-    signatures), so the game is a memoized recursion over the sets reachable
-    from the start.  A spoiler move on a point already covered is answered by
+    Positions are the kernel's sets of pairs (relational signatures only),
+    so the game is a memoized recursion over the sets reachable from the
+    start.  A spoiler move on a point already covered is answered by
     a stay (repeating the played pair forever) and imposes nothing; a move on
     an uncovered point forces the min over its replies, each of which covers
     one more point.  Once every point on both sides is covered, only the leaf

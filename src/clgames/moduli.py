@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .rationals import format_rat, rat, rat_from_json, rat_to_json
+from .rationals import format_rat, json_field, rat, rat_from_json, rat_to_json
 
 __all__ = [
     "Aggregator",
@@ -364,8 +364,10 @@ def weak_modulus_to_json(omega: WeakModulus) -> dict:
 
 def weak_modulus_from_json(data: dict) -> WeakModulus:
     return WeakModulus(
-        coords=tuple(modulus_from_json(m) for m in data.get("coords", [])),
-        tail=modulus_from_json(data["tail"]),
-        aggregator=Aggregator(data.get("aggregator", "max")),
-        allow_infinite=bool(data.get("allow_infinite", False)),
+        coords=json_field(
+            data, "coords", lambda raw: tuple(modulus_from_json(m) for m in raw), ()
+        ),
+        tail=json_field(data, "tail", modulus_from_json),
+        aggregator=json_field(data, "aggregator", Aggregator, Aggregator.MAX),
+        allow_infinite=json_field(data, "allow_infinite", bool, False),
     )

@@ -4,7 +4,8 @@ Every real-valued quantity in this package (distances, predicate values,
 formula values, game values, epsilons) is a `Fraction`, so all comparisons
 are exact.  On the wire a rational is a ``[numerator, denominator]`` pair;
 plain integers, ``"num/den"`` strings and decimal strings are accepted on
-input and converted exactly.
+input and converted exactly.  ``json_field`` decodes one field of a JSON
+object for the structure and modulus loaders.
 """
 
 from __future__ import annotations
@@ -53,3 +54,21 @@ def format_rat(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def json_field(data, name: str, decode, default=None):
+    """decode(data[name]), or the default when the field is absent (None
+    makes it required); a missing or ill-shaped field becomes a ValueError
+    that names it."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    if name not in data:
+        if default is None:
+            raise ValueError(f"missing field {name!r}")
+        return default
+    try:
+        return decode(data[name])
+    except KeyError as exc:
+        raise ValueError(f"field {name!r}: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"field {name!r}: {exc}") from None

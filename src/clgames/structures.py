@@ -28,7 +28,7 @@ from .moduli import (
     modulus_max,
     modulus_to_json,
 )
-from .rationals import format_rat, rat_from_json, rat_to_json
+from .rationals import format_rat, json_field, rat_from_json, rat_to_json
 
 __all__ = [
     "PredicateSymbol",
@@ -532,24 +532,6 @@ def structure_to_json(structure: MetricStructure) -> dict:
     }
 
 
-def _field(data, name: str, decode, default=None):
-    """decode(data[name]), or the default when the field is absent (None
-    makes it required); a missing or ill-shaped field becomes a ValueError
-    that names it."""
-    if not isinstance(data, dict):
-        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
-    if name not in data:
-        if default is None:
-            raise ValueError(f"missing field {name!r}")
-        return default
-    try:
-        return decode(data[name])
-    except KeyError as exc:
-        raise ValueError(f"field {name!r}: missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ValueError(f"field {name!r}: {exc}") from None
-
-
 def _tables(decode_value):
     """Decoder for {symbol: {"(i,j,...)": value}} tables."""
     return lambda raw: {
@@ -559,14 +541,16 @@ def _tables(decode_value):
 
 
 def structure_from_json(data: dict) -> MetricStructure:
-    sig = _field(data, "signature", signature_from_json)
-    points = _field(data, "points", lambda raw: tuple(str(p) for p in raw))
-    dist = _field(
+    sig = json_field(data, "signature", signature_from_json)
+    points = json_field(data, "points", lambda raw: tuple(str(p) for p in raw))
+    dist = json_field(
         data, "dist", lambda raw: tuple(tuple(rat_from_json(v) for v in row) for row in raw)
     )
-    preds = _field(data, "predicates", _tables(rat_from_json), {})
-    funcs = _field(data, "functions", _tables(int), {})
-    consts = _field(data, "constants", lambda raw: {name: int(v) for name, v in raw.items()}, {})
+    preds = json_field(data, "predicates", _tables(rat_from_json), {})
+    funcs = json_field(data, "functions", _tables(int), {})
+    consts = json_field(
+        data, "constants", lambda raw: {name: int(v) for name, v in raw.items()}, {}
+    )
     return MetricStructure(
         signature=sig,
         points=points,
@@ -598,8 +582,8 @@ def pair_to_json(pair: NamedPair) -> dict:
 
 def pair_from_json(data: dict) -> NamedPair:
     return NamedPair(
-        left=_field(data, "left", structure_from_json),
-        right=_field(data, "right", structure_from_json),
+        left=json_field(data, "left", structure_from_json),
+        right=json_field(data, "right", structure_from_json),
     )
 
 

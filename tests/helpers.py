@@ -206,28 +206,36 @@ def brute_force_game_value(
     )
 
 
-def first_best_move(pair: NamedPair, left: tuple, right: tuple, rounds: int):
+def first_best_move(
+    pair: NamedPair, left: tuple, right: tuple, rounds: int, term_depth: int = 0
+):
     """I's first value-maximizing move in canonical order (left points, then
     right points) as (side, element, value), by a full scan over the
     brute-force values of the children."""
     best = None
     for side, size in (("L", pair.left.size), ("R", pair.right.size)):
         for element in range(size):
-            _, worst = first_best_reply(pair, left, right, side, element, rounds)
+            _, worst = first_best_reply(pair, left, right, side, element, rounds, term_depth)
             if best is None or worst > best[2]:
                 best = (side, element, worst)
     return best
 
 
 def first_best_reply(
-    pair: NamedPair, left: tuple, right: tuple, side: str, element: int, rounds: int
+    pair: NamedPair,
+    left: tuple,
+    right: tuple,
+    side: str,
+    element: int,
+    rounds: int,
+    term_depth: int = 0,
 ):
     """II's first value-minimizing reply to I's move as (reply, value), by a
     full scan over the brute-force values of the children."""
     best = None
     for reply in range(pair.right.size if side == "L" else pair.left.size):
         a, b = (element, reply) if side == "L" else (reply, element)
-        v = brute_force_game_value(pair, left + (a,), right + (b,), rounds - 1)
+        v = brute_force_game_value(pair, left + (a,), right + (b,), rounds - 1, term_depth)
         if best is None or v < best[1]:
             best = (reply, v)
     return best

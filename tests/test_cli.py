@@ -320,7 +320,76 @@ class TestPlayCommand:
         assert captured.err.count("\n") == 1
 
 
+class TestInputTooDeep:
+    """Inputs nested deeper than the parsers can follow end in one line."""
+
+    def expect_one_line_error(self, capsys, argv):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "nested too deeply" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["eval", "theta"])
+    def test_deep_formula(self, structure_file, capsys, command):
+        formula = "1 - (" * 2000 + "1" + ")" * 2000
+        self.expect_one_line_error(
+            capsys, [command, "--structure", str(structure_file), "--formula", formula]
+        )
+
+    @pytest.mark.parametrize(
+        "argv", [["validate", "{path}"], ["game", "--pair", "{path}", "--rounds", "1"]]
+    )
+    def test_deep_json(self, tmp_path, capsys, argv):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        self.expect_one_line_error(capsys, [a.format(path=path) for a in argv])
+
+
+class TestMalformedWeakModulus:
+    def run_with(self, pair_file, tmp_path, capsys, blob):
+        omega_file = tmp_path / "omega.json"
+        omega_file.write_text(json.dumps(blob))
+        rc = main(
+            ["ralpha", "--pair", str(pair_file), "--alpha", "1",
+             "--leaf", "omega", "--omega", str(omega_file)]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        return err
+
+    def test_not_an_object(self, pair_file, tmp_path, capsys):
+        err = self.run_with(pair_file, tmp_path, capsys, [])
+        assert "JSON object" in err
+
+    def test_coords_not_a_list(self, pair_file, tmp_path, capsys):
+        omega = WeakModulus(coords=(), tail=linear_modulus(2), aggregator=Aggregator.MAX)
+        blob = {**weak_modulus_to_json(omega), "coords": 5}
+        err = self.run_with(pair_file, tmp_path, capsys, blob)
+        assert "'coords'" in err
+
+    def test_missing_tail(self, pair_file, tmp_path, capsys):
+        err = self.run_with(pair_file, tmp_path, capsys, {"coords": []})
+        assert "missing field 'tail'" in err
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["game", "--rounds", "1"],
+            ["ralpha", "--alpha", "1"],
+            ["play", "--rounds", "1", "--epsilon", "1/4"],
+        ],
+    )
+    def test_negative_term_depth(self, pair_file, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main([argv[0], "--pair", str(pair_file), *argv[1:], "--term-depth", "-1"])
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert err_text.startswith("error:") and "--term-depth" in err_text
+        assert err_text.count("\n") == 1
+
     def test_no_command(self):
         with pytest.raises(SystemExit) as err:
             main([])

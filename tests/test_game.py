@@ -189,6 +189,10 @@ class TestGameValue:
         with pytest.raises(ValueError, match="non-negative"):
             game_value(PAIR_55, rounds=-1)
 
+    def test_negative_term_depth_rejected(self):
+        with pytest.raises(ValueError, match="term depth"):
+            game_value(PAIR_55, rounds=1, term_depth=-1)
+
     def test_rounds_deeper_than_the_stack_rejected(self):
         # the search dives to the full depth first, so this fails at once
         with pytest.raises(ValueError, match="recursion"):

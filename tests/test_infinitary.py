@@ -153,9 +153,9 @@ class TestDynamicGame:
         assert len(solver._memo) + len(inner._leaf) + len(inner._values) <= 300
 
     def test_clock_deeper_than_the_stack_rejected(self):
-        # ordered keys (a function symbol) grow every round, so the clocked
-        # search recurses once per clock step; a lowered limit keeps the
-        # work before the overflow small
+        # the value at a clock recurses into the value at the clock below
+        # first, so the search is as deep as the clock even on a one-point
+        # pair; a lowered limit keeps the work before the overflow small
         rng = random.Random(45)
         sig = helpers.random_signature(rng, with_function=True)
         pair = NamedPair(
@@ -169,6 +169,29 @@ class TestDynamicGame:
                 dynamic_game_value(pair, 200)
         finally:
             sys.setrecursionlimit(limit)
+
+    def test_search_linear_in_the_clock(self):
+        # once every reachable set of pairs is searched, each further clock
+        # step costs the same child evaluations; a search over every clock
+        # value at each state would grow with the square of the clock
+        counts = []
+        for clock in (20, 40, 60):
+            solver = DynamicSolver(PAIR_55, AtomicLeaf())
+            calls = []
+            child = solver.inner._child
+            solver.inner._child = lambda *args: calls.append(args) or child(*args)
+            assert solver.value(Position(), clock) == F(1, 8)
+            counts.append(len(calls))
+        assert counts[2] - counts[1] == counts[1] - counts[0]
+
+    def test_negative_term_depth_rejected(self):
+        for solve in (
+            lambda: r_alpha(PAIR_55, alpha=1, leaf=AtomicLeaf(term_depth=-1)),
+            lambda: dynamic_game_value(PAIR_55, 1, leaf=AtomicLeaf(term_depth=-1)),
+            lambda: omega_game_value_atomic(PAIR_55, term_depth=-1),
+        ):
+            with pytest.raises(ValueError, match="term depth"):
+                solve()
 
     def test_finite_clock_required(self):
         from clgames.infinitary import OmegaFixpoint

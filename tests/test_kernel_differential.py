@@ -1,32 +1,42 @@
 """Differential tests of the game kernel's integer leaf tables and exact
 cutoff against the unmemoized oracles in ``helpers``.
 
-The drawn pairs have a constant and a ternary predicate, values on grids
-with coprime denominators (so the common denominator is a real lcm), and
-are often nearly isomorphic (a permuted copy with a few entries redrawn),
-so that replies tie and cutoffs fire.
+The drawn pairs have a constant and either a ternary predicate or a unary
+function symbol (solved at term depth 0-2), values on grids with coprime
+denominators (so the common denominator is a real lcm), and are often
+nearly isomorphic (a permuted copy with a few entries redrawn), so that
+replies tie and cutoffs fire.
 """
 
 import math
 from fractions import Fraction
+from itertools import combinations, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clgames.game import GameSolver, Position, game_value
-from clgames.infinitary import dynamic_game_value, omega_game_value_atomic
-from clgames.structures import NamedPair
+from clgames.infinitary import AtomicLeaf, dynamic_game_value, omega_game_value_atomic
+from clgames.moduli import capped_linear
+from clgames.structures import FunctionSymbol, MetricStructure, NamedPair, Signature
 
 import helpers
 
+F = Fraction
+
 
 @st.composite
-def pairs(draw, max_left=3, max_right=3, near=None):
+def pairs(draw, max_left=3, max_right=3, near=None, functions=True):
     rng = draw(st.randoms(use_true_random=False))
     grids = {}
     if draw(st.booleans()):
         grids = {"values": helpers.COPRIME_VALUE_GRID, "distances": helpers.COPRIME_DIST_GRID}
-    sig = helpers.random_signature(rng, with_constant=True, with_ternary=True)
+    # the ternary predicate would make the oracle's leaves over function
+    # terms too slow, so a pair has one or the other
+    function = functions and draw(st.booleans())
+    sig = helpers.random_signature(
+        rng, with_constant=True, with_function=function, with_ternary=not function
+    )
     left = helpers.random_structure(rng, sig, n_points=draw(st.integers(1, max_left)), **grids)
     if near is None:
         near = left.size <= max_right and draw(st.booleans())
@@ -64,19 +74,31 @@ def reduced_fraction(value) -> bool:
 
 
 @settings(max_examples=40, deadline=None)
-@given(pairs_and_starts(), st.integers(0, 2))
-def test_game_value_matches_brute_force(case, rounds):
+@given(pairs_and_starts(), st.integers(0, 2), st.integers(0, 2))
+def test_game_value_matches_brute_force(case, rounds, depth):
     pair, left, right = case
-    expected = helpers.brute_force_game_value(pair, left, right, rounds)
+    expected = helpers.brute_force_game_value(pair, left, right, rounds, depth)
     start = Position(left, right)
-    value = game_value(pair, start=start, rounds=rounds, build_strategies=False).value
+    value = game_value(
+        pair, start=start, rounds=rounds, term_depth=depth, build_strategies=False
+    ).value
     assert value == expected and reduced_fraction(value)
-    dynamic = dynamic_game_value(pair, rounds, start=start).value
+    dynamic = dynamic_game_value(pair, rounds, leaf=AtomicLeaf(depth), start=start).value
     assert dynamic == expected and reduced_fraction(dynamic)
 
 
+@settings(max_examples=150, deadline=None)
+@given(pairs_and_starts(max_start=4, near=False), st.integers(0, 2))
+def test_leaf_matches_plain_leaf(case, depth):
+    # the game values above rarely hinge on the deepest terms, so the leaf
+    # is also compared on its own, on unrelated sides
+    pair, left, right = case
+    leaf = GameSolver(pair, depth).leaf(Position(left, right))
+    assert leaf == helpers.plain_leaf(pair, left, right, depth) and reduced_fraction(leaf)
+
+
 @settings(max_examples=40, deadline=None)
-@given(pairs_and_starts(max_start=3, max_left=2, max_right=3))
+@given(pairs_and_starts(max_start=3, max_left=2, max_right=3, functions=False))
 def test_omega_matches_value_iteration(case):
     pair, left, right = case
     start = Position(left, right)
@@ -86,15 +108,70 @@ def test_omega_matches_value_iteration(case):
 
 
 @settings(max_examples=30, deadline=None)
-@given(pairs_and_starts(max_start=1, near=True), st.integers(1, 2))
-def test_best_move_and_reply_are_first_in_canonical_order(case, rounds):
+@given(pairs_and_starts(max_start=1, near=True), st.integers(1, 2), st.integers(0, 2))
+def test_best_move_and_reply_are_first_in_canonical_order(case, rounds, depth):
     pair, left, right = case
-    solver = GameSolver(pair)
+    solver = GameSolver(pair, depth)
     position = Position(left, right)
     assert solver.best_move(position, rounds) == helpers.first_best_move(
-        pair, left, right, rounds
+        pair, left, right, rounds, depth
     )
     for side, element in solver.moves():
         assert solver.best_reply(position, side, element, rounds) == helpers.first_best_reply(
-            pair, left, right, side, element, rounds
+            pair, left, right, side, element, rounds, depth
+        )
+
+
+def discrete_with_function(sig: Signature, n: int, table: dict) -> MetricStructure:
+    return MetricStructure(
+        signature=sig,
+        points=tuple(f"p{i}" for i in range(n)),
+        dist=tuple(tuple(F(0) if i == j else F(1) for j in range(n)) for i in range(n)),
+        function_tables={sig.functions[0].name: table},
+    )
+
+
+def test_unary_function_term_of_depth_two():
+    # f(f(x0)) is 2 on the left and 0 on the right, where x0 and f(x0) agree
+    sig = Signature(functions=(FunctionSymbol("f", 1, capped_linear(2)),))
+    pair = NamedPair(
+        discrete_with_function(sig, 3, {(0,): 1, (1,): 2, (2,): 2}),
+        discrete_with_function(sig, 3, {(0,): 1, (1,): 0, (2,): 2}),
+    )
+    for depth, expected in ((0, 0), (1, 0), (2, 1), (3, 1)):
+        leaf = GameSolver(pair, depth).leaf(Position((0,), (0,)))
+        assert leaf == expected == helpers.plain_leaf(pair, (0,), (0,), depth)
+
+
+def binary_function_pair() -> NamedPair:
+    """Discrete spaces on points 0-3 (plus images) where g(x, y) = x except
+    that g(0, 1) and g(2, 3) are two fresh points on the left and one fresh
+    point on the right: d(g(x0, x1), g(x2, x3)) tells the sides apart on the
+    four pairs (i, i), and no atom on three of them does."""
+    sig = Signature(functions=(FunctionSymbol("g", 2, capped_linear(2)),))
+
+    def side(images):
+        n = 4 + len(set(images))
+        g = {(x, y): x for x, y in product(range(n), repeat=2)}
+        g[0, 1], g[2, 3] = images
+        return discrete_with_function(sig, n, g)
+
+    return NamedPair(side((4, 5)), side((4, 4)))
+
+
+def test_binary_function_atom_needs_four_pairs():
+    pair = binary_function_pair()
+    solver = GameSolver(pair, term_depth=1)
+    four = (0, 1, 2, 3)
+    for left in combinations(four, 3):
+        assert solver.leaf(Position(left, left)) == 0 == helpers.plain_leaf(pair, left, left, 1)
+    repeated = four + (2,)
+    assert solver.leaf(Position(repeated, repeated)) == 1
+    assert helpers.plain_leaf(pair, repeated, repeated, 1) == 1
+    # from three of the pairs, every reply to the spoiler's 3 exposes an atom
+    start = Position((0, 1, 2), (0, 1, 2))
+    for depth, expected in ((0, 0), (1, 1)):
+        value = game_value(pair, start=start, rounds=1, term_depth=depth).value
+        assert value == expected == helpers.brute_force_game_value(
+            pair, start.left, start.right, 1, depth
         )
