@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -960,12 +961,19 @@ class _Parser:
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:
-    parser = _Parser(text, sig)
-    phi = parser.formula()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(f"trailing input {tok.text!r}", tok.pos)
-    check_well_formed(phi, sig)
+    try:
+        parser = _Parser(text, sig)
+        phi = parser.formula()
+        tok = parser.peek()
+        if tok.kind != "end":
+            raise ParseError(f"trailing input {tok.text!r}", tok.pos)
+        check_well_formed(phi, sig)
+    except RecursionError:
+        # the parser and the check recurse once per level of nesting
+        raise FormulaError(
+            f"formula nested too deeply for the interpreter's recursion limit "
+            f"of {sys.getrecursionlimit()} frames"
+        ) from None
     return phi
 
 

@@ -37,12 +37,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
 
 from .formulas import enumerate_atomic, evaluate, is_delta_formula
 from .moduli import PwlModulus
 from .rationals import format_rat
-from .structures import NamedPair
+from .structures import NamedPair, integer_forms
 
 __all__ = [
     "Position",
@@ -91,12 +90,26 @@ def rounds_within_stack(rounds: int):
 
 
 class ResourceCapError(RuntimeError):
-    def __init__(self, cap: int):
+    """A solve that would outgrow the position cap.  ``table`` names the memo
+    table whose new entry reached the cap or, with ``by_depth``, the search
+    that the interpreter's stack stopped first; ``entries`` maps each memo
+    table to the entries it held."""
+
+    def __init__(self, cap: int, table: str, entries: dict, by_depth: bool = False):
+        held = ", ".join(f"{name} {count}" for name, count in entries.items())
+        if by_depth:
+            stop, advice = f"the {table} search was stopped by depth", "shrink the instance"
+        else:
+            stop = f"reached by the {table} table"
+            advice = f"raise --max-positions (or {_ENV_CAP}) or shrink the instance"
         super().__init__(
             f"position table would exceed the cap of {cap} entries; "
-            f"raise --max-positions (or {_ENV_CAP}) or shrink the instance"
+            f"{stop} (entries held: {held}); {advice}"
         )
         self.cap = cap
+        self.table = table
+        self.entries = entries
+        self.by_depth = by_depth
 
 
 @dataclass(frozen=True)
@@ -160,8 +173,9 @@ class GameSolver:
     """Backward-induction solver for one structure pair.
 
     Positions are keyed by the sorted tuple of distinct played pairs, and
-    the minimax recurses over these keys.  The pair is compiled once into
-    integer tables over the lcm of its denominators; a key's terms are its
+    the minimax recurses over these keys.  The pair is compiled once, by
+    ``structures.integer_forms``, into integer tables over the common
+    denominator of both sides; a key's terms are its
     pairs and the constants, closed ``term_depth`` times under the function
     tables.  An atom mentions at most w = max(2, largest predicate arity) *
     max(1, largest function arity)^term_depth played pairs, so a key of at
@@ -191,34 +205,26 @@ class GameSolver:
         arities = [f.arity for f in sig.functions]
         self._width = max([2] + [p.arity for p in sig.predicates]) * max([1] + arities) ** depth
         self._entries = 0
-        self._leaf: dict = {}
-        self._values: dict = {}
+        self._tables: dict = {}
+        self._leaf = self.memo_table("leaf")
+        self._values = self.memo_table("value")
         self._compile()
 
     def _compile(self):
-        """Integer distance and predicate tables over the common denominator
-        ``_den`` of every value in them, and the constants' point pairs."""
-        sides = (self.pair.left, self.pair.right)
-        preds = self.pair.signature.predicates
-        tables = [[s.predicate_tables[p.name] for s in sides] for p in preds]
-        dens = {v.denominator for s in sides for row in s.dist for v in row}
-        dens.update(v.denominator for pt in tables for t in pt for v in t.values())
-        den = self._den = lcm(*dens)
-
-        def scaled(v) -> int:
-            return v.numerator * (den // v.denominator)
-
-        self._dist = [[[scaled(v) for v in row] for row in s.dist] for s in sides]
+        """Integer distance and predicate tables of both sides over one
+        common denominator ``_den``, the function tables and the constants'
+        point pairs."""
+        sig = self.pair.signature
+        left, right = integer_forms(self.pair.left, self.pair.right)
+        self._den = left.den
+        self._dist = [left.dist, right.dist]
         self._preds = [
-            (p.arity, *({args: scaled(v) for args, v in t.items()} for t in pt))
-            for p, pt in zip(preds, tables)
+            (p.arity, left.predicates[p.name], right.predicates[p.name]) for p in sig.predicates
         ]
-        funcs = self.pair.signature.functions
-        self._funcs = [(f.arity, *(s.function_tables[f.name] for s in sides)) for f in funcs]
-        self._constants = tuple(
-            (self.pair.left.constant(c), self.pair.right.constant(c))
-            for c in self.pair.signature.constants
-        )
+        self._funcs = [
+            (f.arity, left.functions[f.name], right.functions[f.name]) for f in sig.functions
+        ]
+        self._constants = tuple((left.constants[c], right.constants[c]) for c in sig.constants)
 
     def _fraction(self, v) -> Fraction:
         """A memoized integer as a Fraction over the common denominator."""
@@ -237,13 +243,24 @@ class GameSolver:
             return key
         return key[:i] + (pair,) + key[i:]
 
-    def memoize(self, table: dict, key, value):
-        """Store ``table[key] = value``, charging the entry to the cap."""
+    def memo_table(self, name: str) -> dict:
+        """A new empty memo table, filled through ``memoize`` under ``name``."""
+        table = self._tables[name] = {}
+        return table
+
+    def memoize(self, table: str, key, value):
+        """Store ``key -> value`` in the named memo table, charging the entry
+        to the cap."""
         if self._entries >= self.cap:
-            raise ResourceCapError(self.cap)
+            raise self.cap_error(table)
         self._entries += 1
-        table[key] = value
+        self._tables[table][key] = value
         return value
+
+    def cap_error(self, table: str, by_depth: bool = False) -> ResourceCapError:
+        """The error for a search stopped at ``table``, with every table's size."""
+        entries = {name: len(memo) for name, memo in self._tables.items()}
+        return ResourceCapError(self.cap, table, entries, by_depth)
 
     def leaf(self, position: Position) -> Fraction:
         """Largest atomic value gap at the position: the least eps making it
@@ -258,7 +275,7 @@ class GameSolver:
             best = max(self._leaf_at(sub) for sub in combinations(key, self._width))
         else:
             best = self._score(key)
-        return self.memoize(self._leaf, key, best)
+        return self.memoize("leaf", key, best)
 
     def _score(self, key) -> int:
         """Largest integer gap over the atoms of a set key: d(t, u) for
@@ -312,7 +329,7 @@ class GameSolver:
         memo_key = (key, rounds)
         if memo_key in self._values:
             return self._values[memo_key]
-        return self.memoize(self._values, memo_key, self._scan(key, rounds)[2])
+        return self.memoize("value", memo_key, self._scan(key, rounds)[2])
 
     def best_move(self, position: Position, rounds: int):
         """I's value-maximizing move as (side, element, value), first in

@@ -50,7 +50,7 @@ from .formulas import (
     is_atomic,
     modulus_of,
 )
-from .game import GameSolver, Position, ResourceCapError, _max_gap, rounds_within_stack
+from .game import GameSolver, Position, _max_gap, rounds_within_stack
 from .moduli import WeakModulus, linear_modulus, modulus_leq
 from .structures import MetricStructure, NamedPair, PredicateSymbol, Signature
 
@@ -223,7 +223,7 @@ class DynamicSolver:
 
     def __init__(self, pair: NamedPair, leaf: LeafFamily, max_positions: int | None = None):
         self.inner = RAlphaSolver(pair, leaf, max_positions)
-        self._memo: dict = {}
+        self._memo = self.inner.memo_table("dynamic")
 
     def value(self, position: Position, clock: int) -> Fraction:
         return self.inner._fraction(self._value(self.inner._key(position), clock))
@@ -245,7 +245,7 @@ class DynamicSolver:
                     reply_best = v
             if best is None or reply_best > best:
                 best = reply_best
-        return game.memoize(self._memo, memo_key, best)
+        return game.memoize("dynamic", memo_key, best)
 
     def principal_variation(self, position: Position, clock: int) -> list:
         line = []
@@ -318,7 +318,7 @@ def omega_game_value_atomic(
     start = start or Position()
     start.check_against(pair)
     game = GameSolver(pair, term_depth=term_depth, max_positions=max_positions)
-    memo: dict = {}
+    memo = game.memo_table("omega")
 
     def value(key) -> int:
         if key in memo:
@@ -331,14 +331,14 @@ def omega_game_value_atomic(
         ]
         if not forced:
             return game._leaf_at(key)
-        return game.memoize(memo, key, max(forced))
+        return game.memoize("omega", key, max(forced))
 
     try:
         return game._fraction(value(game._key(start)))
     except RecursionError:
         # the depth is at most the number u of uncovered points; a stack too
         # shallow for it means more than C(u/2, 3) > 700,000 reachable sets
-        raise ResourceCapError(game.cap) from None
+        raise game.cap_error("omega", by_depth=True) from None
 
 
 def build_nested_levels_pair(m: int, level_size: int) -> NamedPair:

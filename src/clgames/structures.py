@@ -8,6 +8,15 @@ and predicate values live in [0, 1].
 
 Validation reports every broken invariant with a concrete witness instead of
 raising: violations are data.
+
+``integer_forms`` compiles structures into one integer form: distances and
+predicate values scaled to integers over the lcm of their denominators, plus
+the function tables and the constants.  It is the package's one scaling
+path.  ``validate`` runs every check on it: a modulus is tabulated once per
+distinct distance as floor(modulus(d) * D), an exact bound for integer value
+gaps, and the structure's Fractions are formatted only for a reported
+violation.  The game solver builds its leaf tables from the same form, over
+the common denominator of both sides.
 """
 
 from __future__ import annotations
@@ -16,7 +25,9 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
+from math import lcm
+from operator import gt, sub
 from pathlib import Path
 
 from .moduli import (
@@ -38,6 +49,8 @@ __all__ = [
     "NamedPair",
     "Violation",
     "ValidationReport",
+    "IntegerForm",
+    "integer_forms",
     "StructureValidationError",
     "validate",
     "reduct",
@@ -226,8 +239,85 @@ def _tuples(n_points: int, arity: int):
     return product(range(n_points), repeat=arity)
 
 
+@dataclass(frozen=True)
+class IntegerForm:
+    """A structure's numbers as integers over the common denominator ``den``:
+    each distance d and each predicate value v of a signature symbol is held
+    as d * den and v * den.  The function tables and the constant map are the
+    structure's own."""
+
+    den: int
+    dist: tuple[tuple[int, ...], ...]
+    predicates: dict
+    functions: dict
+    constants: dict
+
+
+def integer_forms(*structures: MetricStructure) -> tuple[IntegerForm, ...]:
+    """The integer forms of the structures, all over the lcm of the
+    denominators of their distances and of their signature's predicate
+    tables (a table the structure lacks is left out)."""
+    tables = [
+        {p.name: s.predicate_tables[p.name] for p in s.signature.predicates
+         if p.name in s.predicate_tables}
+        for s in structures
+    ]
+    dens = {v.denominator for s in structures for row in s.dist for v in row}
+    dens.update(v.denominator for ts in tables for t in ts.values() for v in t.values())
+    den = lcm(*dens)
+
+    def scaled(v) -> int:
+        return v.numerator * (den // v.denominator)
+
+    return tuple(
+        IntegerForm(
+            den=den,
+            dist=tuple(tuple(scaled(v) for v in row) for row in s.dist),
+            predicates={
+                name: {args: scaled(v) for args, v in t.items()} for name, t in ts.items()
+            },
+            functions=s.function_tables,
+            constants=s.constant_map,
+        )
+        for s, ts in zip(structures, tables)
+    )
+
+
+def _modulus_bounds(modulus: PwlModulus, form: IntegerForm) -> list[list[int]]:
+    """floor(modulus(d) * den) at every distance d of the structure, -1 at a
+    negative one.  A gap or image distance g * den exceeds modulus(gap) iff
+    it exceeds this integer; the modulus never decreases, so the bound of a
+    tuple pair is the max of its coordinates' bounds, -1 iff its gap is
+    negative."""
+    den = form.den
+    bounds = {-1: -1}
+    for g in {g for row in form.dist for g in row if g >= 0}:
+        m = modulus.evaluate(Fraction(g, den))
+        bounds[g] = m.numerator * den // m.denominator
+    return [[bounds[max(g, -1)] for g in row] for row in form.dist]
+
+
+def _later_bounds(rows: list[list[int]], present: list, coords: list, i: int):
+    """The integer modulus bounds between the i-th present tuple and each
+    later one, in order."""
+    cols = [map(rows[x].__getitem__, coord[i + 1:]) for x, coord in zip(present[i], coords)]
+    return cols[0] if len(cols) == 1 else map(max, *cols)
+
+
+def _modulus_detail(modulus: PwlModulus, d, xs: tuple, ys: tuple) -> str:
+    """``modulus(gap) = bound`` for a reported pair, on the structure's own
+    Fractions; raises, like ``PwlModulus.evaluate``, on a negative gap."""
+    gap = max(d[x][y] for x, y in zip(xs, ys))
+    return f"modulus({format_rat(gap)}) = {format_rat(modulus.evaluate(gap))}"
+
+
 def validate(structure: MetricStructure, allow_pseudometric: bool = False) -> ValidationReport:
-    """Full check of the structure axioms; every violation carries a witness."""
+    """Full check of the structure axioms; every violation carries a witness.
+
+    Every comparison runs on the structure's ``IntegerForm``; the
+    structure's Fractions are formatted only for a reported violation.  A
+    modulus is evaluated once per distinct distance, and again for each
+    reported pair."""
     report = ValidationReport()
     n = structure.size
     labels = structure.points
@@ -236,67 +326,83 @@ def validate(structure: MetricStructure, allow_pseudometric: bool = False) -> Va
     if len(d) != n or any(len(row) != n for row in d):
         report.add("matrix-shape", (), f"distance matrix must be {n}x{n}")
         return report
+    (form,) = integer_forms(structure)
+    dist, den = form.dist, form.den
 
     for i in range(n):
-        if d[i][i] != 0:
+        if dist[i][i] != 0:
             report.add("self-distance", (labels[i],), f"d(x,x) = {format_rat(d[i][i])} != 0")
         for j in range(i + 1, n):
-            if d[i][j] != d[j][i]:
+            if dist[i][j] != dist[j][i]:
                 report.add(
                     "symmetry",
                     (labels[i], labels[j]),
                     f"d = {format_rat(d[i][j])} vs {format_rat(d[j][i])}",
                 )
-            if d[i][j] < 0:
+            if dist[i][j] < 0:
                 report.add("negative-distance", (labels[i], labels[j]), format_rat(d[i][j]))
-            if d[i][j] > 1:
+            if dist[i][j] > den:
                 report.add(
                     "diameter", (labels[i], labels[j]), f"d = {format_rat(d[i][j])} > 1"
                 )
-            if d[i][j] == 0:
+            if dist[i][j] == 0:
                 if allow_pseudometric:
                     report.notes.append(
                         f"pseudometric: d({labels[i]},{labels[j]}) = 0 (non-conforming)"
                     )
                 else:
                     report.add("identity-of-indiscernibles", (labels[i], labels[j]), "d = 0")
-    for i, j, k in product(range(n), repeat=3):
-        if d[i][k] > d[i][j] + d[j][k]:
-            report.add(
-                "triangle",
-                (labels[i], labels[j], labels[k]),
-                f"d({labels[i]},{labels[k]}) = {format_rat(d[i][k])} > "
-                f"{format_rat(d[i][j])} + {format_rat(d[j][k])}",
-            )
+    for i, row_i in enumerate(dist):
+        for j, d_ij in enumerate(row_i):
+            row_j = dist[j]
+            # d(i,k) > d(i,j) + d(j,k) for some k iff max_k d(i,k) - d(j,k) > d(i,j)
+            if max(map(sub, row_i, row_j)) <= d_ij:
+                continue
+            for k in range(n):
+                if row_i[k] > d_ij + row_j[k]:
+                    report.add(
+                        "triangle",
+                        (labels[i], labels[j], labels[k]),
+                        f"d({labels[i]},{labels[k]}) = {format_rat(d[i][k])} > "
+                        f"{format_rat(d[i][j])} + {format_rat(d[j][k])}",
+                    )
 
     for sym in structure.signature.predicates:
         table = structure.predicate_tables.get(sym.name)
         if table is None:
             report.add("missing-table", (sym.name,), "predicate table absent")
             continue
+        scaled = form.predicates[sym.name]
         for args in _tuples(n, sym.arity):
             if args not in table:
                 report.add("incomplete-table", (sym.name, args), "missing entry")
-        for args, value in table.items():
-            if not (0 <= value <= 1):
+        for args, value in scaled.items():
+            if not (0 <= value <= den):
                 report.add(
-                    "predicate-bound", (sym.name, args), f"value {format_rat(value)} not in [0,1]"
+                    "predicate-bound",
+                    (sym.name, args),
+                    f"value {format_rat(table[args])} not in [0,1]",
                 )
-        for xs in _tuples(n, sym.arity):
-            if xs not in table:
+        # tuple pairs xs < ys in product order, as long as both have a value
+        present = [xs for xs in _tuples(n, sym.arity) if xs in table]
+        coords = [list(coord) for coord in zip(*present)]
+        values = [scaled[xs] for xs in present]
+        rows = _modulus_bounds(sym.modulus, form)
+        for i, v in enumerate(values):
+            bounds = list(_later_bounds(rows, present, coords, i))
+            # a negative gap has bound -1 and is flagged, so its modulus
+            # evaluation raises as it would on the Fractions
+            if not any(map(gt, map(abs, map(sub, values[i + 1:], repeat(v))), bounds)):
                 continue
-            for ys in _tuples(n, sym.arity):
-                if ys <= xs or ys not in table:
-                    continue
-                gap = max(d[x][y] for x, y in zip(xs, ys))
-                bound = sym.modulus.evaluate(gap)
-                diff = abs(table[xs] - table[ys])
-                if diff > bound:
+            xs = present[i]
+            for j, bound in enumerate(bounds, i + 1):
+                if abs(v - values[j]) > bound:
+                    ys = present[j]
+                    detail = _modulus_detail(sym.modulus, d, xs, ys)
                     report.add(
                         "predicate-modulus",
                         (sym.name, xs, ys),
-                        f"|{format_rat(table[xs])} - {format_rat(table[ys])}| "
-                        f"> modulus({format_rat(gap)}) = {format_rat(bound)}",
+                        f"|{format_rat(table[xs])} - {format_rat(table[ys])}| > {detail}",
                     )
     for sym in structure.signature.functions:
         table = structure.function_tables.get(sym.name)
@@ -309,23 +415,22 @@ def validate(structure: MetricStructure, allow_pseudometric: bool = False) -> Va
         for args, value in table.items():
             if not (isinstance(value, int) and 0 <= value < n):
                 report.add("function-range", (sym.name, args), f"image {value!r} not a point")
-        for xs in _tuples(n, sym.arity):
-            if xs not in table:
+        present = [xs for xs in _tuples(n, sym.arity) if xs in table]
+        coords = [list(coord) for coord in zip(*present)]
+        rows = _modulus_bounds(sym.modulus, form)
+        for i, xs in enumerate(present):
+            fx = table[xs]
+            if not isinstance(fx, int):
                 continue
-            for ys in _tuples(n, sym.arity):
-                if ys <= xs or ys not in table:
-                    continue
-                fx, fy = table[xs], table[ys]
-                if not (isinstance(fx, int) and isinstance(fy, int)):
-                    continue
-                gap = max(d[x][y] for x, y in zip(xs, ys))
-                bound = sym.modulus.evaluate(gap)
-                if d[fx][fy] > bound:
+            for j, bound in enumerate(_later_bounds(rows, present, coords, i), i + 1):
+                ys = present[j]
+                fy = table[ys]
+                if isinstance(fy, int) and (bound < 0 or dist[fx][fy] > bound):
+                    detail = _modulus_detail(sym.modulus, d, xs, ys)
                     report.add(
                         "function-modulus",
                         (sym.name, xs, ys),
-                        f"d(f(x),f(y)) = {format_rat(d[fx][fy])} "
-                        f"> modulus({format_rat(gap)}) = {format_rat(bound)}",
+                        f"d(f(x),f(y)) = {format_rat(d[fx][fy])} > {detail}",
                     )
     for name in structure.signature.constants:
         if name not in structure.constant_map:
@@ -565,9 +670,16 @@ def save_structure(structure: MetricStructure, path):
     Path(path).write_text(json.dumps(structure_to_json(structure), indent=2) + "\n")
 
 
+def _read_json(path):
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to decode") from None
+
+
 def load_structure(path, check: bool = True, allow_pseudometric: bool = False) -> MetricStructure:
     """Load and (by default) validate a structure file."""
-    data = json.loads(Path(path).read_text())
+    data = _read_json(path)
     structure = structure_from_json(data)
     if check:
         report = validate(structure, allow_pseudometric=allow_pseudometric)
@@ -592,7 +704,7 @@ def save_pair(pair: NamedPair, path):
 
 
 def load_pair(path, check: bool = True) -> NamedPair:
-    data = json.loads(Path(path).read_text())
+    data = _read_json(path)
     pair = pair_from_json(data)
     if check:
         for side, structure in (("left", pair.left), ("right", pair.right)):

@@ -17,12 +17,14 @@ from clgames.formulas import enumerate_atomic, evaluate
 from clgames.game import Position
 from clgames.infinitary import generate_basic_family
 from clgames.moduli import capped_linear
+from clgames.rationals import format_rat
 from clgames.structures import (
     MetricStructure,
     NamedPair,
     FunctionSymbol,
     PredicateSymbol,
     Signature,
+    ValidationReport,
 )
 
 F = Fraction
@@ -325,3 +327,131 @@ def value_iteration_omega(
         if nxt == values:
             return values[start_mask]
         values = nxt
+
+
+def _tuples(n_points: int, arity: int):
+    return product(range(n_points), repeat=arity)
+
+
+def fraction_validate(
+    structure: MetricStructure, allow_pseudometric: bool = False
+) -> ValidationReport:
+    """``structures.validate`` as it ran on Fractions before the integer
+    form: every check compares the structure's own numbers, and every tuple
+    pair evaluates the modulus.  The oracle for the integer validation."""
+    report = ValidationReport()
+    n = structure.size
+    labels = structure.points
+    d = structure.dist
+
+    if len(d) != n or any(len(row) != n for row in d):
+        report.add("matrix-shape", (), f"distance matrix must be {n}x{n}")
+        return report
+
+    for i in range(n):
+        if d[i][i] != 0:
+            report.add("self-distance", (labels[i],), f"d(x,x) = {format_rat(d[i][i])} != 0")
+        for j in range(i + 1, n):
+            if d[i][j] != d[j][i]:
+                report.add(
+                    "symmetry",
+                    (labels[i], labels[j]),
+                    f"d = {format_rat(d[i][j])} vs {format_rat(d[j][i])}",
+                )
+            if d[i][j] < 0:
+                report.add("negative-distance", (labels[i], labels[j]), format_rat(d[i][j]))
+            if d[i][j] > 1:
+                report.add(
+                    "diameter", (labels[i], labels[j]), f"d = {format_rat(d[i][j])} > 1"
+                )
+            if d[i][j] == 0:
+                if allow_pseudometric:
+                    report.notes.append(
+                        f"pseudometric: d({labels[i]},{labels[j]}) = 0 (non-conforming)"
+                    )
+                else:
+                    report.add("identity-of-indiscernibles", (labels[i], labels[j]), "d = 0")
+    for i, j, k in product(range(n), repeat=3):
+        if d[i][k] > d[i][j] + d[j][k]:
+            report.add(
+                "triangle",
+                (labels[i], labels[j], labels[k]),
+                f"d({labels[i]},{labels[k]}) = {format_rat(d[i][k])} > "
+                f"{format_rat(d[i][j])} + {format_rat(d[j][k])}",
+            )
+
+    for sym in structure.signature.predicates:
+        table = structure.predicate_tables.get(sym.name)
+        if table is None:
+            report.add("missing-table", (sym.name,), "predicate table absent")
+            continue
+        for args in _tuples(n, sym.arity):
+            if args not in table:
+                report.add("incomplete-table", (sym.name, args), "missing entry")
+        for args, value in table.items():
+            if not (0 <= value <= 1):
+                report.add(
+                    "predicate-bound", (sym.name, args), f"value {format_rat(value)} not in [0,1]"
+                )
+        for xs in _tuples(n, sym.arity):
+            if xs not in table:
+                continue
+            for ys in _tuples(n, sym.arity):
+                if ys <= xs or ys not in table:
+                    continue
+                gap = max(d[x][y] for x, y in zip(xs, ys))
+                bound = sym.modulus.evaluate(gap)
+                diff = abs(table[xs] - table[ys])
+                if diff > bound:
+                    report.add(
+                        "predicate-modulus",
+                        (sym.name, xs, ys),
+                        f"|{format_rat(table[xs])} - {format_rat(table[ys])}| "
+                        f"> modulus({format_rat(gap)}) = {format_rat(bound)}",
+                    )
+    for sym in structure.signature.functions:
+        table = structure.function_tables.get(sym.name)
+        if table is None:
+            report.add("missing-table", (sym.name,), "function table absent")
+            continue
+        for args in _tuples(n, sym.arity):
+            if args not in table:
+                report.add("incomplete-table", (sym.name, args), "missing entry")
+        for args, value in table.items():
+            if not (isinstance(value, int) and 0 <= value < n):
+                report.add("function-range", (sym.name, args), f"image {value!r} not a point")
+        for xs in _tuples(n, sym.arity):
+            if xs not in table:
+                continue
+            for ys in _tuples(n, sym.arity):
+                if ys <= xs or ys not in table:
+                    continue
+                fx, fy = table[xs], table[ys]
+                if not (isinstance(fx, int) and isinstance(fy, int)):
+                    continue
+                gap = max(d[x][y] for x, y in zip(xs, ys))
+                bound = sym.modulus.evaluate(gap)
+                if d[fx][fy] > bound:
+                    report.add(
+                        "function-modulus",
+                        (sym.name, xs, ys),
+                        f"d(f(x),f(y)) = {format_rat(d[fx][fy])} "
+                        f"> modulus({format_rat(gap)}) = {format_rat(bound)}",
+                    )
+    for name in structure.signature.constants:
+        if name not in structure.constant_map:
+            report.add("missing-constant", (name,), "constant not interpreted")
+        else:
+            idx = structure.constant_map[name]
+            if not (isinstance(idx, int) and 0 <= idx < n):
+                report.add("constant-range", (name,), f"image {idx!r} not a point")
+    for name in structure.constant_map:
+        if name not in structure.signature.constants:
+            report.add("stray-constant", (name,), "interpreted constant not in signature")
+    for name in structure.predicate_tables:
+        if not any(p.name == name for p in structure.signature.predicates):
+            report.add("stray-table", (name,), "predicate table without a symbol")
+    for name in structure.function_tables:
+        if not any(f.name == name for f in structure.signature.functions):
+            report.add("stray-table", (name,), "function table without a symbol")
+    return report

@@ -125,6 +125,11 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_formula("P(x0) P(x1)", SIG)
 
+    def test_nested_too_deeply_is_a_formula_error(self):
+        formula = "1 - (" * 2000 + "1" + ")" * 2000
+        with pytest.raises(FormulaError, match="nested too deeply"):
+            parse_formula(formula, SIG)
+
     def test_round_trip_on_samples(self):
         formulas = sample_formulas(SIG, qr_bound=2, count=200, seed=99, free_vars_count=1)
         for phi in formulas:

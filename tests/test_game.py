@@ -202,6 +202,14 @@ class TestGameValue:
         with pytest.raises(ResourceCapError) as err:
             game_value(PAIR_55, rounds=3, build_strategies=False, max_positions=5)
         assert "5" in str(err.value)
+        # the cap is shared, so the error names the table that reached it
+        assert err.value.cap == 5 and err.value.table == "leaf" and not err.value.by_depth
+        assert err.value.entries == {"leaf": 5, "value": 0}
+        assert str(err.value).startswith("position table would exceed the cap of 5 entries;")
+        assert "leaf table" in str(err.value)
+        with pytest.raises(ResourceCapError) as err:
+            game_value(PAIR_55, rounds=3, build_strategies=False, max_positions=7)
+        assert err.value.table == "value" and err.value.entries == {"leaf": 7, "value": 0}
         for cap in (0, -3):
             with pytest.raises(ValueError, match="at least 1"):
                 game_value(PAIR_55, rounds=1, max_positions=cap)

@@ -147,10 +147,14 @@ class TestDynamicGame:
             helpers.random_structure(rng, sig, n_points=4),
         )
         solver = DynamicSolver(pair, AtomicLeaf(), max_positions=300)
-        with pytest.raises(ResourceCapError):
+        with pytest.raises(ResourceCapError) as err:
             solver.value(Position(), 3)
         inner = solver.inner
         assert len(solver._memo) + len(inner._leaf) + len(inner._values) <= 300
+        assert err.value.entries == {
+            "leaf": len(inner._leaf), "value": len(inner._values), "dynamic": len(solver._memo)
+        }
+        assert sum(err.value.entries.values()) == 300
 
     def test_clock_deeper_than_the_stack_rejected(self):
         # the value at a clock recurses into the value at the clock below
@@ -284,13 +288,18 @@ class TestOmegaGame:
             helpers.random_structure(rng, sig, n_points=3),
             helpers.random_structure(rng, sig, n_points=3),
         )
-        with pytest.raises(ResourceCapError):
+        with pytest.raises(ResourceCapError) as err:
             omega_game_value_atomic(pair, max_positions=50)
+        assert not err.value.by_depth and sum(err.value.entries.values()) == 50
+        assert set(err.value.entries) == {"leaf", "value", "omega"}
         assert omega_game_value_atomic(pair) == helpers.value_iteration_omega(pair)
-        # a search deeper than the interpreter's stack fails at the cap too
+        # a search deeper than the interpreter's stack fails at the cap too,
+        # and says that depth stopped it
         big = discrete_structure(200)
-        with pytest.raises(ResourceCapError):
+        with pytest.raises(ResourceCapError) as err:
             omega_game_value_atomic(NamedPair(big, big))
+        assert err.value.by_depth and err.value.table == "omega"
+        assert "stopped by depth" in str(err.value)
 
     def test_equals_stabilized_clock_value(self):
         rng = random.Random(42)

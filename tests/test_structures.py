@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from clgames.moduli import capped_linear, identity_modulus, linear_modulus
+from clgames.moduli import PwlModulus, capped_linear, identity_modulus, linear_modulus
 from clgames.structures import (
     FunctionSymbol,
     MetricStructure,
@@ -136,6 +136,76 @@ class TestValidate:
                 assert validate(mutated).ok == expected_ok
                 flips += not expected_ok
         assert flips > 0
+
+
+class TestValidateBoundaries:
+    """The integer checks at their boundaries, over the common denominator
+    D = 105 of distances and values over 3, 5 and 7: a bound met exactly is
+    valid, one unit of 1/D beyond it is not."""
+
+    # d(a,b) = 4/7, d(a,c) = 2/3, d(b,c) = 3/5
+    DIST = (
+        (F(0), F(4, 7), F(2, 3)),
+        (F(4, 7), F(0), F(3, 5)),
+        (F(2, 3), F(3, 5), F(0)),
+    )
+
+    def unary(self, modulus, values) -> MetricStructure:
+        sig = Signature(predicates=(PredicateSymbol("P", 1, modulus),))
+        table = {(i,): v for i, v in enumerate(values)}
+        return MetricStructure(sig, ("a", "b", "c"), self.DIST, {"P": table})
+
+    def function(self, modulus) -> MetricStructure:
+        # f(a) = a, f(b) = b, f(c) = a: d(f(a), f(b)) = 4/7 at the gap 4/7,
+        # and d(f(b), f(c)) = 4/7 at the gap 3/5
+        sig = Signature(functions=(FunctionSymbol("f", 1, modulus),))
+        table = {(0,): 0, (1,): 1, (2,): 0}
+        return MetricStructure(sig, ("a", "b", "c"), self.DIST, function_tables={"f": table})
+
+    def test_predicate_gap_equal_to_the_modulus(self):
+        half = linear_modulus(F(1, 2))  # 2/7 at the gap 4/7
+        assert validate(self.unary(half, (F(0), F(2, 7), F(0)))).ok
+        report = validate(self.unary(half, (F(0), F(31, 105), F(0))))
+        assert [(v.kind, v.witness) for v in report.violations] == [
+            ("predicate-modulus", ("P", (0,), (1,)))
+        ]
+        assert report.violations[0].detail == "|0 - 31/105| > modulus(4/7) = 2/7"
+
+    def test_predicate_bound_between_two_units(self):
+        # at the gap 3/5 the bound is 3/10 = 31.5/105: 31/105 is within it,
+        # 32/105 is not
+        half = linear_modulus(F(1, 2))
+        assert validate(self.unary(half, (F(0), F(0), F(31, 105)))).ok
+        report = validate(self.unary(half, (F(0), F(0), F(32, 105))))
+        assert [(v.kind, v.witness) for v in report.violations] == [
+            ("predicate-modulus", ("P", (1,), (2,)))
+        ]
+        assert report.violations[0].detail == "|0 - 32/105| > modulus(3/5) = 3/10"
+
+    def test_function_distance_equal_to_the_modulus(self):
+        assert validate(self.function(identity_modulus())).ok
+        # 59/105 at the gap 4/7 and 60/105 = 4/7 at the gap 3/5
+        below = PwlModulus(((F(0), F(0)), (F(4, 7), F(59, 105))), F(1, 3))
+        report = validate(self.function(below))
+        assert [(v.kind, v.witness) for v in report.violations] == [
+            ("function-modulus", ("f", (0,), (1,)))
+        ]
+        assert report.violations[0].detail == "d(f(x),f(y)) = 4/7 > modulus(4/7) = 59/105"
+
+    def test_triangle_at_equality(self):
+        def triangle(ac):
+            return MetricStructure(
+                signature=Signature(),
+                points=("a", "b", "c"),
+                dist=((F(0), F(2, 7), ac), (F(2, 7), F(0), F(1, 3)), (ac, F(1, 3), F(0))),
+            )
+
+        assert validate(triangle(F(13, 21))).ok  # 2/7 + 1/3
+        report = validate(triangle(F(66, 105)))
+        assert [(v.kind, v.witness) for v in report.violations] == [
+            ("triangle", ("a", "b", "c")),
+            ("triangle", ("c", "b", "a")),
+        ]
 
 
 class TestReduct:
@@ -334,6 +404,13 @@ class TestJsonIO:
         path.write_text("{not json")
         with pytest.raises(json.JSONDecodeError):
             load_structure(path)
+
+    @pytest.mark.parametrize("load", [load_structure, load_pair])
+    def test_nested_too_deeply_is_a_value_error(self, tmp_path, load):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ValueError, match="nested too deeply"):
+            load(path)
 
 
 class TestNamedPair:
