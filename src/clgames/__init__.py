@@ -59,8 +59,6 @@ from .game import (
 )
 from .infinitary import (
     AtomicLeaf,
-    Finite,
-    OmegaFixpoint,
     OmegaLeaf,
     build_nested_levels_pair,
     check_basic_omega,

@@ -122,12 +122,18 @@ def main(argv=None) -> int:
         return _dispatch(args)
     except (StructureValidationError, ResourceCapError, FormulaError,
             ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return 1
     except RecursionError as exc:
         # a formula or a JSON file nested deeper than the parsers can follow
-        print(f"error: input nested too deeply ({exc})", file=sys.stderr)
+        _error(f"input nested too deeply ({exc})")
         return 1
+
+
+def _error(message):
+    """One stderr line: the lines of a multi-line message joined by '; '."""
+    lines = filter(None, map(str.strip, str(message).splitlines()))
+    print("error: " + "; ".join(lines), file=sys.stderr)
 
 
 def _emit(args, payload: dict, text_lines):

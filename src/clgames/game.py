@@ -91,25 +91,19 @@ def rounds_within_stack(rounds: int):
 
 class ResourceCapError(RuntimeError):
     """A solve that would outgrow the position cap.  ``table`` names the memo
-    table whose new entry reached the cap or, with ``by_depth``, the search
-    that the interpreter's stack stopped first; ``entries`` maps each memo
-    table to the entries it held."""
+    table whose new entry reached the cap; ``entries`` maps each memo table
+    to the entries it held."""
 
-    def __init__(self, cap: int, table: str, entries: dict, by_depth: bool = False):
+    def __init__(self, cap: int, table: str, entries: dict):
         held = ", ".join(f"{name} {count}" for name, count in entries.items())
-        if by_depth:
-            stop, advice = f"the {table} search was stopped by depth", "shrink the instance"
-        else:
-            stop = f"reached by the {table} table"
-            advice = f"raise --max-positions (or {_ENV_CAP}) or shrink the instance"
         super().__init__(
             f"position table would exceed the cap of {cap} entries; "
-            f"{stop} (entries held: {held}); {advice}"
+            f"reached by the {table} table (entries held: {held}); "
+            f"raise --max-positions (or {_ENV_CAP}) or shrink the instance"
         )
         self.cap = cap
         self.table = table
         self.entries = entries
-        self.by_depth = by_depth
 
 
 @dataclass(frozen=True)
@@ -185,9 +179,9 @@ class GameSolver:
 
     The spoiler scan prunes exactly: the replies to a move stop at the first
     one no greater than the best value found so far, or than leaf(p) before
-    any move is scored.  Every memo entry, including those of the dynamic
-    and infinite-game searches built on this solver, goes through
-    ``memoize`` and is charged to one position cap.
+    any move is scored.  Every memo entry, including those of the
+    dynamic-clock search built on this solver, goes through ``memoize`` and
+    is charged to one position cap.
     """
 
     def __init__(self, pair: NamedPair, term_depth: int = 0, max_positions: int | None = None):
@@ -252,15 +246,11 @@ class GameSolver:
         """Store ``key -> value`` in the named memo table, charging the entry
         to the cap."""
         if self._entries >= self.cap:
-            raise self.cap_error(table)
+            entries = {name: len(memo) for name, memo in self._tables.items()}
+            raise ResourceCapError(self.cap, table, entries)
         self._entries += 1
         self._tables[table][key] = value
         return value
-
-    def cap_error(self, table: str, by_depth: bool = False) -> ResourceCapError:
-        """The error for a search stopped at ``table``, with every table's size."""
-        entries = {name: len(memo) for name, memo in self._tables.items()}
-        return ResourceCapError(self.cap, table, entries, by_depth)
 
     def leaf(self, position: Position) -> Fraction:
         """Largest atomic value gap at the position: the least eps making it

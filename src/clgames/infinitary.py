@@ -21,12 +21,13 @@ Leaf families:
   is a certified lower bound of the sup over all basic formulas respecting
   the weak modulus.
 
-The infinite game only stabilizes, at desk scale, because positions can be
-abstracted to finite sets of pairs; that is valid for the atomic leaf and
-invalid for the coordinate-indexed omega leaf, which is therefore rejected
-(with function symbols) by the fixpoint solver.  That solver runs on the
-game kernel: its positions, moves, replies, leaf scores and position cap are
-those of ``GameSolver``.
+The infinite game, with the atomic leaf on a relational signature, is the
+finite game at u rounds, u being the number of points on both sides that
+the start leaves uncovered: a spoiler move on a covered point is answered
+by a stay, and every other move covers a point (``omega_game_value_atomic``
+has the proof).  It is solved by the game kernel itself.  The reduction
+needs positions that are sets of pairs, so it does not apply to the
+coordinate-indexed omega leaf.
 """
 
 from __future__ import annotations
@@ -50,15 +51,13 @@ from .formulas import (
     is_atomic,
     modulus_of,
 )
-from .game import GameSolver, Position, _max_gap, rounds_within_stack
+from .game import GameSolver, Position, _max_gap, game_value, rounds_within_stack
 from .moduli import WeakModulus, linear_modulus, modulus_leq
 from .structures import MetricStructure, NamedPair, PredicateSymbol, Signature
 
 __all__ = [
     "AtomicLeaf",
     "OmegaLeaf",
-    "Finite",
-    "OmegaFixpoint",
     "RAlphaSolver",
     "r_alpha",
     "DynamicGameResult",
@@ -88,20 +87,6 @@ class OmegaLeaf:
 
 
 LeafFamily = object  # AtomicLeaf | OmegaLeaf
-
-
-@dataclass(frozen=True)
-class Finite:
-    rounds: int
-
-    def __post_init__(self):
-        if self.rounds < 0:
-            raise ValueError("clock must be non-negative")
-
-
-@dataclass(frozen=True)
-class OmegaFixpoint:
-    pass
 
 
 def check_basic_omega(phi: Formula, sig: Signature, omega: WeakModulus) -> bool:
@@ -275,23 +260,21 @@ class DynamicSolver:
 
 def dynamic_game_value(
     pair: NamedPair,
-    clock,
+    clock: int,
     leaf: LeafFamily | None = None,
     start: Position | None = None,
     max_positions: int | None = None,
 ) -> DynamicGameResult:
     """Least precision at which the duplicator survives the dynamic game."""
-    if isinstance(clock, int):
-        clock = Finite(clock)
-    if not isinstance(clock, Finite):
-        raise ValueError("dynamic games need a finite clock; use omega_game_value_atomic")
+    if clock < 0:
+        raise ValueError("clock must be non-negative")
     start = start or Position()
     start.check_against(pair)
     solver = DynamicSolver(pair, leaf or AtomicLeaf(), max_positions)
-    with rounds_within_stack(clock.rounds):
-        value = solver.value(start, clock.rounds)
-        pv = tuple(solver.principal_variation(start, clock.rounds))
-    return DynamicGameResult(value=value, clock=clock.rounds, principal_variation=pv)
+    with rounds_within_stack(clock):
+        value = solver.value(start, clock)
+        pv = tuple(solver.principal_variation(start, clock))
+    return DynamicGameResult(value=value, clock=clock, principal_variation=pv)
 
 
 def omega_game_value_atomic(
@@ -303,42 +286,38 @@ def omega_game_value_atomic(
     """Value of the never-ending game: the least precision the duplicator can
     hold forever.
 
-    Positions are the kernel's sets of pairs (relational signatures only),
-    so the game is a memoized recursion over the sets reachable from the
-    start.  A spoiler move on a point already covered is answered by
-    a stay (repeating the played pair forever) and imposes nothing; a move on
-    an uncovered point forces the min over its replies, each of which covers
-    one more point.  Once every point on both sides is covered, only the leaf
-    remains, memoized by the solver's leaf table.  Elsewhere the leaf needs
-    no separate term: it is monotone in the set, so every forced value
-    already bounds it.
+    Positions are the kernel's sets of pairs (relational signatures only).
+    A spoiler move on a covered point is answered by a stay (repeating the
+    played pair forever) and imposes nothing; a move on an uncovered point
+    forces the min over its replies.  So the value is
+
+        omega(S) = leaf(S)                                 if S covers every point,
+        omega(S) = max over uncovered moves of min over replies of omega(child),
+
+    and leaf(S) <= omega(S), by induction on the uncovered points, because
+    the leaf is monotone in the set.  With u(S) the number of points on both
+    sides that S leaves uncovered, the finite game's value V_r(S) equals
+    omega(S) for every r >= u(S), so this returns the kernel's value at
+    u(start) rounds:
+
+    * V_r <= omega for every r, by induction on r from V_0 = leaf <= omega.
+      II answers a move on a covered point with the stay, whose child is S
+      itself, and a move on an uncovered point with the infinite game's
+      optimal reply, whose child's omega is at most omega(S).
+    * V_r >= omega for r >= u(S).  At a full cover V_r(S) >= leaf(S) =
+      omega(S), because the leaf only grows along play.  Otherwise I plays
+      the infinite game's optimal move, which covers at least one point, so
+      every reply gives a child with u <= r - 1, where by induction on u
+      V_{r-1} >= omega.
     """
     if not pair.signature.is_relational:
         raise ValueError("the infinite-game solver needs a relational signature")
     start = start or Position()
     start.check_against(pair)
-    game = GameSolver(pair, term_depth=term_depth, max_positions=max_positions)
-    memo = game.memo_table("omega")
-
-    def value(key) -> int:
-        if key in memo:
-            return memo[key]
-        covered = {("L", a) for a, _ in key} | {("R", b) for _, b in key}
-        forced = [
-            min(value(game._child(key, side, e, reply)) for reply in game.responses(side))
-            for side, e in game.moves()
-            if (side, e) not in covered
-        ]
-        if not forced:
-            return game._leaf_at(key)
-        return game.memoize("omega", key, max(forced))
-
-    try:
-        return game._fraction(value(game._key(start)))
-    except RecursionError:
-        # the depth is at most the number u of uncovered points; a stack too
-        # shallow for it means more than C(u/2, 3) > 700,000 reachable sets
-        raise game.cap_error("omega", by_depth=True) from None
+    uncovered = pair.left.size - len(set(start.left)) + pair.right.size - len(set(start.right))
+    return game_value(
+        pair, start, uncovered, term_depth, build_strategies=False, max_positions=max_positions
+    ).value
 
 
 def build_nested_levels_pair(m: int, level_size: int) -> NamedPair:

@@ -288,7 +288,8 @@ def _modulus_bounds(modulus: PwlModulus, form: IntegerForm) -> list[list[int]]:
     negative one.  A gap or image distance g * den exceeds modulus(gap) iff
     it exceeds this integer; the modulus never decreases, so the bound of a
     tuple pair is the max of its coordinates' bounds, -1 iff its gap is
-    negative."""
+    negative.  The modulus is not defined there, and such a pair is not
+    checked against it."""
     den = form.den
     bounds = {-1: -1}
     for g in {g for row in form.dist for g in row if g >= 0}:
@@ -306,7 +307,7 @@ def _later_bounds(rows: list[list[int]], present: list, coords: list, i: int):
 
 def _modulus_detail(modulus: PwlModulus, d, xs: tuple, ys: tuple) -> str:
     """``modulus(gap) = bound`` for a reported pair, on the structure's own
-    Fractions; raises, like ``PwlModulus.evaluate``, on a negative gap."""
+    Fractions."""
     gap = max(d[x][y] for x, y in zip(xs, ys))
     return f"modulus({format_rat(gap)}) = {format_rat(modulus.evaluate(gap))}"
 
@@ -390,13 +391,13 @@ def validate(structure: MetricStructure, allow_pseudometric: bool = False) -> Va
         rows = _modulus_bounds(sym.modulus, form)
         for i, v in enumerate(values):
             bounds = list(_later_bounds(rows, present, coords, i))
-            # a negative gap has bound -1 and is flagged, so its modulus
-            # evaluation raises as it would on the Fractions
+            # a negative gap has bound -1: it passes this filter, and the
+            # loop below skips it, as it is reported as a negative distance
             if not any(map(gt, map(abs, map(sub, values[i + 1:], repeat(v))), bounds)):
                 continue
             xs = present[i]
             for j, bound in enumerate(bounds, i + 1):
-                if abs(v - values[j]) > bound:
+                if bound >= 0 and abs(v - values[j]) > bound:
                     ys = present[j]
                     detail = _modulus_detail(sym.modulus, d, xs, ys)
                     report.add(
@@ -425,7 +426,7 @@ def validate(structure: MetricStructure, allow_pseudometric: bool = False) -> Va
             for j, bound in enumerate(_later_bounds(rows, present, coords, i), i + 1):
                 ys = present[j]
                 fy = table[ys]
-                if isinstance(fy, int) and (bound < 0 or dist[fx][fy] > bound):
+                if isinstance(fy, int) and 0 <= bound < dist[fx][fy]:
                     detail = _modulus_detail(sym.modulus, d, xs, ys)
                     report.add(
                         "function-modulus",
@@ -606,17 +607,23 @@ def signature_to_json(sig: Signature) -> dict:
     }
 
 
+def _symbol_name(raw) -> str:
+    if not isinstance(raw, str):
+        raise ValueError(f"a symbol name must be a string, got {raw!r}")
+    return raw
+
+
 def signature_from_json(data: dict) -> Signature:
+    def symbols(kind, key):
+        return tuple(
+            kind(_symbol_name(s["name"]), int(s["arity"]), modulus_from_json(s["modulus"]))
+            for s in data.get(key, [])
+        )
+
     return Signature(
-        predicates=tuple(
-            PredicateSymbol(p["name"], int(p["arity"]), modulus_from_json(p["modulus"]))
-            for p in data.get("predicates", [])
-        ),
-        functions=tuple(
-            FunctionSymbol(f["name"], int(f["arity"]), modulus_from_json(f["modulus"]))
-            for f in data.get("functions", [])
-        ),
-        constants=tuple(data.get("constants", [])),
+        predicates=symbols(PredicateSymbol, "predicates"),
+        functions=symbols(FunctionSymbol, "functions"),
+        constants=tuple(map(_symbol_name, data.get("constants", []))),
     )
 
 
@@ -645,6 +652,16 @@ def _tables(decode_value):
     }
 
 
+def _check_table_size(sym, n: int, table: dict):
+    """Refuse an arity above 64, or a table missing more than 100,000 of its
+    n^arity entries: validate would enumerate every one."""
+    if sym.arity > 64 or n ** sym.arity > len(table) + 100_000:
+        raise ValueError(
+            f"symbol {sym.name!r} of arity {sym.arity} is out of reach on {n} points: "
+            f"its table lists {len(table)} of {n}^{sym.arity} entries"
+        )
+
+
 def structure_from_json(data: dict) -> MetricStructure:
     sig = json_field(data, "signature", signature_from_json)
     points = json_field(data, "points", lambda raw: tuple(str(p) for p in raw))
@@ -653,6 +670,10 @@ def structure_from_json(data: dict) -> MetricStructure:
     )
     preds = json_field(data, "predicates", _tables(rat_from_json), {})
     funcs = json_field(data, "functions", _tables(int), {})
+    for sym in sig.predicates:
+        _check_table_size(sym, len(points), preds.get(sym.name, {}))
+    for sym in sig.functions:
+        _check_table_size(sym, len(points), funcs.get(sym.name, {}))
     consts = json_field(
         data, "constants", lambda raw: {name: int(v) for name, v in raw.items()}, {}
     )

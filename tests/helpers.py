@@ -16,7 +16,7 @@ from itertools import product
 from clgames.formulas import enumerate_atomic, evaluate
 from clgames.game import Position
 from clgames.infinitary import generate_basic_family
-from clgames.moduli import capped_linear
+from clgames.moduli import capped_linear, identity_modulus
 from clgames.rationals import format_rat
 from clgames.structures import (
     MetricStructure,
@@ -338,7 +338,8 @@ def fraction_validate(
 ) -> ValidationReport:
     """``structures.validate`` as it ran on Fractions before the integer
     form: every check compares the structure's own numbers, and every tuple
-    pair evaluates the modulus.  The oracle for the integer validation."""
+    pair with a non-negative gap evaluates the modulus.  The oracle for the
+    integer validation."""
     report = ValidationReport()
     n = structure.size
     labels = structure.points
@@ -400,6 +401,8 @@ def fraction_validate(
                 if ys <= xs or ys not in table:
                     continue
                 gap = max(d[x][y] for x, y in zip(xs, ys))
+                if gap < 0:
+                    continue  # reported as a negative distance
                 bound = sym.modulus.evaluate(gap)
                 diff = abs(table[xs] - table[ys])
                 if diff > bound:
@@ -430,6 +433,8 @@ def fraction_validate(
                 if not (isinstance(fx, int) and isinstance(fy, int)):
                     continue
                 gap = max(d[x][y] for x, y in zip(xs, ys))
+                if gap < 0:
+                    continue  # reported as a negative distance
                 bound = sym.modulus.evaluate(gap)
                 if d[fx][fy] > bound:
                     report.add(
@@ -455,3 +460,19 @@ def fraction_validate(
         if not any(f.name == name for f in structure.signature.functions):
             report.add("stray-table", (name,), "function table without a symbol")
     return report
+
+
+def negative_gap_structure(symbol: str) -> MetricStructure:
+    """A unary symbol on two points at distance -1/5: the only tuple pair has
+    a negative gap, and the function's images are that same pair."""
+    sig = Signature(
+        predicates=(PredicateSymbol("P", 1, identity_modulus()),) if symbol == "predicate" else (),
+        functions=(FunctionSymbol("f", 1, identity_modulus()),) if symbol == "function" else (),
+    )
+    return MetricStructure(
+        signature=sig,
+        points=("a", "b"),
+        dist=((F(0), F(-1, 5)), (F(-1, 5), F(0))),
+        predicate_tables={"P": {(0,): F(0), (1,): F(1)}} if symbol == "predicate" else {},
+        function_tables={"f": {(0,): 0, (1,): 1}} if symbol == "function" else {},
+    )

@@ -79,6 +79,16 @@ class TestValidateCommand:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 1
 
+    def test_negative_gap_reported(self, tmp_path, capsys):
+        path = tmp_path / "negative.json"
+        save_structure(helpers.negative_gap_structure("predicate"), path)
+        assert main(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[:2] == ["3 violation(s)", "  - negative-distance at ('a', 'b'): -1/5"]
+        assert all(line.startswith("  - triangle at") for line in lines[2:])
+        assert captured.err == ""
+
 
 class TestEvalCommand:
     def test_sentence(self, structure_file, capsys):

@@ -203,7 +203,7 @@ class TestGameValue:
             game_value(PAIR_55, rounds=3, build_strategies=False, max_positions=5)
         assert "5" in str(err.value)
         # the cap is shared, so the error names the table that reached it
-        assert err.value.cap == 5 and err.value.table == "leaf" and not err.value.by_depth
+        assert err.value.cap == 5 and err.value.table == "leaf"
         assert err.value.entries == {"leaf": 5, "value": 0}
         assert str(err.value).startswith("position table would exceed the cap of 5 entries;")
         assert "leaf table" in str(err.value)

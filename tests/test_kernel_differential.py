@@ -103,8 +103,16 @@ def test_omega_matches_value_iteration(case):
     pair, left, right = case
     start = Position(left, right)
     value = omega_game_value_atomic(pair, start=start)
-    assert value == helpers.value_iteration_omega(pair, start=start)
+    expected = helpers.value_iteration_omega(pair, start=start)
+    assert value == expected
     assert reduced_fraction(value)
+    # the finite game reaches the infinite game's value at u rounds, u being
+    # the points the start leaves uncovered, and stays at or below it before
+    uncovered = pair.left.size - len(set(left)) + pair.right.size - len(set(right))
+    solver = GameSolver(pair)
+    for rounds in range(uncovered + 2):
+        finite = solver.value(start, rounds)
+        assert finite == expected if rounds >= uncovered else finite <= expected
 
 
 @settings(max_examples=30, deadline=None)

@@ -412,6 +412,23 @@ class TestJsonIO:
         with pytest.raises(ValueError, match="nested too deeply"):
             load(path)
 
+    @pytest.mark.parametrize("arity", [18, 65])
+    def test_table_out_of_reach_is_a_value_error(self, arity):
+        # 2^18 entries, all but one missing, or an arity above 64: refused
+        # before validate would report each missing entry
+        data = structure_to_json(two_point(identity_modulus()))
+        data["signature"]["predicates"][0]["arity"] = arity
+        with pytest.raises(ValueError, match="out of reach on 2 points"):
+            structure_from_json(data)
+        data["points"], data["dist"] = ["a"], [[0]]
+        data["predicates"] = {"P": {"(" + ",".join("0" * arity) + ")": 0}}
+        if arity > 64:
+            with pytest.raises(ValueError, match="out of reach on 1 points"):
+                structure_from_json(data)
+        else:
+            # on one point the table is complete
+            assert validate(structure_from_json(data)).ok
+
 
 class TestNamedPair:
     def test_signature_mismatch_rejected(self):

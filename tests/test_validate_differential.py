@@ -89,8 +89,6 @@ def _break_symmetry(parts, rng):
 
 
 def _break_sign(parts, rng):
-    # with a predicate or function symbol, both validations raise on the
-    # negative gap
     if ij := _distinct_points(parts, rng):
         _set_distance(parts, *ij, F(-1, 5))
 
@@ -279,28 +277,21 @@ def test_every_violation_kind_is_drawn(kind, allow_pseudometric):
     assert outcome(validate, structure, allow_pseudometric) == expected
     if kind == "identity-of-indiscernibles" and allow_pseudometric:
         assert any("pseudometric" in note for note in expected[1])
-    elif kind == "negative-distance":
-        # the predicate-modulus check evaluates the modulus on the negative gap
-        assert expected[0] is ValueError and "non-negative" in expected[1]
     else:
         assert kind in {v.kind for v in expected[0]}
 
 
 @pytest.mark.parametrize("symbol", ["predicate", "function"])
-def test_negative_gap_raises_like_the_oracle(symbol):
-    # a unary symbol on two points at distance -1/5: the only tuple pair has
-    # a negative gap, and the function's images are that same pair
-    sig = Signature(
-        predicates=(PredicateSymbol("P", 1, MODULI[1]),) if symbol == "predicate" else (),
-        functions=(FunctionSymbol("f", 1, MODULI[1]),) if symbol == "function" else (),
-    )
-    structure = MetricStructure(
-        signature=sig,
-        points=("a", "b"),
-        dist=((F(0), F(-1, 5)), (F(-1, 5), F(0))),
-        predicate_tables={"P": {(0,): F(0), (1,): F(0)}} if symbol == "predicate" else {},
-        function_tables={"f": {(0,): 0, (1,): 1}} if symbol == "function" else {},
-    )
-    expected = outcome(helpers.fraction_validate, structure, False)
-    assert expected == (ValueError, "modulus argument must be non-negative, got -1/5")
-    assert outcome(validate, structure, False) == expected
+def test_negative_gap_is_reported(symbol):
+    # the modulus is not defined at the negative gap, so the pair is not
+    # checked against it, even where the values differ by the most; the
+    # negative distance breaks the triangle inequality too
+    structure = helpers.negative_gap_structure(symbol)
+    violations, notes = outcome(validate, structure, False)
+    assert [(v.kind, v.witness, v.detail) for v in violations] == [
+        ("negative-distance", ("a", "b"), "-1/5"),
+        ("triangle", ("a", "b", "a"), "d(a,a) = 0 > -1/5 + -1/5"),
+        ("triangle", ("b", "a", "b"), "d(b,b) = 0 > -1/5 + -1/5"),
+    ]
+    assert notes == []
+    assert outcome(helpers.fraction_validate, structure, False) == (violations, notes)
