@@ -24,6 +24,12 @@ scan prunes exactly (an alpha cutoff, Knuth & Moore 1975): the leaf only
 grows along play, so V_{r-1}(p + (a,b)) >= leaf(p), and a move whose
 replies already reach the best value so far cannot be I's first best move.
 
+On set keys a stay (II repeating a played pair) leaves the key as it is, so
+the rounds clamp at the points a key leaves uncovered (V_r = V_u for r >= u),
+and, when every atom mentions at most two played pairs, the last ply scores
+each child from its parent's leaf with no memo entry (``GameSolver`` has
+both rules).  The strategy certificates share one node per (key, rounds).
+
 With function symbols the leaf check ranges over atoms up to a stated term
 depth and the value is labelled depth-truncated.
 """
@@ -182,7 +188,26 @@ class GameSolver:
     any move is scored.  Every memo entry, including those of the
     dynamic-clock search built on this solver, goes through ``memoize`` and
     is charged to one position cap.
+
+    Two shortcuts rest on the keys being sets, so that a stay (II repeating
+    a played pair) leaves the key as it is; ``_OmegaLeafSolver``, whose keys
+    are in play order, opts out of both through ``_set_keys``:
+
+    * The rounds clamp at u(key), the points on both sides the key leaves
+      uncovered: V_r(S) = V_u(S) for r >= u(S), by the lemma in
+      ``infinitary.omega_game_value_atomic``'s docstring, which needs only
+      the stay and a leaf that grows along play, so function symbols
+      included.
+    * At width 2 the last ply scores its children without keys or memo
+      entries: the leaf of S + {p} is the max of leaf(S), leaf({p}) (a table
+      filled once per solver, constants included) and the atoms on p and
+      one pair q of S, which are d(p, q) and each binary predicate in both
+      argument orders, read off the integer tables.  Wider keys (ternary
+      predicates) and function terms at a positive term depth, which
+      couple pairs through the closure, keep the memoized path.
     """
+
+    _set_keys = True
 
     def __init__(self, pair: NamedPair, term_depth: int = 0, max_positions: int | None = None):
         if term_depth < 0:
@@ -195,14 +220,20 @@ class GameSolver:
             raise ValueError(f"the position cap must be at least 1, got {max_positions}")
         self.cap = max_positions
         # an atom mentions at most this many played pairs; no key holds more than |L| * |R|
-        sig, depth = pair.signature, min(term_depth, pair.left.size * pair.right.size)
+        n_left, n_right = pair.left.size, pair.right.size
+        sig, depth = pair.signature, min(term_depth, n_left * n_right)
         arities = [f.arity for f in sig.functions]
         self._width = max([2] + [p.arity for p in sig.predicates]) * max([1] + arities) ** depth
+        self._points = n_left + n_right
+        self._moves = [("L", a) for a in range(n_left)] + [("R", b) for b in range(n_right)]
+        self._replies = {"L": range(n_right), "R": range(n_left)}
         self._entries = 0
         self._tables: dict = {}
         self._leaf = self.memo_table("leaf")
         self._values = self.memo_table("value")
         self._compile()
+        self._pairwise = self._set_keys and self._width == 2 and not (self._funcs and depth)
+        self._ply: dict | None = None
 
     def _compile(self):
         """Integer distance and predicate tables of both sides over one
@@ -298,12 +329,52 @@ class GameSolver:
                     best = gap
         return best
 
-    def moves(self):
-        yield from (("L", a) for a in range(self.pair.left.size))
-        yield from (("R", b) for b in range(self.pair.right.size))
+    def _ply_tables(self) -> dict:
+        """Per spoiler side: leaf({p}) by (element, reply), the side's
+        coordinate in a pair, and the (played side, reply side) matrices
+        whose entries at (element, q) and (q, reply) are the two sides of
+        an atom on p and q: the distances, and each binary predicate with p
+        first and with p second."""
+        n_left, n_right = self.pair.left.size, self.pair.right.size
+        single = [[self._score(((a, b),)) for b in range(n_right)] for a in range(n_left)]
+        dist_l, dist_r = self._dist
+        mats_l, mats_r = [(dist_l, dist_r)], [(dist_r, dist_l)]
+        for arity, table_l, table_r in self._preds:
+            if arity == 2:
+                rows_l = [[table_l[x, y] for y in range(n_left)] for x in range(n_left)]
+                rows_r = [[table_r[x, y] for y in range(n_right)] for x in range(n_right)]
+                cols_l, cols_r = [list(c) for c in zip(*rows_l)], [list(c) for c in zip(*rows_r)]
+                mats_l += [(rows_l, cols_r), (cols_l, rows_r)]
+                mats_r += [(rows_r, cols_l), (cols_r, rows_l)]
+        return {"L": (single, 0, mats_l), "R": ([list(c) for c in zip(*single)], 1, mats_r)}
 
-    def responses(self, side: str) -> range:
-        return range(self.pair.right.size if side == "L" else self.pair.left.size)
+    def _last_reply(self, key, side: str, element: int, bound):
+        """``_reply`` at one round left, at width 2: each child's leaf is
+        scored from the parent's, with no key and no memo entry."""
+        if self._ply is None:
+            self._ply = self._ply_tables()
+        single, mine, mats = self._ply[side]
+        theirs = 1 - mine
+        # the played side's half of each atom on p and a pair q of the key
+        fixed = [
+            (played[element][q[mine]], other[q[theirs]]) for played, other in mats for q in key
+        ]
+        base = self._leaf_at(key)
+        best_reply, best_val = None, None
+        for reply, v in enumerate(single[element]):
+            if v < base:
+                v = base
+            for x, col in fixed:
+                gap = x - col[reply]
+                if gap < 0:
+                    gap = -gap
+                if gap > v:
+                    v = gap
+            if best_val is None or v < best_val:
+                best_reply, best_val = reply, v
+                if bound is not None and v <= bound:
+                    break
+        return best_reply, best_val
 
     def child(self, position: Position, side: str, element: int, reply: int) -> Position:
         if side == "L":
@@ -314,6 +385,10 @@ class GameSolver:
         return self._fraction(self._value(self._key(position), rounds))
 
     def _value(self, key, rounds: int):
+        # u(key) >= points - 2 |key|, so most calls skip counting it
+        if self._set_keys and rounds > self._points - 2 * len(key):
+            uncovered = self._points - len({a for a, _ in key}) - len({b for _, b in key})
+            rounds = min(rounds, uncovered)
         if rounds == 0:
             return self._leaf_at(key)
         memo_key = (key, rounds)
@@ -333,7 +408,7 @@ class GameSolver:
         # then exactly leaf(p), below which no child value lies
         bound = self._leaf_at(key)
         best = None
-        for side, element in self.moves():
+        for side, element in self._moves:
             _, worst = self._reply(key, side, element, rounds, bound)
             if best is None or worst > best[2]:
                 best = (side, element, worst)
@@ -348,8 +423,10 @@ class GameSolver:
     def _reply(self, key, side: str, element: int, rounds: int, bound=None):
         """II's first value-minimizing reply and its value, or the first reply
         whose value is at most ``bound``."""
+        if rounds == 1 and self._pairwise:
+            return self._last_reply(key, side, element, bound)
         best_reply, best_val = None, None
-        for reply in self.responses(side):
+        for reply in self._replies[side]:
             v = self._value(self._child(key, side, element, reply), rounds - 1)
             if best_val is None or v < best_val:
                 best_reply, best_val = reply, v
@@ -358,26 +435,42 @@ class GameSolver:
         return best_reply, best_val
 
     def ii_strategy_tree(self, position: Position, rounds: int) -> IIStrategyNode | None:
-        if rounds == 0:
-            return None
-        responses = {}
-        for side, element in self.moves():
-            reply, _ = self.best_reply(position, side, element, rounds)
-            responses[(side, element)] = (
-                reply,
-                self.ii_strategy_tree(self.child(position, side, element, reply), rounds - 1),
-            )
-        return IIStrategyNode(responses)
+        """II's optimal replies to every spoiler move, as a DAG with one node
+        per (key, rounds)."""
+        nodes = {}
+
+        def node(key, rounds):
+            if rounds == 0:
+                return None
+            if (key, rounds) not in nodes:
+                responses = {}
+                for side, element in self._moves:
+                    reply, _ = self._reply(key, side, element, rounds)
+                    child = node(self._child(key, side, element, reply), rounds - 1)
+                    responses[(side, element)] = (reply, child)
+                nodes[key, rounds] = IIStrategyNode(responses)
+            return nodes[key, rounds]
+
+        return node(self._key(position), rounds)
 
     def i_witness_tree(self, position: Position, rounds: int) -> IWitnessNode | None:
-        if rounds == 0:
-            return None
-        side, element, _ = self.best_move(position, rounds)
-        continuations = {
-            reply: self.i_witness_tree(self.child(position, side, element, reply), rounds - 1)
-            for reply in self.responses(side)
-        }
-        return IWitnessNode(side, element, continuations)
+        """I's first best move and a continuation for every reply, as a DAG
+        with one node per (key, rounds)."""
+        nodes = {}
+
+        def node(key, rounds):
+            if rounds == 0:
+                return None
+            if (key, rounds) not in nodes:
+                side, element, _ = self._scan(key, rounds)
+                continuations = {
+                    reply: node(self._child(key, side, element, reply), rounds - 1)
+                    for reply in self._replies[side]
+                }
+                nodes[key, rounds] = IWitnessNode(side, element, continuations)
+            return nodes[key, rounds]
+
+        return node(self._key(position), rounds)
 
 
 def _max_gap(pair: NamedPair, formulas, left: tuple, right: tuple) -> Fraction:

@@ -148,7 +148,11 @@ class RAlphaSolver(GameSolver):
 
 class _OmegaLeafSolver(RAlphaSolver):
     """The rank recursion with the coordinate-indexed ``OmegaLeaf``: keys in
-    play order, leaves as Fractions (denominator 1) over the family's ASTs."""
+    play order, leaves as Fractions (denominator 1) over the family's ASTs.
+    A stay appends to an ordered key, so the kernel's shortcuts for set keys
+    (the rounds clamp and the pairwise last ply) are off."""
+
+    _set_keys = False
 
     def __init__(self, pair: NamedPair, leaf: OmegaLeaf, max_positions: int | None = None):
         super().__init__(pair, leaf, max_positions)
@@ -222,9 +226,9 @@ class DynamicSolver:
             return self._memo[memo_key]
         # spending less than clock - 1 is worth the value at clock - 1
         best = self._value(key, clock - 1) if clock > 1 else None
-        for side, element in game.moves():
+        for side, element in game._moves:
             reply_best = None
-            for reply in game.responses(side):
+            for reply in game._replies[side]:
                 v = self._value(game._child(key, side, element, reply), clock - 1)
                 if reply_best is None or v < reply_best:
                     reply_best = v
@@ -239,10 +243,10 @@ class DynamicSolver:
             target = self.value(position, clock)
             found = None
             for spent in range(clock):
-                for side, element in game.moves():
+                for side, element in game._moves:
                     replies = {
                         reply: self.value(game.child(position, side, element, reply), spent)
-                        for reply in game.responses(side)
+                        for reply in game._replies[side]
                     }
                     worst = min(replies.values())
                     if worst == target:

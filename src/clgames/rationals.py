@@ -10,11 +10,29 @@ object for the structure and modulus loaders.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 __all__ = ["Rational", "rat", "rat_from_json", "rat_to_json", "format_rat"]
 
 Rational = Fraction
+
+# Fraction expands a decimal exponent exactly, in time and memory that grow
+# with it: "1e-10000000" takes seconds, and a few more digits would not end
+MAX_EXPONENT = 10_000
+_EXPONENT = re.compile(r"e[-+]?0*(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _check_exponent(text: str):
+    match = _EXPONENT.search(text)
+    if match is None:
+        return
+    digits = match.group(1).replace("_", "")
+    if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+        shown = text if len(text) <= 40 else text[:37] + "..."
+        raise ValueError(
+            f"exponent out of range in {shown!r}: at most {MAX_EXPONENT} in absolute value"
+        )
 
 
 def rat(value) -> Fraction:
@@ -26,6 +44,7 @@ def rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        _check_exponent(value)
         try:
             return Fraction(value)
         except ZeroDivisionError:

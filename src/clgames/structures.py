@@ -613,12 +613,22 @@ def _symbol_name(raw) -> str:
     return raw
 
 
+def _json_int(raw, what: str) -> int:
+    """A JSON integer; a bool or a float (which ``int()`` would truncate) is
+    refused."""
+    if type(raw) is not int:
+        raise ValueError(f"{what} must be an integer, got {raw!r}")
+    return raw
+
+
 def signature_from_json(data: dict) -> Signature:
+    def symbol(kind, raw):
+        name = _symbol_name(raw["name"])
+        arity = _json_int(raw["arity"], f"the arity of {name!r}")
+        return kind(name, arity, modulus_from_json(raw["modulus"]))
+
     def symbols(kind, key):
-        return tuple(
-            kind(_symbol_name(s["name"]), int(s["arity"]), modulus_from_json(s["modulus"]))
-            for s in data.get(key, [])
-        )
+        return tuple(symbol(kind, s) for s in data.get(key, []))
 
     return Signature(
         predicates=symbols(PredicateSymbol, "predicates"),
@@ -669,13 +679,18 @@ def structure_from_json(data: dict) -> MetricStructure:
         data, "dist", lambda raw: tuple(tuple(rat_from_json(v) for v in row) for row in raw)
     )
     preds = json_field(data, "predicates", _tables(rat_from_json), {})
-    funcs = json_field(data, "functions", _tables(int), {})
+    funcs = json_field(
+        data, "functions", _tables(lambda v: _json_int(v, "a function image")), {}
+    )
     for sym in sig.predicates:
         _check_table_size(sym, len(points), preds.get(sym.name, {}))
     for sym in sig.functions:
         _check_table_size(sym, len(points), funcs.get(sym.name, {}))
     consts = json_field(
-        data, "constants", lambda raw: {name: int(v) for name, v in raw.items()}, {}
+        data,
+        "constants",
+        lambda raw: {name: _json_int(v, f"constant {name!r}") for name, v in raw.items()},
+        {},
     )
     return MetricStructure(
         signature=sig,

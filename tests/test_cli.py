@@ -14,6 +14,7 @@ from clgames.moduli import (
     weak_modulus_to_json,
 )
 from clgames.structures import (
+    NamedPair,
     load_pair,
     save_pair,
     save_structure,
@@ -183,7 +184,12 @@ class TestGameCommand:
     @pytest.mark.parametrize(
         "argv", [["game", "--rounds", "5000"], ["ralpha", "--alpha", "5000"]]
     )
-    def test_too_many_rounds_exit_one(self, pair_file, capsys, argv):
+    def test_too_many_rounds_exit_one(self, tmp_path, capsys, argv):
+        # the rounds clamp at the points left uncovered, so the search is
+        # only as deep as the pair is large: 400 points make it deeper than
+        # the default limit of 1000 frames
+        pair_file = tmp_path / "deep.json"
+        save_pair(NamedPair(discrete_structure(200), discrete_structure(200)), pair_file)
         rc = main([argv[0], "--pair", str(pair_file), *argv[1:]])
         assert rc == 1
         err = capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Formula AST: parsing, evaluation, moduli, delta-formulas, enumeration."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -124,6 +125,13 @@ class TestParser:
     def test_trailing_input_rejected(self):
         with pytest.raises(ParseError):
             parse_formula("P(x0) P(x1)", SIG)
+
+    def test_huge_exponent_is_a_parse_error_at_once(self):
+        # a literal takes no exponent, so nothing is expanded
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse_formula("0.5e-10000000 * P(x0)", SIG)
+        assert time.perf_counter() - start < 1
 
     def test_nested_too_deeply_is_a_formula_error(self):
         formula = "1 - (" * 2000 + "1" + ")" * 2000

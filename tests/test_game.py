@@ -10,6 +10,8 @@ import pytest
 from clgames.formulas import evaluate, qr, sample_formulas, theta_of
 from clgames.game import (
     GameSolver,
+    IIStrategyNode,
+    IWitnessNode,
     Position,
     ResourceCapError,
     atomic_discrepancy,
@@ -194,7 +196,9 @@ class TestGameValue:
             game_value(PAIR_55, rounds=1, term_depth=-1)
 
     def test_rounds_deeper_than_the_stack_rejected(self):
-        # the search dives to the full depth first, so this fails at once
+        # the value clamps at the five uncovered points, but the certificates
+        # span all 5000 rounds; their build dives to the full depth first,
+        # so this fails at once
         with pytest.raises(ValueError, match="recursion"):
             game_value(PAIR_55, rounds=5000)
 
@@ -203,13 +207,15 @@ class TestGameValue:
             game_value(PAIR_55, rounds=3, build_strategies=False, max_positions=5)
         assert "5" in str(err.value)
         # the cap is shared, so the error names the table that reached it
+        # the last ply stores no leaves, so the dive down the first moves
+        # alternates leaf(p) for the cutoff bound and the value of p
         assert err.value.cap == 5 and err.value.table == "leaf"
-        assert err.value.entries == {"leaf": 5, "value": 0}
+        assert err.value.entries == {"leaf": 3, "value": 2}
         assert str(err.value).startswith("position table would exceed the cap of 5 entries;")
         assert "leaf table" in str(err.value)
         with pytest.raises(ResourceCapError) as err:
-            game_value(PAIR_55, rounds=3, build_strategies=False, max_positions=7)
-        assert err.value.table == "value" and err.value.entries == {"leaf": 7, "value": 0}
+            game_value(PAIR_55, rounds=3, build_strategies=False, max_positions=6)
+        assert err.value.table == "value" and err.value.entries == {"leaf": 4, "value": 2}
         for cap in (0, -3):
             with pytest.raises(ValueError, match="at least 1"):
                 game_value(PAIR_55, rounds=1, max_positions=cap)
@@ -231,6 +237,54 @@ class TestCertificates:
         best = helpers.best_leaf_against_i(pair, Position(), result.i_witness)
         assert worst <= result.value
         assert best >= result.value
+
+    def test_shared_nodes_match_the_unshared_trees(self):
+        # the trees share one node per (set of pairs, rounds); rebuilt over
+        # ordered positions from the public best move and reply, node by
+        # node, they give the same JSON
+        def ii_tree(solver, position, rounds):
+            if rounds == 0:
+                return None
+            responses = {}
+            for side, size in (("L", solver.pair.left.size), ("R", solver.pair.right.size)):
+                for element in range(size):
+                    reply, _ = solver.best_reply(position, side, element, rounds)
+                    child = solver.child(position, side, element, reply)
+                    responses[side, element] = (reply, ii_tree(solver, child, rounds - 1))
+            return IIStrategyNode(responses)
+
+        def i_tree(solver, position, rounds):
+            if rounds == 0:
+                return None
+            side, element, _ = solver.best_move(position, rounds)
+            size = solver.pair.right.size if side == "L" else solver.pair.left.size
+            return IWitnessNode(side, element, {
+                reply: i_tree(solver, solver.child(position, side, element, reply), rounds - 1)
+                for reply in range(size)
+            })
+
+        rng = random.Random(20)
+        cases = [(PAIR_55, START_11, 3), (PAIR_55, Position(), 4)]
+        cases += [(helpers.random_pair(rng, max_points=3), Position(), 3) for _ in range(3)]
+        for pair, start, rounds in cases:
+            result = game_value(pair, start=start, rounds=rounds)
+            solver = GameSolver(pair)
+            assert strategy_to_json(result.ii_strategy) == strategy_to_json(
+                ii_tree(solver, start, rounds)
+            )
+            assert strategy_to_json(result.i_witness) == strategy_to_json(
+                i_tree(solver, start, rounds)
+            )
+        # the 4-round tree has 1 + 5 + 5^2 + 5^3 = 156 II nodes, and 25 of
+        # them are distinct (set of pairs, rounds)
+        result = game_value(PAIR_55, rounds=4)
+        nodes, stack = set(), [result.ii_strategy]
+        while stack:
+            node = stack.pop()
+            if node is not None and id(node) not in nodes:
+                nodes.add(id(node))
+                stack.extend(child for _, child in node.responses.values())
+        assert len(nodes) == 25
 
     def test_certificates_sound_on_small_instances(self):
         rng = random.Random(18)

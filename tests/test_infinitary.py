@@ -99,8 +99,12 @@ class TestRAlpha:
             assert r_alpha(pair, alpha=alpha) == 0
 
     def test_clock_deeper_than_the_stack_rejected(self):
+        # the clock clamps at the points left uncovered, so the search is
+        # only as deep as the pair is large: 400 points outgrow the default
+        # limit of 1000 frames
+        pair = NamedPair(discrete_structure(200), discrete_structure(200))
         with pytest.raises(ValueError, match="recursion"):
-            r_alpha(PAIR_55, alpha=5000)
+            r_alpha(pair, alpha=5000)
 
     def test_matches_game_value_at_every_rank(self):
         rng = random.Random(34)

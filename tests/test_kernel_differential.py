@@ -12,13 +12,21 @@ import math
 from fractions import Fraction
 from itertools import combinations, product
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from clgames import game
 from clgames.game import GameSolver, Position, game_value
 from clgames.infinitary import AtomicLeaf, dynamic_game_value, omega_game_value_atomic
 from clgames.moduli import capped_linear
-from clgames.structures import FunctionSymbol, MetricStructure, NamedPair, Signature
+from clgames.structures import (
+    FunctionSymbol,
+    MetricStructure,
+    NamedPair,
+    PredicateSymbol,
+    Signature,
+)
+from clgames.witnesses import distance_witness_pair
 
 import helpers
 
@@ -26,7 +34,7 @@ F = Fraction
 
 
 @st.composite
-def pairs(draw, max_left=3, max_right=3, near=None, functions=True):
+def pairs(draw, max_left=3, max_right=3, near=None, functions=True, ternary=True):
     rng = draw(st.randoms(use_true_random=False))
     grids = {}
     if draw(st.booleans()):
@@ -35,7 +43,7 @@ def pairs(draw, max_left=3, max_right=3, near=None, functions=True):
     # terms too slow, so a pair has one or the other
     function = functions and draw(st.booleans())
     sig = helpers.random_signature(
-        rng, with_constant=True, with_function=function, with_ternary=not function
+        rng, with_constant=True, with_function=function, with_ternary=ternary and not function
     )
     left = helpers.random_structure(rng, sig, n_points=draw(st.integers(1, max_left)), **grids)
     if near is None:
@@ -108,11 +116,109 @@ def test_omega_matches_value_iteration(case):
     assert reduced_fraction(value)
     # the finite game reaches the infinite game's value at u rounds, u being
     # the points the start leaves uncovered, and stays at or below it before
-    uncovered = pair.left.size - len(set(left)) + pair.right.size - len(set(right))
+    u = uncovered(pair, left, right)
     solver = GameSolver(pair)
-    for rounds in range(uncovered + 2):
+    for rounds in range(u + 2):
         finite = solver.value(start, rounds)
-        assert finite == expected if rounds >= uncovered else finite <= expected
+        assert finite == expected if rounds >= u else finite <= expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(pairs_and_starts(functions=False, ternary=False), st.integers(1, 2))
+def test_pairwise_last_ply_matches_brute_force(case, rounds):
+    # a relational pair of arity <= 2 with a constant: the last ply scores
+    # its children from the parent's leaf, leaf({p}) and the pair gaps
+    pair, left, right = case
+    solver = GameSolver(pair)
+    assert solver._pairwise
+    start = Position(left, right)
+    expected = helpers.brute_force_game_value(pair, left, right, rounds)
+    assert solver.value(start, rounds) == expected
+    assert solver.best_move(start, rounds) == helpers.first_best_move(pair, left, right, rounds)
+
+
+def uncovered(pair: NamedPair, left: tuple, right: tuple) -> int:
+    return pair.left.size - len(set(left)) + pair.right.size - len(set(right))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pairs_and_starts(max_start=3, max_left=2, max_right=2), st.integers(0, 1))
+def test_rounds_clamp_at_the_uncovered_points(case, depth):
+    # V_r = V_u for r >= u, with u the points the start leaves uncovered;
+    # each round count gets a solver of its own, so no memo is shared, and
+    # the oracle confirms V_{u+1} = V_u where it is quick
+    pair, left, right = case
+    u = uncovered(pair, left, right)
+    assume(u <= 2)
+    start = Position(left, right)
+    expected = helpers.brute_force_game_value(pair, left, right, u, depth)
+    if u <= 1:
+        assert helpers.brute_force_game_value(pair, left, right, u + 1, depth) == expected
+    for rounds in (u, u + 1, u + 5):
+        assert GameSolver(pair, depth).value(start, rounds) == expected
+
+
+def discrete_pair(sig: Signature, n: int, left_tables: dict, right_tables: dict, **extra):
+    def side(tables):
+        return MetricStructure(
+            signature=sig,
+            points=tuple(f"p{i}" for i in range(n)),
+            dist=tuple(tuple(F(0) if i == j else F(1) for j in range(n)) for i in range(n)),
+            predicate_tables=tables,
+            **extra,
+        )
+
+    return NamedPair(side(left_tables), side(right_tables))
+
+
+def test_last_ply_sees_an_atom_on_the_constant():
+    # R(x, c) is the only atom that tells the sides apart: 1 at p1 on the
+    # left, 0 everywhere on the right; the child's leaf must count it
+    sig = Signature(predicates=(PredicateSymbol("R", 2, capped_linear(2)),), constants=("c",))
+    right_table = {args: F(0) for args in product(range(3), repeat=2)}
+    left_table = dict(right_table)
+    left_table[1, 0] = F(1)
+    pair = discrete_pair(sig, 3, {"R": left_table}, {"R": right_table}, constant_map={"c": 0})
+    solver = GameSolver(pair)
+    assert solver._pairwise
+    for rounds in (1, 2):
+        assert solver.value(Position(), rounds) == 1 == helpers.brute_force_game_value(
+            pair, (), (), rounds
+        )
+    assert solver.best_move(Position(), 1) == ("L", 1, 1)
+
+
+def test_ternary_atom_needs_two_earlier_pairs():
+    # the sides differ only at T(p0, p1, p2): from the start (p0, p1) the
+    # reply p2 to the spoiler's p2 shows it only together with both pairs
+    sig = Signature(predicates=(PredicateSymbol("T", 3, capped_linear(2)),))
+    right_table = {args: F(0) for args in product(range(3), repeat=3)}
+    left_table = dict(right_table)
+    left_table[0, 1, 2] = F(1)
+    pair = discrete_pair(sig, 3, {"T": left_table}, {"T": right_table})
+    solver = GameSolver(pair)
+    assert not solver._pairwise
+    start = Position((0, 1), (0, 1))
+    assert solver.best_reply(start, "L", 2, 1) == (0, 1)
+    for rounds in (1, 2):
+        assert solver.value(start, rounds) == 1 == helpers.brute_force_game_value(
+            pair, start.left, start.right, rounds
+        )
+
+
+def test_last_ply_stores_no_leaves(monkeypatch):
+    solvers = []
+
+    class Recording(GameSolver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            solvers.append(self)
+
+    monkeypatch.setattr(game, "GameSolver", Recording)
+    result = game_value(distance_witness_pair(F(1, 2), 16), rounds=2)
+    assert result.value == F(1, 17) and len(solvers) == 1
+    leaf_keys = solvers[0]._leaf
+    assert leaf_keys and max(map(len, leaf_keys)) == 1
 
 
 @settings(max_examples=30, deadline=None)
@@ -124,7 +230,7 @@ def test_best_move_and_reply_are_first_in_canonical_order(case, rounds, depth):
     assert solver.best_move(position, rounds) == helpers.first_best_move(
         pair, left, right, rounds, depth
     )
-    for side, element in solver.moves():
+    for side, element in solver._moves:
         assert solver.best_reply(position, side, element, rounds) == helpers.first_best_reply(
             pair, left, right, side, element, rounds, depth
         )
@@ -149,6 +255,23 @@ def test_unary_function_term_of_depth_two():
     for depth, expected in ((0, 0), (1, 0), (2, 1), (3, 1)):
         leaf = GameSolver(pair, depth).leaf(Position((0,), (0,)))
         assert leaf == expected == helpers.plain_leaf(pair, (0,), (0,), depth)
+
+
+def test_function_terms_keep_the_memoized_last_ply():
+    # f is a 3-cycle on the left and two-to-one on the right: no single pair
+    # tells the sides apart at term depth 1, but atoms such as d(f(x0), x1),
+    # which couple two pairs through f, do; the pairwise last ply would miss
+    # them
+    sig = Signature(functions=(FunctionSymbol("f", 1, capped_linear(2)),))
+    pair = NamedPair(
+        discrete_with_function(sig, 3, {(0,): 1, (1,): 2, (2,): 0}),
+        discrete_with_function(sig, 3, {(0,): 1, (1,): 0, (2,): 0}),
+    )
+    solver = GameSolver(pair, term_depth=1)
+    assert not solver._pairwise and GameSolver(pair)._pairwise
+    for left, right, rounds in (((0,), (0,), 1), ((), (), 2)):
+        value = solver.value(Position(left, right), rounds)
+        assert value == 1 == helpers.brute_force_game_value(pair, left, right, rounds, 1)
 
 
 def binary_function_pair() -> NamedPair:

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -411,6 +412,54 @@ class TestJsonIO:
         path.write_text("[" * 100_000 + "]" * 100_000)
         with pytest.raises(ValueError, match="nested too deeply"):
             load(path)
+
+    def test_huge_exponent_is_a_value_error_at_once(self, tmp_path):
+        # Fraction would expand 10^10000000 exactly, for seconds
+        data = structure_to_json(two_point(identity_modulus()))
+        data["dist"][0][1] = data["dist"][1][0] = "1e-10000000"
+        path = tmp_path / "exponent.json"
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"exponent out of range in '1e-10000000'"):
+            load_structure(path)
+        assert time.perf_counter() - start < 1
+        # the bound is 10000 either way
+        data["dist"][0][1] = data["dist"][1][0] = "1e-10000"
+        assert structure_from_json(data).dist[0][1] == F(1, 10**10000)
+
+    @pytest.mark.parametrize(
+        "path, raw, field",
+        [
+            (("signature", "predicates", 0, "arity"), 1.9, "the arity of 'P'"),
+            (("signature", "functions", 0, "arity"), True, "the arity of 'f'"),
+            (("functions", "f", "(0)"), 1.7, "a function image"),
+            (("constants", "c"), 1.0, "constant 'c'"),
+        ],
+    )
+    def test_counts_must_be_json_integers(self, path, raw, field):
+        # int() would load an arity of 1.9 as 1
+        sig = Signature(
+            predicates=(PredicateSymbol("P", 1, identity_modulus()),),
+            functions=(FunctionSymbol("f", 1, capped_linear(2)),),
+            constants=("c",),
+        )
+        s = MetricStructure(
+            signature=sig,
+            points=("a", "b"),
+            dist=((F(0), F(1)), (F(1), F(0))),
+            predicate_tables={"P": {(0,): F(0), (1,): F(1)}},
+            function_tables={"f": {(0,): 1, (1,): 0}},
+            constant_map={"c": 1},
+        )
+        data = structure_to_json(s)
+        assert structure_from_json(data) == s
+        *parents, last = path
+        target = data
+        for step in parents:
+            target = target[step]
+        target[last] = raw
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {raw!r}"):
+            structure_from_json(data)
 
     @pytest.mark.parametrize("arity", [18, 65])
     def test_table_out_of_reach_is_a_value_error(self, arity):
