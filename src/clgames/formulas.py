@@ -15,6 +15,14 @@ Every basis element carries an exactly computable modulus in the max metric
 on its arguments, which drives the formula modulus recursion, the
 error-propagation modulus ``theta_of`` and the delta-formula check.
 
+``evaluate`` runs in integers.  It compiles the formula into a tree of
+closures over the structure's integer form (``structures.integer_forms``),
+whose atoms are integers over the structure's common denominator D.  Each
+node carries its own denominator: D for an atom, q's for ConstVal(q), s
+times its child's for Scale(p/s), and the lcm of its children's for every
+other connective.  The value is one Fraction over the root's denominator,
+equal to the value over the structure's Fractions.
+
 Concrete syntax (ASCII): variables ``x0, x1, ...``; any other bound
 identifier is renamed to the next free index; bare identifiers are
 constants; ``d(t, t)`` and ``P(t, ...)`` atoms; ``1 - f`` (Neg), ``f -. g``
@@ -31,6 +39,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
+from operator import itemgetter
 from typing import Sequence, Union
 
 from .moduli import (
@@ -44,7 +54,7 @@ from .moduli import (
     zero_modulus,
 )
 from .rationals import format_rat, rat
-from .structures import MetricStructure, Signature
+from .structures import IntegerForm, MetricStructure, Signature, integer_forms
 
 __all__ = [
     "Var",
@@ -87,7 +97,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class FormulaError(ValueError):
@@ -140,11 +149,18 @@ def term_vars(t: Term) -> frozenset:
 
 # --- connective basis ----------------------------------------------------------
 
+def _check_rational(q, what: str):
+    """Values are exact: a float would leave the evaluator's integers."""
+    if isinstance(q, bool) or not isinstance(q, (int, Fraction)):
+        raise FormulaError(f"{what} {q!r} is not an int or a Fraction")
+
+
 @dataclass(frozen=True)
 class ConstVal:
     value: Fraction
 
     def __post_init__(self):
+        _check_rational(self.value, "constant")
         if not (0 <= self.value <= 1):
             raise FormulaError(f"constant {self.value} outside [0,1]")
 
@@ -187,6 +203,7 @@ class Scale:
     factor: Fraction
 
     def __post_init__(self):
+        _check_rational(self.factor, "scale factor")
         if self.factor < 0:
             raise FormulaError("scale factor must be non-negative")
 
@@ -211,14 +228,6 @@ class _CNode:
 class ComposedConnective:
     arity: int
     tree: object  # _Slot | _CNode
-
-    def apply(self, values: Sequence[Fraction]) -> Fraction:
-        def go(node):
-            if isinstance(node, _Slot):
-                return values[node.index]
-            return conn_apply(node.base, [go(c) for c in node.children])
-
-        return go(self.tree)
 
     def modulus(self) -> PwlModulus:
         def go(node) -> PwlModulus:
@@ -245,26 +254,6 @@ def conn_arity(conn) -> int:
         return conn.arity
     if isinstance(conn, ComposedConnective):
         return conn.arity
-    raise FormulaError(f"unknown connective {conn!r}")
-
-
-def conn_apply(conn, values: Sequence[Fraction]) -> Fraction:
-    if isinstance(conn, ConstVal):
-        return conn.value
-    if isinstance(conn, Neg):
-        return max(_ZERO, _ONE - values[0])
-    if isinstance(conn, TruncSub):
-        return max(_ZERO, values[0] - values[1])
-    if isinstance(conn, MinOf):
-        return min(values)
-    if isinstance(conn, MaxOf):
-        return max(values)
-    if isinstance(conn, TruncAdd):
-        return min(_ONE, values[0] + values[1])
-    if isinstance(conn, Scale):
-        return min(_ONE, conn.factor * values[0])
-    if isinstance(conn, ComposedConnective):
-        return conn.apply(values)
     raise FormulaError(f"unknown connective {conn!r}")
 
 
@@ -402,38 +391,151 @@ def qr(phi: Formula) -> int:
     return 1 + qr(phi.body)
 
 
-def _eval_term(t: Term, structure: MetricStructure, assignment: dict) -> int:
-    if isinstance(t, Var):
-        try:
-            return assignment[t.index]
-        except KeyError:
-            raise FormulaError(f"unassigned free variable x{t.index}") from None
-    if isinstance(t, Const):
-        return structure.constant(t.name)
-    return structure.func_value(t.func, tuple(_eval_term(a, structure, assignment) for a in t.args))
-
+# --- evaluation ------------------------------------------------------------------
 
 def evaluate(phi: Formula, structure: MetricStructure, assignment: dict | None = None) -> Fraction:
-    """Exact value in [0,1]; quantifiers are min/max over the finite domain."""
-    asg = dict(assignment) if assignment else {}
+    """Exact value in [0,1]; quantifiers are min/max over the finite domain.
 
-    def go(f: Formula, env: dict) -> Fraction:
+    ``assignment`` maps variable indices to point indices; a point that is
+    not an ``int`` in ``range(structure.size)`` is a FormulaError.  The
+    formula runs in integers over the structure's integer form (see
+    ``_compile``).
+    """
+    return _evaluator(structure)(phi, assignment)
+
+
+def _evaluator(structure: MetricStructure):
+    """``evaluate`` on one structure, whose integer form is built once: for
+    callers that evaluate many formulas or assignments there."""
+    (form,) = integer_forms(structure)
+    size = structure.size
+
+    def value(phi: Formula, assignment: dict | None = None) -> Fraction:
+        run, den = _compile(phi, form, size, _checked_points(assignment or {}, size))
+        return Fraction(run(), den)
+
+    return value
+
+
+def _checked_points(assignment: dict, size: int) -> dict:
+    for var, point in assignment.items():
+        if isinstance(point, bool) or not isinstance(point, int) or not 0 <= point < size:
+            raise FormulaError(f"x{var} is assigned {point!r}, not a point index in 0..{size - 1}")
+    return assignment
+
+
+def _compile(phi: Formula, form: IntegerForm, size: int, assignment: dict):
+    """A closure computing phi's value times a denominator N, and N.
+
+    Each node has its own N: an atom the form's ``den``, ConstVal(q) q's
+    denominator, Scale(p/s) s times its child's N, and every other
+    connective the lcm of its children's, each child scaled up to it.
+    Variables live in one environment list, one slot per variable index; a
+    quantifier writes each point into its variable's slot and restores the
+    slot afterwards.
+    """
+    env = list(assignment.values())
+    slots = {var: i for i, var in enumerate(assignment)}
+    dist, den, points = form.dist, form.den, range(size)
+
+    def slot(var: int, scope: frozenset) -> int:
+        if var not in scope and var not in assignment:
+            raise FormulaError(f"unassigned free variable x{var}")
+        if var not in slots:
+            slots[var] = len(env)
+            env.append(0)
+        return slots[var]
+
+    def term(t: Term, scope: frozenset):
+        if isinstance(t, Var):
+            i = slot(t.index, scope)
+            return lambda: env[i]
+        if isinstance(t, Const):
+            p = form.constants[t.name]
+            return lambda: p
+        if isinstance(t, Apply):
+            table = form.functions[t.func]
+            args = [term(a, scope) for a in t.args]
+            return lambda: table[tuple([a() for a in args])]
+        raise FormulaError(f"unknown term node {t!r}")
+
+    def atom(f: Formula, scope: frozenset):
         if isinstance(f, Dist):
-            return structure.distance(_eval_term(f.left, structure, env), _eval_term(f.right, structure, env))
-        if isinstance(f, Pred):
-            return structure.pred_value(
-                f.name, tuple(_eval_term(a, structure, env) for a in f.args)
-            )
+            if isinstance(f.left, Var) and isinstance(f.right, Var):
+                i, j = slot(f.left.index, scope), slot(f.right.index, scope)
+                return lambda: dist[env[i]][env[j]]
+            left, right = term(f.left, scope), term(f.right, scope)
+            return lambda: dist[left()][right()]
+        table = form.predicates[f.name]
+        if all(isinstance(a, Var) for a in f.args):
+            idx = [slot(a.index, scope) for a in f.args]
+            if len(idx) == 1:
+                i = idx[0]
+                return lambda: table[env[i],]
+            args = itemgetter(*idx)
+            return lambda: table[args(env)]
+        args = [term(a, scope) for a in f.args]
+        return lambda: table[tuple([a() for a in args])]
+
+    def formula(f: Formula, scope: frozenset):
+        if isinstance(f, (Dist, Pred)):
+            return atom(f, scope), den
         if isinstance(f, Conn):
-            return conn_apply(f.conn, [go(a, env) for a in f.args])
-        if isinstance(f, Inf):
-            return min(go(f.body, {**env, f.var: p}) for p in range(structure.size))
-        if isinstance(f, Sup):
-            return max(go(f.body, {**env, f.var: p}) for p in range(structure.size))
+            return _connective(f.conn, [formula(a, scope) for a in f.args])
+        if isinstance(f, (Inf, Sup)):
+            inner = scope | {f.var}
+            run, n = formula(f.body, inner)
+            i = slot(f.var, inner)
+            pick = min if isinstance(f, Inf) else max
+
+            def quantified():
+                saved = env[i]
+                best = pick([run() for env[i] in points])
+                env[i] = saved
+                return best
+
+            return quantified, n
         raise FormulaError(f"unknown formula node {f!r}")
 
-    return go(phi, asg)
+    return formula(phi, frozenset())
 
+
+def _connective(conn, args: list):
+    """The (closure, N) of a connective over its compiled arguments."""
+    if isinstance(conn, ConstVal):
+        value = conn.value.numerator
+        return (lambda: value), conn.value.denominator
+    if isinstance(conn, Scale):
+        (run, n), p = args[0], conn.factor.numerator
+        cap = conn.factor.denominator * n
+        return (lambda: min(cap, p * run())), cap
+    if isinstance(conn, ComposedConnective):
+
+        def go(node):
+            if isinstance(node, _Slot):
+                return args[node.index]
+            return _connective(node.base, [go(c) for c in node.children])
+
+        return go(conn.tree)
+    n = lcm(*(m for _, m in args))
+    runs = [run if m == n else _times(n // m, run) for run, m in args]
+    if isinstance(conn, Neg):
+        a = runs[0]
+        return (lambda: max(0, n - a())), n
+    if isinstance(conn, TruncSub):
+        a, b = runs[:2]
+        return (lambda: max(0, a() - b())), n
+    if isinstance(conn, TruncAdd):
+        a, b = runs[:2]
+        return (lambda: min(n, a() + b())), n
+    if isinstance(conn, (MinOf, MaxOf)):
+        pick = min if isinstance(conn, MinOf) else max
+        return (lambda: pick([r() for r in runs])), n
+    raise FormulaError(f"unknown connective {conn!r}")
+
+
+def _times(k: int, run):
+    return lambda: k * run()
 
 # --- modulus calculus -----------------------------------------------------------
 
@@ -641,10 +743,10 @@ def logical_distance_corpus(phi: Formula, psi: Formula, corpus: Sequence[MetricS
     fv = sorted(fv_phi)
     best = _ZERO
     for structure in corpus:
+        value = _evaluator(structure)
         for points in product(range(structure.size), repeat=len(fv)):
             env = dict(zip(fv, points))
-            gap = abs(evaluate(phi, structure, env) - evaluate(psi, structure, env))
-            best = max(best, gap)
+            best = max(best, abs(value(phi, env) - value(psi, env)))
     return best
 
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .formulas import enumerate_atomic, evaluate, is_delta_formula
+from .formulas import _evaluator, enumerate_atomic, is_delta_formula
 from .moduli import PwlModulus
 from .rationals import format_rat
 from .structures import NamedPair, integer_forms
@@ -478,9 +478,10 @@ def _max_gap(pair: NamedPair, formulas, left: tuple, right: tuple) -> Fraction:
     with x_i bound to left[i] and right[i]; 0 for no formulas."""
     env_l = dict(enumerate(left))
     env_r = dict(enumerate(right))
+    value_l, value_r = _evaluator(pair.left), _evaluator(pair.right)
     best = _ZERO
     for phi in formulas:
-        gap = abs(evaluate(phi, pair.left, env_l) - evaluate(phi, pair.right, env_r))
+        gap = abs(value_l(phi, env_l) - value_r(phi, env_r))
         if gap > best:
             best = gap
     return best

@@ -13,7 +13,27 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
-from clgames.formulas import enumerate_atomic, evaluate
+from clgames.formulas import (
+    ComposedConnective,
+    Conn,
+    Const,
+    ConstVal,
+    Dist,
+    FormulaError,
+    Inf,
+    MaxOf,
+    MinOf,
+    Neg,
+    Pred,
+    Scale,
+    Sup,
+    Term,
+    TruncAdd,
+    TruncSub,
+    Var,
+    _Slot,
+    enumerate_atomic,
+)
 from clgames.game import Position
 from clgames.infinitary import generate_basic_family
 from clgames.moduli import capped_linear, identity_modulus
@@ -165,12 +185,73 @@ def _farity(structure, name):
     return structure.signature.function(name).arity
 
 
+def conn_apply(conn, values) -> Fraction:
+    if isinstance(conn, ConstVal):
+        return conn.value
+    if isinstance(conn, Neg):
+        return max(F(0), F(1) - values[0])
+    if isinstance(conn, TruncSub):
+        return max(F(0), values[0] - values[1])
+    if isinstance(conn, MinOf):
+        return min(values)
+    if isinstance(conn, MaxOf):
+        return max(values)
+    if isinstance(conn, TruncAdd):
+        return min(F(1), values[0] + values[1])
+    if isinstance(conn, Scale):
+        return min(F(1), conn.factor * values[0])
+    if isinstance(conn, ComposedConnective):
+
+        def go(node):
+            if isinstance(node, _Slot):
+                return values[node.index]
+            return conn_apply(node.base, [go(c) for c in node.children])
+
+        return go(conn.tree)
+    raise FormulaError(f"unknown connective {conn!r}")
+
+
+def _eval_term(t: Term, structure: MetricStructure, assignment: dict) -> int:
+    if isinstance(t, Var):
+        try:
+            return assignment[t.index]
+        except KeyError:
+            raise FormulaError(f"unassigned free variable x{t.index}") from None
+    if isinstance(t, Const):
+        return structure.constant(t.name)
+    return structure.func_value(t.func, tuple(_eval_term(a, structure, assignment) for a in t.args))
+
+
+def fraction_evaluate(phi, structure: MetricStructure, assignment: dict | None = None) -> Fraction:
+    """``formulas.evaluate`` as it ran on Fractions before the integer
+    form: a tree walk over the structure's own numbers, with one assignment
+    dict per quantified point."""
+    asg = dict(assignment) if assignment else {}
+
+    def go(f, env: dict) -> Fraction:
+        if isinstance(f, Dist):
+            return structure.distance(_eval_term(f.left, structure, env), _eval_term(f.right, structure, env))
+        if isinstance(f, Pred):
+            return structure.pred_value(
+                f.name, tuple(_eval_term(a, structure, env) for a in f.args)
+            )
+        if isinstance(f, Conn):
+            return conn_apply(f.conn, [go(a, env) for a in f.args])
+        if isinstance(f, Inf):
+            return min(go(f.body, {**env, f.var: p}) for p in range(structure.size))
+        if isinstance(f, Sup):
+            return max(go(f.body, {**env, f.var: p}) for p in range(structure.size))
+        raise FormulaError(f"unknown formula node {f!r}")
+
+    return go(phi, asg)
+
+
 def _max_gap(pair: NamedPair, formulas, left: tuple, right: tuple) -> Fraction:
     env_l = dict(enumerate(left))
     env_r = dict(enumerate(right))
     best = F(0)
     for phi in formulas:
-        gap = abs(evaluate(phi, pair.left, env_l) - evaluate(phi, pair.right, env_r))
+        gap = abs(fraction_evaluate(phi, pair.left, env_l) - fraction_evaluate(phi, pair.right, env_r))
         best = max(best, gap)
     return best
 
