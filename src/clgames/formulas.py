@@ -233,12 +233,7 @@ class ComposedConnective:
         def go(node) -> PwlModulus:
             if isinstance(node, _Slot):
                 return identity_modulus()
-            inner = zero_modulus()
-            for c in node.children:
-                inner = modulus_max(inner, go(c))
-            if not node.children:
-                return zero_modulus()
-            return compose(conn_modulus(node.base), inner)
+            return compose(conn_modulus(node.base), modulus_max(*map(go, node.children)))
 
         return go(self.tree)
 
@@ -551,10 +546,7 @@ def term_modulus(t: Term, sig: Signature) -> PwlModulus:
     if isinstance(t, Const):
         return zero_modulus()
     sym = sig.function(t.func)
-    out = zero_modulus()
-    for a in t.args:
-        out = modulus_max(out, compose(sym.modulus, term_modulus(a, sig)))
-    return out
+    return modulus_max(*(compose(sym.modulus, term_modulus(a, sig)) for a in t.args))
 
 
 _DIST_MODULUS = capped_linear(2)  # triangle inequality, both endpoints may move
@@ -568,24 +560,15 @@ def modulus_of(phi: Formula, sig: Signature) -> PwlModulus:
     modulus over the children, quantifiers change nothing.  The result is an
     upper bound; no leastness is claimed after composition.
     """
-    if isinstance(phi, Dist):
-        out = zero_modulus()
-        for t in (phi.left, phi.right):
-            out = modulus_max(out, compose(_DIST_MODULUS, term_modulus(t, sig)))
-        return cap_at_one(out)
-    if isinstance(phi, Pred):
-        sym = sig.predicate(phi.name)
-        out = zero_modulus()
-        for t in phi.args:
-            out = modulus_max(out, compose(sym.modulus, term_modulus(t, sig)))
-        return cap_at_one(out)
+    if isinstance(phi, (Dist, Pred)):
+        if isinstance(phi, Dist):
+            atom, terms = _DIST_MODULUS, (phi.left, phi.right)
+        else:
+            atom, terms = sig.predicate(phi.name).modulus, phi.args
+        return cap_at_one(modulus_max(*(compose(atom, term_modulus(t, sig)) for t in terms)))
     if isinstance(phi, Conn):
-        if not phi.args:
-            return zero_modulus()
-        out = zero_modulus()
-        for f in phi.args:
-            out = modulus_max(out, compose(conn_modulus(phi.conn), modulus_of(f, sig)))
-        return out
+        conn = conn_modulus(phi.conn)
+        return modulus_max(*(compose(conn, modulus_of(f, sig)) for f in phi.args))
     if isinstance(phi, (Inf, Sup)):
         return modulus_of(phi.body, sig)
     raise FormulaError(f"unknown formula node {phi!r}")
@@ -601,12 +584,7 @@ def theta_of(phi: Formula, sig: Signature) -> PwlModulus:
     if is_atomic(phi):
         return identity_modulus()
     if isinstance(phi, Conn):
-        if not phi.args:
-            return zero_modulus()
-        inner = zero_modulus()
-        for f in phi.args:
-            inner = modulus_max(inner, theta_of(f, sig))
-        return compose(conn_modulus(phi.conn), inner)
+        return compose(conn_modulus(phi.conn), modulus_max(*(theta_of(f, sig) for f in phi.args)))
     if isinstance(phi, (Inf, Sup)):
         return theta_of(phi.body, sig)
     raise FormulaError(f"unknown formula node {phi!r}")

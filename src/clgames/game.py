@@ -183,6 +183,11 @@ class GameSolver:
     ``enumerate_atomic``, and a longer key is the max over its w-pair
     subsets.  Memos hold integers; the public methods return ``Fraction``s.
 
+    The public methods check their inputs: the rounds must be non-negative
+    (at least 1 for ``best_move`` and ``best_reply``) and every played point
+    in range, and a search deeper than the interpreter's recursion limit
+    ends in a one-line ``ValueError``.
+
     The spoiler scan prunes exactly: the replies to a move stop at the first
     one no greater than the best value found so far, or than leaf(p) before
     any move is scored.  Every memo entry, including those of the
@@ -259,6 +264,16 @@ class GameSolver:
         """The memo key: the sorted distinct played pairs."""
         return tuple(sorted(set(zip(position.left, position.right))))
 
+    def _enter(self, position: Position, rounds: int = 0, least: int = 0, name: str = "rounds"):
+        """The key of a public method's start, after checking that the rounds
+        (``name``) are at least ``least`` and that every played point is in
+        range."""
+        if rounds < least:
+            need = f"at least {least}" if least else "non-negative"
+            raise ValueError(f"{name} must be {need}, got {rounds}")
+        position.check_against(self.pair)
+        return self._key(position)
+
     def _child(self, key, side: str, element: int, reply: int):
         """The key after the spoiler plays ``element`` on ``side`` and the
         duplicator ``reply`` on the other side."""
@@ -286,7 +301,7 @@ class GameSolver:
     def leaf(self, position: Position) -> Fraction:
         """Largest atomic value gap at the position: the least eps making it
         a partial eps-isomorphism."""
-        return self._fraction(self._leaf_at(self._key(position)))
+        return self._fraction(self._leaf_at(self._enter(position)))
 
     def _leaf_at(self, key):
         if key in self._leaf:
@@ -382,7 +397,9 @@ class GameSolver:
         return position.extended(reply, element)
 
     def value(self, position: Position, rounds: int) -> Fraction:
-        return self._fraction(self._value(self._key(position), rounds))
+        key = self._enter(position, rounds)
+        with rounds_within_stack(rounds):
+            return self._fraction(self._value(key, rounds))
 
     def _value(self, key, rounds: int):
         # u(key) >= points - 2 |key|, so most calls skip counting it
@@ -399,7 +416,9 @@ class GameSolver:
     def best_move(self, position: Position, rounds: int):
         """I's value-maximizing move as (side, element, value), first in
         canonical order on ties."""
-        side, element, worst = self._scan(self._key(position), rounds)
+        key = self._enter(position, rounds, least=1)
+        with rounds_within_stack(rounds):
+            side, element, worst = self._scan(key, rounds)
         return side, element, self._fraction(worst)
 
     def _scan(self, key, rounds: int):
@@ -417,7 +436,9 @@ class GameSolver:
 
     def best_reply(self, position: Position, side: str, element: int, rounds_left: int):
         """II's value-minimizing reply (first in canonical order on ties)."""
-        reply, worst = self._reply(self._key(position), side, element, rounds_left)
+        key = self._enter(position, rounds_left, least=1)
+        with rounds_within_stack(rounds_left):
+            reply, worst = self._reply(key, side, element, rounds_left)
         return reply, self._fraction(worst)
 
     def _reply(self, key, side: str, element: int, rounds: int, bound=None):
@@ -451,7 +472,9 @@ class GameSolver:
                 nodes[key, rounds] = IIStrategyNode(responses)
             return nodes[key, rounds]
 
-        return node(self._key(position), rounds)
+        key = self._enter(position, rounds)
+        with rounds_within_stack(rounds):
+            return node(key, rounds)
 
     def i_witness_tree(self, position: Position, rounds: int) -> IWitnessNode | None:
         """I's first best move and a continuation for every reply, as a DAG
@@ -470,7 +493,9 @@ class GameSolver:
                 nodes[key, rounds] = IWitnessNode(side, element, continuations)
             return nodes[key, rounds]
 
-        return node(self._key(position), rounds)
+        key = self._enter(position, rounds)
+        with rounds_within_stack(rounds):
+            return node(key, rounds)
 
 
 def _max_gap(pair: NamedPair, formulas, left: tuple, right: tuple) -> Fraction:
@@ -490,7 +515,6 @@ def _max_gap(pair: NamedPair, formulas, left: tuple, right: tuple) -> Fraction:
 def atomic_discrepancy(pair: NamedPair, position: Position, term_depth: int = 0) -> Fraction:
     """Max over atomic formulas of the value gap at the position: the least
     eps making the played map a partial eps-isomorphism (at this term depth)."""
-    position.check_against(pair)
     return GameSolver(pair, term_depth).leaf(position)
 
 
@@ -522,17 +546,13 @@ def game_value(
 ) -> GameValueResult:
     """Exact minimax value of the rounds-long game from the start position,
     with optimal-strategy certificates for both players."""
-    if rounds < 0:
-        raise ValueError(f"rounds must be non-negative, got {rounds}")
     start = start or Position()
-    start.check_against(pair)
     solver = GameSolver(pair, term_depth, max_positions)
+    value = solver.value(start, rounds)
     ii_tree = i_tree = None
-    with rounds_within_stack(rounds):
-        value = solver.value(start, rounds)
-        if build_strategies:
-            ii_tree = solver.ii_strategy_tree(start, rounds)
-            i_tree = solver.i_witness_tree(start, rounds)
+    if build_strategies:
+        ii_tree = solver.ii_strategy_tree(start, rounds)
+        i_tree = solver.i_witness_tree(start, rounds)
     return GameValueResult(
         value=value,
         rounds=rounds,
@@ -606,8 +626,6 @@ def play_interactive(
     ``A <point>`` / ``B <point>`` for the spoiler (structure side first) or
     as a bare point label for the duplicator.  Returns a transcript dict.
     """
-    if rounds < 0:
-        raise ValueError(f"rounds must be non-negative, got {rounds}")
     stdin = in_stream if in_stream is not None else sys.stdin
     stdout = out_stream if out_stream is not None else sys.stdout
     human_side = human_side.upper()
@@ -628,7 +646,8 @@ def play_interactive(
 
     solver = GameSolver(pair, term_depth)
     position = start or Position()
-    position.check_against(pair)
+    # the rounds and the start are checked before the first line is printed
+    solver._enter(position, rounds)
     transcript = []
     say(f"game of {rounds} round(s) at precision {format_rat(Fraction(epsilon))}")
     for rnd in range(rounds):

@@ -21,12 +21,12 @@ Leaf families:
   is a certified lower bound of the sup over all basic formulas respecting
   the weak modulus.
 
-The infinite game, with the atomic leaf on a relational signature, is the
-finite game at u rounds, u being the number of points on both sides that
-the start leaves uncovered: a spoiler move on a covered point is answered
-by a stay, and every other move covers a point (``omega_game_value_atomic``
-has the proof).  It is solved by the game kernel itself.  The reduction
-needs positions that are sets of pairs, so it does not apply to the
+The infinite game with the atomic leaf, on any signature, is the finite
+game at u rounds, u being the number of points on both sides that the start
+leaves uncovered: a spoiler move on a covered point is answered by a stay,
+and every other move covers a point (``omega_game_value_atomic`` has the
+proof).  It is solved by the game kernel itself.  The reduction needs
+positions that are sets of pairs, so it does not apply to the
 coordinate-indexed omega leaf.
 """
 
@@ -51,7 +51,7 @@ from .formulas import (
     is_atomic,
     modulus_of,
 )
-from .game import GameSolver, Position, _max_gap, game_value, rounds_within_stack
+from .game import GameSolver, Position, _max_gap, rounds_within_stack
 from .moduli import WeakModulus, linear_modulus, modulus_leq
 from .structures import MetricStructure, NamedPair, PredicateSymbol, Signature
 
@@ -180,13 +180,8 @@ def r_alpha(
     max_positions: int | None = None,
 ) -> Fraction:
     """Rank recursion value at a finite clock stage."""
-    position = position or Position()
-    position.check_against(pair)
-    if alpha < 0:
-        raise ValueError("clock stage must be non-negative")
     solver = RAlphaSolver(pair, leaf or AtomicLeaf(), max_positions)
-    with rounds_within_stack(alpha):
-        return solver.value(position, alpha)
+    return solver.value(position or Position(), alpha)
 
 
 @dataclass(frozen=True)
@@ -207,7 +202,8 @@ class DynamicSolver:
     clock c is the better of spending c - 1 now and spending less, which is
     the value at clock c - 1, so every choice is searched in time linear in
     the clock (and in a recursion as deep as the clock).  It shares only the
-    kernel's position keys and leaf scores.
+    kernel's position keys, its leaf scores and, at clock 1 (the last
+    round), its one-round reply scan.
     """
 
     def __init__(self, pair: NamedPair, leaf: LeafFamily, max_positions: int | None = None):
@@ -215,7 +211,9 @@ class DynamicSolver:
         self._memo = self.inner.memo_table("dynamic")
 
     def value(self, position: Position, clock: int) -> Fraction:
-        return self.inner._fraction(self._value(self.inner._key(position), clock))
+        key = self.inner._enter(position, clock, name="clock")
+        with rounds_within_stack(clock):
+            return self.inner._fraction(self._value(key, clock))
 
     def _value(self, key, clock: int):
         game = self.inner
@@ -224,41 +222,43 @@ class DynamicSolver:
         memo_key = (clock, key)
         if memo_key in self._memo:
             return self._memo[memo_key]
-        # spending less than clock - 1 is worth the value at clock - 1
-        best = self._value(key, clock - 1) if clock > 1 else None
-        for side, element in game._moves:
-            reply_best = None
-            for reply in game._replies[side]:
-                v = self._value(game._child(key, side, element, reply), clock - 1)
-                if reply_best is None or v < reply_best:
-                    reply_best = v
-            if best is None or reply_best > best:
-                best = reply_best
+        if clock == 1:
+            # the last round: each move's worst reply is the kernel's at one round
+            best = max(game._reply(key, side, element, 1)[1] for side, element in game._moves)
+        else:
+            # spending less than clock - 1 is worth the value at clock - 1
+            best = self._value(key, clock - 1)
+            for side, element in game._moves:
+                best = max(best, min(
+                    self._value(game._child(key, side, element, reply), clock - 1)
+                    for reply in game._replies[side]
+                ))
         return game.memoize("dynamic", memo_key, best)
 
     def principal_variation(self, position: Position, clock: int) -> list:
-        line = []
+        """(clock spent, side, element, reply) per round along a line of
+        optimal play: the first spend, move and reply that keep the value."""
         game = self.inner
-        while clock > 0:
-            target = self.value(position, clock)
-            found = None
-            for spent in range(clock):
-                for side, element in game._moves:
-                    replies = {
-                        reply: self.value(game.child(position, side, element, reply), spent)
-                        for reply in game._replies[side]
-                    }
-                    worst = min(replies.values())
-                    if worst == target:
-                        reply = min(r for r, v in replies.items() if v == worst)
-                        found = (spent, side, element, reply)
+        key = game._enter(position, clock, name="clock")
+        line = []
+        with rounds_within_stack(clock):
+            while clock > 0:
+                target = self._value(key, clock)
+                found = None
+                for spent in range(clock):
+                    for side, element in game._moves:
+                        replies = [
+                            self._value(game._child(key, side, element, reply), spent)
+                            for reply in game._replies[side]
+                        ]
+                        if min(replies) == target:
+                            found = (spent, side, element, replies.index(target))
+                            break
+                    if found:
                         break
-                if found:
-                    break
-            spent, side, element, reply = found
-            line.append(found)
-            position = game.child(position, side, element, reply)
-            clock = spent
+                line.append(found)
+                clock, side, element, reply = found
+                key = game._child(key, side, element, reply)
         return line
 
 
@@ -270,14 +270,10 @@ def dynamic_game_value(
     max_positions: int | None = None,
 ) -> DynamicGameResult:
     """Least precision at which the duplicator survives the dynamic game."""
-    if clock < 0:
-        raise ValueError("clock must be non-negative")
     start = start or Position()
-    start.check_against(pair)
     solver = DynamicSolver(pair, leaf or AtomicLeaf(), max_positions)
-    with rounds_within_stack(clock):
-        value = solver.value(start, clock)
-        pv = tuple(solver.principal_variation(start, clock))
+    value = solver.value(start, clock)
+    pv = tuple(solver.principal_variation(start, clock))
     return DynamicGameResult(value=value, clock=clock, principal_variation=pv)
 
 
@@ -290,7 +286,7 @@ def omega_game_value_atomic(
     """Value of the never-ending game: the least precision the duplicator can
     hold forever.
 
-    Positions are the kernel's sets of pairs (relational signatures only).
+    Positions are the kernel's sets of pairs, function symbols included.
     A spoiler move on a covered point is answered by a stay (repeating the
     played pair forever) and imposes nothing; a move on an uncovered point
     forces the min over its replies.  So the value is
@@ -299,10 +295,11 @@ def omega_game_value_atomic(
         omega(S) = max over uncovered moves of min over replies of omega(child),
 
     and leaf(S) <= omega(S), by induction on the uncovered points, because
-    the leaf is monotone in the set.  With u(S) the number of points on both
+    the leaf is monotone in the set (with function symbols its terms, the
+    set's closed ``term_depth`` times, grow with the set).  With u(S) the number of points on both
     sides that S leaves uncovered, the finite game's value V_r(S) equals
     omega(S) for every r >= u(S), so this returns the kernel's value at
-    u(start) rounds:
+    |L| + |R| rounds, which its rounds clamp cuts to u(start):
 
     * V_r <= omega for every r, by induction on r from V_0 = leaf <= omega.
       II answers a move on a covered point with the stay, whose child is S
@@ -314,14 +311,8 @@ def omega_game_value_atomic(
       every reply gives a child with u <= r - 1, where by induction on u
       V_{r-1} >= omega.
     """
-    if not pair.signature.is_relational:
-        raise ValueError("the infinite-game solver needs a relational signature")
-    start = start or Position()
-    start.check_against(pair)
-    uncovered = pair.left.size - len(set(start.left)) + pair.right.size - len(set(start.right))
-    return game_value(
-        pair, start, uncovered, term_depth, build_strategies=False, max_positions=max_positions
-    ).value
+    solver = GameSolver(pair, term_depth, max_positions)
+    return solver.value(start or Position(), pair.left.size + pair.right.size)
 
 
 def build_nested_levels_pair(m: int, level_size: int) -> NamedPair:

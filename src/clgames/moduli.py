@@ -256,9 +256,11 @@ def concave_envelope(samples: Sequence[tuple], tail_slope) -> PwlModulus:
     return _canonical(hull[: best + 1], tail_slope)
 
 
-def modulus_max(a: PwlModulus, b: PwlModulus) -> PwlModulus:
-    """Least concave PWL majorant of the pointwise max of two moduli."""
-    return concave_envelope(a.breakpoints + b.breakpoints, max(a.final_slope, b.final_slope))
+def modulus_max(*moduli: PwlModulus) -> PwlModulus:
+    """Least concave PWL majorant of the pointwise max of the moduli: the
+    zero modulus for none, the modulus itself for one."""
+    points = [(_ZERO, _ZERO)] + [point for m in moduli for point in m.breakpoints]
+    return concave_envelope(points, max((m.final_slope for m in moduli), default=_ZERO))
 
 
 def modulus_leq(a: PwlModulus, b: PwlModulus) -> bool:

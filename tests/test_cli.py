@@ -13,6 +13,7 @@ from clgames.moduli import (
     linear_modulus,
     weak_modulus_to_json,
 )
+from clgames.rationals import format_rat
 from clgames.structures import (
     NamedPair,
     load_pair,
@@ -248,6 +249,17 @@ class TestRalphaCommand:
         rc = main(["ralpha", "--pair", str(pair_file), "--alpha", "omega"])
         assert rc == 0
         assert "r_omega = 1/8" in capsys.readouterr().out
+
+    def test_omega_clock_with_function_symbols(self, tmp_path, capsys):
+        pair = helpers.random_pair(
+            random.Random(47), max_points=3, with_constant=True, with_function=True
+        )
+        path = tmp_path / "functions.json"
+        save_pair(pair, path)
+        rc = main(["ralpha", "--pair", str(path), "--alpha", "omega", "--term-depth", "1"])
+        assert rc == 0
+        expected = helpers.value_iteration_omega(pair, term_depth=1)
+        assert f"r_omega = {format_rat(expected)}" in capsys.readouterr().out
 
     def test_omega_leaf(self, pair_file, tmp_path, capsys):
         omega = WeakModulus(coords=(), tail=linear_modulus(2), aggregator=Aggregator.MAX)

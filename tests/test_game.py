@@ -21,6 +21,7 @@ from clgames.game import (
     strategy_to_json,
     winning_strategy,
 )
+from clgames.infinitary import AtomicLeaf, DynamicSolver, RAlphaSolver
 from clgames.moduli import capped_linear, identity_modulus
 from clgames.structures import (
     MetricStructure,
@@ -228,6 +229,56 @@ class TestGameValue:
             monkeypatch.setenv("CLGAMES_MAX_POSITIONS", raw)
             with pytest.raises(ValueError, match="CLGAMES_MAX_POSITIONS"):
                 game_value(PAIR_55, rounds=1, build_strategies=False)
+
+
+# every public solver method that takes a position checks the rounds, the
+# position and the depth of its search itself
+@pytest.mark.parametrize("solve, message", [
+    pytest.param(
+        lambda: GameSolver(PAIR_55).value(Position(), -1),
+        "^rounds must be non-negative, got -1$", id="value-negative-rounds",
+    ),
+    pytest.param(
+        lambda: GameSolver(PAIR_55).best_move(Position(), 0),
+        "^rounds must be at least 1, got 0$", id="best-move-no-round",
+    ),
+    pytest.param(
+        lambda: GameSolver(PAIR_55).best_reply(Position(), "L", 0, 0),
+        "^rounds must be at least 1, got 0$", id="best-reply-no-round",
+    ),
+    pytest.param(
+        lambda: GameSolver(PAIR_55).ii_strategy_tree(Position(), 3000),
+        "^3000 rounds need a recursion deeper", id="ii-tree-too-deep",
+    ),
+    pytest.param(
+        lambda: GameSolver(PAIR_55).i_witness_tree(Position(), 3000),
+        "^3000 rounds need a recursion deeper", id="i-tree-too-deep",
+    ),
+    pytest.param(
+        lambda: RAlphaSolver(PAIR_55, AtomicLeaf()).value(Position(), -1),
+        "^rounds must be non-negative, got -1$", id="ralpha-negative-clock",
+    ),
+    pytest.param(
+        lambda: DynamicSolver(PAIR_55, AtomicLeaf()).value(Position(), -1),
+        "^clock must be non-negative, got -1$", id="dynamic-negative-clock",
+    ),
+    pytest.param(
+        lambda: GameSolver(PAIR_55).leaf(Position((9,), (0,))),
+        "^left point index 9 out of range$", id="leaf-bad-position",
+    ),
+    pytest.param(
+        lambda: GameSolver(PAIR_55).value(Position((0,), (9,)), 1),
+        "^right point index 9 out of range$", id="value-bad-position",
+    ),
+    pytest.param(
+        lambda: GameSolver(PAIR_55).best_reply(Position((9,), (0,)), "L", 0, 1),
+        "^left point index 9 out of range$", id="best-reply-bad-position",
+    ),
+])
+def test_solver_entry_rejects_bad_input_in_one_line(solve, message):
+    with pytest.raises(ValueError, match=message) as err:
+        solve()
+    assert "\n" not in str(err.value)
 
 
 class TestCertificates:

@@ -150,15 +150,16 @@ class TestDynamicGame:
             helpers.random_structure(rng, sig, n_points=4),
             helpers.random_structure(rng, sig, n_points=4),
         )
-        solver = DynamicSolver(pair, AtomicLeaf(), max_positions=300)
+        # the whole solve holds 137 leaf and 155 dynamic entries
+        solver = DynamicSolver(pair, AtomicLeaf(), max_positions=200)
         with pytest.raises(ResourceCapError) as err:
             solver.value(Position(), 3)
         inner = solver.inner
-        assert len(solver._memo) + len(inner._leaf) + len(inner._values) <= 300
+        assert len(solver._memo) + len(inner._leaf) + len(inner._values) <= 200
         assert err.value.entries == {
             "leaf": len(inner._leaf), "value": len(inner._values), "dynamic": len(solver._memo)
         }
-        assert sum(err.value.entries.values()) == 300
+        assert sum(err.value.entries.values()) == 200
 
     def test_clock_deeper_than_the_stack_rejected(self):
         # the value at a clock recurses into the value at the clock below
@@ -317,19 +318,25 @@ class TestOmegaGame:
             assert omega == values[-1]
             assert values[-1] == values[-2] == values[-3]
 
-    def test_functions_rejected(self):
-        from clgames.moduli import identity_modulus
-        from clgames.structures import FunctionSymbol
-
-        sig = Signature(functions=(FunctionSymbol("f", 1, identity_modulus()),))
-        s = MetricStructure(
-            signature=sig,
-            points=("a", "b"),
-            dist=((F(0), F(1)), (F(1), F(0))),
-            function_tables={"f": {(0,): 0, (1,): 1}},
-        )
-        with pytest.raises(ValueError):
-            omega_game_value_atomic(NamedPair(s, s))
+    def test_function_symbols_match_value_iteration(self):
+        # a unary function and maybe a constant, at term depth 0-2; at most
+        # 9 pairs keeps the oracle fast, and nearly isomorphic pairs (a
+        # permuted copy with entries redrawn) keep the values apart
+        rng = random.Random(46)
+        for nl, nr in ((1, 2), (2, 2), (2, 2), (2, 3), (3, 3), (2, 4)):
+            sig = helpers.random_signature(
+                rng, with_constant=rng.random() < 0.5, with_function=True
+            )
+            left = helpers.random_structure(rng, sig, n_points=nl)
+            if nl == nr:
+                right = helpers.permuted_copy(left, rng)
+                right = helpers.redrawn_copy(right, rng, entries=rng.randint(1, 2))
+            else:
+                right = helpers.random_structure(rng, sig, n_points=nr)
+            pair = NamedPair(left, right)
+            for depth in (0, 1, 2):
+                expected = helpers.value_iteration_omega(pair, term_depth=depth)
+                assert omega_game_value_atomic(pair, term_depth=depth) == expected
 
 
 OMEGA_SUM_DOUBLED = WeakModulus(

@@ -169,6 +169,14 @@ class TestModulusMax:
         assert modulus_max(capped_linear(2), capped_linear(F(1, 2))) == capped_linear(2)
 
     @settings(max_examples=60)
+    @given(moduli(), moduli(), moduli())
+    def test_n_ary(self, a, b, c):
+        assert modulus_max() == zero_modulus()
+        assert modulus_max(a) == a
+        # the least concave majorant is a closure, and the form is canonical
+        assert modulus_max(a, b, c) == modulus_max(modulus_max(a, b), c)
+
+    @settings(max_examples=60)
     @given(moduli(), moduli(), st.lists(rationals, min_size=1, max_size=8))
     def test_dominates_both(self, a, b, points):
         m = modulus_max(a, b)
