@@ -121,7 +121,7 @@ def main(argv=None) -> int:
     try:
         return _dispatch(args)
     except (StructureValidationError, ResourceCapError, FormulaError,
-            ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+            ValueError, KeyError, OSError, EOFError, json.JSONDecodeError) as exc:
         _error(exc)
         return 1
     except RecursionError as exc:
@@ -248,8 +248,8 @@ def _cmd_game(args) -> int:
     if args.strategy:
         blob = {
             "value": rat_to_json(result.value),
-            "ii_strategy": strategy_to_json(result.ii_strategy),
-            "i_witness": strategy_to_json(result.i_witness),
+            "ii_strategy": strategy_to_json(result.ii_strategy, max_positions=args.max_positions),
+            "i_witness": strategy_to_json(result.i_witness, max_positions=args.max_positions),
         }
         args.strategy.write_text(json.dumps(blob, indent=2) + "\n")
         lines.append(f"certificates written to {args.strategy}")

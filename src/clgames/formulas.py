@@ -16,7 +16,7 @@ on its arguments, which drives the formula modulus recursion, the
 error-propagation modulus ``theta_of`` and the delta-formula check.
 
 ``evaluate`` runs in integers.  It compiles the formula into a tree of
-closures over the structure's integer form (``structures.integer_forms``),
+closures over the structure's ``integer_form``, built once per structure,
 whose atoms are integers over the structure's common denominator D.  Each
 node carries its own denominator: D for an atom, q's for ConstVal(q), s
 times its child's for Scale(p/s), and the lcm of its children's for every
@@ -54,7 +54,7 @@ from .moduli import (
     zero_modulus,
 )
 from .rationals import format_rat, rat
-from .structures import IntegerForm, MetricStructure, Signature, integer_forms
+from .structures import MetricStructure, Signature
 
 __all__ = [
     "Var",
@@ -396,20 +396,8 @@ def evaluate(phi: Formula, structure: MetricStructure, assignment: dict | None =
     formula runs in integers over the structure's integer form (see
     ``_compile``).
     """
-    return _evaluator(structure)(phi, assignment)
-
-
-def _evaluator(structure: MetricStructure):
-    """``evaluate`` on one structure, whose integer form is built once: for
-    callers that evaluate many formulas or assignments there."""
-    (form,) = integer_forms(structure)
-    size = structure.size
-
-    def value(phi: Formula, assignment: dict | None = None) -> Fraction:
-        run, den = _compile(phi, form, size, _checked_points(assignment or {}, size))
-        return Fraction(run(), den)
-
-    return value
+    run, den = _compile(phi, structure, _checked_points(assignment or {}, structure.size))
+    return Fraction(run(), den)
 
 
 def _checked_points(assignment: dict, size: int) -> dict:
@@ -419,7 +407,7 @@ def _checked_points(assignment: dict, size: int) -> dict:
     return assignment
 
 
-def _compile(phi: Formula, form: IntegerForm, size: int, assignment: dict):
+def _compile(phi: Formula, structure: MetricStructure, assignment: dict):
     """A closure computing phi's value times a denominator N, and N.
 
     Each node has its own N: an atom the form's ``den``, ConstVal(q) q's
@@ -431,7 +419,8 @@ def _compile(phi: Formula, form: IntegerForm, size: int, assignment: dict):
     """
     env = list(assignment.values())
     slots = {var: i for i, var in enumerate(assignment)}
-    dist, den, points = form.dist, form.den, range(size)
+    form = structure.integer_form
+    dist, den, points = form.dist, form.den, range(structure.size)
 
     def slot(var: int, scope: frozenset) -> int:
         if var not in scope and var not in assignment:
@@ -446,10 +435,10 @@ def _compile(phi: Formula, form: IntegerForm, size: int, assignment: dict):
             i = slot(t.index, scope)
             return lambda: env[i]
         if isinstance(t, Const):
-            p = form.constants[t.name]
+            p = structure.constant_map[t.name]
             return lambda: p
         if isinstance(t, Apply):
-            table = form.functions[t.func]
+            table = structure.function_tables[t.func]
             args = [term(a, scope) for a in t.args]
             return lambda: table[tuple([a() for a in args])]
         raise FormulaError(f"unknown term node {t!r}")
@@ -721,10 +710,9 @@ def logical_distance_corpus(phi: Formula, psi: Formula, corpus: Sequence[MetricS
     fv = sorted(fv_phi)
     best = _ZERO
     for structure in corpus:
-        value = _evaluator(structure)
         for points in product(range(structure.size), repeat=len(fv)):
             env = dict(zip(fv, points))
-            best = max(best, abs(value(phi, env) - value(psi, env)))
+            best = max(best, abs(evaluate(phi, structure, env) - evaluate(psi, structure, env)))
     return best
 
 

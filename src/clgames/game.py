@@ -43,11 +43,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
-from .formulas import _evaluator, enumerate_atomic, is_delta_formula
+from .formulas import enumerate_atomic, evaluate, is_delta_formula
 from .moduli import PwlModulus
 from .rationals import format_rat
-from .structures import NamedPair, integer_forms
+from .structures import IntegerForm, NamedPair
 
 __all__ = [
     "Position",
@@ -98,7 +99,7 @@ def rounds_within_stack(rounds: int):
 class ResourceCapError(RuntimeError):
     """A solve that would outgrow the position cap.  ``table`` names the memo
     table whose new entry reached the cap; ``entries`` maps each memo table
-    to the entries it held."""
+    to the entries it held (for a ``certificate``, the nodes of its tree)."""
 
     def __init__(self, cap: int, table: str, entries: dict):
         held = ", ".join(f"{name} {count}" for name, count in entries.items())
@@ -173,15 +174,15 @@ class GameSolver:
     """Backward-induction solver for one structure pair.
 
     Positions are keyed by the sorted tuple of distinct played pairs, and
-    the minimax recurses over these keys.  The pair is compiled once, by
-    ``structures.integer_forms``, into integer tables over the common
-    denominator of both sides; a key's terms are its
-    pairs and the constants, closed ``term_depth`` times under the function
-    tables.  An atom mentions at most w = max(2, largest predicate arity) *
-    max(1, largest function arity)^term_depth played pairs, so a key of at
-    most w pairs is scored directly, over the same atoms as
-    ``enumerate_atomic``, and a longer key is the max over its w-pair
-    subsets.  Memos hold integers; the public methods return ``Fraction``s.
+    the minimax recurses over these keys.  The pair is compiled once into
+    integer tables, the sides' ``integer_form`` over their common
+    denominator; a key's terms are its pairs and the constants, closed
+    ``term_depth`` times under the function tables.  An atom mentions at
+    most w = max(2, largest predicate arity) * max(1, largest function
+    arity)^term_depth played pairs, so a key of at most w pairs is scored
+    directly, over the same atoms as ``enumerate_atomic``, and a longer key
+    is the max over its w-pair subsets.  Memos hold integers; the public
+    methods return ``Fraction``s.
 
     The public methods check their inputs: the rounds must be non-negative
     (at least 1 for ``best_move`` and ``best_reply``) and every played point
@@ -244,17 +245,19 @@ class GameSolver:
         """Integer distance and predicate tables of both sides over one
         common denominator ``_den``, the function tables and the constants'
         point pairs."""
-        sig = self.pair.signature
-        left, right = integer_forms(self.pair.left, self.pair.right)
-        self._den = left.den
+        sig, sides = self.pair.signature, (self.pair.left, self.pair.right)
+        self._den = den = lcm(*(s.integer_form.den for s in sides))
+        left, right = (
+            s.integer_form if s.integer_form.den == den else IntegerForm.of(s, den) for s in sides
+        )
         self._dist = [left.dist, right.dist]
         self._preds = [
             (p.arity, left.predicates[p.name], right.predicates[p.name]) for p in sig.predicates
         ]
         self._funcs = [
-            (f.arity, left.functions[f.name], right.functions[f.name]) for f in sig.functions
+            (f.arity, *(s.function_tables[f.name] for s in sides)) for f in sig.functions
         ]
-        self._constants = tuple((left.constants[c], right.constants[c]) for c in sig.constants)
+        self._constants = tuple(tuple(s.constant_map[c] for s in sides) for c in sig.constants)
 
     def _fraction(self, v) -> Fraction:
         """A memoized integer as a Fraction over the common denominator."""
@@ -501,15 +504,9 @@ class GameSolver:
 def _max_gap(pair: NamedPair, formulas, left: tuple, right: tuple) -> Fraction:
     """Largest |value on the left - value on the right| over the formulas,
     with x_i bound to left[i] and right[i]; 0 for no formulas."""
-    env_l = dict(enumerate(left))
-    env_r = dict(enumerate(right))
-    value_l, value_r = _evaluator(pair.left), _evaluator(pair.right)
-    best = _ZERO
-    for phi in formulas:
-        gap = abs(value_l(phi, env_l) - value_r(phi, env_r))
-        if gap > best:
-            best = gap
-    return best
+    env_l, env_r = dict(enumerate(left)), dict(enumerate(right))
+    gaps = (evaluate(phi, pair.left, env_l) - evaluate(phi, pair.right, env_r) for phi in formulas)
+    return max(map(abs, gaps), default=_ZERO)
 
 
 def atomic_discrepancy(pair: NamedPair, position: Position, term_depth: int = 0) -> Fraction:
@@ -584,30 +581,52 @@ def winning_strategy(
     return "I", result.i_witness
 
 
-def strategy_to_json(node) -> dict | None:
+def strategy_to_json(node, max_positions: int | None = None) -> dict | None:
+    """The certificate as a JSON tree, its shared nodes expanded once per
+    path.  The tree's nodes are counted on the DAG first: above the solve's
+    cap (by default ``default_position_cap()``) no dict is built and a
+    ``ResourceCapError`` names the ``certificate`` table."""
+    cap = default_position_cap() if max_positions is None else max_positions
+    size = _tree_size(node, {})
+    if size > cap:
+        raise ResourceCapError(cap, "certificate", {"certificate": size})
+    return _tree_json(node)
+
+
+def _tree_size(node, sizes: dict) -> int:
+    """The nodes of a certificate's full tree, one memo entry per shared
+    node."""
+    if node is None:
+        return 0
+    if id(node) not in sizes:
+        if isinstance(node, IIStrategyNode):
+            children = [child for _, child in node.responses.values()]
+        elif isinstance(node, IWitnessNode):
+            children = node.continuations.values()
+        else:
+            raise TypeError(f"not a strategy node: {node!r}")
+        sizes[id(node)] = 1 + sum(_tree_size(child, sizes) for child in children)
+    return sizes[id(node)]
+
+
+def _tree_json(node) -> dict | None:
     if node is None:
         return None
     if isinstance(node, IIStrategyNode):
         return {
             "kind": "duplicator",
             "responses": {
-                f"{side}:{element}": {
-                    "reply": reply,
-                    "next": strategy_to_json(child),
-                }
+                f"{side}:{element}": {"reply": reply, "next": _tree_json(child)}
                 for (side, element), (reply, child) in sorted(node.responses.items())
             },
         }
-    if isinstance(node, IWitnessNode):
-        return {
-            "kind": "spoiler",
-            "move": f"{node.side}:{node.element}",
-            "continuations": {
-                str(reply): strategy_to_json(child)
-                for reply, child in sorted(node.continuations.items())
-            },
-        }
-    raise TypeError(f"not a strategy node: {node!r}")
+    return {
+        "kind": "spoiler",
+        "move": f"{node.side}:{node.element}",
+        "continuations": {
+            str(reply): _tree_json(child) for reply, child in sorted(node.continuations.items())
+        },
+    }
 
 
 def play_interactive(

@@ -9,14 +9,14 @@ and predicate values live in [0, 1].
 Validation reports every broken invariant with a concrete witness instead of
 raising: violations are data.
 
-``integer_forms`` compiles structures into one integer form: distances and
-predicate values scaled to integers over the lcm of their denominators, plus
-the function tables and the constants.  It is the package's one scaling
-path.  ``validate`` runs every check on it: a modulus is tabulated once per
-distinct distance as floor(modulus(d) * D), an exact bound for integer value
-gaps, and the structure's Fractions are formatted only for a reported
-violation.  The game solver builds its leaf tables from the same form, over
-the common denominator of both sides.
+A structure's ``integer_form`` holds its distances and predicate values as
+integers over the lcm D of their denominators.  It is built once, on first
+use, and is the package's one scaling path.  ``validate`` runs every check
+on it: a modulus is tabulated once per distinct distance as
+floor(modulus(d) * D), an exact bound for integer value gaps, and the
+structure's Fractions are formatted only for a reported violation.
+``formulas.evaluate`` reads the same form, and the game solver brings both
+sides to their common denominator with ``IntegerForm.of``.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import product, repeat
 from math import lcm
@@ -50,7 +51,6 @@ __all__ = [
     "Violation",
     "ValidationReport",
     "IntegerForm",
-    "integer_forms",
     "StructureValidationError",
     "validate",
     "reduct",
@@ -64,10 +64,6 @@ __all__ = [
     "load_pair",
     "save_pair",
 ]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 @dataclass(frozen=True)
 class PredicateSymbol:
@@ -179,6 +175,11 @@ class MetricStructure:
     def constant(self, name: str) -> int:
         return self.constant_map[name]
 
+    @cached_property
+    def integer_form(self) -> IntegerForm:
+        """``IntegerForm.of(self)``, built on first use and then kept."""
+        return IntegerForm.of(self)
+
 
 @dataclass(frozen=True)
 class NamedPair:
@@ -241,46 +242,34 @@ def _tuples(n_points: int, arity: int):
 
 @dataclass(frozen=True)
 class IntegerForm:
-    """A structure's numbers as integers over the common denominator ``den``:
-    each distance d and each predicate value v of a signature symbol is held
-    as d * den and v * den.  The function tables and the constant map are the
-    structure's own."""
+    """A structure's numbers as integers over the denominator ``den``: each
+    distance d and each predicate value v of a signature symbol is held as
+    d * den and v * den."""
 
     den: int
     dist: tuple[tuple[int, ...], ...]
     predicates: dict
-    functions: dict
-    constants: dict
 
+    @classmethod
+    def of(cls, structure: MetricStructure, den: int | None = None) -> IntegerForm:
+        """The structure's form over ``den``: by default the lcm of the
+        denominators of its distances and of its signature's predicate tables
+        (a table the structure lacks is left out), else a multiple of it."""
+        names = {p.name for p in structure.signature.predicates}
+        tables = {name: t for name, t in structure.predicate_tables.items() if name in names}
+        if den is None:
+            dens = {v.denominator for row in structure.dist for v in row}
+            dens.update(v.denominator for t in tables.values() for v in t.values())
+            den = lcm(*dens)
 
-def integer_forms(*structures: MetricStructure) -> tuple[IntegerForm, ...]:
-    """The integer forms of the structures, all over the lcm of the
-    denominators of their distances and of their signature's predicate
-    tables (a table the structure lacks is left out)."""
-    tables = [
-        {p.name: s.predicate_tables[p.name] for p in s.signature.predicates
-         if p.name in s.predicate_tables}
-        for s in structures
-    ]
-    dens = {v.denominator for s in structures for row in s.dist for v in row}
-    dens.update(v.denominator for ts in tables for t in ts.values() for v in t.values())
-    den = lcm(*dens)
+        def scaled(v) -> int:
+            return v.numerator * (den // v.denominator)
 
-    def scaled(v) -> int:
-        return v.numerator * (den // v.denominator)
-
-    return tuple(
-        IntegerForm(
-            den=den,
-            dist=tuple(tuple(scaled(v) for v in row) for row in s.dist),
-            predicates={
-                name: {args: scaled(v) for args, v in t.items()} for name, t in ts.items()
-            },
-            functions=s.function_tables,
-            constants=s.constant_map,
+        return cls(
+            den,
+            tuple(tuple(map(scaled, row)) for row in structure.dist),
+            {name: {args: scaled(v) for args, v in t.items()} for name, t in tables.items()},
         )
-        for s, ts in zip(structures, tables)
-    )
 
 
 def _modulus_bounds(modulus: PwlModulus, form: IntegerForm) -> list[list[int]]:
@@ -327,7 +316,7 @@ def validate(structure: MetricStructure, allow_pseudometric: bool = False) -> Va
     if len(d) != n or any(len(row) != n for row in d):
         report.add("matrix-shape", (), f"distance matrix must be {n}x{n}")
         return report
-    (form,) = integer_forms(structure)
+    form = structure.integer_form
     dist, den = form.dist, form.den
 
     for i in range(n):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,23 @@ from clgames.witnesses import cardinality_witness_pair, discrete_structure
 import helpers
 
 F = Fraction
+
+
+def _certificate_leaves(pair, node, left=(), right=()):
+    """The leaf of every play a certificate file allows, scored by
+    ``helpers.plain_leaf``."""
+    if node is None:
+        yield helpers.plain_leaf(pair, left, right)
+        return
+    if node["kind"] == "duplicator":
+        steps = [(move, step["reply"], step["next"]) for move, step in node["responses"].items()]
+    else:
+        steps = [(node["move"], int(reply), child)
+                 for reply, child in node["continuations"].items()]
+    for move, reply, child in steps:
+        side, element = move.split(":")
+        a, b = (int(element), reply) if side == "L" else (reply, int(element))
+        yield from _certificate_leaves(pair, child, left + (a,), right + (b,))
 
 
 @pytest.fixture
@@ -153,6 +171,46 @@ class TestGameCommand:
         blob = json.loads(out.read_text())
         assert blob["ii_strategy"]["kind"] == "duplicator"
         assert blob["i_witness"]["kind"] == "spoiler"
+        # a 3-round certificate read back from the file: II's replies hold
+        # every play to the value, and I's moves force it
+        rc = main(
+            ["game", "--pair", str(pair_file), "--rounds", "3", "--strategy", str(out)]
+        )
+        assert rc == 0
+        assert "game value (3 round(s)): 1/8" in capsys.readouterr().out
+        blob = json.loads(out.read_text())
+        pair = load_pair(pair_file)
+        assert blob["value"] == [1, 8]
+        assert max(_certificate_leaves(pair, blob["ii_strategy"])) == F(1, 8)
+        assert min(_certificate_leaves(pair, blob["i_witness"])) == F(1, 8)
+
+    def test_certificate_over_the_cap_writes_nothing(self, pair_file, tmp_path, capsys,
+                                                     monkeypatch):
+        # II's 10-round tree has 1 + 5 + ... + 5^9 = 2,441,406 nodes, over the
+        # default cap, though its DAG is small: the count stops it at once
+        monkeypatch.delenv("CLGAMES_MAX_POSITIONS", raising=False)
+        out = tmp_path / "cert.json"
+        start = time.perf_counter()
+        rc = main(
+            ["game", "--pair", str(pair_file), "--rounds", "10", "--strategy", str(out)]
+        )
+        assert time.perf_counter() - start < 1
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "cap of 500000 entries" in captured.err
+        assert "certificate table" in captured.err and "certificate 2441406" in captured.err
+        assert not out.exists()
+        # --max-positions caps the certificate too: at 4 rounds the solve
+        # holds 99 entries and II's tree has 1 + 5 + 25 + 125 = 156 nodes
+        argv = ["game", "--pair", str(pair_file), "--rounds", "4", "--strategy", str(out)]
+        assert main(argv + ["--max-positions", "155"]) == 1
+        err = capsys.readouterr().err
+        assert "cap of 155 entries" in err and "certificate 156" in err
+        assert not out.exists()
+        assert main(argv + ["--max-positions", "156"]) == 0
+        assert json.loads(out.read_text())["value"] == [1, 8]
 
     def test_resource_cap_message(self, pair_file, capsys):
         rc = main(["game", "--pair", str(pair_file), "--rounds", "3", "--max-positions", "4"])
@@ -346,6 +404,17 @@ class TestPlayCommand:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "rounds" in captured.err
         assert captured.err.count("\n") == 1
+
+    def test_input_ending_mid_game_exit_one(self, pair_file, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        rc = main(["play", "--pair", str(pair_file), "--rounds", "1", "--epsilon", "1/4",
+                   "--human-side", "II"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "I plays" in captured.out
+        assert captured.err == "error: input ended mid-game\n"
 
 
 class TestInputTooDeep:

@@ -345,6 +345,22 @@ class TestCertificates:
                 self.exhaustive_check(pair, rounds)
         self.exhaustive_check(cardinality_witness_pair(F(1, 4)), 3)
 
+    def test_json_tree_counted_against_the_cap(self, monkeypatch):
+        # the 4-round trees have 156 II nodes and 1 + 3 + 9 + 27 = 40 I nodes
+        result = game_value(PAIR_55, rounds=4)
+        with pytest.raises(ResourceCapError) as err:
+            strategy_to_json(result.ii_strategy, max_positions=155)
+        assert (err.value.cap, err.value.table) == (155, "certificate")
+        assert err.value.entries == {"certificate": 156}
+        assert strategy_to_json(result.ii_strategy, max_positions=156)["kind"] == "duplicator"
+        assert strategy_to_json(result.i_witness, max_positions=40)["kind"] == "spoiler"
+        monkeypatch.setenv("CLGAMES_MAX_POSITIONS", "39")
+        with pytest.raises(ResourceCapError, match="certificate 40"):
+            strategy_to_json(result.i_witness)
+        assert strategy_to_json(None, max_positions=1) is None
+        with pytest.raises(TypeError, match="not a strategy node"):
+            strategy_to_json("L:0")
+
     def test_winning_strategy_sides(self):
         side, _ = winning_strategy(PAIR_55, rounds=2, epsilon=F(1))
         assert side == "II"

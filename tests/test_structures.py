@@ -1,5 +1,6 @@
 """Structure validation, reducts, expansions, relationalization, file I/O."""
 
+import dataclasses
 import json
 import random
 import time
@@ -8,9 +9,12 @@ from itertools import product
 
 import pytest
 
+from clgames.formulas import evaluate, parse_formula, sample_formulas
+from clgames.game import game_value
 from clgames.moduli import PwlModulus, capped_linear, identity_modulus, linear_modulus
 from clgames.structures import (
     FunctionSymbol,
+    IntegerForm,
     MetricStructure,
     NamedPair,
     PredicateSymbol,
@@ -485,3 +489,86 @@ class TestNamedPair:
         b = two_point(capped_linear(2))
         with pytest.raises(ValueError):
             NamedPair(a, b)
+
+
+@pytest.fixture
+def form_builds(monkeypatch):
+    """Every integer form built, as (structure, den asked for)."""
+    built = []
+    build = IntegerForm.of.__func__
+
+    def counting(cls, structure, den=None):
+        built.append((structure, den))
+        return build(cls, structure, den)
+
+    monkeypatch.setattr(IntegerForm, "of", classmethod(counting))
+    return built
+
+
+class TestIntegerForm:
+    def test_evaluate_builds_the_form_once(self, form_builds):
+        rng = random.Random(11)
+        sig = helpers.random_signature(rng, with_constant=True, with_function=True)
+        structure = helpers.random_structure(rng, sig, 4, values=helpers.COPRIME_VALUE_GRID)
+        sentences = sample_formulas(sig, qr_bound=2, count=40, seed=11)
+        assert len(sentences) == 40
+        for phi in sentences:
+            assert evaluate(phi, structure) == helpers.fraction_evaluate(phi, structure)
+        assert len(form_builds) == 1 and form_builds[0][0] is structure
+
+    def test_load_pair_then_game_builds_each_side_once(self, form_builds, tmp_path):
+        # the sides' own denominators are 8 and 12, built once each by
+        # load_pair's validation; the solver adds one form per side over 24
+        rng = random.Random(12)
+        sig = helpers.random_signature(rng)
+        pair = NamedPair(
+            helpers.random_structure(rng, sig, 3),
+            helpers.random_structure(rng, sig, 3, distances=(F(2, 3), F(1))),
+        )
+        path = tmp_path / "pair.json"
+        save_pair(pair, path)
+        loaded = load_pair(path)
+        value = game_value(loaded, rounds=2).value
+        assert value == helpers.brute_force_game_value(loaded, (), (), 2)
+        assert [(id(s), den) for s, den in form_builds] == [
+            (id(loaded.left), None), (id(loaded.right), None),
+            (id(loaded.left), 24), (id(loaded.right), 24),
+        ]
+        assert (loaded.left.integer_form.den, loaded.right.integer_form.den) == (8, 12)
+        # sides over one denominator are read as they are, with no build
+        form_builds.clear()
+        assert game_value(NamedPair(loaded.left, loaded.left), rounds=2).value == 0
+        assert form_builds == []
+
+    def test_a_multiple_of_the_denominator_scales_every_number(self):
+        rng = random.Random(13)
+        structure = helpers.random_structure(rng, helpers.random_signature(rng), 3)
+        form = structure.integer_form
+        assert IntegerForm.of(structure, form.den) == form
+        wider = IntegerForm.of(structure, form.den * 3)
+        assert wider.den == form.den * 3
+        assert wider.dist == tuple(tuple(3 * v for v in row) for row in form.dist)
+        assert wider.predicates == {
+            name: {args: 3 * v for args, v in t.items()} for name, t in form.predicates.items()
+        }
+
+    def test_replaced_structure_gets_its_own_form(self, form_builds):
+        sig = Signature(predicates=(PredicateSymbol("P", 1, capped_linear(2)),))
+        structure = MetricStructure(
+            signature=sig,
+            points=("a", "b"),
+            dist=((F(0), F(1)), (F(1), F(0))),
+            predicate_tables={"P": {(0,): F(0), (1,): F(1, 3)}},
+        )
+        phi = parse_formula("max(sup x0. sup x1. d(x0, x1), sup x0. P(x0))", sig)
+        assert evaluate(phi, structure) == 1
+        halved = dataclasses.replace(
+            structure,
+            dist=((F(0), F(1, 2)), (F(1, 2), F(0))),
+            predicate_tables={"P": {(0,): F(0), (1,): F(1, 5)}},
+        )
+        assert evaluate(phi, halved) == F(1, 2)
+        assert evaluate(phi, structure) == 1
+        assert halved.integer_form is not structure.integer_form
+        assert (structure.integer_form.den, halved.integer_form.den) == (3, 10)
+        assert [s for s, _ in form_builds] == [structure, halved]
