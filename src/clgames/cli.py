@@ -246,12 +246,7 @@ def _cmd_game(args) -> int:
         lines.append(f"at eps = {format_rat(eps)}: {winner} wins")
         exit_code = 0 if winner == "II" else 1
     if args.strategy:
-        blob = {
-            "value": rat_to_json(result.value),
-            "ii_strategy": strategy_to_json(result.ii_strategy, max_positions=args.max_positions),
-            "i_witness": strategy_to_json(result.i_witness, max_positions=args.max_positions),
-        }
-        args.strategy.write_text(json.dumps(blob, indent=2) + "\n")
+        strategy_to_json(result, args.strategy, max_positions=args.max_positions)
         lines.append(f"certificates written to {args.strategy}")
     _emit(args, payload, lines)
     return exit_code

@@ -36,6 +36,7 @@ depth and the value is labelled depth-truncated.
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 from bisect import bisect_left
@@ -47,7 +48,7 @@ from math import lcm
 
 from .formulas import enumerate_atomic, evaluate, is_delta_formula
 from .moduli import PwlModulus
-from .rationals import format_rat
+from .rationals import format_rat, rat_to_json
 from .structures import IntegerForm, NamedPair
 
 __all__ = [
@@ -581,21 +582,82 @@ def winning_strategy(
     return "I", result.i_witness
 
 
-def strategy_to_json(node, max_positions: int | None = None) -> dict | None:
-    """The certificate as a JSON tree, its shared nodes expanded once per
-    path.  The tree's nodes are counted on the DAG first: above the solve's
-    cap (by default ``default_position_cap()``) no dict is built and a
-    ``ResourceCapError`` names the ``certificate`` table."""
+def strategy_to_json(result: GameValueResult, path, max_positions: int | None = None) -> None:
+    """Write ``result``'s value and both certificates to ``path``: the text
+    of ``json.dumps({"value", "ii_strategy", "i_witness"}, indent=2)`` and a
+    newline, each certificate a full tree, its shared nodes expanded once
+    per path.  Each tree's nodes are counted on the DAG first: a tree above
+    the solve's cap (by default ``default_position_cap()``) raises a
+    ``ResourceCapError`` naming the ``certificate`` table before ``path``
+    is opened.  The file is streamed from the DAG: a node with two or more
+    parents is rendered to text once and reused for each of them, and
+    dropped after its last use."""
     cap = default_position_cap() if max_positions is None else max_positions
-    size = _tree_size(node, {})
-    if size > cap:
-        raise ResourceCapError(cap, "certificate", {"certificate": size})
-    return _tree_json(node)
+    sizes, parents = {}, {}
+    for tree in (result.ii_strategy, result.i_witness):
+        size = _tree_size(tree, sizes, parents)
+        if size > cap:
+            raise ResourceCapError(cap, "certificate", {"certificate": size})
+    shared = {ident for ident, count in parents.items() if count >= 2}
+    texts, pending = {}, []
+
+    def render(node, level: int, out: list):
+        """Append ``node``'s text, opened at indent ``level``, to ``out``;
+        at the top, ``out`` is ``pending`` and goes to the file."""
+        if node is None:
+            out.append("null")
+        elif id(node) not in shared:
+            fields(node, level, out)
+        else:
+            key = (id(node), level)
+            text = texts.get(key)
+            if text is None:
+                parts = []
+                fields(node, level, parts)
+                text = texts[key] = "".join(parts)
+            parents[id(node)] -= 1
+            if parents[id(node)] == 0:
+                del texts[key]
+            out.append(text)
+        if out is pending:
+            file.writelines(pending)
+            pending.clear()
+
+    def fields(node, level: int, out: list):
+        n0, n1, n2, n3 = ("\n" + "  " * (level + k) for k in range(4))
+        if isinstance(node, IIStrategyNode):
+            out.append(f'{{{n1}"kind": "duplicator",{n1}"responses": ')
+            lead = "{"
+            for (side, element), (reply, child) in sorted(node.responses.items()):
+                out.append(f'{lead}{n2}"{side}:{element}": {{{n3}"reply": {reply},{n3}"next": ')
+                render(child, level + 3, out)
+                out.append(n2 + "}")
+                lead = ","
+        else:
+            out.append(f'{{{n1}"kind": "spoiler",{n1}"move": "{node.side}:{node.element}",'
+                       f'{n1}"continuations": ')
+            lead = "{"
+            for reply, child in sorted(node.continuations.items()):
+                out.append(f'{lead}{n2}"{reply}": ')
+                render(child, level + 2, out)
+                lead = ","
+        out.append("{}" if lead == "{" else n1 + "}")
+        out.append(n0 + "}")
+
+    # json.dumps's text of the value alone, short of its closing "\n}"
+    head = json.dumps({"value": rat_to_json(result.value)}, indent=2)[:-2]
+    with open(path, "w", encoding="utf-8") as file:
+        pending.append(head)
+        for name, tree in (("ii_strategy", result.ii_strategy), ("i_witness", result.i_witness)):
+            pending.append(f',\n  "{name}": ')
+            render(tree, 1, pending)
+        pending.append("\n}\n")
+        file.writelines(pending)
 
 
-def _tree_size(node, sizes: dict) -> int:
+def _tree_size(node, sizes: dict, parents: dict) -> int:
     """The nodes of a certificate's full tree, one memo entry per shared
-    node."""
+    node; ``parents`` counts each node's parents in the DAG, one per edge."""
     if node is None:
         return 0
     if id(node) not in sizes:
@@ -605,28 +667,13 @@ def _tree_size(node, sizes: dict) -> int:
             children = node.continuations.values()
         else:
             raise TypeError(f"not a strategy node: {node!r}")
-        sizes[id(node)] = 1 + sum(_tree_size(child, sizes) for child in children)
+        size = 1
+        for child in children:
+            if child is not None:
+                parents[id(child)] = parents.get(id(child), 0) + 1
+                size += _tree_size(child, sizes, parents)
+        sizes[id(node)] = size
     return sizes[id(node)]
-
-
-def _tree_json(node) -> dict | None:
-    if node is None:
-        return None
-    if isinstance(node, IIStrategyNode):
-        return {
-            "kind": "duplicator",
-            "responses": {
-                f"{side}:{element}": {"reply": reply, "next": _tree_json(child)}
-                for (side, element), (reply, child) in sorted(node.responses.items())
-            },
-        }
-    return {
-        "kind": "spoiler",
-        "move": f"{node.side}:{node.element}",
-        "continuations": {
-            str(reply): _tree_json(child) for reply, child in sorted(node.continuations.items())
-        },
-    }
 
 
 def play_interactive(

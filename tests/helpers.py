@@ -34,7 +34,7 @@ from clgames.formulas import (
     _Slot,
     enumerate_atomic,
 )
-from clgames.game import Position
+from clgames.game import IIStrategyNode, Position
 from clgames.infinitary import generate_basic_family
 from clgames.moduli import capped_linear, identity_modulus
 from clgames.rationals import format_rat
@@ -370,6 +370,28 @@ def best_leaf_against_i(pair, position, node, term_depth: int = 0) -> Fraction:
         v = best_leaf_against_i(pair, nxt, child, term_depth)
         best = v if best is None else min(best, v)
     return best
+
+
+def strategy_dict(node) -> dict | None:
+    """A certificate as the dict tree its JSON holds, each shared node
+    expanded once per path: the oracle for ``game.strategy_to_json``."""
+    if node is None:
+        return None
+    if isinstance(node, IIStrategyNode):
+        return {
+            "kind": "duplicator",
+            "responses": {
+                f"{side}:{element}": {"reply": reply, "next": strategy_dict(child)}
+                for (side, element), (reply, child) in sorted(node.responses.items())
+            },
+        }
+    return {
+        "kind": "spoiler",
+        "move": f"{node.side}:{node.element}",
+        "continuations": {
+            str(reply): strategy_dict(child) for reply, child in sorted(node.continuations.items())
+        },
+    }
 
 
 def value_iteration_omega(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import json
 import random
 from fractions import Fraction
 
@@ -289,10 +290,11 @@ class TestCertificates:
         assert worst <= result.value
         assert best >= result.value
 
-    def test_shared_nodes_match_the_unshared_trees(self):
+    def test_shared_nodes_match_the_unshared_trees(self, tmp_path):
         # the trees share one node per (set of pairs, rounds); rebuilt over
         # ordered positions from the public best move and reply, node by
-        # node, they give the same JSON
+        # node, they give the same JSON, and the same file (every node of
+        # the rebuilt trees has one parent, so all of it is streamed)
         def ii_tree(solver, position, rounds):
             if rounds == 0:
                 return None
@@ -317,15 +319,24 @@ class TestCertificates:
         rng = random.Random(20)
         cases = [(PAIR_55, START_11, 3), (PAIR_55, Position(), 4)]
         cases += [(helpers.random_pair(rng, max_points=3), Position(), 3) for _ in range(3)]
+        shared, unshared = tmp_path / "shared.json", tmp_path / "unshared.json"
         for pair, start, rounds in cases:
             result = game_value(pair, start=start, rounds=rounds)
             solver = GameSolver(pair)
-            assert strategy_to_json(result.ii_strategy) == strategy_to_json(
-                ii_tree(solver, start, rounds)
+            trees = dataclasses.replace(
+                result,
+                ii_strategy=ii_tree(solver, start, rounds),
+                i_witness=i_tree(solver, start, rounds),
             )
-            assert strategy_to_json(result.i_witness) == strategy_to_json(
-                i_tree(solver, start, rounds)
+            assert helpers.strategy_dict(result.ii_strategy) == helpers.strategy_dict(
+                trees.ii_strategy
             )
+            assert helpers.strategy_dict(result.i_witness) == helpers.strategy_dict(
+                trees.i_witness
+            )
+            strategy_to_json(result, shared)
+            strategy_to_json(trees, unshared)
+            assert shared.read_bytes() == unshared.read_bytes()
         # the 4-round tree has 1 + 5 + 5^2 + 5^3 = 156 II nodes, and 25 of
         # them are distinct (set of pairs, rounds)
         result = game_value(PAIR_55, rounds=4)
@@ -345,21 +356,39 @@ class TestCertificates:
                 self.exhaustive_check(pair, rounds)
         self.exhaustive_check(cardinality_witness_pair(F(1, 4)), 3)
 
-    def test_json_tree_counted_against_the_cap(self, monkeypatch):
-        # the 4-round trees have 156 II nodes and 1 + 3 + 9 + 27 = 40 I nodes
+    def test_json_tree_counted_against_the_cap(self, monkeypatch, tmp_path):
+        # the 4-round trees have 156 II nodes and 1 + 3 + 9 + 27 = 40 I nodes;
+        # each tree is checked on its own, before the file is opened
         result = game_value(PAIR_55, rounds=4)
+        path = tmp_path / "cert.json"
         with pytest.raises(ResourceCapError) as err:
-            strategy_to_json(result.ii_strategy, max_positions=155)
+            strategy_to_json(result, path, max_positions=155)
         assert (err.value.cap, err.value.table) == (155, "certificate")
         assert err.value.entries == {"certificate": 156}
-        assert strategy_to_json(result.ii_strategy, max_positions=156)["kind"] == "duplicator"
-        assert strategy_to_json(result.i_witness, max_positions=40)["kind"] == "spoiler"
+        assert not path.exists()
+        only_i = dataclasses.replace(result, ii_strategy=None)
+        with pytest.raises(ResourceCapError, match="certificate 40"):
+            strategy_to_json(only_i, path, max_positions=39)
+        assert not path.exists()
+        strategy_to_json(only_i, path, max_positions=40)
+        blob = json.loads(path.read_text())
+        assert blob["ii_strategy"] is None and blob["i_witness"]["kind"] == "spoiler"
+        strategy_to_json(result, path, max_positions=156)
+        blob = json.loads(path.read_text())
+        assert blob["ii_strategy"]["kind"] == "duplicator"
+        path.unlink()
         monkeypatch.setenv("CLGAMES_MAX_POSITIONS", "39")
         with pytest.raises(ResourceCapError, match="certificate 40"):
-            strategy_to_json(result.i_witness)
-        assert strategy_to_json(None, max_positions=1) is None
+            strategy_to_json(only_i, path)
+        assert not path.exists()
+        strategy_to_json(game_value(PAIR_55, rounds=0), path, max_positions=1)
+        assert json.loads(path.read_text()) == {
+            "value": [0, 1], "ii_strategy": None, "i_witness": None
+        }
+        path.unlink()
         with pytest.raises(TypeError, match="not a strategy node"):
-            strategy_to_json("L:0")
+            strategy_to_json(dataclasses.replace(result, ii_strategy="L:0"), path)
+        assert not path.exists()
 
     def test_winning_strategy_sides(self):
         side, _ = winning_strategy(PAIR_55, rounds=2, epsilon=F(1))
@@ -387,12 +416,17 @@ class TestCertificates:
         with pytest.raises(ValueError):
             winning_strategy(PAIR_55, rounds=1, epsilon=F(0))
 
-    def test_strategy_json_round_trip_shape(self):
+    def test_strategy_json_round_trip_shape(self, tmp_path):
         result = game_value(PAIR_55, start=START_11, rounds=1)
-        blob = strategy_to_json(result.ii_strategy)
+        path = tmp_path / "cert.json"
+        strategy_to_json(result, path)
+        file = json.loads(path.read_text())
+        assert list(file) == ["value", "ii_strategy", "i_witness"]
+        assert file["value"] == [result.value.numerator, result.value.denominator]
+        blob = file["ii_strategy"]
         assert blob["kind"] == "duplicator"
         assert set(blob["responses"]) == {"L:0", "L:1", "R:0", "R:1", "R:2"}
-        blob_i = strategy_to_json(result.i_witness)
+        blob_i = file["i_witness"]
         assert blob_i["kind"] == "spoiler" and ":" in blob_i["move"]
 
 
