@@ -19,10 +19,13 @@ It memoizes on sets of played pairs, function symbols included: the atoms
 at a term depth over a position are closed under renaming its variables,
 and a repeated pair adds no new term value, so the atomic leaf, and with it
 every game value, depends only on the set of distinct played pairs.  Values
-are integers over one common denominator inside the solver.  The spoiler
-scan prunes exactly (an alpha cutoff, Knuth & Moore 1975): the leaf only
-grows along play, so V_{r-1}(p + (a,b)) >= leaf(p), and a move whose
-replies already reach the best value so far cannot be I's first best move.
+are integers over one common denominator inside the solver.  The search is
+an exact fail-soft alpha-beta (Knuth & Moore 1975) whose memo entries are
+(lower, upper) bounds (Marsland 1986).  The leaf only grows along play, so
+V_r(p) >= leaf(p): a lower bound starts there, and a move whose replies
+already reach the best value so far cannot be I's first best move.  Every
+public method searches with the full window, so values, best moves and
+certificates are those of the full scan.
 
 On set keys a stay (II repeating a played pair) leaves the key as it is, so
 the rounds clamp at the points a key leaves uncovered (V_r = V_u for r >= u),
@@ -66,6 +69,8 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
+# the full window of the alpha-beta search
+_LOW, _HIGH = float("-inf"), float("inf")
 
 _ENV_CAP = "CLGAMES_MAX_POSITIONS"
 DEFAULT_MAX_POSITIONS = 500_000
@@ -190,11 +195,18 @@ class GameSolver:
     in range, and a search deeper than the interpreter's recursion limit
     ends in a one-line ``ValueError``.
 
-    The spoiler scan prunes exactly: the replies to a move stop at the first
-    one no greater than the best value found so far, or than leaf(p) before
-    any move is scored.  Every memo entry, including those of the
-    dynamic-clock search built on this solver, goes through ``memoize`` and
-    is charged to one position cap.
+    The minimax is a fail-soft alpha-beta: ``_value``, ``_scan`` and
+    ``_reply`` take a window (alpha, beta).  A value entry is a (lower,
+    upper) pair, lower starting at leaf(p); a search returns at once when
+    the entry is exact or outside the window, and otherwise tightens the
+    entry in place.  The replies to a move stop at the first
+    one no greater than the best value so far, or than leaf(p) or alpha
+    before any move is scored, and the moves stop once the best reaches
+    beta.  Replies are tried in canonical order, so the full window, which
+    every public method uses, gives the first best move and reply.  Every
+    memo entry, including those of the dynamic-clock search built on this
+    solver, goes through ``memoize`` and is charged to one position cap,
+    once: a tightened entry is not charged again.
 
     Two shortcuts rest on the keys being sets, so that a stay (II repeating
     a played pair) leaves the key as it is; ``_OmegaLeafSolver``, whose keys
@@ -391,7 +403,7 @@ class GameSolver:
                     v = gap
             if best_val is None or v < best_val:
                 best_reply, best_val = reply, v
-                if bound is not None and v <= bound:
+                if v <= bound:
                     break
         return best_reply, best_val
 
@@ -405,7 +417,11 @@ class GameSolver:
         with rounds_within_stack(rounds):
             return self._fraction(self._value(key, rounds))
 
-    def _value(self, key, rounds: int):
+    def _value(self, key, rounds: int, alpha=_LOW, beta=_HIGH):
+        """V_rounds(key), fail-soft in the window (alpha, beta): a result
+        g <= alpha bounds the value from above, g >= beta from below, and
+        any g in between is the value.  The memo holds (lower, upper)
+        bounds, lower starting at leaf(key)."""
         # u(key) >= points - 2 |key|, so most calls skip counting it
         if self._set_keys and rounds > self._points - 2 * len(key):
             uncovered = self._points - len({a for a, _ in key}) - len({b for _, b in key})
@@ -413,9 +429,25 @@ class GameSolver:
         if rounds == 0:
             return self._leaf_at(key)
         memo_key = (key, rounds)
-        if memo_key in self._values:
-            return self._values[memo_key]
-        return self.memoize("value", memo_key, self._scan(key, rounds)[2])
+        entry = self._values.get(memo_key)
+        lower, upper = entry or (self._leaf_at(key), _HIGH)
+        if lower == upper or lower >= beta:
+            return lower
+        if upper <= alpha:
+            return upper
+        g = self._scan(key, rounds, alpha, beta)[2]
+        if g <= alpha:
+            upper = g
+        elif g >= beta:
+            lower = g
+        else:
+            lower = upper = g
+        if entry is None:
+            self.memoize("value", memo_key, (lower, upper))
+        else:
+            # a tightened entry is the same entry: nothing new to charge
+            self._values[memo_key] = (lower, upper)
+        return g
 
     def best_move(self, position: Position, rounds: int):
         """I's value-maximizing move as (side, element, value), first in
@@ -425,17 +457,22 @@ class GameSolver:
             side, element, worst = self._scan(key, rounds)
         return side, element, self._fraction(worst)
 
-    def _scan(self, key, rounds: int):
-        # a move's replies stop at the first one at most ``bound``: such a
-        # move cannot beat the best so far, and the first move's value is
-        # then exactly leaf(p), below which no child value lies
-        bound = self._leaf_at(key)
+    def _scan(self, key, rounds: int, alpha=_LOW, beta=_HIGH):
+        # a move's replies stop at the first one at most ``bound``, the best
+        # so far (before the first move, the larger of alpha and leaf(p),
+        # below which no child value lies): such a move cannot beat it; the
+        # moves stop once the best reaches beta
+        leaf = self._leaf_at(key)
+        bound = leaf if leaf > alpha else alpha
         best = None
         for side, element in self._moves:
-            _, worst = self._reply(key, side, element, rounds, bound)
+            _, worst = self._reply(key, side, element, rounds, bound, beta)
             if best is None or worst > best[2]:
                 best = (side, element, worst)
-                bound = worst
+                if worst >= beta:
+                    break
+                if worst > bound:
+                    bound = worst
         return best
 
     def best_reply(self, position: Position, side: str, element: int, rounds_left: int):
@@ -445,18 +482,21 @@ class GameSolver:
             reply, worst = self._reply(key, side, element, rounds_left)
         return reply, self._fraction(worst)
 
-    def _reply(self, key, side: str, element: int, rounds: int, bound=None):
+    def _reply(self, key, side: str, element: int, rounds: int, bound=_LOW, beta=_HIGH):
         """II's first value-minimizing reply and its value, or the first reply
-        whose value is at most ``bound``."""
+        whose value is at most ``bound``; fail-soft in (bound, beta) like
+        ``_value``."""
         if rounds == 1 and self._pairwise:
             return self._last_reply(key, side, element, bound)
-        best_reply, best_val = None, None
+        best_reply, best_val, top = None, None, beta
         for reply in self._replies[side]:
-            v = self._value(self._child(key, side, element, reply), rounds - 1)
+            v = self._value(self._child(key, side, element, reply), rounds - 1, bound, top)
             if best_val is None or v < best_val:
                 best_reply, best_val = reply, v
-                if bound is not None and v <= bound:
+                if v <= bound:
                     break
+                if v < top:
+                    top = v
         return best_reply, best_val
 
     def ii_strategy_tree(self, position: Position, rounds: int) -> IIStrategyNode | None:

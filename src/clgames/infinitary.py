@@ -8,8 +8,9 @@ The rank recursion on a structure pair:
 The dynamic game lets the spoiler also spend a strictly decreasing clock
 value each round; its least winning precision for the duplicator equals
 r_alpha, which the test-suite checks by running two independent
-implementations (plain recursion vs explicit game-tree search over
-(position, remaining-clock) states).
+implementations (the game kernel's recursion vs an explicit game-tree
+search over (position, remaining-clock) states, with its own memo of exact
+values and its own alpha cutoff).
 
 Leaf families:
 
@@ -201,9 +202,14 @@ class DynamicSolver:
     spoiler's clock choice is searched, not assumed maximal.  The value at
     clock c is the better of spending c - 1 now and spending less, which is
     the value at clock c - 1, so every choice is searched in time linear in
-    the clock (and in a recursion as deep as the clock).  It shares only the
-    kernel's position keys, its leaf scores and, at clock 1 (the last
-    round), its one-round reply scan.
+    the clock (and in a recursion as deep as the clock).
+
+    The search prunes with an alpha cutoff of its own: the best so far
+    starts at the value at clock c - 1, and a move's replies stop at the
+    first one no better than it, since that move cannot raise the max.  Its
+    memo over (clock, key) holds exact values.  It shares only the kernel's
+    position keys, its leaf scores and, at clock 1 (the last round), its
+    one-round reply scan, cut at the best so far, which starts at the leaf.
     """
 
     def __init__(self, pair: NamedPair, leaf: LeafFamily, max_positions: int | None = None):
@@ -223,16 +229,27 @@ class DynamicSolver:
         if memo_key in self._memo:
             return self._memo[memo_key]
         if clock == 1:
-            # the last round: each move's worst reply is the kernel's at one round
-            best = max(game._reply(key, side, element, 1)[1] for side, element in game._moves)
+            # the last round: each move's worst reply is the kernel's at one
+            # round, cut at the best so far, which starts at the leaf
+            best = game._leaf_at(key)
+            for side, element in game._moves:
+                worst = game._reply(key, side, element, 1, best)[1]
+                if worst > best:
+                    best = worst
         else:
-            # spending less than clock - 1 is worth the value at clock - 1
+            # spending less than clock - 1 is worth the value at clock - 1;
+            # a move's replies stop at the first one no better than the best
             best = self._value(key, clock - 1)
             for side, element in game._moves:
-                best = max(best, min(
-                    self._value(game._child(key, side, element, reply), clock - 1)
-                    for reply in game._replies[side]
-                ))
+                worst = None
+                for reply in game._replies[side]:
+                    v = self._value(game._child(key, side, element, reply), clock - 1)
+                    if worst is None or v < worst:
+                        worst = v
+                        if v <= best:
+                            break
+                if worst > best:
+                    best = worst
         return game.memoize("dynamic", memo_key, best)
 
     def principal_variation(self, position: Position, clock: int) -> list:

@@ -222,6 +222,27 @@ class TestGameValue:
             with pytest.raises(ValueError, match="at least 1"):
                 game_value(PAIR_55, rounds=1, max_positions=cap)
 
+    def test_tightened_entry_charged_once(self):
+        # a value entry holds (lower, upper) bounds, and a later search in
+        # another window may tighten it: the solve that does so fits a cap
+        # of exactly its distinct entries, and not one fewer
+        class Writes(dict):
+            count = 0
+
+            def __setitem__(self, key, value):
+                self.count += 1
+                super().__setitem__(key, value)
+
+        solver = GameSolver(PAIR_55)
+        solver._tables["value"] = solver._values = Writes()
+        assert solver.value(Position(), 3) == F(1, 8)
+        entries = len(solver._leaf) + len(solver._values)
+        assert solver._values.count > len(solver._values)
+        assert GameSolver(PAIR_55, max_positions=entries).value(Position(), 3) == F(1, 8)
+        with pytest.raises(ResourceCapError) as err:
+            GameSolver(PAIR_55, max_positions=entries - 1).value(Position(), 3)
+        assert sum(err.value.entries.values()) == entries - 1
+
     def test_resource_cap_from_environment(self, monkeypatch):
         monkeypatch.setenv("CLGAMES_MAX_POSITIONS", "5")
         with pytest.raises(ResourceCapError):

@@ -150,16 +150,16 @@ class TestDynamicGame:
             helpers.random_structure(rng, sig, n_points=4),
             helpers.random_structure(rng, sig, n_points=4),
         )
-        # the whole solve holds 137 leaf and 155 dynamic entries
-        solver = DynamicSolver(pair, AtomicLeaf(), max_positions=200)
+        # the whole solve holds 29 leaf and 38 dynamic entries
+        solver = DynamicSolver(pair, AtomicLeaf(), max_positions=50)
         with pytest.raises(ResourceCapError) as err:
             solver.value(Position(), 3)
         inner = solver.inner
-        assert len(solver._memo) + len(inner._leaf) + len(inner._values) <= 200
+        assert len(solver._memo) + len(inner._leaf) + len(inner._values) <= 50
         assert err.value.entries == {
             "leaf": len(inner._leaf), "value": len(inner._values), "dynamic": len(solver._memo)
         }
-        assert sum(err.value.entries.values()) == 200
+        assert sum(err.value.entries.values()) == 50
 
     def test_clock_deeper_than_the_stack_rejected(self):
         # the value at a clock recurses into the value at the clock below

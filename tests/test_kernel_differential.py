@@ -306,3 +306,97 @@ def test_binary_function_atom_needs_four_pairs():
         assert value == expected == helpers.brute_force_game_value(
             pair, start.left, start.right, 1, depth
         )
+
+
+def oracle_sized_case(data, rounds: int, **options):
+    """A pair and start from ``pairs_and_starts``, with sides of at most 2
+    points at 3 rounds, where the oracle's tree of (moves * replies)^rounds
+    positions is largest."""
+    if rounds >= 3:
+        options.update(max_left=2, max_right=2)
+    return data.draw(pairs_and_starts(**options))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_windowed_value_is_fail_soft(data):
+    # one solver answers a drawn sequence of windows at the start, so that
+    # later queries read the (lower, upper) bounds that earlier ones stored;
+    # a result g <= alpha bounds the value from above, g >= beta from below,
+    # and any g in between is the value
+    rounds = data.draw(st.integers(0, 3))
+    pair, left, right = oracle_sized_case(data, rounds)
+    depth = data.draw(st.integers(0, 2))
+    solver = GameSolver(pair, depth)
+    start = Position(left, right)
+    key = solver._enter(start, rounds)
+    expected = helpers.brute_force_game_value(pair, left, right, rounds, depth)
+    value = expected * solver._den
+    assert value.denominator == 1
+    leaf = solver._leaf_at(key)
+    # windows below the leaf, above it, around it and around the value
+    anchors = sorted({leaf - 1, leaf, leaf + 1, value - 1, value, value + 1})
+    anchors = [game._LOW] + anchors + [game._HIGH]
+    windows = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from(anchors), st.sampled_from(anchors)).filter(
+                lambda window: window[0] < window[1]
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    for alpha, beta in windows:
+        g = solver._value(key, rounds, alpha, beta)
+        if g <= alpha:
+            assert value <= g
+        elif g >= beta:
+            assert value >= g
+        else:
+            assert value == g
+    assert solver.value(start, rounds) == expected
+    if rounds:
+        assert solver.best_move(start, rounds) == helpers.first_best_move(
+            pair, left, right, rounds, depth
+        )
+        for side, element in solver._moves:
+            assert solver.best_reply(start, side, element, rounds) == helpers.first_best_reply(
+                pair, left, right, side, element, rounds, depth
+            )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_certificates_match_the_oracle_node_by_node(data):
+    # the value is solved first, so the certificates are built over a memo
+    # that holds bound entries; each node of either DAG, at the first
+    # position that reaches it, plays the oracle's first best choice
+    rounds = data.draw(st.integers(1, 3))
+    pair, left, right = oracle_sized_case(data, rounds, max_start=1, functions=False)
+    solver = GameSolver(pair)
+    start = Position(left, right)
+    solver.value(start, rounds)
+    seen = set()
+
+    def check_ii(node, position, rounds):
+        if node is None or id(node) in seen:
+            return
+        seen.add(id(node))
+        for (side, element), (reply, child) in node.responses.items():
+            expected, _ = helpers.first_best_reply(
+                pair, position.left, position.right, side, element, rounds
+            )
+            assert reply == expected
+            check_ii(child, solver.child(position, side, element, reply), rounds - 1)
+
+    def check_i(node, position, rounds):
+        if node is None or id(node) in seen:
+            return
+        seen.add(id(node))
+        side, element, _ = helpers.first_best_move(pair, position.left, position.right, rounds)
+        assert (node.side, node.element) == (side, element)
+        for reply, child in node.continuations.items():
+            check_i(child, solver.child(position, side, element, reply), rounds - 1)
+
+    check_ii(solver.ii_strategy_tree(start, rounds), start, rounds)
+    check_i(solver.i_witness_tree(start, rounds), start, rounds)
