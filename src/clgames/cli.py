@@ -8,6 +8,7 @@ machine-readable report with exact rationals as [num, den] pairs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -45,7 +46,10 @@ from .structures import (
 __all__ = ["main", "build_parser"]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: each subcommand sets ``run`` to
+    its handler."""
     parser = argparse.ArgumentParser(
         prog="clgames",
         description=(
@@ -57,16 +61,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a structure file against all axioms")
+    p.set_defaults(run=_cmd_validate)
     p.add_argument("structure", type=Path)
     p.add_argument("--skip-validation", action="store_true", help="only parse, do not check")
     p.add_argument("--pseudometric", action="store_true", help="permit zero distances")
 
     p = sub.add_parser("eval", help="evaluate a formula on a structure")
+    p.set_defaults(run=_cmd_eval)
     p.add_argument("--structure", type=Path, required=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--at", default=None, help="comma-separated points for x0, x1, ...")
 
     p = sub.add_parser("game", help="solve the finite-length game")
+    p.set_defaults(run=_cmd_game)
     p.add_argument("--pair", type=Path, required=True)
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--term-depth", type=int, default=0)
@@ -76,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-positions", type=int, default=None)
 
     p = sub.add_parser("ralpha", help="rank recursion / dynamic-clock value")
+    p.set_defaults(run=_cmd_ralpha)
     p.add_argument("--pair", type=Path, required=True)
     p.add_argument("--alpha", required=True, help="a natural number, or 'omega'")
     p.add_argument("--leaf", choices=["atomic", "omega"], default="atomic")
@@ -85,14 +93,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-positions", type=int, default=None)
 
     p = sub.add_parser("theta", help="report a formula's moduli")
+    p.set_defaults(run=_cmd_theta)
     p.add_argument("--structure", type=Path, required=True, help="supplies the signature")
     p.add_argument("--formula", required=True)
 
     p = sub.add_parser("dist", help="logical distance over a corpus of structures")
+    p.set_defaults(run=_cmd_dist)
     p.add_argument("--formula", action="append", required=True, help="give twice")
     p.add_argument("--corpus", type=Path, nargs="+", required=True)
 
     p = sub.add_parser("demo", help="reproduce a reference construction")
+    p.set_defaults(run=_cmd_demo)
     p.add_argument("name", choices=["covering", "corollary54", "corollary55", "section6"])
     p.add_argument("--epsilon", default="1/4")
     p.add_argument("--delta", default="1/2")
@@ -101,6 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=None, help="directory for emitted files")
 
     p = sub.add_parser("play", help="play the game against the optimal solver")
+    p.set_defaults(run=_cmd_play)
     p.add_argument("--pair", type=Path, required=True)
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--epsilon", required=True)
@@ -119,7 +131,7 @@ def main(argv=None) -> int:
     if depth is not None and depth < 0:
         parser.exit(2, f"error: --term-depth must be non-negative, got {depth}\n")
     try:
-        return _dispatch(args)
+        return args.run(args)
     except (StructureValidationError, ResourceCapError, FormulaError,
             ValueError, KeyError, OSError, EOFError, json.JSONDecodeError) as exc:
         _error(exc)
@@ -142,27 +154,6 @@ def _emit(args, payload: dict, text_lines):
     else:
         for line in text_lines:
             print(line)
-
-
-def _dispatch(args) -> int:
-    cmd = args.command
-    if cmd == "validate":
-        return _cmd_validate(args)
-    if cmd == "eval":
-        return _cmd_eval(args)
-    if cmd == "game":
-        return _cmd_game(args)
-    if cmd == "ralpha":
-        return _cmd_ralpha(args)
-    if cmd == "theta":
-        return _cmd_theta(args)
-    if cmd == "dist":
-        return _cmd_dist(args)
-    if cmd == "demo":
-        return _cmd_demo(args)
-    if cmd == "play":
-        return _cmd_play(args)
-    raise AssertionError(cmd)
 
 
 def _cmd_validate(args) -> int:
@@ -246,7 +237,7 @@ def _cmd_game(args) -> int:
         lines.append(f"at eps = {format_rat(eps)}: {winner} wins")
         exit_code = 0 if winner == "II" else 1
     if args.strategy:
-        strategy_to_json(result, args.strategy, max_positions=args.max_positions)
+        strategy_to_json(result, args.strategy)
         lines.append(f"certificates written to {args.strategy}")
     _emit(args, payload, lines)
     return exit_code

@@ -31,7 +31,9 @@ On set keys a stay (II repeating a played pair) leaves the key as it is, so
 the rounds clamp at the points a key leaves uncovered (V_r = V_u for r >= u),
 and, when every atom mentions at most two played pairs, the last ply scores
 each child from its parent's leaf with no memo entry (``GameSolver`` has
-both rules).  The strategy certificates share one node per (key, rounds).
+both rules).  The strategy certificates share one node per (key, rounds),
+held in the solver's ``certificate`` table under the same cap, and
+``strategy_to_json`` writes each as a table of those nodes.
 
 With function symbols the leaf check ranges over atoms up to a stated term
 depth and the value is labelled depth-truncated.
@@ -105,7 +107,7 @@ def rounds_within_stack(rounds: int):
 class ResourceCapError(RuntimeError):
     """A solve that would outgrow the position cap.  ``table`` names the memo
     table whose new entry reached the cap; ``entries`` maps each memo table
-    to the entries it held (for a ``certificate``, the nodes of its tree)."""
+    to the entries it held."""
 
     def __init__(self, cap: int, table: str, entries: dict):
         held = ", ".join(f"{name} {count}" for name, count in entries.items())
@@ -204,9 +206,11 @@ class GameSolver:
     before any move is scored, and the moves stop once the best reaches
     beta.  Replies are tried in canonical order, so the full window, which
     every public method uses, gives the first best move and reply.  Every
-    memo entry, including those of the dynamic-clock search built on this
-    solver, goes through ``memoize`` and is charged to one position cap,
-    once: a tightened entry is not charged again.
+    memo entry, including the certificates' nodes (the ``certificate``
+    table, made by the first certificate built) and the entries of the
+    dynamic-clock search built on this solver, goes through ``memoize`` and
+    is charged to one position cap, once: a tightened entry is not charged
+    again.
 
     Two shortcuts rest on the keys being sets, so that a stay (II repeating
     a played pair) leaves the key as it is; ``_OmegaLeafSolver``, whose keys
@@ -502,44 +506,49 @@ class GameSolver:
     def ii_strategy_tree(self, position: Position, rounds: int) -> IIStrategyNode | None:
         """II's optimal replies to every spoiler move, as a DAG with one node
         per (key, rounds)."""
-        nodes = {}
-
-        def node(key, rounds):
-            if rounds == 0:
-                return None
-            if (key, rounds) not in nodes:
-                responses = {}
-                for side, element in self._moves:
-                    reply, _ = self._reply(key, side, element, rounds)
-                    child = node(self._child(key, side, element, reply), rounds - 1)
-                    responses[(side, element)] = (reply, child)
-                nodes[key, rounds] = IIStrategyNode(responses)
-            return nodes[key, rounds]
-
-        key = self._enter(position, rounds)
-        with rounds_within_stack(rounds):
-            return node(key, rounds)
+        return self._certificate(self._ii_node, position, rounds)
 
     def i_witness_tree(self, position: Position, rounds: int) -> IWitnessNode | None:
         """I's first best move and a continuation for every reply, as a DAG
         with one node per (key, rounds)."""
-        nodes = {}
+        return self._certificate(self._i_node, position, rounds)
 
-        def node(key, rounds):
-            if rounds == 0:
-                return None
-            if (key, rounds) not in nodes:
-                side, element, _ = self._scan(key, rounds)
-                continuations = {
-                    reply: node(self._child(key, side, element, reply), rounds - 1)
-                    for reply in self._replies[side]
-                }
-                nodes[key, rounds] = IWitnessNode(side, element, continuations)
-            return nodes[key, rounds]
-
+    def _certificate(self, node, position: Position, rounds: int):
+        """The root ``node(key, rounds)`` of a certificate.  Its nodes are
+        memoized in the ``certificate`` table, made on first use, so the cap
+        bounds the certificates as they are built."""
         key = self._enter(position, rounds)
+        if "certificate" not in self._tables:
+            self.memo_table("certificate")
         with rounds_within_stack(rounds):
             return node(key, rounds)
+
+    def _ii_node(self, key, rounds: int) -> IIStrategyNode | None:
+        if rounds == 0:
+            return None
+        node = self._tables["certificate"].get(("II", key, rounds))
+        if node is None:
+            responses = {}
+            for side, element in self._moves:
+                reply, _ = self._reply(key, side, element, rounds)
+                child = self._child(key, side, element, reply)
+                responses[side, element] = (reply, self._ii_node(child, rounds - 1))
+            node = self.memoize("certificate", ("II", key, rounds), IIStrategyNode(responses))
+        return node
+
+    def _i_node(self, key, rounds: int) -> IWitnessNode | None:
+        if rounds == 0:
+            return None
+        node = self._tables["certificate"].get(("I", key, rounds))
+        if node is None:
+            side, element, _ = self._scan(key, rounds)
+            continuations = {
+                reply: self._i_node(self._child(key, side, element, reply), rounds - 1)
+                for reply in self._replies[side]
+            }
+            node = IWitnessNode(side, element, continuations)
+            self.memoize("certificate", ("I", key, rounds), node)
+        return node
 
 
 def _max_gap(pair: NamedPair, formulas, left: tuple, right: tuple) -> Fraction:
@@ -622,98 +631,55 @@ def winning_strategy(
     return "I", result.i_witness
 
 
-def strategy_to_json(result: GameValueResult, path, max_positions: int | None = None) -> None:
-    """Write ``result``'s value and both certificates to ``path``: the text
-    of ``json.dumps({"value", "ii_strategy", "i_witness"}, indent=2)`` and a
-    newline, each certificate a full tree, its shared nodes expanded once
-    per path.  Each tree's nodes are counted on the DAG first: a tree above
-    the solve's cap (by default ``default_position_cap()``) raises a
-    ``ResourceCapError`` naming the ``certificate`` table before ``path``
-    is opened.  The file is streamed from the DAG: a node with two or more
-    parents is rendered to text once and reused for each of them, and
-    dropped after its last use."""
-    cap = default_position_cap() if max_positions is None else max_positions
-    sizes, parents = {}, {}
-    for tree in (result.ii_strategy, result.i_witness):
-        size = _tree_size(tree, sizes, parents)
-        if size > cap:
-            raise ResourceCapError(cap, "certificate", {"certificate": size})
-    shared = {ident for ident, count in parents.items() if count >= 2}
-    texts, pending = {}, []
-
-    def render(node, level: int, out: list):
-        """Append ``node``'s text, opened at indent ``level``, to ``out``;
-        at the top, ``out`` is ``pending`` and goes to the file."""
-        if node is None:
-            out.append("null")
-        elif id(node) not in shared:
-            fields(node, level, out)
-        else:
-            key = (id(node), level)
-            text = texts.get(key)
-            if text is None:
-                parts = []
-                fields(node, level, parts)
-                text = texts[key] = "".join(parts)
-            parents[id(node)] -= 1
-            if parents[id(node)] == 0:
-                del texts[key]
-            out.append(text)
-        if out is pending:
-            file.writelines(pending)
-            pending.clear()
-
-    def fields(node, level: int, out: list):
-        n0, n1, n2, n3 = ("\n" + "  " * (level + k) for k in range(4))
-        if isinstance(node, IIStrategyNode):
-            out.append(f'{{{n1}"kind": "duplicator",{n1}"responses": ')
-            lead = "{"
-            for (side, element), (reply, child) in sorted(node.responses.items()):
-                out.append(f'{lead}{n2}"{side}:{element}": {{{n3}"reply": {reply},{n3}"next": ')
-                render(child, level + 3, out)
-                out.append(n2 + "}")
-                lead = ","
-        else:
-            out.append(f'{{{n1}"kind": "spoiler",{n1}"move": "{node.side}:{node.element}",'
-                       f'{n1}"continuations": ')
-            lead = "{"
-            for reply, child in sorted(node.continuations.items()):
-                out.append(f'{lead}{n2}"{reply}": ')
-                render(child, level + 2, out)
-                lead = ","
-        out.append("{}" if lead == "{" else n1 + "}")
-        out.append(n0 + "}")
-
-    # json.dumps's text of the value alone, short of its closing "\n}"
-    head = json.dumps({"value": rat_to_json(result.value)}, indent=2)[:-2]
+def strategy_to_json(result: GameValueResult, path) -> None:
+    """Write ``result``'s value and both certificates to ``path`` as one
+    line of ``json.dumps({"value", "ii_strategy", "i_witness"})`` and a
+    newline.  A certificate is the list of its DAG's nodes in depth-first
+    pre-order, node 0 the root (``null`` for a 0-round game): a duplicator
+    node maps each spoiler move "side:element" to its ``reply`` and the
+    ``next`` node's index, a spoiler node holds its ``move`` and the node
+    index of each reply's continuation, ``null`` after the last round.  The
+    nodes were charged to the solve's cap as they were built, so the file
+    is bounded by the cap too."""
+    blob = {
+        "value": rat_to_json(result.value),
+        "ii_strategy": _node_table(result.ii_strategy),
+        "i_witness": _node_table(result.i_witness),
+    }
+    text = json.dumps(blob) + "\n"
     with open(path, "w", encoding="utf-8") as file:
-        pending.append(head)
-        for name, tree in (("ii_strategy", result.ii_strategy), ("i_witness", result.i_witness)):
-            pending.append(f',\n  "{name}": ')
-            render(tree, 1, pending)
-        pending.append("\n}\n")
-        file.writelines(pending)
+        file.write(text)
 
 
-def _tree_size(node, sizes: dict, parents: dict) -> int:
-    """The nodes of a certificate's full tree, one memo entry per shared
-    node; ``parents`` counts each node's parents in the DAG, one per edge."""
-    if node is None:
-        return 0
-    if id(node) not in sizes:
+def _node_table(root) -> list | None:
+    """A certificate DAG's nodes as JSON objects in depth-first pre-order,
+    each child replaced by its index."""
+    if root is None:
+        return None
+    index, table = {}, []
+
+    def visit(node):
+        if node is None:
+            return None
+        if id(node) in index:
+            return index[id(node)]
+        i = index[id(node)] = len(table)
+        table.append(None)  # filled once the children have their indices
         if isinstance(node, IIStrategyNode):
-            children = [child for _, child in node.responses.values()]
+            table[i] = {"kind": "duplicator", "responses": {
+                f"{side}:{element}": {"reply": reply, "next": visit(child)}
+                for (side, element), (reply, child) in sorted(node.responses.items())
+            }}
         elif isinstance(node, IWitnessNode):
-            children = node.continuations.values()
+            table[i] = {"kind": "spoiler", "move": f"{node.side}:{node.element}", "continuations": {
+                str(reply): visit(child) for reply, child in sorted(node.continuations.items())
+            }}
         else:
             raise TypeError(f"not a strategy node: {node!r}")
-        size = 1
-        for child in children:
-            if child is not None:
-                parents[id(child)] = parents.get(id(child), 0) + 1
-                size += _tree_size(child, sizes, parents)
-        sizes[id(node)] = size
-    return sizes[id(node)]
+        return i
+
+    visit(root)
+    return table
 
 
 def play_interactive(

@@ -394,6 +394,30 @@ def strategy_dict(node) -> dict | None:
     }
 
 
+def tree_from_table(nodes: list | None, index: int = 0) -> dict | None:
+    """A certificate file's node table expanded back into the dict tree of
+    its node ``index``, each shared node once per path: compared with
+    ``strategy_dict`` of the in-memory DAG."""
+    if nodes is None or index is None:
+        return None
+    node = nodes[index]
+    if node["kind"] == "duplicator":
+        return {
+            "kind": "duplicator",
+            "responses": {
+                move: {"reply": step["reply"], "next": tree_from_table(nodes, step["next"])}
+                for move, step in node["responses"].items()
+            },
+        }
+    return {
+        "kind": "spoiler",
+        "move": node["move"],
+        "continuations": {
+            reply: tree_from_table(nodes, child) for reply, child in node["continuations"].items()
+        },
+    }
+
+
 def value_iteration_omega(
     pair: NamedPair, term_depth: int = 0, start: Position | None = None
 ) -> Fraction:

@@ -169,8 +169,8 @@ class TestGameCommand:
         )
         assert rc == 0
         blob = json.loads(out.read_text())
-        assert blob["ii_strategy"]["kind"] == "duplicator"
-        assert blob["i_witness"]["kind"] == "spoiler"
+        assert blob["ii_strategy"][0]["kind"] == "duplicator"
+        assert blob["i_witness"][0]["kind"] == "spoiler"
         # a 3-round certificate read back from the file: II's replies hold
         # every play to the value, and I's moves force it
         rc = main(
@@ -181,36 +181,47 @@ class TestGameCommand:
         blob = json.loads(out.read_text())
         pair = load_pair(pair_file)
         assert blob["value"] == [1, 8]
-        assert max(_certificate_leaves(pair, blob["ii_strategy"])) == F(1, 8)
-        assert min(_certificate_leaves(pair, blob["i_witness"])) == F(1, 8)
+        ii_tree, i_tree = (helpers.tree_from_table(blob[k]) for k in ("ii_strategy", "i_witness"))
+        assert max(_certificate_leaves(pair, ii_tree)) == F(1, 8)
+        assert min(_certificate_leaves(pair, i_tree)) == F(1, 8)
 
-    def test_certificate_over_the_cap_writes_nothing(self, pair_file, tmp_path, capsys,
-                                                     monkeypatch):
-        # II's 10-round tree has 1 + 5 + ... + 5^9 = 2,441,406 nodes, over the
-        # default cap, though its DAG is small: the count stops it at once
-        monkeypatch.delenv("CLGAMES_MAX_POSITIONS", raising=False)
+    def test_certificate_over_the_cap_writes_nothing(self, pair_file, tmp_path, capsys):
+        # the certificates' nodes are charged to the solve's cap as they are
+        # built: at 10 rounds the solve holds 45 leaf and 34 value entries
+        # and 152 certificate nodes, 231 entries, so a cap of 230 stops it
+        # before the file is opened
         out = tmp_path / "cert.json"
-        start = time.perf_counter()
-        rc = main(
-            ["game", "--pair", str(pair_file), "--rounds", "10", "--strategy", str(out)]
-        )
-        assert time.perf_counter() - start < 1
-        assert rc == 1
+        argv = ["game", "--pair", str(pair_file), "--rounds", "10", "--strategy", str(out)]
+        assert main(argv + ["--max-positions", "230"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-        assert "cap of 500000 entries" in captured.err
-        assert "certificate table" in captured.err and "certificate 2441406" in captured.err
+        assert "cap of 230 entries" in captured.err
+        assert "certificate table" in captured.err and "certificate 151" in captured.err
         assert not out.exists()
-        # --max-positions caps the certificate too: at 4 rounds the solve
-        # holds 99 entries and II's tree has 1 + 5 + 25 + 125 = 156 nodes
-        argv = ["game", "--pair", str(pair_file), "--rounds", "4", "--strategy", str(out)]
-        assert main(argv + ["--max-positions", "155"]) == 1
-        err = capsys.readouterr().err
-        assert "cap of 155 entries" in err and "certificate 156" in err
-        assert not out.exists()
-        assert main(argv + ["--max-positions", "156"]) == 0
+        assert main(argv + ["--max-positions", "231"]) == 0
         assert json.loads(out.read_text())["value"] == [1, 8]
+        out.unlink()
+        # at 4 rounds the solve holds 73 entries and 44 certificate nodes
+        argv = ["game", "--pair", str(pair_file), "--rounds", "4", "--strategy", str(out)]
+        assert main(argv + ["--max-positions", "116"]) == 1
+        err = capsys.readouterr().err
+        assert "cap of 116 entries" in err and "certificate 43" in err
+        assert not out.exists()
+        assert main(argv + ["--max-positions", "117"]) == 0
+        assert json.loads(out.read_text())["value"] == [1, 8]
+
+    def test_twenty_round_certificate(self, pair_file, tmp_path, capsys, monkeypatch):
+        # the full trees would have 5^20 leaves; the DAG's tables are small
+        monkeypatch.delenv("CLGAMES_MAX_POSITIONS", raising=False)
+        out = tmp_path / "cert.json"
+        start = time.perf_counter()
+        rc = main(["--json", "game", "--pair", str(pair_file), "--rounds", "20",
+                   "--strategy", str(out)])
+        assert time.perf_counter() - start < 1
+        assert rc == 0
+        game = json.loads(capsys.readouterr().out)
+        assert json.loads(out.read_text())["value"] == game["value"] == [1, 8]
 
     def test_resource_cap_message(self, pair_file, capsys):
         rc = main(["game", "--pair", str(pair_file), "--rounds", "3", "--max-positions", "4"])
@@ -352,6 +363,18 @@ class TestThetaAndDist:
         )
         assert rc == 0
         assert "1" in capsys.readouterr().out
+
+    def test_repeated_calls_share_no_arguments(self, structure_file, capsys):
+        # the parser is built once; an appended --formula list must not carry
+        # over from one call to the next
+        argv = ["dist", "--formula", "d(x0,x1)", "--formula", "1 - d(x0,x1)",
+                "--corpus", str(structure_file)]
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out.startswith("corpus logical distance: 1\n")
 
 
 class TestDemos:

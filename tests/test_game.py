@@ -314,8 +314,8 @@ class TestCertificates:
     def test_shared_nodes_match_the_unshared_trees(self, tmp_path):
         # the trees share one node per (set of pairs, rounds); rebuilt over
         # ordered positions from the public best move and reply, node by
-        # node, they give the same JSON, and the same file (every node of
-        # the rebuilt trees has one parent, so all of it is streamed)
+        # node, they give the same JSON, and their files' tables (one node
+        # per tree node for the rebuilt trees) expand to the same trees
         def ii_tree(solver, position, rounds):
             if rounds == 0:
                 return None
@@ -357,9 +357,14 @@ class TestCertificates:
             )
             strategy_to_json(result, shared)
             strategy_to_json(trees, unshared)
-            assert shared.read_bytes() == unshared.read_bytes()
+            dag, tree = json.loads(shared.read_text()), json.loads(unshared.read_text())
+            for name in ("ii_strategy", "i_witness"):
+                assert helpers.tree_from_table(dag[name]) == helpers.tree_from_table(tree[name])
+                assert len(dag[name]) < len(tree[name])
+
+    def test_node_table_holds_the_distinct_nodes(self, tmp_path):
         # the 4-round tree has 1 + 5 + 5^2 + 5^3 = 156 II nodes, and 25 of
-        # them are distinct (set of pairs, rounds)
+        # them are distinct (set of pairs, rounds): the table has 25 rows
         result = game_value(PAIR_55, rounds=4)
         nodes, stack = set(), [result.ii_strategy]
         while stack:
@@ -368,6 +373,9 @@ class TestCertificates:
                 nodes.add(id(node))
                 stack.extend(child for _, child in node.responses.values())
         assert len(nodes) == 25
+        path = tmp_path / "cert.json"
+        strategy_to_json(result, path)
+        assert len(json.loads(path.read_text())["ii_strategy"]) == 25
 
     def test_certificates_sound_on_small_instances(self):
         rng = random.Random(18)
@@ -377,32 +385,34 @@ class TestCertificates:
                 self.exhaustive_check(pair, rounds)
         self.exhaustive_check(cardinality_witness_pair(F(1, 4)), 3)
 
-    def test_json_tree_counted_against_the_cap(self, monkeypatch, tmp_path):
-        # the 4-round trees have 156 II nodes and 1 + 3 + 9 + 27 = 40 I nodes;
-        # each tree is checked on its own, before the file is opened
-        result = game_value(PAIR_55, rounds=4)
-        path = tmp_path / "cert.json"
+    def test_certificates_counted_against_the_cap(self, monkeypatch, tmp_path):
+        # from the empty start at 4 rounds the solve holds 39 leaf and 34
+        # value entries, and the two certificates 44 nodes (25 of II's, 19
+        # of I's) in the certificate table: 117 entries in all
+        result = game_value(PAIR_55, rounds=4, max_positions=117)
         with pytest.raises(ResourceCapError) as err:
-            strategy_to_json(result, path, max_positions=155)
-        assert (err.value.cap, err.value.table) == (155, "certificate")
-        assert err.value.entries == {"certificate": 156}
-        assert not path.exists()
-        only_i = dataclasses.replace(result, ii_strategy=None)
-        with pytest.raises(ResourceCapError, match="certificate 40"):
-            strategy_to_json(only_i, path, max_positions=39)
-        assert not path.exists()
-        strategy_to_json(only_i, path, max_positions=40)
-        blob = json.loads(path.read_text())
-        assert blob["ii_strategy"] is None and blob["i_witness"]["kind"] == "spoiler"
-        strategy_to_json(result, path, max_positions=156)
-        blob = json.loads(path.read_text())
-        assert blob["ii_strategy"]["kind"] == "duplicator"
+            game_value(PAIR_55, rounds=4, max_positions=116)
+        assert (err.value.cap, err.value.table) == (116, "certificate")
+        assert err.value.entries == {"leaf": 39, "value": 34, "certificate": 43}
+        assert "certificate table" in str(err.value)
+        # a solve without certificates makes no certificate table
+        solver = GameSolver(PAIR_55)
+        solver.value(Position(), 4)
+        assert set(solver._tables) == {"leaf", "value"}
+        solver.ii_strategy_tree(Position(), 4)
+        assert len(solver._tables["certificate"]) == 25
+        solver.i_witness_tree(Position(), 4)
+        assert len(solver._tables["certificate"]) == 44
+        monkeypatch.setenv("CLGAMES_MAX_POSITIONS", "116")
+        with pytest.raises(ResourceCapError, match="certificate 43"):
+            game_value(PAIR_55, rounds=4)
+        monkeypatch.delenv("CLGAMES_MAX_POSITIONS")
+        # the writer has no cap of its own: the solve's cap bounded the nodes
+        path = tmp_path / "cert.json"
+        strategy_to_json(result, path)
+        assert json.loads(path.read_text())["value"] == [1, 8]
         path.unlink()
-        monkeypatch.setenv("CLGAMES_MAX_POSITIONS", "39")
-        with pytest.raises(ResourceCapError, match="certificate 40"):
-            strategy_to_json(only_i, path)
-        assert not path.exists()
-        strategy_to_json(game_value(PAIR_55, rounds=0), path, max_positions=1)
+        strategy_to_json(game_value(PAIR_55, rounds=0, max_positions=1), path)
         assert json.loads(path.read_text()) == {
             "value": [0, 1], "ii_strategy": None, "i_witness": None
         }
@@ -444,11 +454,14 @@ class TestCertificates:
         file = json.loads(path.read_text())
         assert list(file) == ["value", "ii_strategy", "i_witness"]
         assert file["value"] == [result.value.numerator, result.value.denominator]
-        blob = file["ii_strategy"]
+        # one round: each table is its root, whose children are null
+        [blob] = file["ii_strategy"]
         assert blob["kind"] == "duplicator"
         assert set(blob["responses"]) == {"L:0", "L:1", "R:0", "R:1", "R:2"}
-        blob_i = file["i_witness"]
+        assert all(step["next"] is None for step in blob["responses"].values())
+        [blob_i] = file["i_witness"]
         assert blob_i["kind"] == "spoiler" and ":" in blob_i["move"]
+        assert set(blob_i["continuations"].values()) == {None}
 
 
 class TestThetaSoundness:

@@ -1,10 +1,9 @@
-"""The ``--strategy`` certificate file, written from the solver's shared
-DAG, against the dict trees of ``helpers.strategy_dict`` encoded by
-``json.dumps(indent=2)``: the same bytes, and less memory than the text."""
+"""The ``--strategy`` certificate file: one node table per certificate,
+written from the solver's shared DAG, against the dict trees of
+``helpers.strategy_dict`` once ``helpers.tree_from_table`` expands it."""
 
 import json
 import random
-import tracemalloc
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -20,13 +19,56 @@ from test_kernel_differential import pairs_and_starts
 F = Fraction
 
 
-def expected_text(result) -> str:
-    blob = {
-        "value": [result.value.numerator, result.value.denominator],
-        "ii_strategy": helpers.strategy_dict(result.ii_strategy),
-        "i_witness": helpers.strategy_dict(result.i_witness),
-    }
-    return json.dumps(blob, indent=2) + "\n"
+def distinct_nodes(root) -> int:
+    """The nodes of a certificate DAG, each shared node once."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if node is None or id(node) in seen:
+            continue
+        seen.add(id(node))
+        if hasattr(node, "responses"):
+            stack.extend(child for _, child in node.responses.values())
+        else:
+            stack.extend(node.continuations.values())
+    return len(seen)
+
+
+def preorder(nodes: list) -> list:
+    """The node indices of a table in the order a depth-first walk from
+    node 0 first reaches them, children in the order the node lists them."""
+    order = []
+
+    def walk(index):
+        if index is None or index in order:
+            return
+        order.append(index)
+        node = nodes[index]
+        if node["kind"] == "duplicator":
+            children = [step["next"] for step in node["responses"].values()]
+        else:
+            children = list(node["continuations"].values())
+        for child in children:
+            walk(child)
+
+    walk(0)
+    return order
+
+
+def check_file(path, result):
+    """The file holds the value and both certificates' node tables, one node
+    per distinct DAG node in pre-order, as compact ``json.dumps`` text."""
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text)) + "\n"
+    blob = json.loads(text)
+    assert list(blob) == ["value", "ii_strategy", "i_witness"]
+    assert blob["value"] == [result.value.numerator, result.value.denominator]
+    for name in ("ii_strategy", "i_witness"):
+        root = getattr(result, name)
+        assert helpers.tree_from_table(blob[name]) == helpers.strategy_dict(root)
+        assert len(blob[name] or ()) == distinct_nodes(root)
+        if blob[name] is not None:
+            assert preorder(blob[name]) == list(range(len(blob[name])))
 
 
 @settings(max_examples=100, deadline=None)
@@ -36,7 +78,7 @@ def expected_text(result) -> str:
     st.integers(0, 1),
     st.booleans(),
 )
-def test_file_is_the_json_of_the_full_trees(tmp_path_factory, case, rounds, depth, from_start):
+def test_tables_expand_to_the_full_trees(tmp_path_factory, case, rounds, depth, from_start):
     # ternary predicates and function terms at depth 1 send the last ply
     # through the memo, so both kinds of DAG are written
     pair, left, right = case
@@ -44,11 +86,11 @@ def test_file_is_the_json_of_the_full_trees(tmp_path_factory, case, rounds, dept
     result = game_value(pair, start=start, rounds=rounds, term_depth=depth)
     path = tmp_path_factory.mktemp("cert") / "cert.json"
     strategy_to_json(result, path)
-    assert path.read_text() == expected_text(result)
+    check_file(path, result)
 
 
 def test_eleven_points_sort_as_numbers(tmp_path):
-    # "L:10" comes after "L:9" in the file, as in the dict trees' sorted keys
+    # "L:10" comes after "L:9" inside a node, as in the dict trees' sorted keys
     rng = random.Random(11)
     sig = helpers.random_signature(rng)
     pair = NamedPair(
@@ -59,24 +101,21 @@ def test_eleven_points_sort_as_numbers(tmp_path):
     for start, rounds in ((Position(), 1), (Position((10,), (11,)), 2)):
         result = game_value(pair, start=start, rounds=rounds)
         strategy_to_json(result, path)
-        text = path.read_text()
-        assert text == expected_text(result)
-        assert text.index('"L:9"') < text.index('"L:10"') < text.index('"R:0"')
+        check_file(path, result)
+        root = json.dumps(json.loads(path.read_text())["ii_strategy"][0])
+        assert root.index('"L:9"') < root.index('"L:10"') < root.index('"R:0"')
 
 
-def test_traced_peak_below_the_bytes_written(tmp_path):
-    # the 6-round certificate of the cardinality witness pair: the expanded
-    # trees are 4,237,426 bytes of text, but a node with several parents is
-    # rendered once and the rest is streamed, so the writer never holds the
-    # whole text (the dict trees plus their encoding held several times it)
-    result = game_value(cardinality_witness_pair(F(1, 4)), rounds=6)
+def test_nine_round_file_is_bounded_by_the_dag(tmp_path):
+    # expanded, II's tree has 488,281 nodes and the trees' indented text is
+    # 732,078,044 bytes; the tables hold only the DAG's distinct nodes
+    result = game_value(cardinality_witness_pair(F(1, 4)), rounds=9)
     path = tmp_path / "cert.json"
-    tracemalloc.start()
-    try:
-        strategy_to_json(result, path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    written = path.stat().st_size
-    assert written == 4_237_426
-    assert peak < written
+    strategy_to_json(result, path)
+    text = path.read_text()
+    assert len(text) == 20_887
+    assert text == json.dumps(json.loads(text)) + "\n"
+    blob = json.loads(text)
+    assert blob["value"] == [1, 8]
+    assert len(blob["ii_strategy"]) == distinct_nodes(result.ii_strategy)
+    assert len(blob["i_witness"]) == distinct_nodes(result.i_witness)
