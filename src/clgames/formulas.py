@@ -966,14 +966,9 @@ class _Parser:
                 return Dist(left, right)
             if tok.text in ("min", "max"):
                 which = self.take().text
-                self.expect("(")
-                args = [self.formula()]
-                while self.peek().text == ",":
-                    self.take()
-                    args.append(self.formula())
-                self.expect(")")
+                args = self._arguments(self.formula)
                 cls = MinOf(len(args)) if which == "min" else MaxOf(len(args))
-                return Conn(cls, tuple(args))
+                return Conn(cls, args)
             # predicate application
             name = self.take().text
             if self.peek().text != "(":
@@ -982,18 +977,24 @@ class _Parser:
                 sym = self.sig.predicate(name)
             except KeyError:
                 raise ParseError(f"unknown predicate {name!r}", tok.pos) from None
-            self.take()
-            args = [self.term()]
-            while self.peek().text == ",":
-                self.take()
-                args.append(self.term())
-            self.expect(")")
+            args = self._arguments(self.term)
             if len(args) != sym.arity:
                 raise ParseError(
                     f"predicate {name!r} expects {sym.arity} arguments, got {len(args)}", tok.pos
                 )
-            return Pred(name, tuple(args))
+            return Pred(name, args)
         self.fail(f"unexpected token {tok.text!r}")
+
+    def _arguments(self, item) -> tuple:
+        """``( item {, item} )``: the parenthesised argument list of
+        ``min``/``max``, a predicate or a function."""
+        self.expect("(")
+        args = [item()]
+        while self.peek().text == ",":
+            self.take()
+            args.append(item())
+        self.expect(")")
+        return tuple(args)
 
     def term(self) -> Term:
         tok = self.take()
@@ -1007,17 +1008,12 @@ class _Parser:
                 sym = self.sig.function(name)
             except KeyError:
                 raise ParseError(f"unknown function {name!r}", tok.pos) from None
-            self.take()
-            args = [self.term()]
-            while self.peek().text == ",":
-                self.take()
-                args.append(self.term())
-            self.expect(")")
+            args = self._arguments(self.term)
             if len(args) != sym.arity:
                 raise ParseError(
                     f"function {name!r} expects {sym.arity} arguments, got {len(args)}", tok.pos
                 )
-            return Apply(name, tuple(args))
+            return Apply(name, args)
         if name in self.bound and self.bound[name]:
             return Var(self.bound[name][-1])
         m = _VAR_NAME.match(name)

@@ -155,9 +155,6 @@ class IIStrategyNode:
 
     responses: dict
 
-    def respond(self, side: str, element: int):
-        return self.responses[(side, element)]
-
 
 @dataclass(frozen=True)
 class IWitnessNode:
@@ -619,16 +616,15 @@ def winning_strategy(
 ):
     """II's strategy when she wins at precision epsilon, else I's forcing play.
 
-    Returns ("II", tree) or ("I", tree).
+    Returns ("II", tree) or ("I", tree); only the returned tree is built.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    result = game_value(
-        pair, start=start, rounds=rounds, term_depth=term_depth, max_positions=max_positions
-    )
-    if result.value <= epsilon:
-        return "II", result.ii_strategy
-    return "I", result.i_witness
+    start = start or Position()
+    solver = GameSolver(pair, term_depth, max_positions)
+    if solver.value(start, rounds) <= epsilon:
+        return "II", solver.ii_strategy_tree(start, rounds)
+    return "I", solver.i_witness_tree(start, rounds)
 
 
 def strategy_to_json(result: GameValueResult, path) -> None:

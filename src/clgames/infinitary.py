@@ -87,9 +87,6 @@ class OmegaLeaf:
     scale_factors: tuple = (Fraction(2), Fraction(1, 2))
 
 
-LeafFamily = object  # AtomicLeaf | OmegaLeaf
-
-
 def check_basic_omega(phi: Formula, sig: Signature, omega: WeakModulus) -> bool:
     """Sufficient syntactic certificate that a basic formula respects the
     weak modulus truncated at its arity.
@@ -140,10 +137,10 @@ class RAlphaSolver(GameSolver):
     coordinate-indexed, so play order matters, and gives an ``_OmegaLeafSolver``.
     """
 
-    def __new__(cls, pair: NamedPair, leaf: LeafFamily, max_positions: int | None = None):
+    def __new__(cls, pair: NamedPair, leaf: AtomicLeaf | OmegaLeaf, max_positions: int | None = None):
         return super().__new__(_OmegaLeafSolver if isinstance(leaf, OmegaLeaf) else cls)
 
-    def __init__(self, pair: NamedPair, leaf: LeafFamily, max_positions: int | None = None):
+    def __init__(self, pair: NamedPair, leaf: AtomicLeaf | OmegaLeaf, max_positions: int | None = None):
         super().__init__(pair, leaf.term_depth, max_positions)
 
 
@@ -177,7 +174,7 @@ def r_alpha(
     pair: NamedPair,
     position: Position | None = None,
     alpha: int = 0,
-    leaf: LeafFamily | None = None,
+    leaf: AtomicLeaf | OmegaLeaf | None = None,
     max_positions: int | None = None,
 ) -> Fraction:
     """Rank recursion value at a finite clock stage."""
@@ -212,7 +209,7 @@ class DynamicSolver:
     one-round reply scan, cut at the best so far, which starts at the leaf.
     """
 
-    def __init__(self, pair: NamedPair, leaf: LeafFamily, max_positions: int | None = None):
+    def __init__(self, pair: NamedPair, leaf: AtomicLeaf | OmegaLeaf, max_positions: int | None = None):
         self.inner = RAlphaSolver(pair, leaf, max_positions)
         self._memo = self.inner.memo_table("dynamic")
 
@@ -282,7 +279,7 @@ class DynamicSolver:
 def dynamic_game_value(
     pair: NamedPair,
     clock: int,
-    leaf: LeafFamily | None = None,
+    leaf: AtomicLeaf | OmegaLeaf | None = None,
     start: Position | None = None,
     max_positions: int | None = None,
 ) -> DynamicGameResult:

@@ -11,7 +11,9 @@ A ``PwlModulus`` stores its breakpoints ``(0,0) = (x_0,y_0), ..., (x_k,y_k)``
 with strictly increasing inputs and a ``final_slope`` used beyond ``x_k``.
 Canonical form: segment slopes strictly decrease and the final slope is
 strictly below the last segment slope, so pointwise-equal moduli are
-structurally equal.
+structurally equal.  Every computed modulus (``concave_envelope``,
+``compose``, ``modulus_max``, ``cap_at_one``) gets that form from one upper
+hull, ``_hull``.
 
 ``KaryModulus`` aggregates per-coordinate unary moduli with max or sum;
 ``WeakModulus`` extends that to infinitely many coordinates via a finite
@@ -24,7 +26,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .rationals import format_rat, json_field, rat, rat_from_json, rat_to_json
 
@@ -102,52 +104,28 @@ class PwlModulus:
                 return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
         raise AssertionError("unreachable")
 
-    @property
-    def is_zero(self) -> bool:
-        return len(self.breakpoints) == 1 and self.final_slope == 0
-
-    def bounded_above(self) -> bool:
-        return self.final_slope == 0
-
-    def sup_value(self) -> Fraction | None:
-        """Least upper bound of the range, or None when unbounded."""
-        if self.final_slope > 0:
-            return None
-        return self.breakpoints[-1][1]
-
     def describe(self) -> str:
         pts = ", ".join(f"({format_rat(x)}, {format_rat(y)})" for x, y in self.breakpoints)
         return f"pwl[{pts}; slope {format_rat(self.final_slope)}]"
 
 
-def _canonical(points: Iterable[tuple[Fraction, Fraction]], final_slope: Fraction) -> PwlModulus:
-    """Build the canonical form from concave-ordered sample vertices.
-
-    ``points`` must already describe a concave non-decreasing function when
-    interpolated (non-increasing slopes); this prunes collinear vertices and
-    vertices absorbed by the final slope.
+def _hull(points: dict, tail_slope: Fraction) -> PwlModulus:
+    """Canonical least concave majorant, eventual slope ``tail_slope``, of
+    the points ``x -> y`` (the origin among them): the upper hull by
+    monotone chain (Andrew 1979), which drops collinear vertices, cut at the
+    leftmost maximizer of y - tail_slope * x, where the tail ray takes over.
     """
-    pts = sorted(set(points))
-    if not pts or pts[0] != (_ZERO, _ZERO):
-        raise ValueError("canonical modulus needs the origin vertex (0, 0)")
-    kept: list[tuple[Fraction, Fraction]] = [pts[0]]
-    for p in pts[1:]:
-        while len(kept) >= 2:
-            (x0, y0), (x1, y1) = kept[-2], kept[-1]
-            # drop the middle vertex when collinear with its neighbours
-            if (y1 - y0) * (p[0] - x1) == (p[1] - y1) * (x1 - x0):
-                kept.pop()
+    hull: list[tuple[Fraction, Fraction]] = []
+    for p in sorted(points.items()):
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            if (y1 - y0) * (p[0] - x0) <= (p[1] - y0) * (x1 - x0):
+                hull.pop()
             else:
                 break
-        kept.append(p)
-    # drop trailing vertices whose incoming slope equals the final slope
-    while len(kept) >= 2:
-        (x0, y0), (x1, y1) = kept[-2], kept[-1]
-        if (y1 - y0) == final_slope * (x1 - x0):
-            kept.pop()
-        else:
-            break
-    return PwlModulus(tuple(kept), final_slope)
+        hull.append(p)
+    heights = [y - tail_slope * x for x, y in hull]
+    return PwlModulus(tuple(hull[: heights.index(max(heights)) + 1]), tail_slope)
 
 
 def zero_modulus() -> PwlModulus:
@@ -190,13 +168,13 @@ def compose(outer: PwlModulus, inner: PwlModulus) -> PwlModulus:
         x = _preimage(inner, u)
         if x is not None:
             xs.add(x)
-    pts = [(x, outer.evaluate(inner.evaluate(x))) for x in sorted(xs)]
+    pts = {x: outer.evaluate(inner.evaluate(x)) for x in xs}
     if inner.final_slope == 0 or outer.final_slope == 0:
         # one factor is eventually constant, hence so is the composite
         final = _ZERO
     else:
         final = outer.final_slope * inner.final_slope
-    return _canonical(pts, final)
+    return _hull(pts, final)
 
 
 def _preimage(delta: PwlModulus, target: Fraction) -> Fraction | None:
@@ -221,7 +199,8 @@ def concave_envelope(samples: Sequence[tuple], tail_slope) -> PwlModulus:
 
     Equivalently the pointwise inf of affine functions a*t + b with
     a >= tail_slope, b >= 0 dominating every sample.  Rejects samples with a
-    negative coordinate, a missing origin, or a positive value at 0.
+    negative coordinate, a missing origin, or a positive value at 0; the
+    checked samples then go through the one hull, ``_hull``.
     """
     tail_slope = rat(tail_slope)
     if tail_slope < 0:
@@ -236,31 +215,18 @@ def concave_envelope(samples: Sequence[tuple], tail_slope) -> PwlModulus:
         pts[x] = max(pts.get(x, _ZERO), y)
     if pts.get(_ZERO) != _ZERO:
         raise ValueError("samples must include the origin (0, 0)")
-    ordered = sorted(pts.items())
-    # upper concave hull (monotone chain)
-    hull: list[tuple[Fraction, Fraction]] = []
-    for p in ordered:
-        while len(hull) >= 2:
-            (x0, y0), (x1, y1) = hull[-2], hull[-1]
-            if (y1 - y0) * (p[0] - x0) <= (p[1] - y0) * (x1 - x0):
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    # cut the hull where the tail ray takes over: keep up to the leftmost
-    # maximizer of y - tail_slope * x, the support point of the tail line
-    best = 0
-    for i, (x, y) in enumerate(hull):
-        if y - tail_slope * x > hull[best][1] - tail_slope * hull[best][0]:
-            best = i
-    return _canonical(hull[: best + 1], tail_slope)
+    return _hull(pts, tail_slope)
 
 
 def modulus_max(*moduli: PwlModulus) -> PwlModulus:
     """Least concave PWL majorant of the pointwise max of the moduli: the
-    zero modulus for none, the modulus itself for one."""
-    points = [(_ZERO, _ZERO)] + [point for m in moduli for point in m.breakpoints]
-    return concave_envelope(points, max((m.final_slope for m in moduli), default=_ZERO))
+    zero modulus for none, the modulus itself for one.  It is the one hull,
+    ``_hull``, of their breakpoints under the steepest final slope."""
+    points = {_ZERO: _ZERO}
+    for m in moduli:
+        for x, y in m.breakpoints:
+            points[x] = max(points.get(x, _ZERO), y)
+    return _hull(points, max((m.final_slope for m in moduli), default=_ZERO))
 
 
 def modulus_leq(a: PwlModulus, b: PwlModulus) -> bool:
@@ -273,13 +239,11 @@ def modulus_leq(a: PwlModulus, b: PwlModulus) -> bool:
 
 def cap_at_one(delta: PwlModulus) -> PwlModulus:
     """Pointwise min(delta, 1); stays concave PWL."""
-    sup = delta.sup_value()
-    if sup is not None and sup <= 1:
+    if delta.final_slope == 0 and delta.breakpoints[-1][1] <= 1:
         return delta
-    kept = [(x, y) for x, y in delta.breakpoints if y < 1]
-    crossing = _preimage(delta, _ONE)
-    kept.append((crossing, _ONE))
-    return _canonical(kept, _ZERO)
+    kept = {x: y for x, y in delta.breakpoints if y < 1}
+    kept[_preimage(delta, _ONE)] = _ONE
+    return _hull(kept, _ZERO)
 
 
 @dataclass(frozen=True)

@@ -447,6 +447,22 @@ class TestCertificates:
         with pytest.raises(ValueError):
             winning_strategy(PAIR_55, rounds=1, epsilon=F(0))
 
+    @pytest.mark.parametrize(
+        "epsilon, start, side", [(F(1), None, "II"), (F(1, 4), START_11, "II"), (F(1, 16), None, "I")]
+    )
+    def test_builds_only_the_returned_certificate(self, monkeypatch, epsilon, start, side):
+        full = game_value(PAIR_55, start=start, rounds=2)
+        expected = full.ii_strategy if side == "II" else full.i_witness
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the other certificate was built")
+
+        other = "i_witness_tree" if side == "II" else "ii_strategy_tree"
+        monkeypatch.setattr(f"clgames.game.GameSolver.{other}", refuse)
+        got_side, tree = winning_strategy(PAIR_55, rounds=2, epsilon=epsilon, start=start)
+        assert got_side == side
+        assert helpers.strategy_dict(tree) == helpers.strategy_dict(expected)
+
     def test_strategy_json_round_trip_shape(self, tmp_path):
         result = game_value(PAIR_55, start=START_11, rounds=1)
         path = tmp_path / "cert.json"

@@ -155,6 +155,12 @@ class TestConcaveEnvelope:
         for x, y in samples:
             assert env.evaluate(x) >= y
 
+    @settings(max_examples=60)
+    @given(moduli())
+    def test_canonical_modulus_is_its_own_envelope(self, m):
+        # modulus_max(m) == m is checked in TestModulusMax.test_n_ary
+        assert concave_envelope(m.breakpoints, m.final_slope) == m
+
 
 class TestModulusMax:
     def test_idempotent(self):
@@ -183,6 +189,16 @@ class TestModulusMax:
         for t in points:
             assert m.evaluate(t) >= a.evaluate(t)
             assert m.evaluate(t) >= b.evaluate(t)
+
+    @settings(max_examples=80)
+    @given(moduli(), moduli())
+    def test_least_majorant_touches_the_max_at_every_vertex(self, a, b):
+        # a concave majorant through points of max(a, b) at each of its
+        # vertices can be lowered nowhere, so it is the least one
+        m = modulus_max(a, b)
+        for x, y in m.breakpoints:
+            assert y == max(a.evaluate(x), b.evaluate(x))
+        assert m.final_slope == max(a.final_slope, b.final_slope)
 
 
 class TestModulusLeq:
@@ -223,6 +239,40 @@ class TestCapAtOne:
 
     def test_already_below(self):
         assert cap_at_one(capped_linear(F(1, 2))) == capped_linear(F(1, 2))
+
+    def check_capped(self, m, points=()):
+        capped = cap_at_one(m)
+        probes = {x for x, _ in m.breakpoints} | {x for x, _ in capped.breakpoints} | set(points)
+        for t in probes | {F(10**6)}:
+            assert capped.evaluate(t) == min(m.evaluate(t), 1)
+        if m.final_slope > 0 or m.breakpoints[-1][1] > 1:
+            # the last vertex is the crossing, the least t with m(t) = 1
+            crossing, value = capped.breakpoints[-1]
+            assert value == 1 and m.evaluate(crossing) == 1
+            assert capped.final_slope == 0
+            assert all(m.evaluate(x) < 1 for x, _ in capped.breakpoints[:-1])
+        else:
+            assert capped == m
+        return capped
+
+    def test_positive_final_slope_crosses_on_the_tail(self):
+        m = concave_envelope([(0, 0), (1, F(1, 2))], F(1, 4))
+        capped = self.check_capped(m)
+        assert capped.breakpoints == ((0, 0), (1, F(1, 2)), (3, 1))
+
+    def test_plateau_above_one(self):
+        m = concave_envelope([(0, 0), (1, F(7, 8)), (2, F(3, 2))], 0)
+        capped = self.check_capped(m)
+        assert capped.breakpoints == ((0, 0), (1, F(7, 8)), (F(6, 5), 1))
+
+    def test_crossing_at_a_breakpoint(self):
+        m = concave_envelope([(0, 0), (1, 1), (2, F(3, 2))], 0)
+        assert self.check_capped(m) == capped_linear(1)
+
+    @settings(max_examples=100)
+    @given(moduli(), st.lists(rationals, max_size=8))
+    def test_pointwise_min_with_one(self, m, points):
+        self.check_capped(m, points)
 
 
 class TestWeakModulus:
