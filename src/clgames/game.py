@@ -29,11 +29,12 @@ certificates are those of the full scan.
 
 On set keys a stay (II repeating a played pair) leaves the key as it is, so
 the rounds clamp at the points a key leaves uncovered (V_r = V_u for r >= u),
-and, when every atom mentions at most two played pairs, the last ply scores
-each child from its parent's leaf with no memo entry (``GameSolver`` has
-both rules).  The strategy certificates share one node per (key, rounds),
-held in the solver's ``certificate`` table under the same cap, and
-``strategy_to_json`` writes each as a table of those nodes.
+and, when every atom mentions at most two played pairs, the last round is
+one scan per position over every move, scoring each child from its
+parent's leaf with no memo entry (``GameSolver`` has both rules).  The
+strategy certificates share one node per (key, rounds), held in the
+solver's ``certificate`` table under the same cap, and ``strategy_to_json``
+writes each as a table of those nodes.
 
 With function symbols the leaf check ranges over atoms up to a stated term
 depth and the value is labelled depth-truncated.
@@ -218,13 +219,15 @@ class GameSolver:
       ``infinitary.omega_game_value_atomic``'s docstring, which needs only
       the stay and a leaf that grows along play, so function symbols
       included.
-    * At width 2 the last ply scores its children without keys or memo
-      entries: the leaf of S + {p} is the max of leaf(S), leaf({p}) (a table
-      filled once per solver, constants included) and the atoms on p and
-      one pair q of S, which are d(p, q) and each binary predicate in both
-      argument orders, read off the integer tables.  Wider keys (ternary
-      predicates) and function terms at a positive term depth, which
-      couple pairs through the closure, keep the memoized path.
+    * At width 2 the last round is one pass per key over the moves asked
+      for (``_last_ply``, under ``_scan`` and ``_reply``), which scores the
+      children without keys or memo entries: the leaf of S + {p} is the
+      max of leaf(S), leaf({p}) (a table filled once per solver, constants
+      included) and the atoms on p and one pair q of S, which are d(p, q)
+      and each binary predicate in both argument orders, read off the
+      integer tables.  Wider keys (ternary predicates) and function terms
+      at a positive term depth, which couple pairs through the closure,
+      keep the memoized path.
     """
 
     _set_keys = True
@@ -380,33 +383,47 @@ class GameSolver:
                 mats_r += [(rows_r, cols_l), (cols_r, rows_l)]
         return {"L": (single, 0, mats_l), "R": ([list(c) for c in zip(*single)], 1, mats_r)}
 
-    def _last_reply(self, key, side: str, element: int, bound):
-        """``_reply`` at one round left, at width 2: each child's leaf is
-        scored from the parent's, with no key and no memo entry."""
+    def _last_ply(self, key, moves, alpha=_LOW, beta=_HIGH):
+        """``_scan`` at one round left, at width 2, over ``moves``: the first
+        best move, its reply and value as (side, element, reply, value).
+        Each child's leaf is scored from the key's, with no key and no memo
+        entry; the key's half of each pair gap is built once per side."""
         if self._ply is None:
             self._ply = self._ply_tables()
-        single, mine, mats = self._ply[side]
-        theirs = 1 - mine
-        # the played side's half of each atom on p and a pair q of the key
-        fixed = [
-            (played[element][q[mine]], other[q[theirs]]) for played, other in mats for q in key
-        ]
         base = self._leaf_at(key)
-        best_reply, best_val = None, None
-        for reply, v in enumerate(single[element]):
-            if v < base:
-                v = base
-            for x, col in fixed:
-                gap = x - col[reply]
-                if gap < 0:
-                    gap = -gap
-                if gap > v:
-                    v = gap
-            if best_val is None or v < best_val:
-                best_reply, best_val = reply, v
-                if v <= bound:
+        bound = base if base > alpha else alpha
+        best, seen = None, None
+        for side, element in moves:
+            if side != seen:
+                seen = side
+                single, mine, mats = self._ply[side]
+                # per atom on p and a pair q of the key: the played side's
+                # matrix, q's coordinate in it and the reply side's column
+                halves = [
+                    (played, q[mine], other[q[1 - mine]]) for played, other in mats for q in key
+                ]
+            fixed = [(played[element][c], col) for played, c, col in halves]
+            best_reply, worst = None, None
+            for reply, v in enumerate(single[element]):
+                if v < base:
+                    v = base
+                for x, col in fixed:
+                    gap = x - col[reply]
+                    if gap < 0:
+                        gap = -gap
+                    if gap > v:
+                        v = gap
+                if worst is None or v < worst:
+                    best_reply, worst = reply, v
+                    if v <= bound:
+                        break
+            if best is None or worst > best[3]:
+                best = (side, element, best_reply, worst)
+                if worst >= beta:
                     break
-        return best_reply, best_val
+                if worst > bound:
+                    bound = worst
+        return best
 
     def child(self, position: Position, side: str, element: int, reply: int) -> Position:
         if side == "L":
@@ -463,6 +480,9 @@ class GameSolver:
         # so far (before the first move, the larger of alpha and leaf(p),
         # below which no child value lies): such a move cannot beat it; the
         # moves stop once the best reaches beta
+        if rounds == 1 and self._pairwise:
+            side, element, _, worst = self._last_ply(key, self._moves, alpha, beta)
+            return side, element, worst
         leaf = self._leaf_at(key)
         bound = leaf if leaf > alpha else alpha
         best = None
@@ -488,7 +508,8 @@ class GameSolver:
         whose value is at most ``bound``; fail-soft in (bound, beta) like
         ``_value``."""
         if rounds == 1 and self._pairwise:
-            return self._last_reply(key, side, element, bound)
+            # a bound below the leaf acts as the leaf: no child's leaf is lower
+            return self._last_ply(key, ((side, element),), bound, beta)[2:]
         best_reply, best_val, top = None, None, beta
         for reply in self._replies[side]:
             v = self._value(self._child(key, side, element, reply), rounds - 1, bound, top)

@@ -206,7 +206,7 @@ class DynamicSolver:
     first one no better than it, since that move cannot raise the max.  Its
     memo over (clock, key) holds exact values.  It shares only the kernel's
     position keys, its leaf scores and, at clock 1 (the last round), its
-    one-round reply scan, cut at the best so far, which starts at the leaf.
+    one-round scan ``_scan(key, 1)``.
     """
 
     def __init__(self, pair: NamedPair, leaf: AtomicLeaf | OmegaLeaf, max_positions: int | None = None):
@@ -226,13 +226,8 @@ class DynamicSolver:
         if memo_key in self._memo:
             return self._memo[memo_key]
         if clock == 1:
-            # the last round: each move's worst reply is the kernel's at one
-            # round, cut at the best so far, which starts at the leaf
-            best = game._leaf_at(key)
-            for side, element in game._moves:
-                worst = game._reply(key, side, element, 1, best)[1]
-                if worst > best:
-                    best = worst
+            # the last round is the kernel's one-round scan
+            best = game._scan(key, 1)[2]
         else:
             # spending less than clock - 1 is worth the value at clock - 1;
             # a move's replies stop at the first one no better than the best

@@ -39,7 +39,6 @@ __all__ = [
     "identity_modulus",
     "linear_modulus",
     "capped_linear",
-    "eval_modulus",
     "compose",
     "concave_envelope",
     "modulus_max",
@@ -151,10 +150,6 @@ def capped_linear(slope, cap=_ONE) -> PwlModulus:
     if slope == 0 or cap == 0:
         return zero_modulus()
     return PwlModulus(((_ZERO, _ZERO), (cap / slope, cap)), _ZERO)
-
-
-def eval_modulus(delta: PwlModulus, t) -> Fraction:
-    return delta.evaluate(t)
 
 
 def compose(outer: PwlModulus, inner: PwlModulus) -> PwlModulus:

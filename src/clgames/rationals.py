@@ -59,7 +59,7 @@ def rat(value) -> Fraction:
 def rat_from_json(value) -> Fraction:
     """Decode a JSON rational: [num, den], int, or an exact string form."""
     if isinstance(value, list):
-        if len(value) != 2 or not all(isinstance(v, int) for v in value):
+        if len(value) != 2 or type(value[0]) is not int or type(value[1]) is not int:
             raise ValueError(f"rational pair must be [num, den] with integers, got {value!r}")
         num, den = value
         if den <= 0:

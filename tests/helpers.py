@@ -324,6 +324,36 @@ def first_best_reply(
     return best
 
 
+def last_ply_scan(pair: NamedPair, left: tuple, right: tuple, alpha, beta, moves=None):
+    """The one-round alpha-beta scan by its stated rules, over ``plain_leaf``
+    values: the moves (default: all, left points then right points) and the
+    replies in canonical order; a move's value is that of its first reply
+    at most the bound, the largest of alpha, the position's leaf and the
+    best so far, or else of its first least reply; the best changes only
+    on a strictly larger value, and the scan stops once the best reaches
+    beta.  Returns (side, element, reply, value) of the best move."""
+    if moves is None:
+        moves = [("L", a) for a in range(pair.left.size)]
+        moves += [("R", b) for b in range(pair.right.size)]
+    bound = max(alpha, plain_leaf(pair, left, right))
+    best = None
+    for side, element in moves:
+        worst = None
+        for reply in range(pair.right.size if side == "L" else pair.left.size):
+            a, b = (element, reply) if side == "L" else (reply, element)
+            v = plain_leaf(pair, left + (a,), right + (b,))
+            if worst is None or v < worst[1]:
+                worst = (reply, v)
+                if v <= bound:
+                    break
+        if best is None or worst[1] > best[3]:
+            best = (side, element) + worst
+            if best[3] >= beta:
+                break
+            bound = max(bound, best[3])
+    return best
+
+
 def brute_force_rank_omega_leaf(
     pair: NamedPair, left: tuple, right: tuple, alpha: int, leaf
 ) -> Fraction:

@@ -298,6 +298,14 @@ class TestMalformedPairJson:
         err = self.run_with(pair_file, capsys, edit)
         assert "'right'" in err and "'dist'" in err and "float" in err
 
+    def test_boolean_distance(self, pair_file, capsys):
+        # [true, true] would load as 1, the distance it replaces
+        def edit(blob):
+            blob["left"]["dist"][0][1] = blob["left"]["dist"][1][0] = [True, True]
+
+        err = self.run_with(pair_file, capsys, edit)
+        assert "'left'" in err and "field 'dist'" in err and "with integers" in err
+
     def test_missing_side(self, pair_file, capsys):
         err = self.run_with(pair_file, capsys, lambda blob: blob.pop("right"))
         assert "missing field 'right'" in err

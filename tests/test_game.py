@@ -22,7 +22,7 @@ from clgames.game import (
     strategy_to_json,
     winning_strategy,
 )
-from clgames.infinitary import AtomicLeaf, DynamicSolver, RAlphaSolver
+from clgames.infinitary import AtomicLeaf, DynamicSolver, RAlphaSolver, build_nested_levels_pair
 from clgames.moduli import capped_linear, identity_modulus
 from clgames.structures import (
     MetricStructure,
@@ -242,6 +242,30 @@ class TestGameValue:
         with pytest.raises(ResourceCapError) as err:
             GameSolver(PAIR_55, max_positions=entries - 1).value(Position(), 3)
         assert sum(err.value.entries.values()) == entries - 1
+
+    @pytest.mark.parametrize("pair, rounds, after_value, after_certificates", [
+        pytest.param(
+            distance_witness_pair(F(1, 2), 16), 2, {"leaf": 197, "value": 197},
+            {"leaf": 290, "value": 290, "certificate": 37}, id="distance-witness-16",
+        ),
+        pytest.param(
+            build_nested_levels_pair(4, 2), 3, {"leaf": 376, "value": 251},
+            {"leaf": 623, "value": 321, "certificate": 113}, id="nested-levels-4",
+        ),
+        pytest.param(
+            PAIR_55, 6, {"leaf": 17, "value": 28},
+            {"leaf": 45, "value": 34, "certificate": 80}, id="cardinality-witness",
+        ),
+    ])
+    def test_table_sizes(self, pair, rounds, after_value, after_certificates):
+        # the entries of each memo table after the value and after both
+        # certificates: a lost cutoff or an extra memo entry changes them
+        solver = GameSolver(pair)
+        solver.value(Position(), rounds)
+        assert {name: len(table) for name, table in solver._tables.items()} == after_value
+        solver.ii_strategy_tree(Position(), rounds)
+        solver.i_witness_tree(Position(), rounds)
+        assert {name: len(table) for name, table in solver._tables.items()} == after_certificates
 
     def test_resource_cap_from_environment(self, monkeypatch):
         monkeypatch.setenv("CLGAMES_MAX_POSITIONS", "5")

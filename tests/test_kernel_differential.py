@@ -34,7 +34,7 @@ F = Fraction
 
 
 @st.composite
-def pairs(draw, max_left=3, max_right=3, near=None, functions=True, ternary=True):
+def pairs(draw, max_left=3, max_right=3, near=None, functions=True, ternary=True, constant=True):
     rng = draw(st.randoms(use_true_random=False))
     grids = {}
     if draw(st.booleans()):
@@ -43,7 +43,7 @@ def pairs(draw, max_left=3, max_right=3, near=None, functions=True, ternary=True
     # terms too slow, so a pair has one or the other
     function = functions and draw(st.booleans())
     sig = helpers.random_signature(
-        rng, with_constant=True, with_function=function, with_ternary=ternary and not function
+        rng, with_constant=constant, with_function=function, with_ternary=ternary and not function
     )
     left = helpers.random_structure(rng, sig, n_points=draw(st.integers(1, max_left)), **grids)
     if near is None:
@@ -135,6 +135,44 @@ def test_pairwise_last_ply_matches_brute_force(case, rounds):
     expected = helpers.brute_force_game_value(pair, left, right, rounds)
     assert solver.value(start, rounds) == expected
     assert solver.best_move(start, rounds) == helpers.first_best_move(pair, left, right, rounds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_last_ply_matches_the_stated_rules(data):
+    # the pairwise last ply's fail-soft results themselves, not only their
+    # bounds, against the oracle that applies the stated cutoff rules to
+    # plain leaves; the windows are drawn from the anchors of
+    # test_windowed_value_is_fail_soft
+    pair, left, right = data.draw(pairs_and_starts(
+        max_start=3, max_left=4, max_right=4, functions=False, ternary=False,
+        constant=data.draw(st.booleans()),
+    ))
+    solver = GameSolver(pair)
+    assert solver._pairwise
+    key, den = solver._enter(Position(left, right), 1), solver._den
+    full = helpers.last_ply_scan(pair, left, right, game._LOW, game._HIGH)
+    assert full[3] == helpers.brute_force_game_value(pair, left, right, 1)
+    leaf, value = solver._leaf_at(key), int(full[3] * den)
+    anchors = sorted({leaf - 1, leaf, leaf + 1, value - 1, value, value + 1})
+    anchors = [game._LOW] + anchors + [game._HIGH]
+
+    def scaled(v):
+        return v if v in (game._LOW, game._HIGH) else F(v, den)
+
+    windows = st.tuples(st.sampled_from(anchors), st.sampled_from(anchors)).filter(
+        lambda window: window[0] < window[1]
+    )
+    for alpha, beta in data.draw(st.lists(windows, min_size=1, max_size=4)):
+        side, element, _, expected = helpers.last_ply_scan(
+            pair, left, right, scaled(alpha), scaled(beta)
+        )
+        assert solver._scan(key, 1, alpha, beta) == (side, element, expected * den)
+        side, element = data.draw(st.sampled_from(solver._moves))
+        _, _, reply, expected = helpers.last_ply_scan(
+            pair, left, right, scaled(alpha), scaled(beta), moves=[(side, element)]
+        )
+        assert solver._reply(key, side, element, 1, alpha, beta) == (reply, expected * den)
 
 
 def uncovered(pair: NamedPair, left: tuple, right: tuple) -> int:

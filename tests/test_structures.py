@@ -12,6 +12,7 @@ import pytest
 from clgames.formulas import evaluate, parse_formula, sample_formulas
 from clgames.game import game_value
 from clgames.moduli import PwlModulus, capped_linear, identity_modulus, linear_modulus
+from clgames.rationals import rat_from_json
 from clgames.structures import (
     FunctionSymbol,
     IntegerForm,
@@ -430,6 +431,12 @@ class TestJsonIO:
         # the bound is 10000 either way
         data["dist"][0][1] = data["dist"][1][0] = "1e-10000"
         assert structure_from_json(data).dist[0][1] == F(1, 10**10000)
+
+    @pytest.mark.parametrize("raw", [[True, 1], [1, True], [True, True], [1.0, 1]])
+    def test_rational_pair_entries_must_be_integers(self, raw):
+        # a bool passes isinstance(v, int): [true, true] would load as 1
+        with pytest.raises(ValueError, match=r"rational pair must be \[num, den\] with integers"):
+            rat_from_json(raw)
 
     @pytest.mark.parametrize(
         "path, raw, field",
