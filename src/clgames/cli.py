@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leaf", choices=["atomic", "omega"], default="atomic")
     p.add_argument("--omega", type=Path, default=None, help="weak modulus JSON (omega leaf)")
     p.add_argument("--term-depth", type=int, default=0)
-    p.add_argument("--dynamic", action="store_true", help="solve the clocked game tree instead")
+    p.add_argument("--dynamic", action="store_true", help="the dynamic-clock game's value")
     p.add_argument("--max-positions", type=int, default=None)
 
     p = sub.add_parser("theta", help="report a formula's moduli")
@@ -261,7 +261,10 @@ def _cmd_ralpha(args) -> int:
         _emit(args, {"alpha": "omega", "value": rat_to_json(value)},
               [f"r_omega = {format_rat(value)}"])
         return 0
-    alpha = int(args.alpha)
+    try:
+        alpha = int(args.alpha)
+    except ValueError:
+        raise ValueError(f"--alpha must be an integer or 'omega', got {args.alpha!r}") from None
     if args.dynamic:
         result = infinitary.dynamic_game_value(
             pair, alpha, leaf=leaf, max_positions=args.max_positions

@@ -205,10 +205,9 @@ class GameSolver:
     beta.  Replies are tried in canonical order, so the full window, which
     every public method uses, gives the first best move and reply.  Every
     memo entry, including the certificates' nodes (the ``certificate``
-    table, made by the first certificate built) and the entries of the
-    dynamic-clock search built on this solver, goes through ``memoize`` and
-    is charged to one position cap, once: a tightened entry is not charged
-    again.
+    table, made by the first certificate built), goes through ``memoize``
+    and is charged to one position cap, once: a tightened entry is not
+    charged again.
 
     Two shortcuts rest on the keys being sets, so that a stay (II repeating
     a played pair) leaves the key as it is; ``_OmegaLeafSolver``, whose keys

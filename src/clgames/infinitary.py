@@ -7,10 +7,11 @@ The rank recursion on a structure pair:
 
 The dynamic game lets the spoiler also spend a strictly decreasing clock
 value each round; its least winning precision for the duplicator equals
-r_alpha, which the test-suite checks by running two independent
-implementations (the game kernel's recursion vs an explicit game-tree
-search over (position, remaining-clock) states, with its own memo of exact
-values and its own alpha cutoff).
+r_alpha, so ``dynamic_game_value`` takes it from the game kernel.  The
+test-suite checks the equality with two independent implementations: the
+kernel's recursion, and ``tests/helpers.DynamicSolver``, an explicit
+game-tree search over (position, remaining-clock) states with its own
+move and reply loops and its own memo of exact values.
 
 Leaf families:
 
@@ -63,7 +64,6 @@ __all__ = [
     "r_alpha",
     "DynamicGameResult",
     "dynamic_game_value",
-    "DynamicSolver",
     "omega_game_value_atomic",
     "check_basic_omega",
     "generate_basic_family",
@@ -190,87 +190,6 @@ class DynamicGameResult:
     # principal variation entries: (clock_spent, side, spoiler_element, reply)
 
 
-class DynamicSolver:
-    """Explicit search over (position, remaining-clock) states.
-
-    Each round the spoiler picks an element and a clock value strictly below
-    the remaining one; the round with clock 0 is still played, then the leaf
-    is scored.  Kept deliberately independent of the rank recursion: the
-    spoiler's clock choice is searched, not assumed maximal.  The value at
-    clock c is the better of spending c - 1 now and spending less, which is
-    the value at clock c - 1, so every choice is searched in time linear in
-    the clock (and in a recursion as deep as the clock).
-
-    The search prunes with an alpha cutoff of its own: the best so far
-    starts at the value at clock c - 1, and a move's replies stop at the
-    first one no better than it, since that move cannot raise the max.  Its
-    memo over (clock, key) holds exact values.  It shares only the kernel's
-    position keys, its leaf scores and, at clock 1 (the last round), its
-    one-round scan ``_scan(key, 1)``.
-    """
-
-    def __init__(self, pair: NamedPair, leaf: AtomicLeaf | OmegaLeaf, max_positions: int | None = None):
-        self.inner = RAlphaSolver(pair, leaf, max_positions)
-        self._memo = self.inner.memo_table("dynamic")
-
-    def value(self, position: Position, clock: int) -> Fraction:
-        key = self.inner._enter(position, clock, name="clock")
-        with rounds_within_stack(clock):
-            return self.inner._fraction(self._value(key, clock))
-
-    def _value(self, key, clock: int):
-        game = self.inner
-        if clock == 0:
-            return game._leaf_at(key)
-        memo_key = (clock, key)
-        if memo_key in self._memo:
-            return self._memo[memo_key]
-        if clock == 1:
-            # the last round is the kernel's one-round scan
-            best = game._scan(key, 1)[2]
-        else:
-            # spending less than clock - 1 is worth the value at clock - 1;
-            # a move's replies stop at the first one no better than the best
-            best = self._value(key, clock - 1)
-            for side, element in game._moves:
-                worst = None
-                for reply in game._replies[side]:
-                    v = self._value(game._child(key, side, element, reply), clock - 1)
-                    if worst is None or v < worst:
-                        worst = v
-                        if v <= best:
-                            break
-                if worst > best:
-                    best = worst
-        return game.memoize("dynamic", memo_key, best)
-
-    def principal_variation(self, position: Position, clock: int) -> list:
-        """(clock spent, side, element, reply) per round along a line of
-        optimal play: the first spend, move and reply that keep the value."""
-        game = self.inner
-        key = game._enter(position, clock, name="clock")
-        line = []
-        with rounds_within_stack(clock):
-            while clock > 0:
-                target = self._value(key, clock)
-                found = None
-                for spent in range(clock):
-                    for side, element in game._moves:
-                        replies = [
-                            self._value(game._child(key, side, element, reply), spent)
-                            for reply in game._replies[side]
-                        ]
-                        if min(replies) == target:
-                            found = (spent, side, element, replies.index(target))
-                            break
-                    if found:
-                        break
-                line.append(found)
-                clock, side, element, reply = found
-                key = game._child(key, side, element, reply)
-        return line
-
-
 def dynamic_game_value(
     pair: NamedPair,
     clock: int,
@@ -278,12 +197,37 @@ def dynamic_game_value(
     start: Position | None = None,
     max_positions: int | None = None,
 ) -> DynamicGameResult:
-    """Least precision at which the duplicator survives the dynamic game."""
-    start = start or Position()
-    solver = DynamicSolver(pair, leaf or AtomicLeaf(), max_positions)
-    value = solver.value(start, clock)
-    pv = tuple(solver.principal_variation(start, clock))
-    return DynamicGameResult(value=value, clock=clock, principal_variation=pv)
+    """Least precision at which the duplicator survives the dynamic game, and
+    a line of optimal play.
+
+    Each round the spoiler picks an element and a clock value strictly below
+    the remaining one; the round with clock 0 is still played, then the leaf
+    is scored.  A round that spends s, and the rounds after it, are worth
+    V_{s+1}, which grows with s because the leaf only grows along play (the
+    omega leaf's arity-k family lies in its arity-(k+1) family).  So the
+    best spend is c - 1, and the value at clock c is the kernel's V_c, with
+    its rounds clamp: a deep clock costs no deeper a search than the pair's
+    points.  ``tests/helpers.DynamicSolver`` searches the spends instead.
+
+    The principal variation holds (clock spent, side, element, reply) per
+    round: the least spend s whose scan ``_scan(key, s + 1)`` reaches the
+    value, the scan's first best move, and the first reply that keeps the
+    value, which then stays the same along the line.
+    """
+    game = RAlphaSolver(pair, leaf or AtomicLeaf(), max_positions)
+    key = game._enter(start or Position(), clock, name="clock")
+    line, left = [], clock
+    with rounds_within_stack(clock):
+        target = game._value(key, clock)
+        while left > 0:
+            for spent in range(left):
+                side, element, best = game._scan(key, spent + 1)
+                if best == target:
+                    break
+            reply, _ = game._reply(key, side, element, spent + 1)
+            line.append((spent, side, element, reply))
+            left, key = spent, game._child(key, side, element, reply)
+    return DynamicGameResult(game._fraction(target), clock, tuple(line))
 
 
 def omega_game_value_atomic(

@@ -35,7 +35,7 @@ from clgames.formulas import (
     enumerate_atomic,
 )
 from clgames.game import IIStrategyNode, Position
-from clgames.infinitary import generate_basic_family
+from clgames.infinitary import AtomicLeaf, RAlphaSolver, generate_basic_family
 from clgames.moduli import capped_linear, identity_modulus
 from clgames.rationals import format_rat
 from clgames.structures import (
@@ -371,6 +371,74 @@ def brute_force_rank_omega_leaf(
         return _max_gap(pair, families[k], lp, rp)
 
     return _ordered_minimax(pair, left, right, alpha, score)
+
+
+class DynamicSolver:
+    """The dynamic-clock game by an explicit search over (position,
+    remaining-clock) states: the oracle for ``dynamic_game_value``.
+
+    Each round the spoiler picks an element and a clock value strictly below
+    the remaining one; the round with clock 0 is still played, then the leaf
+    is scored.  The spoiler's clock choice is searched, not assumed maximal:
+    the value at clock c is the better of spending c - 1 now and spending
+    less, which is the value at clock c - 1.  Every clock, 1 included, runs
+    its own move and reply loops, with an alpha cutoff of its own (a move's
+    replies stop at the first one no better than the best so far), over a
+    plain memo of exact values with no cap.  Of the kernel it uses only the
+    position keys and leaves (``_key``, ``_child``, ``_leaf_at``), which
+    ``test_leaf_matches_plain_leaf`` pins to ``plain_leaf``, and
+    ``_fraction`` for the result.
+    """
+
+    def __init__(self, pair: NamedPair, leaf=None):
+        self.game = RAlphaSolver(pair, leaf or AtomicLeaf())
+        self.moves = [("L", a) for a in range(pair.left.size)]
+        self.moves += [("R", b) for b in range(pair.right.size)]
+        self.replies = {"L": range(pair.right.size), "R": range(pair.left.size)}
+        self.memo = {}
+
+    def value(self, position: Position, clock: int) -> Fraction:
+        return self.game._fraction(self._value(self.game._key(position), clock))
+
+    def _value(self, key, clock: int):
+        if clock == 0:
+            return self.game._leaf_at(key)
+        if (clock, key) not in self.memo:
+            best = self._value(key, clock - 1)
+            for side, element in self.moves:
+                worst = None
+                for reply in self.replies[side]:
+                    v = self._value(self.game._child(key, side, element, reply), clock - 1)
+                    if worst is None or v < worst:
+                        worst = v
+                        if v <= best:
+                            break
+                best = max(best, worst)
+            self.memo[clock, key] = best
+        return self.memo[clock, key]
+
+    def principal_variation(self, position: Position, clock: int) -> list:
+        """(clock spent, side, element, reply) per round along a line of
+        optimal play: the first spend, move and reply that keep the value."""
+        key, line = self.game._key(position), []
+        while clock > 0:
+            target = self._value(key, clock)
+            found = None
+            for spent in range(clock):
+                for side, element in self.moves:
+                    replies = [
+                        self._value(self.game._child(key, side, element, reply), spent)
+                        for reply in self.replies[side]
+                    ]
+                    if min(replies) == target:
+                        found = (spent, side, element, replies.index(target))
+                        break
+                if found:
+                    break
+            line.append(found)
+            clock, side, element, reply = found
+            key = self.game._child(key, side, element, reply)
+        return line
 
 
 def _extend(position: Position, side: str, element: int, reply: int) -> Position:

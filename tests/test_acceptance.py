@@ -23,7 +23,7 @@ from clgames.formulas import (
     theta_of,
 )
 from clgames.game import GameSolver, Position, game_value
-from clgames.infinitary import AtomicLeaf, DynamicSolver, RAlphaSolver, omega_game_value_atomic
+from clgames.infinitary import AtomicLeaf, RAlphaSolver, omega_game_value_atomic
 from clgames.moduli import capped_linear, compose, concave_envelope, linear_modulus
 from clgames.structures import (
     MetricStructure,
@@ -80,7 +80,7 @@ def test_criterion_1_dynamic_game_equals_rank_recursion():
     checked = 0
     for pair in pairs:
         recursion = RAlphaSolver(pair, AtomicLeaf())
-        search = DynamicSolver(pair, AtomicLeaf())
+        search = helpers.DynamicSolver(pair, AtomicLeaf())
         for alpha in range(5):
             assert search.value(Position(), alpha) == recursion.value(Position(), alpha)
             checked += 1

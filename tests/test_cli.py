@@ -322,6 +322,19 @@ class TestRalphaCommand:
         assert rc == 0
         assert "1/8" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("alpha", ["abc", "1.5"])
+    def test_alpha_neither_integer_nor_omega(self, pair_file, capsys, alpha):
+        rc = main(["ralpha", "--pair", str(pair_file), "--alpha", alpha])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --alpha must be an integer or 'omega', got '{alpha}'\n"
+
+    def test_deep_dynamic_clock_clamps(self, pair_file, capsys):
+        # the kernel's rounds clamp cuts the clock to the uncovered points
+        rc = main(["ralpha", "--pair", str(pair_file), "--alpha", "9999", "--dynamic"])
+        assert rc == 0
+        assert capsys.readouterr().out == "dynamic game value (clock 9999) = 1/8\n"
+
     def test_omega_clock(self, pair_file, capsys):
         rc = main(["ralpha", "--pair", str(pair_file), "--alpha", "omega"])
         assert rc == 0

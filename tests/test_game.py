@@ -22,7 +22,12 @@ from clgames.game import (
     strategy_to_json,
     winning_strategy,
 )
-from clgames.infinitary import AtomicLeaf, DynamicSolver, RAlphaSolver, build_nested_levels_pair
+from clgames.infinitary import (
+    AtomicLeaf,
+    RAlphaSolver,
+    build_nested_levels_pair,
+    dynamic_game_value,
+)
 from clgames.moduli import capped_linear, identity_modulus
 from clgames.structures import (
     MetricStructure,
@@ -305,7 +310,7 @@ class TestGameValue:
         "^rounds must be non-negative, got -1$", id="ralpha-negative-clock",
     ),
     pytest.param(
-        lambda: DynamicSolver(PAIR_55, AtomicLeaf()).value(Position(), -1),
+        lambda: dynamic_game_value(PAIR_55, -1),
         "^clock must be non-negative, got -1$", id="dynamic-negative-clock",
     ),
     pytest.param(

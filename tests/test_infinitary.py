@@ -20,7 +20,6 @@ from clgames.formulas import (
 from clgames.game import Position, ResourceCapError, game_value
 from clgames.infinitary import (
     AtomicLeaf,
-    DynamicSolver,
     OmegaLeaf,
     RAlphaSolver,
     build_nested_levels_pair,
@@ -64,6 +63,15 @@ def constant_pair(left_c: int, right_c: int) -> NamedPair:
         constant_map={"c": idx},
     )
     return NamedPair(mk(left_c), mk(right_c))
+
+
+def one_point_pair() -> NamedPair:
+    rng = random.Random(45)
+    sig = helpers.random_signature(rng, with_function=True)
+    return NamedPair(
+        helpers.random_structure(rng, sig, n_points=1),
+        helpers.random_structure(rng, sig, n_points=1),
+    )
 
 
 class TestRAlpha:
@@ -143,6 +151,33 @@ class TestDynamicGame:
         clocks = [entry[0] for entry in result.principal_variation]
         assert all(b < a for a, b in zip([3] + clocks, clocks))
 
+    def test_matches_the_clocked_search(self):
+        # the value and the whole line equal those of the oracle, which
+        # searches every spend of the clock with loops of its own; the
+        # omega leaf holds x0 to the identity modulus, so it depends on
+        # play order
+        order_dependent = OmegaLeaf(
+            WeakModulus(
+                coords=(identity_modulus(),), tail=linear_modulus(2), aggregator=Aggregator.MAX
+            )
+        )
+        rng = random.Random(46)
+        for leaf in (AtomicLeaf(0), AtomicLeaf(1), order_dependent):
+            for _ in range(6):
+                pair = helpers.random_pair(rng, max_points=3, with_function=leaf.term_depth == 1)
+                oracle = helpers.DynamicSolver(pair, leaf)
+                k = rng.randint(0, 1)
+                start = Position(
+                    tuple(rng.randrange(pair.left.size) for _ in range(k)),
+                    tuple(rng.randrange(pair.right.size) for _ in range(k)),
+                )
+                for clock in range(3):
+                    result = dynamic_game_value(pair, clock, leaf=leaf, start=start)
+                    assert result.value == oracle.value(start, clock)
+                    assert list(result.principal_variation) == oracle.principal_variation(
+                        start, clock
+                    )
+
     def test_cap_counts_memo_and_leaf_tables_together(self):
         rng = random.Random(44)
         sig = helpers.random_signature(rng)
@@ -150,48 +185,48 @@ class TestDynamicGame:
             helpers.random_structure(rng, sig, n_points=4),
             helpers.random_structure(rng, sig, n_points=4),
         )
-        # the whole solve holds 29 leaf and 38 dynamic entries
-        solver = DynamicSolver(pair, AtomicLeaf(), max_positions=50)
+        # the whole solve, its principal variation included, holds 29 leaf
+        # and 36 value entries
+        result = dynamic_game_value(pair, 3, max_positions=65)
+        assert result.value == r_alpha(pair, alpha=3)
         with pytest.raises(ResourceCapError) as err:
-            solver.value(Position(), 3)
-        inner = solver.inner
-        assert len(solver._memo) + len(inner._leaf) + len(inner._values) <= 50
-        assert err.value.entries == {
-            "leaf": len(inner._leaf), "value": len(inner._values), "dynamic": len(solver._memo)
-        }
-        assert sum(err.value.entries.values()) == 50
+            dynamic_game_value(pair, 3, max_positions=64)
+        assert err.value.entries == {"leaf": 29, "value": 35}
 
-    def test_clock_deeper_than_the_stack_rejected(self):
-        # the value at a clock recurses into the value at the clock below
-        # first, so the search is as deep as the clock even on a one-point
-        # pair; a lowered limit keeps the work before the overflow small
-        rng = random.Random(45)
-        sig = helpers.random_signature(rng, with_function=True)
-        pair = NamedPair(
-            helpers.random_structure(rng, sig, n_points=1),
-            helpers.random_structure(rng, sig, n_points=1),
-        )
+    def test_deep_clock_clamps_at_the_uncovered_points(self):
+        # the kernel's rounds clamp cuts the clock to the points the start
+        # leaves uncovered, so a clock deeper than the stack is solved
+        pair = one_point_pair()
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack(0)) + 80)
         try:
-            with pytest.raises(ValueError, match="recursion"):
-                dynamic_game_value(pair, 200)
+            assert dynamic_game_value(pair, 200).value == r_alpha(pair, alpha=200)
         finally:
             sys.setrecursionlimit(limit)
 
-    def test_search_linear_in_the_clock(self):
-        # once every reachable set of pairs is searched, each further clock
-        # step costs the same child evaluations; a search over every clock
-        # value at each state would grow with the square of the clock
-        counts = []
+    def test_clock_deeper_than_the_stack_rejected(self):
+        # the omega leaf keys positions in play order, so nothing clamps the
+        # clock and the search is as deep as the clock even on a one-point
+        # pair; a lowered limit keeps the work before the overflow small, as
+        # the leaf's family grows with the fourth power of the key's length
+        pair = one_point_pair()
+        leaf = OmegaLeaf(WeakModulus(coords=(), tail=linear_modulus(2), aggregator=Aggregator.MAX))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+        try:
+            with pytest.raises(ValueError, match="recursion") as err:
+                dynamic_game_value(pair, 200, leaf=leaf)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert "\n" not in str(err.value)
+
+    def test_table_does_not_depend_on_the_clock(self):
+        # the clock clamps at the uncovered points, so every clock past them
+        # fills the same table
         for clock in (20, 40, 60):
-            solver = DynamicSolver(PAIR_55, AtomicLeaf())
-            calls = []
-            child = solver.inner._child
-            solver.inner._child = lambda *args: calls.append(args) or child(*args)
-            assert solver.value(Position(), clock) == F(1, 8)
-            counts.append(len(calls))
-        assert counts[2] - counts[1] == counts[1] - counts[0]
+            assert dynamic_game_value(PAIR_55, clock, max_positions=47).value == F(1, 8)
+            with pytest.raises(ResourceCapError):
+                dynamic_game_value(PAIR_55, clock, max_positions=46)
 
     def test_negative_term_depth_rejected(self):
         for solve in (
