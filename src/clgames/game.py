@@ -382,11 +382,13 @@ class GameSolver:
                 mats_r += [(rows_r, cols_l), (cols_r, rows_l)]
         return {"L": (single, 0, mats_l), "R": ([list(c) for c in zip(*single)], 1, mats_r)}
 
-    def _last_ply(self, key, moves, alpha=_LOW, beta=_HIGH):
+    def _last_ply(self, key, moves, alpha=_LOW, beta=_HIGH, replies=None):
         """``_scan`` at one round left, at width 2, over ``moves``: the first
         best move, its reply and value as (side, element, reply, value).
         Each child's leaf is scored from the key's, with no key and no memo
-        entry; the key's half of each pair gap is built once per side."""
+        entry; the key's half of each pair gap is built once per side.  Given
+        a ``replies`` dict, it maps every move to its first best reply and
+        that reply's value instead, and the result is None."""
         if self._ply is None:
             self._ply = self._ply_tables()
         base = self._leaf_at(key)
@@ -416,7 +418,9 @@ class GameSolver:
                     best_reply, worst = reply, v
                     if v <= bound:
                         break
-            if best is None or worst > best[3]:
+            if replies is not None:
+                replies[side, element] = best_reply, worst
+            elif best is None or worst > best[3]:
                 best = (side, element, best_reply, worst)
                 if worst >= beta:
                     break
@@ -545,11 +549,17 @@ class GameSolver:
             return None
         node = self._tables["certificate"].get(("II", key, rounds))
         if node is None:
-            responses = {}
-            for side, element in self._moves:
-                reply, _ = self._reply(key, side, element, rounds)
-                child = self._child(key, side, element, reply)
-                responses[side, element] = (reply, self._ii_node(child, rounds - 1))
+            if rounds == 1 and self._pairwise:
+                # every move's reply in one pass; the children are leaves
+                replies = {}
+                self._last_ply(key, self._moves, replies=replies)
+                responses = {move: (reply, None) for move, (reply, _) in replies.items()}
+            else:
+                responses = {}
+                for side, element in self._moves:
+                    reply, _ = self._reply(key, side, element, rounds)
+                    child = self._child(key, side, element, reply)
+                    responses[side, element] = (reply, self._ii_node(child, rounds - 1))
             node = self.memoize("certificate", ("II", key, rounds), IIStrategyNode(responses))
         return node
 

@@ -14,19 +14,26 @@ integers over the lcm D of their denominators.  It is built once, on first
 use, and is the package's one scaling path.  ``validate`` runs every check
 on it: a modulus is tabulated once per distinct distance as
 floor(modulus(d) * D), an exact bound for integer value gaps, and the
-structure's Fractions are formatted only for a reported violation.
+structure's Fractions are formatted only for a reported violation.  Two
+distinct tuples differ in some coordinate, so every tuple pair's bound is at
+least the least off-diagonal one, and only pairs whose values lie further
+apart than that are compared.
 ``formulas.evaluate`` reads the same form, and the game solver brings both
 sides to their common denominator with ``IntegerForm.of``.
+
+``structure_from_json`` decodes each distinct ``[num, den]`` and table key
+once per structure; the memo ends with the call.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from math import lcm
 from operator import gt, sub
 from pathlib import Path
@@ -240,6 +247,10 @@ def _tuples(n_points: int, arity: int):
     return product(range(n_points), repeat=arity)
 
 
+def _is_point(image, n_points: int) -> bool:
+    return isinstance(image, int) and 0 <= image < n_points
+
+
 @dataclass(frozen=True)
 class IntegerForm:
     """A structure's numbers as integers over the denominator ``den``: each
@@ -287,11 +298,35 @@ def _modulus_bounds(modulus: PwlModulus, form: IntegerForm) -> list[list[int]]:
     return [[bounds[max(g, -1)] for g in row] for row in form.dist]
 
 
-def _later_bounds(rows: list[list[int]], present: list, coords: list, i: int):
-    """The integer modulus bounds between the i-th present tuple and each
-    later one, in order."""
-    cols = [map(rows[x].__getitem__, coord[i + 1:]) for x, coord in zip(present[i], coords)]
+def _bounds(rows: list[list[int]], xs: tuple, coords: list, js):
+    """The integer modulus bounds between the tuple xs and the present
+    tuples at the indices js, in order."""
+    cols = [map(rows[x].__getitem__, map(coord.__getitem__, js)) for x, coord in zip(xs, coords)]
     return cols[0] if len(cols) == 1 else map(max, *cols)
+
+
+def _least_bound(rows: list[list[int]]) -> int:
+    """The least off-diagonal bound, -1 on one point: two distinct tuples
+    differ in some coordinate, so the bound of any pair of them is at least
+    this."""
+    return min((b for x, row in enumerate(rows) for y, b in enumerate(row) if x != y), default=-1)
+
+
+def _candidates(values: list[int], least: int):
+    """For each tuple i, the later tuples j whose value lies more than
+    ``least`` from its own, ascending: with every pair's bound at least
+    ``least``, no other pair can break the modulus.  The values are sorted
+    once, and two bisects per tuple find them; at a negative ``least``
+    every later tuple is one."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ordered = [values[k] for k in order]
+
+    def later(i, v):
+        lo = bisect_left(ordered, v - least)
+        hi = bisect_right(ordered, v + least, lo)
+        return sorted(filter(i.__lt__, chain(order[:lo], order[hi:])))
+
+    return map(later, range(len(values)), values)
 
 
 def _modulus_detail(modulus: PwlModulus, d, xs: tuple, ys: tuple) -> str:
@@ -307,7 +342,10 @@ def validate(structure: MetricStructure, allow_pseudometric: bool = False) -> Va
     Every comparison runs on the structure's ``IntegerForm``; the
     structure's Fractions are formatted only for a reported violation.  A
     modulus is evaluated once per distinct distance, and again for each
-    reported pair."""
+    reported pair.  A tuple pair can break a predicate's modulus only when
+    its values lie further apart than the least off-diagonal bound, the
+    least bound any pair of distinct tuples has; only such pairs are
+    compared, in the order of a full scan, so the report is the same."""
     report = ValidationReport()
     n = structure.size
     labels = structure.points
@@ -378,14 +416,17 @@ def validate(structure: MetricStructure, allow_pseudometric: bool = False) -> Va
         coords = [list(coord) for coord in zip(*present)]
         values = [scaled[xs] for xs in present]
         rows = _modulus_bounds(sym.modulus, form)
-        for i, v in enumerate(values):
-            bounds = list(_later_bounds(rows, present, coords, i))
+        for i, js in enumerate(_candidates(values, _least_bound(rows))):
+            if not js:
+                continue
+            v, xs = values[i], present[i]
+            bounds = list(_bounds(rows, xs, coords, js))
             # a negative gap has bound -1: it passes this filter, and the
             # loop below skips it, as it is reported as a negative distance
-            if not any(map(gt, map(abs, map(sub, values[i + 1:], repeat(v))), bounds)):
+            gaps = map(abs, map(sub, map(values.__getitem__, js), repeat(v)))
+            if not any(map(gt, gaps, bounds)):
                 continue
-            xs = present[i]
-            for j, bound in enumerate(bounds, i + 1):
+            for j, bound in zip(js, bounds):
                 if bound >= 0 and abs(v - values[j]) > bound:
                     ys = present[j]
                     detail = _modulus_detail(sym.modulus, d, xs, ys)
@@ -403,19 +444,21 @@ def validate(structure: MetricStructure, allow_pseudometric: bool = False) -> Va
             if args not in table:
                 report.add("incomplete-table", (sym.name, args), "missing entry")
         for args, value in table.items():
-            if not (isinstance(value, int) and 0 <= value < n):
+            if not _is_point(value, n):
                 report.add("function-range", (sym.name, args), f"image {value!r} not a point")
         present = [xs for xs in _tuples(n, sym.arity) if xs in table]
         coords = [list(coord) for coord in zip(*present)]
+        # an image that is not a point is reported above, and skipped here
+        images = [fx if _is_point(fx, n) else None for fx in map(table.__getitem__, present)]
         rows = _modulus_bounds(sym.modulus, form)
-        for i, xs in enumerate(present):
-            fx = table[xs]
-            if not isinstance(fx, int):
+        for i, fx in enumerate(images):
+            if fx is None:
                 continue
-            for j, bound in enumerate(_later_bounds(rows, present, coords, i), i + 1):
-                ys = present[j]
-                fy = table[ys]
-                if isinstance(fy, int) and 0 <= bound < dist[fx][fy]:
+            later = range(i + 1, len(present))
+            for j, bound in zip(later, _bounds(rows, present[i], coords, later)):
+                fy = images[j]
+                if fy is not None and 0 <= bound < dist[fx][fy]:
+                    xs, ys = present[i], present[j]
                     detail = _modulus_detail(sym.modulus, d, xs, ys)
                     report.add(
                         "function-modulus",
@@ -427,7 +470,7 @@ def validate(structure: MetricStructure, allow_pseudometric: bool = False) -> Va
             report.add("missing-constant", (name,), "constant not interpreted")
         else:
             idx = structure.constant_map[name]
-            if not (isinstance(idx, int) and 0 <= idx < n):
+            if not _is_point(idx, n):
                 report.add("constant-range", (name,), f"image {idx!r} not a point")
     for name in structure.constant_map:
         if name not in structure.signature.constants:
@@ -643,12 +686,37 @@ def structure_to_json(structure: MetricStructure) -> dict:
     }
 
 
-def _tables(decode_value):
+def _tables(decode_value, decode_key):
     """Decoder for {symbol: {"(i,j,...)": value}} tables."""
     return lambda raw: {
-        name: {_key_to_tuple(k): decode_value(v) for k, v in table.items()}
+        name: {decode_key(k): decode_value(v) for k, v in table.items()}
         for name, table in raw.items()
     }
+
+
+def _decoders():
+    """A rational and a table-key decoder that decode each distinct
+    ``[num, den]`` of two ints and each distinct key string once, for one
+    structure.  Anything else goes through ``rat_from_json`` and
+    ``_key_to_tuple`` every time, and fails with their messages."""
+    rats, keys = {}, {}
+
+    def rational(raw):
+        if type(raw) is list and len(raw) == 2 and type(raw[0]) is int and type(raw[1]) is int:
+            pair = raw[0], raw[1]
+            value = rats.get(pair)
+            if value is None:
+                value = rats[pair] = rat_from_json(raw)
+            return value
+        return rat_from_json(raw)
+
+    def key(raw):
+        value = keys.get(raw)
+        if value is None:
+            value = keys[raw] = _key_to_tuple(raw)
+        return value
+
+    return rational, key
 
 
 def _check_table_size(sym, n: int, table: dict):
@@ -662,14 +730,13 @@ def _check_table_size(sym, n: int, table: dict):
 
 
 def structure_from_json(data: dict) -> MetricStructure:
+    rational, key = _decoders()
     sig = json_field(data, "signature", signature_from_json)
     points = json_field(data, "points", lambda raw: tuple(str(p) for p in raw))
-    dist = json_field(
-        data, "dist", lambda raw: tuple(tuple(rat_from_json(v) for v in row) for row in raw)
-    )
-    preds = json_field(data, "predicates", _tables(rat_from_json), {})
+    dist = json_field(data, "dist", lambda raw: tuple(tuple(map(rational, row)) for row in raw))
+    preds = json_field(data, "predicates", _tables(rational, key), {})
     funcs = json_field(
-        data, "functions", _tables(lambda v: _json_int(v, "a function image")), {}
+        data, "functions", _tables(lambda v: _json_int(v, "a function image"), key), {}
     )
     for sym in sig.predicates:
         _check_table_size(sym, len(points), preds.get(sym.name, {}))

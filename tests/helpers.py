@@ -655,8 +655,8 @@ def fraction_validate(
                 if ys <= xs or ys not in table:
                     continue
                 fx, fy = table[xs], table[ys]
-                if not (isinstance(fx, int) and isinstance(fy, int)):
-                    continue
+                if not all(isinstance(f, int) and 0 <= f < n for f in (fx, fy)):
+                    continue  # reported as out of range
                 gap = max(d[x][y] for x, y in zip(xs, ys))
                 if gap < 0:
                     continue  # reported as a negative distance

@@ -16,7 +16,10 @@ from clgames.moduli import (
 )
 from clgames.rationals import format_rat
 from clgames.structures import (
+    FunctionSymbol,
+    MetricStructure,
     NamedPair,
+    Signature,
     load_pair,
     save_pair,
     save_structure,
@@ -62,8 +65,6 @@ def structure_file(tmp_path):
 
 @pytest.fixture
 def bad_structure_file(tmp_path):
-    from clgames.structures import MetricStructure, Signature
-
     s = MetricStructure(
         signature=Signature(),
         points=("a", "b", "c"),
@@ -108,6 +109,27 @@ class TestValidateCommand:
         assert lines[:2] == ["3 violation(s)", "  - negative-distance at ('a', 'b'): -1/5"]
         assert all(line.startswith("  - triangle at") for line in lines[2:])
         assert captured.err == ""
+
+
+    def test_function_image_not_a_point(self, tmp_path, capsys):
+        # f(a) = 2 on two points: reported once, in one line, with no
+        # traceback; a command that loads the file fails in one line too
+        sig = Signature(functions=(FunctionSymbol("f", 1, linear_modulus(F(1, 7))),))
+        dist = ((F(0), F(1, 2)), (F(1, 2), F(0)))
+        bad = MetricStructure(sig, ("a", "b"), dist, function_tables={"f": {(0,): 2, (1,): 0}})
+        path, pair_path = tmp_path / "f.json", tmp_path / "pair.json"
+        save_structure(bad, path)
+        save_pair(NamedPair(bad, bad), pair_path)
+        assert main(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "1 violation(s)",
+            "  - function-range at ('f', (0,)): image 2 not a point",
+        ]
+        assert captured.err == ""
+        assert main(["game", "--pair", str(pair_path), "--rounds", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "function-range" in err and err.count("\n") == 1
 
 
 class TestEvalCommand:

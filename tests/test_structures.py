@@ -9,6 +9,7 @@ from itertools import product
 
 import pytest
 
+from clgames import structures
 from clgames.formulas import evaluate, parse_formula, sample_formulas
 from clgames.game import game_value
 from clgames.moduli import PwlModulus, capped_linear, identity_modulus, linear_modulus
@@ -198,6 +199,34 @@ class TestValidateBoundaries:
         ]
         assert report.violations[0].detail == "d(f(x),f(y)) = 4/7 > modulus(4/7) = 59/105"
 
+    def binary(self, spread) -> MetricStructure:
+        # R(a,a) = R(c,b) = spread, R(b,c) = 1/7 and 0 elsewhere; the least
+        # off-diagonal bound is 30/105 = 2/7 at d(a,b) = 4/7, and only tuples
+        # that differ by swapping a and b in some coordinates have it
+        sig = Signature(predicates=(PredicateSymbol("R", 2, linear_modulus(F(1, 2))),))
+        table = {args: F(0) for args in product(range(3), repeat=2)}
+        table[0, 0] = table[2, 1] = spread
+        table[1, 2] = F(1, 7)
+        return MetricStructure(sig, ("a", "b", "c"), self.DIST, {"R": table})
+
+    def test_value_spread_equal_to_the_least_bound(self):
+        structure = self.binary(F(2, 7))
+        assert validate(structure).ok
+        assert helpers.fraction_validate(structure).ok
+
+    def test_value_spread_one_unit_beyond_the_least_bound(self):
+        # 31/105 breaks exactly the pairs at the least bound that hold both
+        # extreme values; every other bound is at least 31/105
+        structure = self.binary(F(31, 105))
+        report = validate(structure)
+        assert [(v.witness, v.detail) for v in report.violations] == [
+            (("R", (0, 0), (0, 1)), "|31/105 - 0| > modulus(4/7) = 2/7"),
+            (("R", (0, 0), (1, 0)), "|31/105 - 0| > modulus(4/7) = 2/7"),
+            (("R", (0, 0), (1, 1)), "|31/105 - 0| > modulus(4/7) = 2/7"),
+            (("R", (2, 0), (2, 1)), "|0 - 31/105| > modulus(4/7) = 2/7"),
+        ]
+        assert report.violations == helpers.fraction_validate(structure).violations
+
     def test_triangle_at_equality(self):
         def triangle(ac):
             return MetricStructure(
@@ -212,6 +241,78 @@ class TestValidateBoundaries:
             ("triangle", ("a", "b", "c")),
             ("triangle", ("c", "b", "a")),
         ]
+
+
+class TestFunctionImageNotAPoint:
+    """An image outside the points is reported once, as out of range, and
+    the modulus check skips it."""
+
+    def structure(self, image) -> MetricStructure:
+        # f(a) = image, f(b) = a, at d(a,b) = 1/2 under the modulus t/7
+        sig = Signature(functions=(FunctionSymbol("f", 1, linear_modulus(F(1, 7))),))
+        dist = ((F(0), F(1, 2)), (F(1, 2), F(0)))
+        return MetricStructure(sig, ("a", "b"), dist, function_tables={"f": {(0,): image, (1,): 0}})
+
+    @pytest.mark.parametrize("image", [2, -1])
+    def test_only_the_range_is_reported(self, image):
+        structure = self.structure(image)
+        report = validate(structure)
+        assert [(v.kind, v.witness, v.detail) for v in report.violations] == [
+            ("function-range", ("f", (0,)), f"image {image} not a point")
+        ]
+        assert report.violations == helpers.fraction_validate(structure).violations
+
+    def test_load_reports_the_range(self, tmp_path):
+        path = tmp_path / "s.json"
+        save_structure(self.structure(2), path)
+        with pytest.raises(StructureValidationError, match="function-range"):
+            load_structure(path)
+
+
+class TestCandidatePairs:
+    """Only tuple pairs whose values lie more than the least off-diagonal
+    bound apart are compared exactly."""
+
+    SIG = Signature(
+        predicates=(
+            PredicateSymbol("P", 1, capped_linear(2)),
+            PredicateSymbol("R", 2, capped_linear(2)),
+        )
+    )
+
+    def exact_pairs(self, monkeypatch, structure) -> int:
+        # every pair whose bound is computed is compared exactly
+        counted = []
+        bounds = structures._bounds
+
+        def counting(rows, xs, coords, js):
+            counted.append(len(js))
+            return bounds(rows, xs, coords, js)
+
+        monkeypatch.setattr(structures, "_bounds", counting)
+        validate(structure)
+        return sum(counted)
+
+    def test_no_pair_on_a_benchmark_structure(self, monkeypatch):
+        # distances in [1/2, 1] under min(2t, 1): the least bound is 1, and
+        # no two values in [0, 1] lie further apart
+        structure = helpers.random_structure(random.Random(0), self.SIG, n_points=18)
+        assert self.exact_pairs(monkeypatch, structure) == 0
+
+    def test_an_outlier_is_compared_with_the_values_beyond_reach(self, monkeypatch):
+        structure = helpers.random_structure(random.Random(0), self.SIG, n_points=18)
+        structure.predicate_tables["R"][3, 5] = F(5, 4)
+        candidates = sum(
+            abs(table[xs] - table[ys]) > 1
+            for table in structure.predicate_tables.values()
+            for xs in table
+            for ys in table
+            if xs < ys
+        )
+        # 5/4 is more than 1 from 0 only
+        assert candidates == sum(v == 0 for v in structure.predicate_tables["R"].values()) > 0
+        assert self.exact_pairs(monkeypatch, structure) == candidates
+        assert validate(structure).violations == helpers.fraction_validate(structure).violations
 
 
 class TestReduct:

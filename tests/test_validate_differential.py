@@ -12,12 +12,19 @@ included, or raise the same error.
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clgames.moduli import PwlModulus, capped_linear, identity_modulus, linear_modulus
+from clgames.moduli import (
+    PwlModulus,
+    capped_linear,
+    identity_modulus,
+    linear_modulus,
+    zero_modulus,
+)
 from clgames.structures import (
     FunctionSymbol,
     MetricStructure,
@@ -141,7 +148,8 @@ def _break_predicate_modulus(parts, rng):
 def _break_function_range(parts, rng):
     if found := _table(parts, "functions", rng):
         table = found[1]
-        # an image of n makes both validations index past the distance matrix
+        # an image of -1 or n is reported as out of range, and neither
+        # validation checks it against the modulus
         n = len(parts["dist"])
         table[rng.choice(sorted(table))] = rng.choice((None, -1, n, "p0", F(1, 2)))
 
@@ -224,7 +232,7 @@ def outcome(check, structure, allow_pseudometric):
     """The violations and notes in order, or the error raised."""
     try:
         report = check(structure, allow_pseudometric=allow_pseudometric)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         return type(exc), str(exc)
     return report.violations, report.notes
 
@@ -257,6 +265,57 @@ def broken_structures(draw):
 def test_validate_matches_the_fraction_oracle(structure, allow_pseudometric):
     expected = outcome(helpers.fraction_validate, structure, allow_pseudometric)
     assert outcome(validate, structure, allow_pseudometric) == expected
+
+
+# Close values with a few outliers, on distances down to 1/8 and under tight
+# moduli: the least off-diagonal bound is small, so the check compares some
+# tuple pairs exactly and skips the rest; sometimes one distance is negative,
+# and then every pair is compared.
+CLOSE_DISTANCES = (F(1, 8), F(1, 6), F(1, 5), F(1, 4), F(1, 2), F(1))
+CLOSE_VALUES = tuple(F(k, 48) for k in range(7))
+OUTLIERS = (F(1, 2), F(1), F(5, 4), F(-1, 8))
+TIGHT_MODULI = (
+    zero_modulus(),
+    linear_modulus(F(1, 7)),
+    linear_modulus(F(1, 3)),
+    identity_modulus(),
+    capped_linear(2),
+)
+
+
+@st.composite
+def clustered_structures(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    preds = tuple(
+        PredicateSymbol(f"P{i}", draw(st.integers(1, 3)), draw(st.sampled_from(TIGHT_MODULI)))
+        for i in range(draw(st.integers(1, 2)))
+    )
+    n = draw(st.integers(2, 4 if all(p.arity < 3 for p in preds) else 3))
+    dist = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i][j] = dist[j][i] = rng.choice(CLOSE_DISTANCES)
+    if draw(st.integers(0, 4)) == 0:
+        dist[0][1] = dist[1][0] = F(-1, 8)
+    tables = {
+        p.name: {args: rng.choice(CLOSE_VALUES) for args in product(range(n), repeat=p.arity)}
+        for p in preds
+    }
+    for _ in range(draw(st.integers(0, 3))):
+        table = tables[rng.choice(sorted(tables))]
+        table[rng.choice(sorted(table))] = rng.choice(OUTLIERS)
+    return MetricStructure(
+        signature=Signature(predicates=preds),
+        points=tuple(f"p{i}" for i in range(n)),
+        dist=tuple(map(tuple, dist)),
+        predicate_tables=tables,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(clustered_structures())
+def test_pruned_modulus_check_matches_the_fraction_oracle(structure):
+    assert outcome(validate, structure, False) == outcome(helpers.fraction_validate, structure, False)
 
 
 @pytest.mark.parametrize("kind", sorted(BREAKS))
