@@ -143,7 +143,10 @@ def main(argv=None) -> int:
 
 
 def _error(message):
-    """One stderr line: the lines of a multi-line message joined by '; '."""
+    """One stderr line: the lines of a multi-line message joined by '; '.
+    A KeyError's one argument is printed as it is, not as its repr."""
+    if isinstance(message, KeyError) and len(message.args) == 1:
+        message = message.args[0]
     lines = filter(None, map(str.strip, str(message).splitlines()))
     print("error: " + "; ".join(lines), file=sys.stderr)
 

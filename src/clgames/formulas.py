@@ -21,7 +21,10 @@ whose atoms are integers over the structure's common denominator D.  Each
 node carries its own denominator: D for an atom, q's for ConstVal(q), s
 times its child's for Scale(p/s), and the lcm of its children's for every
 other connective.  The value is one Fraction over the root's denominator,
-equal to the value over the structure's Fractions.
+equal to the value over the structure's Fractions.  A quantifier whose
+variable is not free in its body (``sup x2. d(x0, x1)``, or the outer
+``inf x0`` of ``inf x0. sup x0. P(x0)``) compiles to its body: a structure
+has at least one point, so the inf or sup of a constant is that constant.
 
 Concrete syntax (ASCII): variables ``x0, x1, ...``; any other bound
 identifier is renamed to the next free index; bare identifiers are
@@ -44,14 +47,14 @@ from operator import itemgetter
 from typing import Sequence, Union
 
 from .moduli import (
+    _IDENTITY,
+    _ZERO_MODULUS,
     PwlModulus,
     cap_at_one,
     capped_linear,
     compose,
-    identity_modulus,
     modulus_leq,
     modulus_max,
-    zero_modulus,
 )
 from .rationals import format_rat, rat
 from .structures import MetricStructure, Signature
@@ -232,7 +235,7 @@ class ComposedConnective:
     def modulus(self) -> PwlModulus:
         def go(node) -> PwlModulus:
             if isinstance(node, _Slot):
-                return identity_modulus()
+                return _IDENTITY
             return compose(conn_modulus(node.base), modulus_max(*map(go, node.children)))
 
         return go(self.tree)
@@ -252,19 +255,25 @@ def conn_arity(conn) -> int:
     raise FormulaError(f"unknown connective {conn!r}")
 
 
+# min(2t, 1): a truncated sum or difference, and a distance atom (the
+# triangle inequality, both endpoints may move)
+_DOUBLE_CAPPED = capped_linear(2)
+
+
 def conn_modulus(conn) -> PwlModulus:
     """Exact modulus of the connective in the max metric on its arguments.
 
     Neg/min/max are 1-Lipschitz; the truncated binary operations shift by up
     to the sum of their argument shifts, hence min(2t, 1) under the max
-    metric; Scale(q) gives min(q*t, 1); a constant never moves.
+    metric; Scale(q) gives min(q*t, 1); a constant never moves.  The fixed
+    moduli are shared constants: a PwlModulus is frozen.
     """
     if isinstance(conn, ConstVal):
-        return zero_modulus()
+        return _ZERO_MODULUS
     if isinstance(conn, (Neg, MinOf, MaxOf)):
-        return identity_modulus()
+        return _IDENTITY
     if isinstance(conn, (TruncSub, TruncAdd)):
-        return capped_linear(2)
+        return _DOUBLE_CAPPED
     if isinstance(conn, Scale):
         return capped_linear(conn.factor)
     if isinstance(conn, ComposedConnective):
@@ -467,6 +476,9 @@ def _compile(phi: Formula, structure: MetricStructure, assignment: dict):
         if isinstance(f, Conn):
             return _connective(f.conn, [formula(a, scope) for a in f.args])
         if isinstance(f, (Inf, Sup)):
+            if f.var not in free_vars(f.body):
+                # the domain is never empty: inf or sup of a constant is it
+                return formula(f.body, scope)
             inner = scope | {f.var}
             run, n = formula(f.body, inner)
             i = slot(f.var, inner)
@@ -531,14 +543,11 @@ def term_modulus(t: Term, sig: Signature) -> PwlModulus:
     bound.
     """
     if isinstance(t, Var):
-        return identity_modulus()
+        return _IDENTITY
     if isinstance(t, Const):
-        return zero_modulus()
+        return _ZERO_MODULUS
     sym = sig.function(t.func)
     return modulus_max(*(compose(sym.modulus, term_modulus(a, sig)) for a in t.args))
-
-
-_DIST_MODULUS = capped_linear(2)  # triangle inequality, both endpoints may move
 
 
 def modulus_of(phi: Formula, sig: Signature) -> PwlModulus:
@@ -551,7 +560,7 @@ def modulus_of(phi: Formula, sig: Signature) -> PwlModulus:
     """
     if isinstance(phi, (Dist, Pred)):
         if isinstance(phi, Dist):
-            atom, terms = _DIST_MODULUS, (phi.left, phi.right)
+            atom, terms = _DOUBLE_CAPPED, (phi.left, phi.right)
         else:
             atom, terms = sig.predicate(phi.name).modulus, phi.args
         return cap_at_one(modulus_max(*(compose(atom, term_modulus(t, sig)) for t in terms)))
@@ -571,7 +580,7 @@ def theta_of(phi: Formula, sig: Signature) -> PwlModulus:
     to the worst child bound; quantifiers change nothing.
     """
     if is_atomic(phi):
-        return identity_modulus()
+        return _IDENTITY
     if isinstance(phi, Conn):
         return compose(conn_modulus(phi.conn), modulus_max(*(theta_of(f, sig) for f in phi.args)))
     if isinstance(phi, (Inf, Sup)):
@@ -593,7 +602,7 @@ def is_delta_formula(phi: Formula, sig: Signature, delta: PwlModulus) -> bool:
         return is_delta_formula(phi.body, sig, delta)
     if isinstance(phi, Conn):
         cm = conn_modulus(phi.conn)
-        if not (modulus_leq(cm, delta) or modulus_leq(cm, identity_modulus())):
+        if not (modulus_leq(cm, delta) or modulus_leq(cm, _IDENTITY)):
             return False
         for f in phi.args:
             if is_atomic(f):

@@ -13,7 +13,12 @@ Canonical form: segment slopes strictly decrease and the final slope is
 strictly below the last segment slope, so pointwise-equal moduli are
 structurally equal.  Every computed modulus (``concave_envelope``,
 ``compose``, ``modulus_max``, ``cap_at_one``) gets that form from one upper
-hull, ``_hull``.
+hull, ``_hull``.  Where the algebra fixes the answer, no hull is built:
+``compose`` returns the other side of an identity and zero beside a zero
+modulus, and ``modulus_max`` returns its argument when all of its
+arguments are equal.  These shortcuts are exact because every
+``PwlModulus`` is canonical and the canonical form is unique, so the hull
+would rebuild that very modulus.
 
 ``KaryModulus`` aggregates per-coordinate unary moduli with max or sum;
 ``WeakModulus`` extends that to infinitely many coordinates via a finite
@@ -135,6 +140,11 @@ def identity_modulus() -> PwlModulus:
     return PwlModulus(((_ZERO, _ZERO),), _ONE)
 
 
+# shared, as a PwlModulus is frozen: ``compose`` compares against them and
+# ``formulas`` returns them as the moduli of its fixed connectives
+_ZERO_MODULUS, _IDENTITY = zero_modulus(), identity_modulus()
+
+
 def linear_modulus(slope) -> PwlModulus:
     slope = rat(slope)
     if slope < 0:
@@ -153,7 +163,17 @@ def capped_linear(slope, cap=_ONE) -> PwlModulus:
 
 
 def compose(outer: PwlModulus, inner: PwlModulus) -> PwlModulus:
-    """Exact composition outer(inner(t)); concave PWL is closed under it."""
+    """Exact composition outer(inner(t)); concave PWL is closed under it.
+
+    The identity on either side returns the other side, and the zero
+    modulus on either side returns zero, without a hull: every input is
+    canonical and the canonical form is unique, so the hull would rebuild
+    exactly that modulus.
+    """
+    if inner == _IDENTITY or outer == _ZERO_MODULUS:
+        return outer
+    if outer == _IDENTITY or inner == _ZERO_MODULUS:
+        return inner
     # candidate kinks: inner's own breakpoints plus the points where inner
     # crosses one of outer's breakpoint inputs
     xs = {x for x, _ in inner.breakpoints}
@@ -215,8 +235,12 @@ def concave_envelope(samples: Sequence[tuple], tail_slope) -> PwlModulus:
 
 def modulus_max(*moduli: PwlModulus) -> PwlModulus:
     """Least concave PWL majorant of the pointwise max of the moduli: the
-    zero modulus for none, the modulus itself for one.  It is the one hull,
-    ``_hull``, of their breakpoints under the steepest final slope."""
+    zero modulus for none, and the first modulus, returned as it is, when
+    every argument equals it (the hull of one canonical modulus is that
+    modulus).  Otherwise it is the one hull, ``_hull``, of their
+    breakpoints under the steepest final slope."""
+    if moduli and all(m == moduli[0] for m in moduli[1:]):
+        return moduli[0]
     points = {_ZERO: _ZERO}
     for m in moduli:
         for x, y in m.breakpoints:

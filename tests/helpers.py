@@ -36,7 +36,15 @@ from clgames.formulas import (
 )
 from clgames.game import IIStrategyNode, Position
 from clgames.infinitary import AtomicLeaf, RAlphaSolver, generate_basic_family
-from clgames.moduli import capped_linear, identity_modulus
+from clgames.moduli import (
+    PwlModulus,
+    _hull,
+    _preimage,
+    cap_at_one,
+    capped_linear,
+    identity_modulus,
+    zero_modulus,
+)
 from clgames.rationals import format_rat
 from clgames.structures import (
     MetricStructure,
@@ -209,6 +217,87 @@ def conn_apply(conn, values) -> Fraction:
 
         return go(conn.tree)
     raise FormulaError(f"unknown connective {conn!r}")
+
+
+# --- the modulus calculus through the hull alone -----------------------------
+
+def hull_compose(outer: PwlModulus, inner: PwlModulus) -> PwlModulus:
+    """``moduli.compose`` without its identity and zero shortcuts: every
+    composition goes through the hull."""
+    # candidate kinks: inner's own breakpoints plus the points where inner
+    # crosses one of outer's breakpoint inputs
+    xs = {x for x, _ in inner.breakpoints}
+    for u, _ in outer.breakpoints:
+        if u == 0:
+            continue
+        x = _preimage(inner, u)
+        if x is not None:
+            xs.add(x)
+    pts = {x: outer.evaluate(inner.evaluate(x)) for x in xs}
+    if inner.final_slope == 0 or outer.final_slope == 0:
+        # one factor is eventually constant, hence so is the composite
+        final = F(0)
+    else:
+        final = outer.final_slope * inner.final_slope
+    return _hull(pts, final)
+
+
+def hull_modulus_max(*moduli: PwlModulus) -> PwlModulus:
+    """``moduli.modulus_max`` without its equal-arguments shortcut."""
+    points = {F(0): F(0)}
+    for m in moduli:
+        for x, y in m.breakpoints:
+            points[x] = max(points.get(x, F(0)), y)
+    return _hull(points, max((m.final_slope for m in moduli), default=F(0)))
+
+
+def _hull_term_modulus(t: Term, sig: Signature) -> PwlModulus:
+    if isinstance(t, Var):
+        return identity_modulus()
+    if isinstance(t, Const):
+        return zero_modulus()
+    sym = sig.function(t.func)
+    return hull_modulus_max(*(hull_compose(sym.modulus, _hull_term_modulus(a, sig)) for a in t.args))
+
+
+def _hull_conn_modulus(conn) -> PwlModulus:
+    if isinstance(conn, ConstVal):
+        return zero_modulus()
+    if isinstance(conn, (Neg, MinOf, MaxOf)):
+        return identity_modulus()
+    if isinstance(conn, (TruncSub, TruncAdd)):
+        return capped_linear(2)
+    if isinstance(conn, Scale):
+        return capped_linear(conn.factor)
+    raise FormulaError(f"no oracle modulus for {conn!r}")
+
+
+def hull_modulus_of(phi, sig: Signature) -> PwlModulus:
+    """``formulas.modulus_of`` over ``hull_compose`` and ``hull_modulus_max``."""
+    if isinstance(phi, (Dist, Pred)):
+        if isinstance(phi, Dist):
+            atom, terms = capped_linear(2), (phi.left, phi.right)
+        else:
+            atom, terms = sig.predicate(phi.name).modulus, phi.args
+        return cap_at_one(
+            hull_modulus_max(*(hull_compose(atom, _hull_term_modulus(t, sig)) for t in terms))
+        )
+    if isinstance(phi, Conn):
+        conn = _hull_conn_modulus(phi.conn)
+        return hull_modulus_max(*(hull_compose(conn, hull_modulus_of(f, sig)) for f in phi.args))
+    return hull_modulus_of(phi.body, sig)
+
+
+def hull_theta_of(phi, sig: Signature) -> PwlModulus:
+    """``formulas.theta_of`` over ``hull_compose`` and ``hull_modulus_max``."""
+    if isinstance(phi, (Dist, Pred)):
+        return identity_modulus()
+    if isinstance(phi, Conn):
+        return hull_compose(
+            _hull_conn_modulus(phi.conn),
+            hull_modulus_max(*(hull_theta_of(f, sig) for f in phi.args)),
+        )
+    return hull_theta_of(phi.body, sig)
 
 
 def _eval_term(t: Term, structure: MetricStructure, assignment: dict) -> int:

@@ -25,7 +25,7 @@ from clgames.structures import (
     save_structure,
     structure_from_json,
 )
-from clgames.witnesses import cardinality_witness_pair, discrete_structure
+from clgames.witnesses import cardinality_witness_pair, discrete_structure, line_structure
 
 import helpers
 
@@ -157,6 +157,13 @@ class TestEvalCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"] == [1, 4]
 
+    def test_unknown_point_message_has_no_quotes_around_it(self, tmp_path, capsys):
+        path = tmp_path / "line5.json"
+        save_structure(line_structure(["0", "1/4", "1/2", "3/4", "1"]), path)
+        rc = main(["eval", "--structure", str(path), "--formula", "d(x0, x1)", "--at", "0,9"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: unknown point '9'\n"
+
     def test_parse_error_exit_one(self, structure_file, capsys):
         rc = main(["eval", "--structure", str(structure_file), "--formula", "min("])
         assert rc == 1
@@ -183,6 +190,11 @@ class TestGameCommand:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"] == [1, 8]
+
+    def test_unknown_start_point_message_has_no_quotes_around_it(self, pair_file, capsys):
+        rc = main(["game", "--pair", str(pair_file), "--rounds", "1", "--start", "p99/p1"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: unknown point 'p99'\n"
 
     def test_strategy_file(self, pair_file, tmp_path, capsys):
         out = tmp_path / "strategy.json"

@@ -8,7 +8,8 @@ variables and evaluated at every assignment, each together with its
 structures use the grids with coprime denominators, so that the common
 denominator is a real lcm.  The fixed cases drive a node's denominator
 away from the structure's: a chain of scalings and constants whose
-denominators are coprime to it.
+denominators are coprime to it.  Vacuous and shadowed quantifiers, which
+the evaluator compiles away or rebinds, get sentences of their own.
 """
 
 from fractions import Fraction
@@ -33,10 +34,13 @@ from clgames.formulas import (
     Var,
     collapse_connectives,
     evaluate,
+    free_vars,
     normalize_sup,
     parse_formula,
     sample_formulas,
 )
+from clgames.moduli import capped_linear
+from clgames.structures import MetricStructure, PredicateSymbol, Signature
 from clgames.witnesses import discrete_structure, line_structure
 
 import helpers
@@ -75,6 +79,80 @@ def test_evaluate_matches_the_fraction_walk(
             expected = helpers.fraction_evaluate(phi, structure, env)
             for variant in variants:
                 assert evaluate(variant, structure, env) == expected
+
+
+def _requantified(phi, rng, bound=()):
+    """phi with quantifiers wrapped around random subformulas.  Each new
+    quantifier binds a variable free in the subformula, a variable bound
+    above it (shadowing when the subformula reads it, vacuous otherwise) or
+    a fresh variable (vacuous)."""
+    if isinstance(phi, Conn):
+        phi = Conn(phi.conn, tuple(_requantified(a, rng, bound) for a in phi.args))
+    elif isinstance(phi, (Inf, Sup)):
+        phi = type(phi)(phi.var, _requantified(phi.body, rng, bound + (phi.var,)))
+    if rng.random() < 0.4:
+        var = rng.choice(list(bound) + sorted(free_vars(phi)) + [7])
+        phi = rng.choice([Inf, Sup])(var, phi)
+    return phi
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    function=st.booleans(),
+    free=st.integers(0, 1),
+    seed=st.integers(0, 10**6),
+)
+def test_vacuous_and_shadowed_quantifiers_match_the_fraction_walk(rng, function, free, seed):
+    sig = helpers.random_signature(rng, with_constant=True, with_function=function)
+    structure = helpers.random_structure(rng, sig, max_points=3)
+    for phi in sample_formulas(sig, qr_bound=2, count=3, seed=seed, free_vars_count=free):
+        phi = _requantified(phi, rng)
+        fv = sorted(free_vars(phi))
+        for points in product(range(structure.size), repeat=len(fv)):
+            env = dict(zip(fv, points))
+            expected = helpers.fraction_evaluate(phi, structure, env)
+            for variant in (phi, collapse_connectives(phi), normalize_sup(phi)):
+                assert evaluate(variant, structure, env) == expected
+
+
+class TestVacuousQuantifiers:
+    SIG = Signature(predicates=(PredicateSymbol("P", 1, capped_linear(2)),))
+    SPACE = MetricStructure(
+        SIG,
+        ("a", "b", "c"),
+        ((F(0), F(1, 2), F(1)), (F(1, 2), F(0), F(3, 4)), (F(1), F(3, 4), F(0))),
+        {"P": {(0,): F(1, 4), (1,): F(1), (2,): F(0)}},
+    )
+
+    @pytest.mark.parametrize(
+        "text, free",
+        [
+            ("sup x2. d(x0, x1)", (0, 1)),
+            ("inf x0. sup x0. P(x0)", ()),
+            ("sup x0. d(x1, x1)", (0, 1)),
+            ("inf x1. sup x0. max(inf x2. d(x0, x1), P(x1))", ()),
+            ("d(x0, x1) (+) (sup x2. d(x0, x1))", (0, 1)),
+        ],
+    )
+    def test_against_the_fraction_walk(self, text, free):
+        phi = parse_formula(text, self.SIG)
+        for points in product(range(self.SPACE.size), repeat=len(free)):
+            env = dict(zip(free, points))
+            expected = helpers.fraction_evaluate(phi, self.SPACE, env)
+            assert evaluate(phi, self.SPACE, env) == expected
+
+    def test_values(self):
+        assert evaluate(parse_formula("inf x0. sup x0. P(x0)", self.SIG), self.SPACE) == 1
+        phi = parse_formula("sup x2. d(x0, x1)", self.SIG)
+        assert evaluate(phi, self.SPACE, {0: 1, 1: 2}) == F(3, 4)
+
+    def test_an_unassigned_variable_still_fails(self):
+        phi = parse_formula("sup x0. d(x1, x1)", self.SIG)
+        with pytest.raises(FormulaError, match="^unassigned free variable x1$"):
+            evaluate(phi, self.SPACE)
+        with pytest.raises(FormulaError, match="^unassigned free variable x1$"):
+            evaluate(phi, self.SPACE, {0: 2})
 
 
 def test_scale_chain_grows_the_denominator_past_the_structure():

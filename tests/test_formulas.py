@@ -229,6 +229,32 @@ class TestModulusCalculus:
                     gap = abs(evaluate(phi, s, {0: x}) - evaluate(phi, s, {0: y}))
                     assert gap <= bound.evaluate(s.distance(x, y))
 
+    @pytest.mark.parametrize("which", ["benchmark", "SIG", "functions"])
+    def test_matches_the_hull_recursion(self, which):
+        # modulus_of and theta_of skip the hull for identity and zero
+        # compositions and for equal maxima; the recursion in helpers
+        # builds every hull, and the canonical form is unique
+        sig = {
+            "benchmark": Signature(predicates=(
+                PredicateSymbol("P", 1, capped_linear(2)), PredicateSymbol("R", 2, capped_linear(2)),
+            )),
+            "SIG": SIG,
+            "functions": Signature(
+                predicates=(PredicateSymbol("P", 1, capped_linear(F(3, 2))),),
+                functions=(
+                    FunctionSymbol("f", 1, capped_linear(F(1, 2), F(1, 3))),
+                    FunctionSymbol("g", 2, identity_modulus()),
+                ),
+                constants=("c",),
+            ),
+        }[which]
+        formulas = sample_formulas(sig, 3, 40, 0) + [
+            phi for q in (2, 3, 4) for phi in sample_formulas(sig, q, 20, q, free_vars_count=1)
+        ]
+        for phi in formulas:
+            assert modulus_of(phi, sig) == helpers.hull_modulus_of(phi, sig)
+            assert theta_of(phi, sig) == helpers.hull_theta_of(phi, sig)
+
 
 class TestDeltaFormulas:
     def test_atomic_cases(self):

@@ -26,6 +26,8 @@ from clgames.moduli import (
     zero_modulus,
 )
 
+import helpers
+
 F = Fraction
 
 rationals = st.fractions(min_value=0, max_value=4, max_denominator=16)
@@ -199,6 +201,44 @@ class TestModulusMax:
         for x, y in m.breakpoints:
             assert y == max(a.evaluate(x), b.evaluate(x))
         assert m.final_slope == max(a.final_slope, b.final_slope)
+
+
+# the moduli the shortcuts of compose and modulus_max act on, drawn often
+special_moduli = st.sampled_from([identity_modulus(), zero_modulus()])
+mixed_moduli = st.one_of(special_moduli, moduli())
+
+
+@st.composite
+def argument_lists(draw):
+    """Up to 4 arguments from a pool of at most 3 moduli, so repeats are common."""
+    pool = draw(st.lists(mixed_moduli, min_size=1, max_size=3))
+    return draw(st.lists(st.sampled_from(pool), max_size=4))
+
+
+class TestShortcutsAgainstTheHull:
+    """``compose`` and ``modulus_max`` return a known modulus where the
+    algebra fixes the answer; ``helpers.hull_compose`` and
+    ``helpers.hull_modulus_max`` always build the hull.  The canonical form
+    is unique, so the two must agree structurally."""
+
+    @settings(max_examples=200)
+    @given(mixed_moduli, mixed_moduli)
+    def test_compose(self, outer, inner):
+        assert compose(outer, inner) == helpers.hull_compose(outer, inner)
+
+    @settings(max_examples=200)
+    @given(argument_lists())
+    def test_modulus_max(self, ms):
+        assert modulus_max(*ms) == helpers.hull_modulus_max(*ms)
+
+    def test_fixed_cases(self):
+        one, zero, cap2 = identity_modulus(), zero_modulus(), capped_linear(2)
+        for outer, inner in [(one, one), (zero, one), (one, zero), (zero, zero),
+                             (cap2, one), (one, cap2), (cap2, zero), (zero, cap2)]:
+            assert compose(outer, inner) == helpers.hull_compose(outer, inner)
+        for ms in [(), (cap2,), (cap2, cap2, cap2), (one, one), (zero, zero), (one, zero),
+                   (cap2, one, cap2), (one, cap2, cap2)]:
+            assert modulus_max(*ms) == helpers.hull_modulus_max(*ms)
 
 
 class TestModulusLeq:
