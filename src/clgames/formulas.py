@@ -15,9 +15,9 @@ Every basis element carries an exactly computable modulus in the max metric
 on its arguments, which drives the formula modulus recursion, the
 error-propagation modulus ``theta_of`` and the delta-formula check.
 
-``evaluate`` runs in integers.  It compiles the formula into a tree of
-closures over the structure's ``integer_form``, built once per structure,
-whose atoms are integers over the structure's common denominator D.  Each
+``evaluate`` runs in integers.  ``compile_formula`` turns a formula, once
+per structure and variable tuple, into closures over the cached
+``integer_form``, atoms being integers over its common denominator D.  Each
 node carries its own denominator: D for an atom, q's for ConstVal(q), s
 times its child's for Scale(p/s), and the lcm of its children's for every
 other connective.  The value is one Fraction over the root's denominator,
@@ -84,6 +84,7 @@ __all__ = [
     "check_well_formed",
     "qr",
     "evaluate",
+    "compile_formula",
     "term_modulus",
     "modulus_of",
     "theta_of",
@@ -403,10 +404,11 @@ def evaluate(phi: Formula, structure: MetricStructure, assignment: dict | None =
     ``assignment`` maps variable indices to point indices; a point that is
     not an ``int`` in ``range(structure.size)`` is a FormulaError.  The
     formula runs in integers over the structure's integer form (see
-    ``_compile``).
+    ``compile_formula``).
     """
-    run, den = _compile(phi, structure, _checked_points(assignment or {}, structure.size))
-    return Fraction(run(), den)
+    assignment = _checked_points(assignment or {}, structure.size)
+    run, den = compile_formula(phi, structure, tuple(assignment))
+    return Fraction(run(tuple(assignment.values())), den)
 
 
 def _checked_points(assignment: dict, size: int) -> dict:
@@ -416,23 +418,25 @@ def _checked_points(assignment: dict, size: int) -> dict:
     return assignment
 
 
-def _compile(phi: Formula, structure: MetricStructure, assignment: dict):
-    """A closure computing phi's value times a denominator N, and N.
+def compile_formula(phi: Formula, structure: MetricStructure, variables: Sequence[int]):
+    """``(run, N)``: ``run(points)`` is phi's value times N at ``points[i]`` for ``variables[i]``.
 
     Each node has its own N: an atom the form's ``den``, ConstVal(q) q's
     denominator, Scale(p/s) s times its child's N, and every other
     connective the lcm of its children's, each child scaled up to it.
-    Variables live in one environment list, one slot per variable index; a
-    quantifier writes each point into its variable's slot and restores the
-    slot afterwards.
+    Variables live in one environment list, ``variables`` first, where
+    ``run`` writes the points unchecked, so ``points`` must have exactly
+    ``len(variables)`` entries; a quantifier writes each point into its
+    variable's slot and restores the slot afterwards.
     """
-    env = list(assignment.values())
-    slots = {var: i for i, var in enumerate(assignment)}
+    env = [0] * len(variables)
+    slots = {var: i for i, var in enumerate(variables)}
+    assigned = frozenset(slots)
     form = structure.integer_form
     dist, den, points = form.dist, form.den, range(structure.size)
 
     def slot(var: int, scope: frozenset) -> int:
-        if var not in scope and var not in assignment:
+        if var not in scope and var not in assigned:
             raise FormulaError(f"unassigned free variable x{var}")
         if var not in slots:
             slots[var] = len(env)
@@ -493,7 +497,13 @@ def _compile(phi: Formula, structure: MetricStructure, assignment: dict):
             return quantified, n
         raise FormulaError(f"unknown formula node {f!r}")
 
-    return formula(phi, frozenset())
+    body, n = formula(phi, frozenset())
+
+    def run(points):
+        env[:len(points)] = points
+        return body()
+
+    return run, n
 
 
 def _connective(conn, args: list):
@@ -719,9 +729,12 @@ def logical_distance_corpus(phi: Formula, psi: Formula, corpus: Sequence[MetricS
     fv = sorted(fv_phi)
     best = _ZERO
     for structure in corpus:
-        for points in product(range(structure.size), repeat=len(fv)):
-            env = dict(zip(fv, points))
-            best = max(best, abs(evaluate(phi, structure, env) - evaluate(psi, structure, env)))
+        check_well_formed(phi, structure.signature)
+        check_well_formed(psi, structure.signature)
+        (run_phi, n_phi), (run_psi, n_psi) = (compile_formula(f, structure, fv) for f in (phi, psi))
+        gap = max(abs(n_psi * run_phi(p) - n_phi * run_psi(p))
+                  for p in product(range(structure.size), repeat=len(fv)))
+        best = max(best, Fraction(gap, n_phi * n_psi))
     return best
 
 

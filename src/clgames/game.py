@@ -52,7 +52,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 
-from .formulas import enumerate_atomic, evaluate, is_delta_formula
+from .formulas import compile_formula, enumerate_atomic, is_delta_formula
 from .moduli import PwlModulus
 from .rationals import format_rat, rat_to_json
 from .structures import IntegerForm, NamedPair
@@ -71,7 +71,6 @@ __all__ = [
     "DEFAULT_MAX_POSITIONS",
 ]
 
-_ZERO = Fraction(0)
 # the full window of the alpha-beta search
 _LOW, _HIGH = float("-inf"), float("inf")
 
@@ -578,12 +577,19 @@ class GameSolver:
         return node
 
 
-def _max_gap(pair: NamedPair, formulas, left: tuple, right: tuple) -> Fraction:
-    """Largest |value on the left - value on the right| over the formulas,
-    with x_i bound to left[i] and right[i]; 0 for no formulas."""
-    env_l, env_r = dict(enumerate(left)), dict(enumerate(right))
-    gaps = (evaluate(phi, pair.left, env_l) - evaluate(phi, pair.right, env_r) for phi in formulas)
-    return max(map(abs, gaps), default=_ZERO)
+def _gap_scorer(pair: NamedPair, formulas, arity: int, den: int):
+    """The function of the left and right points for x0..x{arity-1} giving
+    ``den`` times the largest |left value - right value| over the formulas, 0
+    for none; each is compiled once per side and scaled by den // N."""
+    terms = []
+    for phi in formulas:
+        (run_l, n_l), (run_r, n_r) = (
+            compile_formula(phi, side, range(arity)) for side in (pair.left, pair.right))
+        if den % n_l or den % n_r:
+            raise ValueError(f"a formula's denominator {n_l} or {n_r} does not divide {den}")
+        terms.append((run_l, den // n_l, run_r, den // n_r))
+    return lambda left, right: max(
+        [abs(k * f(left) - m * g(right)) for f, k, g, m in terms], default=0)
 
 
 def atomic_discrepancy(pair: NamedPair, position: Position, term_depth: int = 0) -> Fraction:
@@ -601,13 +607,10 @@ def is_partial_eps_delta_iso(
 ) -> bool:
     """Check the position against atomic delta-formulas only."""
     position.check_against(pair)
-    sig = pair.signature
-    atoms = [
-        atom
-        for atom in enumerate_atomic(sig, len(position), term_depth)
-        if is_delta_formula(atom, sig, delta)
-    ]
-    return _max_gap(pair, atoms, position.left, position.right) <= epsilon
+    sig, k = pair.signature, len(position)
+    atoms = [a for a in enumerate_atomic(sig, k, term_depth) if is_delta_formula(a, sig, delta)]
+    den = lcm(pair.left.integer_form.den, pair.right.integer_form.den)
+    return _gap_scorer(pair, atoms, k, den)(position.left, position.right) <= epsilon * den
 
 
 def game_value(

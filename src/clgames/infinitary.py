@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
+from math import lcm
 
 from .formulas import (
     Conn,
@@ -53,7 +54,7 @@ from .formulas import (
     is_atomic,
     modulus_of,
 )
-from .game import GameSolver, Position, _max_gap, rounds_within_stack
+from .game import GameSolver, Position, _gap_scorer, rounds_within_stack
 from .moduli import WeakModulus, linear_modulus, modulus_leq
 from .structures import MetricStructure, NamedPair, PredicateSymbol, Signature
 
@@ -146,7 +147,7 @@ class RAlphaSolver(GameSolver):
 
 class _OmegaLeafSolver(RAlphaSolver):
     """The rank recursion with the coordinate-indexed ``OmegaLeaf``: keys in
-    play order, leaves as Fractions (denominator 1) over the family's ASTs.
+    play order, leaves as integers over the family compiled once per arity.
     A stay appends to an ordered key, so the kernel's shortcuts for set keys
     (the rounds clamp and the pairwise last ply) are off."""
 
@@ -155,9 +156,11 @@ class _OmegaLeafSolver(RAlphaSolver):
     def __init__(self, pair: NamedPair, leaf: OmegaLeaf, max_positions: int | None = None):
         super().__init__(pair, leaf, max_positions)
         # every key is scored whole: the family has no w-pair subset rule
-        self._den, self._width = 1, float("inf")
-        self._family = cache(lambda k: generate_basic_family(
-            pair.signature, k, leaf.omega, leaf.term_depth, leaf.scale_factors))
+        self._width = float("inf")
+        # p/s-scaled formulas have N = s * (side's den): the product keeps den // N whole
+        self._den *= lcm(*(Fraction(q).denominator for q in leaf.scale_factors))
+        self._scorer = cache(lambda k: _gap_scorer(pair, generate_basic_family(
+            pair.signature, k, leaf.omega, leaf.term_depth, leaf.scale_factors), k, self._den))
 
     def _key(self, position: Position):
         return tuple(zip(position.left, position.right))
@@ -166,8 +169,7 @@ class _OmegaLeafSolver(RAlphaSolver):
         return key + ((element, reply) if side == "L" else (reply, element),)
 
     def _score(self, key):
-        left, right = tuple(a for a, _ in key), tuple(b for _, b in key)
-        return _max_gap(self.pair, self._family(len(key)), left, right)
+        return self._scorer(len(key))(tuple(a for a, _ in key), tuple(b for _, b in key))
 
 
 def r_alpha(

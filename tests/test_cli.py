@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from clgames.cli import main
+from clgames.infinitary import build_nested_levels_pair
 from clgames.moduli import (
     Aggregator,
     WeakModulus,
@@ -418,6 +419,27 @@ class TestThetaAndDist:
         )
         assert rc == 0
         assert "1" in capsys.readouterr().out
+
+    def test_dist_over_structures_of_other_signatures(self, tmp_path, capsys):
+        # the formulas are parsed against the first structure; the line lacks P0
+        left, line = tmp_path / "left.json", tmp_path / "line5.json"
+        save_structure(build_nested_levels_pair(2, 1).left, left)
+        save_structure(line_structure(["0", "1/4", "1/2", "3/4", "1"]), line)
+        argv = ["dist", "--formula", "P0(x0)", "--formula", "1 - P0(x0)",
+                "--corpus", str(left), str(line)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: unknown predicate 'P0'\n"
+
+    def test_dist_over_two_denominators(self, tmp_path, capsys):
+        # the line's distances are over 4 and the discrete space's over 1;
+        # the scaled formula's denominator is twice the structure's
+        line, discrete = tmp_path / "line5.json", tmp_path / "discrete4.json"
+        save_structure(line_structure(["0", "1/4", "1/2", "3/4", "1"]), line)
+        save_structure(discrete_structure(4), discrete)
+        argv = ["dist", "--formula", "d(x0, x1)", "--formula", "1/2 * d(x0, x1)",
+                "--corpus", str(line), str(discrete)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("corpus logical distance: 1/2\n")
 
     def test_repeated_calls_share_no_arguments(self, structure_file, capsys):
         # the parser is built once; an appended --formula list must not carry

@@ -33,6 +33,7 @@ from clgames.formulas import (
     TruncSub,
     Var,
     collapse_connectives,
+    compile_formula,
     evaluate,
     free_vars,
     normalize_sup,
@@ -109,11 +110,18 @@ def test_vacuous_and_shadowed_quantifiers_match_the_fraction_walk(rng, function,
     for phi in sample_formulas(sig, qr_bound=2, count=3, seed=seed, free_vars_count=free):
         phi = _requantified(phi, rng)
         fv = sorted(free_vars(phi))
-        for points in product(range(structure.size), repeat=len(fv)):
+        tuples = list(product(range(structure.size), repeat=len(fv)))
+        expected = {}
+        for points in tuples:
             env = dict(zip(fv, points))
-            expected = helpers.fraction_evaluate(phi, structure, env)
+            expected[points] = helpers.fraction_evaluate(phi, structure, env)
             for variant in (phi, collapse_connectives(phi), normalize_sup(phi)):
-                assert evaluate(variant, structure, env) == expected
+                assert evaluate(variant, structure, env) == expected[points]
+        # compiled once and run at every tuple, forwards and backwards: a
+        # shadowed free variable's slot is restored between runs
+        run, den = compile_formula(phi, structure, fv)
+        for points in tuples + tuples[::-1]:
+            assert Fraction(run(points), den) == expected[points]
 
 
 class TestVacuousQuantifiers:
@@ -153,6 +161,18 @@ class TestVacuousQuantifiers:
             evaluate(phi, self.SPACE)
         with pytest.raises(FormulaError, match="^unassigned free variable x1$"):
             evaluate(phi, self.SPACE, {0: 2})
+
+    def test_a_variable_bound_earlier_and_free_later_still_fails(self):
+        # the quantifier's slot for x1 exists by the time the free x1 is compiled
+        phi = parse_formula("max(sup x1. P(x1), P(x1))", self.SIG)
+        with pytest.raises(FormulaError, match="^unassigned free variable x1$"):
+            evaluate(phi, self.SPACE)
+        with pytest.raises(FormulaError, match="^unassigned free variable x1$"):
+            compile_formula(phi, self.SPACE, (0,))
+        run, den = compile_formula(phi, self.SPACE, (1,))
+        for point in range(self.SPACE.size):
+            expected = helpers.fraction_evaluate(phi, self.SPACE, {1: point})
+            assert Fraction(run((point,)), den) == evaluate(phi, self.SPACE, {1: point}) == expected
 
 
 def test_scale_chain_grows_the_denominator_past_the_structure():

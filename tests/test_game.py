@@ -8,7 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from clgames.formulas import evaluate, qr, sample_formulas, theta_of
+from clgames.formulas import (
+    enumerate_atomic,
+    evaluate,
+    is_delta_formula,
+    qr,
+    sample_formulas,
+    theta_of,
+)
 from clgames.game import (
     GameSolver,
     IIStrategyNode,
@@ -125,6 +132,39 @@ class TestPartialIso:
         for eps in (F(1, 2), F(1, 4), F(1, 100)):
             assert is_partial_eps_delta_iso(pair, good, eps, delta)
             assert not is_partial_eps_delta_iso(pair, bad, eps, delta)
+
+    def test_holds_at_the_oracle_gap_and_fails_just_below(self):
+        # the left side's denominators divide 210 and the right side's 8, so
+        # the check's common denominator is a real lcm; P's identity modulus
+        # keeps the distance and R atoms out of the identity delta's atoms
+        sig = Signature(
+            predicates=(
+                PredicateSymbol("P", 1, identity_modulus()),
+                PredicateSymbol("R", 2, capped_linear(2)),
+            )
+        )
+        coprime = {"values": helpers.COPRIME_VALUE_GRID, "distances": helpers.COPRIME_DIST_GRID}
+        rng = random.Random(23)
+        for _ in range(6):
+            pair = NamedPair(
+                helpers.random_structure(rng, sig, max_points=4, **coprime),
+                helpers.random_structure(rng, sig, max_points=4),
+            )
+            for delta in (identity_modulus(), capped_linear(2)):
+                for k in range(4):
+                    pos = Position(
+                        tuple(rng.randrange(pair.left.size) for _ in range(k)),
+                        tuple(rng.randrange(pair.right.size) for _ in range(k)),
+                    )
+                    atoms = [
+                        atom for atom in enumerate_atomic(sig, k)
+                        if is_delta_formula(atom, sig, delta)
+                    ]
+                    gap = helpers._max_gap(pair, atoms, pos.left, pos.right)
+                    assert is_partial_eps_delta_iso(pair, pos, gap, delta)
+                    if gap:
+                        below = gap - F(1, 10**9)
+                        assert not is_partial_eps_delta_iso(pair, pos, below, delta)
 
 
 class TestGameValue:

@@ -436,17 +436,28 @@ class TestOmegaLeaf:
                 )
                 assert omega.value(pos, 0) >= atomic.value(pos, 0)
 
-    def test_rank_recursion_matches_ordered_oracle(self):
+    @pytest.mark.parametrize(
+        "leaf_options, pair_options",
+        [
+            ({}, {}),
+            # function terms, and scale factors whose denominators 3 and 4
+            # make the solver's denominator a product with the pair's
+            ({"term_depth": 1, "scale_factors": (F(2), F(1, 3), F(3, 4))}, {"with_function": True}),
+        ],
+        ids=["relational", "function-terms"],
+    )
+    def test_rank_recursion_matches_ordered_oracle(self, leaf_options, pair_options):
         # x0 is held to the identity modulus and later variables to 2t, so
         # the certified family, and with it the leaf, depends on play order
         leaf = OmegaLeaf(
             WeakModulus(
                 coords=(identity_modulus(),), tail=linear_modulus(2), aggregator=Aggregator.MAX
-            )
+            ),
+            **leaf_options,
         )
         rng = random.Random(45)
         for _ in range(4):
-            pair = helpers.random_pair(rng, max_points=3)
+            pair = helpers.random_pair(rng, max_points=3, **pair_options)
             for alpha in (0, 1, 2):
                 expected = helpers.brute_force_rank_omega_leaf(pair, (), (), alpha, leaf)
                 assert r_alpha(pair, alpha=alpha, leaf=leaf) == expected
