@@ -29,12 +29,11 @@ certificates are those of the full scan.
 
 On set keys a stay (II repeating a played pair) leaves the key as it is, so
 the rounds clamp at the points a key leaves uncovered (V_r = V_u for r >= u),
-and, when every atom mentions at most two played pairs, the last round is
-one scan per position over every move, scoring each child from its
-parent's leaf with no memo entry (``GameSolver`` has both rules).  The
-strategy certificates share one node per (key, rounds), held in the
-solver's ``certificate`` table under the same cap, and ``strategy_to_json``
-writes each as a table of those nodes.
+and, when every atom mentions at most two played pairs, every child's leaf
+is scored from its parent's, with no memo entry (``GameSolver`` has both
+rules).  The strategy certificates share one node per (key, rounds), held
+in the solver's ``certificate`` table under the same cap, and
+``strategy_to_json`` writes each as a table of those nodes.
 
 With function symbols the leaf check ranges over atoms up to a stated term
 depth and the value is labelled depth-truncated.
@@ -197,8 +196,9 @@ class GameSolver:
     in range, and a search deeper than the interpreter's recursion limit
     ends in a one-line ``ValueError``.
 
-    The minimax is a fail-soft alpha-beta: ``_value``, ``_scan`` and
-    ``_reply`` take a window (alpha, beta).  A value entry is a (lower,
+    The minimax is a fail-soft alpha-beta in two functions that take a
+    window (alpha, beta): ``_value`` looks a key up and ``_scan`` holds the
+    one loop over I's moves and II's replies.  A value entry is a (lower,
     upper) pair, lower starting at leaf(p); a search returns at once when
     the entry is exact or outside the window, and otherwise tightens the
     entry in place.  The replies to a move stop at the first
@@ -220,15 +220,16 @@ class GameSolver:
       ``infinitary.omega_game_value_atomic``'s docstring, which needs only
       the stay and a leaf that grows along play, so function symbols
       included.
-    * At width 2 the last round is one pass per key over the moves asked
-      for (``_last_ply``, under ``_scan`` and ``_reply``), which scores the
-      children without keys or memo entries: the leaf of S + {p} is the
-      max of leaf(S), leaf({p}) (a table filled once per solver, constants
-      included) and the atoms on p and one pair q of S, which are d(p, q)
-      and each binary predicate in both argument orders, read off the
-      integer tables.  Wider keys (ternary predicates) and function terms
-      at a positive term depth, which couple pairs through the closure,
-      keep the memoized path.
+    * At width 2 ``_scan`` scores every child's leaf from its parent's,
+      with no memo entry: the leaf of S + {p} is the max of leaf(S),
+      leaf({p}) (a table filled once per solver, constants included) and
+      the atoms on p and one pair q of S, which are d(p, q) and each binary
+      predicate in both argument orders, read off the integer tables.  At
+      one round left that leaf is the child's value; otherwise it starts
+      the child's search, so a value solve memoizes the start's leaf only.
+      Wider keys (ternary predicates) and function terms at a positive term
+      depth, which couple pairs through the closure, keep the memoized
+      ``_leaf_at``.
     """
 
     _set_keys = True
@@ -384,52 +385,6 @@ class GameSolver:
                 mats_r += [(rows_r, cols_l), (cols_r, rows_l)]
         return {"L": (single, 0, mats_l), "R": ([list(c) for c in zip(*single)], 1, mats_r)}
 
-    def _last_ply(self, key, moves, alpha=_LOW, beta=_HIGH, replies=None):
-        """``_scan`` at one round left, at width 2, over ``moves``: the first
-        best move, its reply and value as (side, element, reply, value).
-        Each child's leaf is scored from the key's, with no key and no memo
-        entry; the key's half of each pair gap is built once per side.  Given
-        a ``replies`` dict, it maps every move to its first best reply and
-        that reply's value instead, and the result is None."""
-        if self._ply is None:
-            self._ply = self._ply_tables()
-        base = self._leaf_at(key)
-        bound = base if base > alpha else alpha
-        best, seen = None, None
-        for side, element in moves:
-            if side != seen:
-                seen = side
-                single, mine, mats = self._ply[side]
-                # per atom on p and a pair q of the key: the played side's
-                # matrix, q's coordinate in it and the reply side's column
-                halves = [
-                    (played, q[mine], other[q[1 - mine]]) for played, other in mats for q in key
-                ]
-            fixed = [(played[element][c], col) for played, c, col in halves]
-            best_reply, worst = None, None
-            for reply, v in enumerate(single[element]):
-                if v < base:
-                    v = base
-                for x, col in fixed:
-                    gap = x - col[reply]
-                    if gap < 0:
-                        gap = -gap
-                    if gap > v:
-                        v = gap
-                if worst is None or v < worst:
-                    best_reply, worst = reply, v
-                    if v <= bound:
-                        break
-            if replies is not None:
-                replies[side, element] = best_reply, worst
-            elif best is None or worst > best[3]:
-                best = (side, element, best_reply, worst)
-                if worst >= beta:
-                    break
-                if worst > bound:
-                    bound = worst
-        return best
-
     def child(self, position: Position, side: str, element: int, reply: int) -> Position:
         if side == "L":
             return position.extended(element, reply)
@@ -440,25 +395,28 @@ class GameSolver:
         with rounds_within_stack(rounds):
             return self._fraction(self._value(key, rounds))
 
-    def _value(self, key, rounds: int, alpha=_LOW, beta=_HIGH):
+    def _value(self, key, rounds: int, alpha=_LOW, beta=_HIGH, leaf=None):
         """V_rounds(key), fail-soft in the window (alpha, beta): a result
         g <= alpha bounds the value from above, g >= beta from below, and
         any g in between is the value.  The memo holds (lower, upper)
-        bounds, lower starting at leaf(key)."""
+        bounds, lower starting at the key's ``leaf``, scored here if not
+        given."""
         # u(key) >= points - 2 |key|, so most calls skip counting it
         if self._set_keys and rounds > self._points - 2 * len(key):
             uncovered = self._points - len({a for a, _ in key}) - len({b for _, b in key})
             rounds = min(rounds, uncovered)
+        if leaf is None:
+            leaf = self._leaf_at(key)
         if rounds == 0:
-            return self._leaf_at(key)
+            return leaf
         memo_key = (key, rounds)
         entry = self._values.get(memo_key)
-        lower, upper = entry or (self._leaf_at(key), _HIGH)
+        lower, upper = entry or (leaf, _HIGH)
         if lower == upper or lower >= beta:
             return lower
         if upper <= alpha:
             return upper
-        g = self._scan(key, rounds, alpha, beta)[2]
+        g = self._scan(key, rounds, leaf, alpha, beta)[3]
         if g <= alpha:
             upper = g
         elif g >= beta:
@@ -477,54 +435,79 @@ class GameSolver:
         canonical order on ties."""
         key = self._enter(position, rounds, least=1)
         with rounds_within_stack(rounds):
-            side, element, worst = self._scan(key, rounds)
+            side, element, _, worst = self._scan(key, rounds, self._leaf_at(key))
         return side, element, self._fraction(worst)
-
-    def _scan(self, key, rounds: int, alpha=_LOW, beta=_HIGH):
-        # a move's replies stop at the first one at most ``bound``, the best
-        # so far (before the first move, the larger of alpha and leaf(p),
-        # below which no child value lies): such a move cannot beat it; the
-        # moves stop once the best reaches beta
-        if rounds == 1 and self._pairwise:
-            side, element, _, worst = self._last_ply(key, self._moves, alpha, beta)
-            return side, element, worst
-        leaf = self._leaf_at(key)
-        bound = leaf if leaf > alpha else alpha
-        best = None
-        for side, element in self._moves:
-            _, worst = self._reply(key, side, element, rounds, bound, beta)
-            if best is None or worst > best[2]:
-                best = (side, element, worst)
-                if worst >= beta:
-                    break
-                if worst > bound:
-                    bound = worst
-        return best
 
     def best_reply(self, position: Position, side: str, element: int, rounds_left: int):
         """II's value-minimizing reply (first in canonical order on ties)."""
         key = self._enter(position, rounds_left, least=1)
         with rounds_within_stack(rounds_left):
-            reply, worst = self._reply(key, side, element, rounds_left)
+            _, _, reply, worst = self._scan(
+                key, rounds_left, self._leaf_at(key), moves=((side, element),))
         return reply, self._fraction(worst)
 
-    def _reply(self, key, side: str, element: int, rounds: int, bound=_LOW, beta=_HIGH):
-        """II's first value-minimizing reply and its value, or the first reply
-        whose value is at most ``bound``; fail-soft in (bound, beta) like
-        ``_value``."""
-        if rounds == 1 and self._pairwise:
-            # a bound below the leaf acts as the leaf: no child's leaf is lower
-            return self._last_ply(key, ((side, element),), bound, beta)[2:]
-        best_reply, best_val, top = None, None, beta
-        for reply in self._replies[side]:
-            v = self._value(self._child(key, side, element, reply), rounds - 1, bound, top)
-            if best_val is None or v < best_val:
-                best_reply, best_val = reply, v
-                if v <= bound:
+    def _scan(self, key, rounds: int, leaf, alpha=_LOW, beta=_HIGH, moves=None, replies=None):
+        """I's first best move over ``moves`` (default: all), II's first best
+        reply to it and their value at ``rounds`` >= 1 from a key whose leaf
+        is ``leaf``, as (side, element, reply, value), fail-soft in (alpha,
+        beta) like ``_value``.  Given a ``replies`` dict, it maps every move
+        to its first best reply and that reply's value instead, and the
+        result is None.
+
+        A move's replies stop at the first one at most ``bound``: the best
+        so far, or before the first move the larger of alpha and the leaf,
+        below which no child's value lies, so such a move cannot beat it;
+        the moves stop once the best reaches beta."""
+        pairwise = self._pairwise
+        if pairwise and self._ply is None:
+            self._ply = self._ply_tables()
+        bound = leaf if leaf > alpha else alpha
+        best, seen = None, None
+        for side, element in self._moves if moves is None else moves:
+            if pairwise:
+                if side != seen:
+                    seen = side
+                    single, mine, mats = self._ply[side]
+                    # per atom on p and a pair q of the key: the played
+                    # side's matrix, q's coordinate in it and the reply
+                    # side's column
+                    halves = [
+                        (played, q[mine], other[q[1 - mine]]) for played, other in mats for q in key
+                    ]
+                row = single[element]
+            best_reply, worst, top = None, None, beta
+            for reply in self._replies[side]:
+                v = None  # wider keys: ``_value`` looks the child's leaf up
+                if pairwise:
+                    # the child's leaf: max(leaf, leaf({p}), the atoms on p
+                    # and one pair q of the key)
+                    v = row[reply]
+                    if v < leaf:
+                        v = leaf
+                    for played, c, col in halves:
+                        gap = played[element][c] - col[reply]
+                        if gap < 0:
+                            gap = -gap
+                        if gap > v:
+                            v = gap
+                if rounds > 1 or v is None:
+                    child = self._child(key, side, element, reply)
+                    v = self._value(child, rounds - 1, bound, top, v)
+                if worst is None or v < worst:
+                    best_reply, worst = reply, v
+                    if v <= bound:
+                        break
+                    if v < top:
+                        top = v
+            if replies is not None:
+                replies[side, element] = best_reply, worst
+            elif best is None or worst > best[3]:
+                best = (side, element, best_reply, worst)
+                if worst >= beta:
                     break
-                if v < top:
-                    top = v
-        return best_reply, best_val
+                if worst > bound:
+                    bound = worst
+        return best
 
     def ii_strategy_tree(self, position: Position, rounds: int) -> IIStrategyNode | None:
         """II's optimal replies to every spoiler move, as a DAG with one node
@@ -551,17 +534,13 @@ class GameSolver:
             return None
         node = self._tables["certificate"].get(("II", key, rounds))
         if node is None:
-            if rounds == 1 and self._pairwise:
-                # every move's reply in one pass; the children are leaves
-                replies = {}
-                self._last_ply(key, self._moves, replies=replies)
-                responses = {move: (reply, None) for move, (reply, _) in replies.items()}
-            else:
-                responses = {}
-                for side, element in self._moves:
-                    reply, _ = self._reply(key, side, element, rounds)
-                    child = self._child(key, side, element, reply)
-                    responses[side, element] = (reply, self._ii_node(child, rounds - 1))
+            replies = {}
+            self._scan(key, rounds, self._leaf_at(key), replies=replies)
+            responses = {
+                (side, element): (
+                    reply, self._ii_node(self._child(key, side, element, reply), rounds - 1))
+                for (side, element), (reply, _) in replies.items()
+            }
             node = self.memoize("certificate", ("II", key, rounds), IIStrategyNode(responses))
         return node
 
@@ -570,7 +549,7 @@ class GameSolver:
             return None
         node = self._tables["certificate"].get(("I", key, rounds))
         if node is None:
-            side, element, _ = self._scan(key, rounds)
+            side, element, _, _ = self._scan(key, rounds, self._leaf_at(key))
             continuations = {
                 reply: self._i_node(self._child(key, side, element, reply), rounds - 1)
                 for reply in self._replies[side]

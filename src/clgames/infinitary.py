@@ -141,7 +141,7 @@ class _OmegaLeafSolver(RAlphaSolver):
     """The rank recursion with the coordinate-indexed ``OmegaLeaf``: keys in
     play order, leaves as integers over the family compiled once per arity.
     A stay appends to an ordered key, so the kernel's shortcuts for set keys
-    (the rounds clamp and the pairwise last ply) are off."""
+    (the rounds clamp and the child's leaf from its parent's) are off."""
 
     _set_keys = False
 
@@ -155,9 +155,9 @@ class _OmegaLeafSolver(RAlphaSolver):
             pair.signature, k, leaf.omega, leaf.term_depth, leaf.scale_factors), k, self._den))
 
     def _enter(self, position: Position, rounds: int = 0, least: int = 0, name: str = "rounds"):
-        # ordered keys never clamp: a search of three frames a round (_value,
-        # _scan, _reply) that cannot fit the stack is refused before any family is built
-        frame, depth = sys._getframe(), 3 * rounds
+        # ordered keys never clamp: a search of two frames a round (_value,
+        # _scan) that cannot fit the stack is refused before any family is built
+        frame, depth = sys._getframe(), 2 * rounds
         while frame is not None:
             frame, depth = frame.f_back, depth + 1
         if depth >= sys.getrecursionlimit():
@@ -216,9 +216,9 @@ def dynamic_game_value(
     points.  ``tests/helpers.DynamicSolver`` searches the spends instead.
 
     The principal variation holds (clock spent, side, element, reply) per
-    round: the least spend s whose scan ``_scan(key, s + 1)`` reaches the
-    value, the scan's first best move, and the first reply that keeps the
-    value, which then stays the same along the line.
+    round: the least spend s whose scan ``_scan(key, s + 1, ...)`` reaches
+    the value, and the scan's first best move and its first reply that
+    keeps the value, which then stays the same along the line.
     """
     game = RAlphaSolver(pair, leaf or AtomicLeaf(), max_positions)
     key = game._enter(start or Position(), clock, name="clock")
@@ -226,11 +226,11 @@ def dynamic_game_value(
     with rounds_within_stack(clock):
         target = game._value(key, clock)
         while left > 0:
+            leaf = game._leaf_at(key)
             for spent in range(left):
-                side, element, best = game._scan(key, spent + 1)
+                side, element, reply, best = game._scan(key, spent + 1, leaf)
                 if best == target:
                     break
-            reply, _ = game._reply(key, side, element, spent + 1)
             line.append((spent, side, element, reply))
             left, key = spent, game._child(key, side, element, reply)
     return DynamicGameResult(game._fraction(target), clock, tuple(line))

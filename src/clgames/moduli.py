@@ -354,5 +354,12 @@ def weak_modulus_from_json(data: dict) -> WeakModulus:
         ),
         tail=json_field(data, "tail", modulus_from_json),
         aggregator=json_field(data, "aggregator", Aggregator, Aggregator.MAX),
-        allow_infinite=json_field(data, "allow_infinite", bool, False),
+        allow_infinite=json_field(data, "allow_infinite", _json_bool, False),
     )
+
+
+def _json_bool(raw) -> bool:
+    """A JSON boolean; ``bool()`` would take any string or list as true."""
+    if type(raw) is not bool:
+        raise ValueError(f"must be true or false, got {raw!r}")
+    return raw

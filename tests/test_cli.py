@@ -232,28 +232,28 @@ class TestGameCommand:
 
     def test_certificate_over_the_cap_writes_nothing(self, pair_file, tmp_path, capsys):
         # the certificates' nodes are charged to the solve's cap as they are
-        # built: at 10 rounds the solve holds 45 leaf and 34 value entries
-        # and 152 certificate nodes, 231 entries, so a cap of 230 stops it
+        # built: at 10 rounds the solve holds 17 leaf and 34 value entries
+        # and 152 certificate nodes, 203 entries, so a cap of 202 stops it
         # before the file is opened
         out = tmp_path / "cert.json"
         argv = ["game", "--pair", str(pair_file), "--rounds", "10", "--strategy", str(out)]
-        assert main(argv + ["--max-positions", "230"]) == 1
+        assert main(argv + ["--max-positions", "202"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-        assert "cap of 230 entries" in captured.err
+        assert "cap of 202 entries" in captured.err
         assert "certificate table" in captured.err and "certificate 151" in captured.err
         assert not out.exists()
-        assert main(argv + ["--max-positions", "231"]) == 0
+        assert main(argv + ["--max-positions", "203"]) == 0
         assert json.loads(out.read_text())["value"] == [1, 8]
         out.unlink()
-        # at 4 rounds the solve holds 73 entries and 44 certificate nodes
+        # at 4 rounds the solve holds 51 entries and 44 certificate nodes
         argv = ["game", "--pair", str(pair_file), "--rounds", "4", "--strategy", str(out)]
-        assert main(argv + ["--max-positions", "116"]) == 1
+        assert main(argv + ["--max-positions", "94"]) == 1
         err = capsys.readouterr().err
-        assert "cap of 116 entries" in err and "certificate 43" in err
+        assert "cap of 94 entries" in err and "certificate 43" in err
         assert not out.exists()
-        assert main(argv + ["--max-positions", "117"]) == 0
+        assert main(argv + ["--max-positions", "95"]) == 0
         assert json.loads(out.read_text())["value"] == [1, 8]
 
     def test_twenty_round_certificate(self, pair_file, tmp_path, capsys, monkeypatch):
@@ -301,10 +301,10 @@ class TestGameCommand:
     )
     def test_too_many_rounds_exit_one(self, tmp_path, capsys, argv):
         # the rounds clamp at the points left uncovered, so the search is
-        # only as deep as the pair is large: 400 points make it deeper than
-        # the default limit of 1000 frames
+        # only as deep as the pair is large: at two frames a round, 600
+        # points make it deeper than the default limit of 1000 frames
         pair_file = tmp_path / "deep.json"
-        save_pair(NamedPair(discrete_structure(200), discrete_structure(200)), pair_file)
+        save_pair(NamedPair(discrete_structure(300), discrete_structure(300)), pair_file)
         rc = main([argv[0], "--pair", str(pair_file), *argv[1:]])
         assert rc == 1
         err = capsys.readouterr().err
@@ -602,6 +602,13 @@ class TestMalformedWeakModulus:
     def test_missing_tail(self, pair_file, tmp_path, capsys):
         err = self.run_with(pair_file, tmp_path, capsys, {"coords": []})
         assert "missing field 'tail'" in err
+
+    def test_allow_infinite_not_a_boolean(self, pair_file, tmp_path, capsys):
+        # bool("false") is True: a string must not pass for a boolean
+        omega = WeakModulus(coords=(), tail=linear_modulus(2), aggregator=Aggregator.MAX)
+        blob = {**weak_modulus_to_json(omega), "allow_infinite": "false"}
+        err = self.run_with(pair_file, tmp_path, capsys, blob)
+        assert "'allow_infinite'" in err and "true or false" in err
 
 
 class TestUsageErrors:

@@ -253,16 +253,20 @@ class TestGameValue:
         with pytest.raises(ResourceCapError) as err:
             game_value(PAIR_55, rounds=3, build_strategies=False, max_positions=5)
         assert "5" in str(err.value)
-        # the cap is shared, so the error names the table that reached it
-        # the last ply stores no leaves, so the dive down the first moves
-        # alternates leaf(p) for the cutoff bound and the value of p
-        assert err.value.cap == 5 and err.value.table == "leaf"
-        assert err.value.entries == {"leaf": 3, "value": 2}
+        # the cap is shared, so the error names the table that reached it;
+        # every child's leaf is scored from its parent's, so the value
+        # solve holds the root's leaf alone
+        assert err.value.cap == 5 and err.value.table == "value"
+        assert err.value.entries == {"leaf": 1, "value": 4}
         assert str(err.value).startswith("position table would exceed the cap of 5 entries;")
-        assert "leaf table" in str(err.value)
+        assert "value table" in str(err.value)
+        # the value solve holds 18 entries and the root's certificate scan
+        # adds 2; then each certificate node looks up the leaf of its key
         with pytest.raises(ResourceCapError) as err:
-            game_value(PAIR_55, rounds=3, build_strategies=False, max_positions=6)
-        assert err.value.table == "value" and err.value.entries == {"leaf": 4, "value": 2}
+            game_value(PAIR_55, rounds=3, max_positions=20)
+        assert err.value.cap == 20 and err.value.table == "leaf"
+        assert err.value.entries == {"leaf": 1, "value": 19, "certificate": 0}
+        assert "leaf table" in str(err.value)
         for cap in (0, -3):
             with pytest.raises(ValueError, match="at least 1"):
                 game_value(PAIR_55, rounds=1, max_positions=cap)
@@ -290,21 +294,22 @@ class TestGameValue:
 
     @pytest.mark.parametrize("pair, rounds, after_value, after_certificates", [
         pytest.param(
-            distance_witness_pair(F(1, 2), 16), 2, {"leaf": 197, "value": 197},
-            {"leaf": 290, "value": 290, "certificate": 37}, id="distance-witness-16",
+            distance_witness_pair(F(1, 2), 16), 2, {"leaf": 1, "value": 197},
+            {"leaf": 35, "value": 290, "certificate": 37}, id="distance-witness-16",
         ),
         pytest.param(
-            build_nested_levels_pair(4, 2), 3, {"leaf": 376, "value": 251},
-            {"leaf": 623, "value": 321, "certificate": 113}, id="nested-levels-4",
+            build_nested_levels_pair(4, 2), 3, {"leaf": 1, "value": 251},
+            {"leaf": 91, "value": 321, "certificate": 113}, id="nested-levels-4",
         ),
         pytest.param(
-            PAIR_55, 6, {"leaf": 17, "value": 28},
-            {"leaf": 45, "value": 34, "certificate": 80}, id="cardinality-witness",
+            PAIR_55, 6, {"leaf": 1, "value": 28},
+            {"leaf": 17, "value": 34, "certificate": 80}, id="cardinality-witness",
         ),
     ])
     def test_table_sizes(self, pair, rounds, after_value, after_certificates):
         # the entries of each memo table after the value and after both
-        # certificates: a lost cutoff or an extra memo entry changes them
+        # certificates: a lost cutoff or an extra memo entry changes them;
+        # the value solve memoizes the root's leaf only
         solver = GameSolver(pair)
         solver.value(Position(), rounds)
         assert {name: len(table) for name, table in solver._tables.items()} == after_value
@@ -455,14 +460,14 @@ class TestCertificates:
         self.exhaustive_check(cardinality_witness_pair(F(1, 4)), 3)
 
     def test_certificates_counted_against_the_cap(self, monkeypatch, tmp_path):
-        # from the empty start at 4 rounds the solve holds 39 leaf and 34
+        # from the empty start at 4 rounds the solve holds 17 leaf and 34
         # value entries, and the two certificates 44 nodes (25 of II's, 19
-        # of I's) in the certificate table: 117 entries in all
-        result = game_value(PAIR_55, rounds=4, max_positions=117)
+        # of I's) in the certificate table: 95 entries in all
+        result = game_value(PAIR_55, rounds=4, max_positions=95)
         with pytest.raises(ResourceCapError) as err:
-            game_value(PAIR_55, rounds=4, max_positions=116)
-        assert (err.value.cap, err.value.table) == (116, "certificate")
-        assert err.value.entries == {"leaf": 39, "value": 34, "certificate": 43}
+            game_value(PAIR_55, rounds=4, max_positions=94)
+        assert (err.value.cap, err.value.table) == (94, "certificate")
+        assert err.value.entries == {"leaf": 17, "value": 34, "certificate": 43}
         assert "certificate table" in str(err.value)
         # a solve without certificates makes no certificate table
         solver = GameSolver(PAIR_55)
@@ -472,7 +477,7 @@ class TestCertificates:
         assert len(solver._tables["certificate"]) == 25
         solver.i_witness_tree(Position(), 4)
         assert len(solver._tables["certificate"]) == 44
-        monkeypatch.setenv("CLGAMES_MAX_POSITIONS", "116")
+        monkeypatch.setenv("CLGAMES_MAX_POSITIONS", "94")
         with pytest.raises(ResourceCapError, match="certificate 43"):
             game_value(PAIR_55, rounds=4)
         monkeypatch.delenv("CLGAMES_MAX_POSITIONS")

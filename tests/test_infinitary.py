@@ -109,9 +109,9 @@ class TestRAlpha:
 
     def test_clock_deeper_than_the_stack_rejected(self):
         # the clock clamps at the points left uncovered, so the search is
-        # only as deep as the pair is large: 400 points outgrow the default
-        # limit of 1000 frames
-        pair = NamedPair(discrete_structure(200), discrete_structure(200))
+        # only as deep as the pair is large: at two frames a round, 600
+        # points outgrow the default limit of 1000 frames
+        pair = NamedPair(discrete_structure(300), discrete_structure(300))
         with pytest.raises(ValueError, match="recursion"):
             r_alpha(pair, alpha=5000)
 
@@ -186,13 +186,14 @@ class TestDynamicGame:
             helpers.random_structure(rng, sig, n_points=4),
             helpers.random_structure(rng, sig, n_points=4),
         )
-        # the whole solve, its principal variation included, holds 29 leaf
-        # and 36 value entries
-        result = dynamic_game_value(pair, 3, max_positions=65)
+        # the whole solve, its principal variation included, holds 2 leaf
+        # and 36 value entries: the value memoizes the root's leaf, and the
+        # line looks up the leaf of each position it scans from
+        result = dynamic_game_value(pair, 3, max_positions=38)
         assert result.value == r_alpha(pair, alpha=3)
         with pytest.raises(ResourceCapError) as err:
-            dynamic_game_value(pair, 3, max_positions=64)
-        assert err.value.entries == {"leaf": 29, "value": 35}
+            dynamic_game_value(pair, 3, max_positions=37)
+        assert err.value.entries == {"leaf": 1, "value": 36}
 
     def test_deep_clock_clamps_at_the_uncovered_points(self):
         # the kernel's rounds clamp cuts the clock to the points the start
@@ -225,9 +226,9 @@ class TestDynamicGame:
         # the clock clamps at the uncovered points, so every clock past them
         # fills the same table
         for clock in (20, 40, 60):
-            assert dynamic_game_value(PAIR_55, clock, max_positions=47).value == F(1, 8)
+            assert dynamic_game_value(PAIR_55, clock, max_positions=31).value == F(1, 8)
             with pytest.raises(ResourceCapError):
-                dynamic_game_value(PAIR_55, clock, max_positions=46)
+                dynamic_game_value(PAIR_55, clock, max_positions=30)
 
     def test_negative_term_depth_rejected(self):
         for solve in (
@@ -332,10 +333,10 @@ class TestOmegaGame:
         assert sum(err.value.entries.values()) == 50
         assert set(err.value.entries) == {"leaf", "value"}
         assert omega_game_value_atomic(pair) == helpers.value_iteration_omega(pair)
-        # the 200-point pair is the 400-round game, deeper than the
-        # interpreter's stack: one line that says so
-        big = discrete_structure(200)
-        with pytest.raises(ValueError, match="^400 rounds need a recursion deeper") as err:
+        # the 300-point pair is the 600-round game, deeper than the
+        # interpreter's stack at two frames a round: one line that says so
+        big = discrete_structure(300)
+        with pytest.raises(ValueError, match="^600 rounds need a recursion deeper") as err:
             omega_game_value_atomic(NamedPair(big, big))
         assert "\n" not in str(err.value)
 

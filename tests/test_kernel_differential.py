@@ -164,19 +164,49 @@ def test_last_ply_matches_the_stated_rules(data):
         lambda window: window[0] < window[1]
     )
     for alpha, beta in data.draw(st.lists(windows, min_size=1, max_size=4)):
-        side, element, _, expected = helpers.last_ply_scan(
+        side, element, reply, expected = helpers.last_ply_scan(
             pair, left, right, scaled(alpha), scaled(beta)
         )
-        assert solver._scan(key, 1, alpha, beta) == (side, element, expected * den)
-        side, element = data.draw(st.sampled_from(solver._moves))
+        assert solver._scan(key, 1, leaf, alpha, beta) == (side, element, reply, expected * den)
+        move = data.draw(st.sampled_from(solver._moves))
         _, _, reply, expected = helpers.last_ply_scan(
-            pair, left, right, scaled(alpha), scaled(beta), moves=[(side, element)]
+            pair, left, right, scaled(alpha), scaled(beta), moves=[move]
         )
-        assert solver._reply(key, side, element, 1, alpha, beta) == (reply, expected * den)
+        result = solver._scan(key, 1, leaf, alpha, beta, moves=(move,))
+        assert result == (*move, reply, expected * den)
 
 
 def uncovered(pair: NamedPair, left: tuple, right: tuple) -> int:
     return pair.left.size - len(set(left)) + pair.right.size - len(set(right))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs_and_starts(functions=False, ternary=False), st.integers(2, 3))
+def test_leaf_handed_to_each_child_is_exact(case, rounds):
+    # at width 2 the scan scores each child's leaf from its parent's and
+    # hands it to the child's search instead of a memoized leaf: every leaf
+    # handed over, in the value search and in both certificates, is the
+    # plain leaf of that child
+    pair, left, right = case
+    assume(uncovered(pair, left, right) >= 2)
+    solver = GameSolver(pair)
+    assert solver._pairwise
+    handed, search = {}, solver._value
+
+    def value(key, rounds, alpha=game._LOW, beta=game._HIGH, leaf=None):
+        if leaf is not None:
+            handed.setdefault(key, set()).add(leaf)
+        return search(key, rounds, alpha, beta, leaf)
+
+    solver._value = value
+    start = Position(left, right)
+    solver.value(start, rounds)
+    solver.ii_strategy_tree(start, rounds)
+    solver.i_witness_tree(start, rounds)
+    assert handed
+    for key, leaves in handed.items():
+        child = tuple(a for a, _ in key), tuple(b for _, b in key)
+        assert leaves == {helpers.plain_leaf(pair, *child) * solver._den}
 
 
 @settings(max_examples=40, deadline=None)

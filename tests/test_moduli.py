@@ -370,6 +370,16 @@ class TestJson:
         )
         assert weak_modulus_from_json(weak_modulus_to_json(omega)) == omega
 
+    @pytest.mark.parametrize("raw", ["false", "true", [0], 0, 1, None])
+    def test_allow_infinite_must_be_a_boolean(self, raw):
+        blob = weak_modulus_to_json(
+            WeakModulus(coords=(), tail=linear_modulus(2), aggregator=Aggregator.MAX)
+        )
+        with pytest.raises(ValueError, match="^field 'allow_infinite': must be true or false"):
+            weak_modulus_from_json({**blob, "allow_infinite": raw})
+        for flag in (False, True):
+            assert weak_modulus_from_json({**blob, "allow_infinite": flag}).allow_infinite is flag
+
     def test_bad_payload_rejected(self):
         with pytest.raises(ValueError):
             modulus_from_json({"breakpoints": [[[0, 1], [0, 1]]]})
