@@ -127,10 +127,13 @@ def main(argv=None) -> int:
     cap = getattr(args, "max_positions", None)
     if cap is not None and cap < 1:
         parser.exit(2, f"error: --max-positions must be at least 1, got {cap}\n")
-    depth = getattr(args, "term_depth", None)
-    if depth is not None and depth < 0:
-        parser.exit(2, f"error: --term-depth must be non-negative, got {depth}\n")
     try:
+        # a game's precision, like a term depth, is non-negative; demo checks
+        # its own epsilon's range
+        eps = rat(args.epsilon) if args.command in ("game", "play") and args.epsilon else None
+        for flag, value in (("--term-depth", getattr(args, "term_depth", None)), ("--epsilon", eps)):
+            if value is not None and value < 0:
+                parser.exit(2, f"error: {flag} must be non-negative, got {format_rat(value)}\n")
         return args.run(args)
     except (StructureValidationError, ResourceCapError, FormulaError,
             ValueError, KeyError, OSError, EOFError, json.JSONDecodeError) as exc:

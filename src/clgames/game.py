@@ -18,7 +18,9 @@ recursion in ``clgames.infinitary``.
 It memoizes on sets of played pairs, function symbols included: the atoms
 at a term depth over a position are closed under renaming its variables,
 and a repeated pair adds no new term value, so the atomic leaf, and with it
-every game value, depends only on the set of distinct played pairs.  Values
+every game value, depends only on the set of distinct played pairs.  The
+same key rule, with an ordered prefix and repeats kept, serves the
+coordinate-indexed omega leaf of ``clgames.infinitary``.  Values
 are integers over one common denominator inside the solver.  The search is
 an exact fail-soft alpha-beta (Knuth & Moore 1975) whose memo entries are
 (lower, upper) bounds (Marsland 1986).  The leaf only grows along play, so
@@ -180,8 +182,11 @@ class GameValueResult:
 class GameSolver:
     """Backward-induction solver for one structure pair.
 
-    Positions are keyed by the sorted tuple of distinct played pairs, and
-    the minimax recurses over these keys.  The pair is compiled once into
+    Positions are keyed by one rule, in ``_child``: the first ``_prefix``
+    played pairs in play order, then the rest sorted, as a set on set keys
+    (``_set_keys``) and as a multiset otherwise.  Here the prefix is empty,
+    so a key is the sorted tuple of distinct played pairs, and the minimax
+    recurses over these keys.  The pair is compiled once into
     integer tables, the sides' ``integer_form`` over their common
     denominator; a key's terms are its pairs and the constants, closed
     ``term_depth`` times under the function tables.  An atom mentions at
@@ -213,7 +218,8 @@ class GameSolver:
 
     Two shortcuts rest on the keys being sets, so that a stay (II repeating
     a played pair) leaves the key as it is; ``_OmegaLeafSolver``, whose keys
-    are in play order, opts out of both through ``_set_keys``:
+    keep an ordered prefix and repeated pairs, opts out of both through
+    ``_set_keys``:
 
     * The rounds clamp at u(key), the points on both sides the key leaves
       uncovered: V_r(S) = V_u(S) for r >= u(S), by the lemma in
@@ -233,6 +239,7 @@ class GameSolver:
     """
 
     _set_keys = True
+    _prefix = 0
 
     def __init__(self, pair: NamedPair, term_depth: int = 0, max_positions: int | None = None):
         if term_depth < 0:
@@ -283,8 +290,11 @@ class GameSolver:
         return Fraction(v, self._den)
 
     def _key(self, position: Position):
-        """The memo key: the sorted distinct played pairs."""
-        return tuple(sorted(set(zip(position.left, position.right))))
+        """The memo key: the position's pairs added in play order by ``_child``."""
+        key = ()
+        for pair in zip(position.left, position.right):
+            key = self._child(key, "L", *pair)
+        return key
 
     def _enter(self, position: Position, rounds: int = 0, least: int = 0, name: str = "rounds"):
         """The key of a public method's start, after checking that the rounds
@@ -298,10 +308,12 @@ class GameSolver:
 
     def _child(self, key, side: str, element: int, reply: int):
         """The key after the spoiler plays ``element`` on ``side`` and the
-        duplicator ``reply`` on the other side."""
+        duplicator ``reply`` on the other side.  The first ``_prefix`` pairs
+        stay in play order (bisecting from past the end appends); the pair
+        goes into the sorted rest, where a repeat is dropped on set keys."""
         pair = (element, reply) if side == "L" else (reply, element)
-        i = bisect_left(key, pair)
-        if i < len(key) and key[i] == pair:
+        i = bisect_left(key, pair, self._prefix)
+        if self._set_keys and i < len(key) and key[i] == pair:
             return key
         return key[:i] + (pair,) + key[i:]
 
@@ -386,9 +398,7 @@ class GameSolver:
         return {"L": (single, 0, mats_l), "R": ([list(c) for c in zip(*single)], 1, mats_r)}
 
     def child(self, position: Position, side: str, element: int, reply: int) -> Position:
-        if side == "L":
-            return position.extended(element, reply)
-        return position.extended(reply, element)
+        return position.extended(*((element, reply) if side == "L" else (reply, element)))
 
     def value(self, position: Position, rounds: int) -> Fraction:
         key = self._enter(position, rounds)

@@ -29,7 +29,8 @@ leaves uncovered: a spoiler move on a covered point is answered by a stay,
 and every other move covers a point (``omega_game_value_atomic`` has the
 proof).  It is solved by the game kernel itself.  The reduction needs
 positions that are sets of pairs, so it does not apply to the
-coordinate-indexed omega leaf.
+coordinate-indexed omega leaf, whose keys keep the first coordinates in
+play order and a repeated pair as a second copy.
 """
 
 from __future__ import annotations
@@ -127,7 +128,8 @@ class RAlphaSolver(GameSolver):
     minimax with the leaf scored over the chosen family.
 
     With the atomic leaf this is the kernel itself; an ``OmegaLeaf`` is
-    coordinate-indexed, so play order matters, and gives an ``_OmegaLeafSolver``.
+    coordinate-indexed, so the order of the pairs at its prefix coordinates
+    matters, and gives an ``_OmegaLeafSolver``.
     """
 
     def __new__(cls, pair: NamedPair, leaf: AtomicLeaf | OmegaLeaf, max_positions: int | None = None):
@@ -138,15 +140,28 @@ class RAlphaSolver(GameSolver):
 
 
 class _OmegaLeafSolver(RAlphaSolver):
-    """The rank recursion with the coordinate-indexed ``OmegaLeaf``: keys in
-    play order, leaves as integers over the family compiled once per arity.
-    A stay appends to an ordered key, so the kernel's shortcuts for set keys
-    (the rounds clamp and the child's leaf from its parent's) are off."""
+    """The rank recursion with the coordinate-indexed ``OmegaLeaf``, its
+    leaves integers over the family compiled once per arity.
+
+    A key is the kernel's, with a prefix of c = ``len(omega.coords)`` pairs
+    in play order and the rest a sorted multiset.  This is exact.  The
+    coordinates at or after c all share the tail modulus, each arity's
+    family is closed under renaming variables, and ``check_basic_omega``
+    depends only on a formula's modulus and on the coordinate moduli of its
+    free variables; so permuting the tail positions leaves the leaf as it
+    is.  Once the prefix is full a child's new pair lands in the tail, so
+    positions with one key have children with one key, and every V_r
+    agrees, by induction on r.  The prefix stays ordered and a repeated
+    tail pair stays a second copy, because either can change the leaf.  A
+    stay then adds a copy to the key, so the kernel's shortcuts for set
+    keys (the rounds clamp and the child's leaf from its parent's) are
+    off."""
 
     _set_keys = False
 
     def __init__(self, pair: NamedPair, leaf: OmegaLeaf, max_positions: int | None = None):
         super().__init__(pair, leaf, max_positions)
+        self._prefix = len(leaf.omega.coords)
         # every key is scored whole: the family has no w-pair subset rule
         self._width = float("inf")
         # p/s-scaled formulas have N = s * (side's den): the product keeps den // N whole
@@ -155,7 +170,7 @@ class _OmegaLeafSolver(RAlphaSolver):
             pair.signature, k, leaf.omega, leaf.term_depth, leaf.scale_factors), k, self._den))
 
     def _enter(self, position: Position, rounds: int = 0, least: int = 0, name: str = "rounds"):
-        # ordered keys never clamp: a search of two frames a round (_value,
+        # multiset keys never clamp: a search of two frames a round (_value,
         # _scan) that cannot fit the stack is refused before any family is built
         frame, depth = sys._getframe(), 2 * rounds
         while frame is not None:
@@ -163,12 +178,6 @@ class _OmegaLeafSolver(RAlphaSolver):
         if depth >= sys.getrecursionlimit():
             raise too_deep(rounds)
         return super()._enter(position, rounds, least, name)
-
-    def _key(self, position: Position):
-        return tuple(zip(position.left, position.right))
-
-    def _child(self, key, side: str, element: int, reply: int):
-        return key + ((element, reply) if side == "L" else (reply, element),)
 
     def _score(self, key):
         return self._scorer(len(key))(tuple(a for a, _ in key), tuple(b for _, b in key))

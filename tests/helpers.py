@@ -468,8 +468,11 @@ def full_basic_family(sig: Signature, arity: int, omega, term_depth: int = 0, sc
 def omega_leaf_oracle(pair: NamedPair, leaf):
     """The OmegaLeaf ``leaf``'s score of ordered positions, as a function of
     the left and right point tuples: the largest value gap over
-    ``full_basic_family`` at the tuples' length, by ``fraction_evaluate``."""
-    families = {}
+    ``full_basic_family`` at the tuples' length, by ``fraction_evaluate``.
+    Each family and each ordered position's score is computed once: the
+    game tree reaches a position once by a left move and once by a right
+    move."""
+    families, scores = {}, {}
 
     def score(lp: tuple, rp: tuple) -> Fraction:
         k = len(lp)
@@ -477,18 +480,21 @@ def omega_leaf_oracle(pair: NamedPair, leaf):
             families[k] = full_basic_family(
                 pair.signature, k, leaf.omega, leaf.term_depth, leaf.scale_factors
             )
-        return _max_gap(pair, families[k], lp, rp)
+        if (lp, rp) not in scores:
+            scores[lp, rp] = _max_gap(pair, families[k], lp, rp)
+        return scores[lp, rp]
 
     return score
 
 
 def brute_force_rank_omega_leaf(
-    pair: NamedPair, left: tuple, right: tuple, alpha: int, leaf
+    pair: NamedPair, left: tuple, right: tuple, alpha: int, leaf, score=None
 ) -> Fraction:
     """Unmemoized rank recursion over ordered positions whose leaves are
     scored by ``omega_leaf_oracle``: the oracle for ``r_alpha`` with the
-    omega leaf."""
-    return _ordered_minimax(pair, left, right, alpha, omega_leaf_oracle(pair, leaf))
+    omega leaf.  Passing the ``score`` of ``omega_leaf_oracle(pair, leaf)``
+    shares its families and scores across calls."""
+    return _ordered_minimax(pair, left, right, alpha, score or omega_leaf_oracle(pair, leaf))
 
 
 class DynamicSolver:

@@ -414,8 +414,9 @@ class TestRalphaCommand:
     def test_deep_omega_leaf_clock_rejected_before_any_family(
         self, pair_file, tmp_path, capsys, monkeypatch
     ):
-        # ordered keys never clamp, so the search would be as deep as the
-        # clock, building a larger family at every level before it overflows
+        # omega-leaf keys keep repeated pairs and never clamp, so the search
+        # would be as deep as the clock, building a larger family at every
+        # level before it overflows
         def refuse(*args, **kwargs):
             raise AssertionError("a family was built")
 
@@ -627,6 +628,32 @@ class TestUsageErrors:
         err_text = capsys.readouterr().err
         assert err_text.startswith("error:") and "--term-depth" in err_text
         assert err_text.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            (["game", "--rounds", "1", "--epsilon", "-1"], "-1"),
+            (["game", "--rounds", "1", "--epsilon=-1/2"], "-1/2"),
+            (["play", "--rounds", "1", "--epsilon", "-1"], "-1"),
+        ],
+        ids=["game", "game-fraction", "play"],
+    )
+    def test_negative_epsilon(self, pair_file, capsys, monkeypatch, argv, shown):
+        # refused before any solve or prompt, not reported as a win for I
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("B p1\n"))
+        with pytest.raises(SystemExit) as err:
+            main([argv[0], "--pair", str(pair_file), *argv[1:]])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --epsilon must be non-negative, got {shown}\n"
+
+    def test_zero_epsilon_is_a_precision(self, pair_file, capsys):
+        rc = main(["game", "--pair", str(pair_file), "--rounds", "2", "--epsilon", "0"])
+        assert rc == 1
+        assert "at eps = 0: I wins" in capsys.readouterr().out
 
     def test_no_command(self):
         with pytest.raises(SystemExit) as err:

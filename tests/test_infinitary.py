@@ -207,10 +207,11 @@ class TestDynamicGame:
             sys.setrecursionlimit(limit)
 
     def test_clock_deeper_than_the_stack_rejected(self):
-        # the omega leaf keys positions in play order, so nothing clamps the
-        # clock and the search is as deep as the clock even on a one-point
-        # pair; a lowered limit keeps the work before the overflow small, as
-        # the leaf's family grows with the fourth power of the key's length
+        # the omega leaf's keys keep every copy of a repeated pair, so a stay
+        # grows the key, nothing clamps the clock and the search is as deep
+        # as the clock even on a one-point pair; a lowered limit keeps the
+        # work before the overflow small, as the leaf's family grows with
+        # the fourth power of the key's length
         pair = one_point_pair()
         leaf = OmegaLeaf(WeakModulus(coords=(), tail=linear_modulus(2), aggregator=Aggregator.MAX))
         limit = sys.getrecursionlimit()
@@ -439,16 +440,22 @@ class TestOmegaLeaf:
                 assert omega.value(pos, 0) >= atomic.value(pos, 0)
 
     @pytest.mark.parametrize(
-        "leaf_options, pair_options",
+        "leaf_options, pair_options, from_starts",
         [
-            ({}, {}),
+            ({}, {}, True),
             # function terms, and scale factors whose denominators 3 and 4
-            # make the solver's denominator a product with the pair's
-            ({"term_depth": 1, "scale_factors": (F(2), F(1, 3), F(3, 4))}, {"with_function": True}),
+            # make the solver's denominator a product with the pair's; their
+            # families at 4 or 5 variables take seconds each to build, so
+            # they are checked from the empty start only
+            (
+                {"term_depth": 1, "scale_factors": (F(2), F(1, 3), F(3, 4))},
+                {"with_function": True},
+                False,
+            ),
         ],
         ids=["relational", "function-terms"],
     )
-    def test_rank_recursion_matches_ordered_oracle(self, leaf_options, pair_options):
+    def test_rank_recursion_matches_ordered_oracle(self, leaf_options, pair_options, from_starts):
         # x0 is held to the identity modulus and later variables to 2t, so
         # the certified family, and with it the leaf, depends on play order
         leaf = OmegaLeaf(
@@ -463,6 +470,36 @@ class TestOmegaLeaf:
             for alpha in (0, 1, 2):
                 expected = helpers.brute_force_rank_omega_leaf(pair, (), (), alpha, leaf)
                 assert r_alpha(pair, alpha=alpha, leaf=leaf) == expected
+        # ordered starts of c + 2 pairs under c = 0, 1 and 2 prefix
+        # coordinates, with the leaf's scale factors and with none: the key
+        # keeps the prefix in play order, and a repeated tail pair as a second
+        # copy, which matters once the tail's 4t certifies truncated sums
+        moduli = [
+            WeakModulus(coords=(), tail=linear_modulus(4), aggregator=Aggregator.MAX),
+            WeakModulus(coords=(identity_modulus(),), tail=linear_modulus(4), aggregator=Aggregator.MAX),
+            WeakModulus(
+                coords=(capped_linear(4), identity_modulus()), tail=linear_modulus(4),
+                aggregator=Aggregator.MAX,
+            ),
+        ]
+        for omega in moduli if from_starts else ():
+            c = len(omega.coords)
+            for scale_factors in (leaf.scale_factors, ()):
+                # one solver and one oracle per leaf, so each family is built once
+                start_leaf = OmegaLeaf(omega, leaf.term_depth, scale_factors)
+                pair = helpers.random_pair(rng, max_points=3, **pair_options)
+                solver = RAlphaSolver(pair, start_leaf)
+                score = helpers.omega_leaf_oracle(pair, start_leaf)
+                for repeat in (False, True):
+                    left = [rng.randrange(pair.left.size) for _ in range(c + 2)]
+                    right = [rng.randrange(pair.right.size) for _ in range(c + 2)]
+                    if repeat:
+                        left[-1], right[-1] = left[c], right[c]
+                    start = Position(tuple(left), tuple(right))
+                    for alpha in (0, 1):
+                        expected = helpers.brute_force_rank_omega_leaf(
+                            pair, start.left, start.right, alpha, start_leaf, score)
+                        assert solver.value(start, alpha) == expected
 
     @pytest.mark.parametrize(
         "symbols, term_depth",
@@ -497,6 +534,40 @@ class TestOmegaLeaf:
                     left = tuple(rng.randrange(pair.left.size) for _ in range(k))
                     right = tuple(rng.randrange(pair.right.size) for _ in range(k))
                     assert solver.leaf(Position(left, right)) == oracle(left, right)
+        # with no scale factors a second copy of a tail pair can raise the
+        # leaf, through the truncated sum of an atom and its copy, which the
+        # first modulus certifies
+        pair = NamedPair(*(helpers.random_structure(rng, sig, max_points=3) for _ in "LR"))
+        bare = OmegaLeaf(moduli[0], term_depth, ())
+        solver, oracle = RAlphaSolver(pair, bare), helpers.omega_leaf_oracle(pair, bare)
+        for _ in range(12):
+            k = rng.randint(1, 2)
+            left = [rng.randrange(pair.left.size) for _ in range(k)]
+            right = [rng.randrange(pair.right.size) for _ in range(k)]
+            j = rng.randrange(k)
+            left, right = (*left, left[j]), (*right, right[j])
+            assert solver.leaf(Position(left, right)) == oracle(left, right)
+
+    def test_table_sizes_on_canonical_keys(self):
+        # x0 is held to the identity modulus and later variables to 2t: a key
+        # keeps its first pair and sorts the rest, where keys in play order
+        # needed 187, 937 and 4,687 entries; one entry fewer fails on the
+        # root's value entry
+        pair = build_nested_levels_pair(2, 2)
+        leaf = OmegaLeaf(
+            WeakModulus(
+                coords=(identity_modulus(),), tail=linear_modulus(2), aggregator=Aggregator.MAX
+            )
+        )
+        for alpha, cap, held in (
+            (3, 137, {"leaf": 106, "value": 30}),
+            (4, 387, {"leaf": 281, "value": 105}),
+            (5, 912, {"leaf": 631, "value": 280}),
+        ):
+            assert r_alpha(pair, alpha=alpha, leaf=leaf, max_positions=cap) == 1
+            with pytest.raises(ResourceCapError) as err:
+                r_alpha(pair, alpha=alpha, leaf=leaf, max_positions=cap - 1)
+            assert err.value.table == "value" and err.value.entries == held
 
     def test_rank_recursion_with_omega_leaf(self):
         generous = WeakModulus(coords=(), tail=linear_modulus(2), aggregator=Aggregator.MAX)
