@@ -50,8 +50,9 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from math import lcm
+from operator import sub
 
 from .formulas import compile_formula, enumerate_atomic, is_delta_formula
 from .moduli import PwlModulus
@@ -228,13 +229,16 @@ class GameSolver:
       included.
     * At width 2 ``_scan`` scores every child's leaf from its parent's,
       with no memo entry: the leaf of S + {p} is the max of leaf(S),
-      leaf({p}) (a table filled once per solver, constants included) and
-      the atoms on p and one pair q of S, which are d(p, q) and each binary
-      predicate in both argument orders, read off the integer tables.  At
-      one round left that leaf is the child's value; otherwise it starts
-      the child's search, so a value solve memoizes the start's leaf only.
-      Wider keys (ternary predicates) and function terms at a positive term
-      depth, which couple pairs through the closure, keep the memoized
+      leaf({p}) and the atoms on p and one pair q of S, which are d(p, q)
+      and each binary predicate in both argument orders, read off the
+      integer tables.  leaf({p}), a table filled once per solver, is the
+      constants' own leaf max'd with the gap of each atom on p and the
+      constants (d(p, c), and each predicate at each argument pattern that
+      includes p), read from one row of values per side.  At one round
+      left the child's leaf is its value; otherwise it starts the child's
+      search, so a value solve memoizes the start's leaf only.  Wider keys
+      (ternary predicates) and function terms at a positive term depth,
+      which couple pairs through the closure, keep the memoized
       ``_leaf_at``.
     """
 
@@ -385,8 +389,27 @@ class GameSolver:
         an atom on p and q: the distances, and each binary predicate with p
         first and with p second."""
         n_left, n_right = self.pair.left.size, self.pair.right.size
-        single = [[self._score(((a, b),)) for b in range(n_right)] for a in range(n_left)]
         dist_l, dist_r = self._dist
+        consts = self._constants
+        # per atom on p and the constants that mentions p: its values at
+        # each left point and at each right point in the role of p
+        rows = [([row[c] for row in dist_l], [row[e] for row in dist_r]) for c, e in consts]
+        for arity, table_l, table_r in self._preds:
+            for args in product(range(-1, len(consts)), repeat=arity):  # -1 stands for p
+                if -1 in args:
+                    rows.append((
+                        [table_l[tuple(a if i < 0 else consts[i][0] for i in args)]
+                         for a in range(n_left)],
+                        [table_r[tuple(b if i < 0 else consts[i][1] for i in args)]
+                         for b in range(n_right)],
+                    ))
+        # leaf({p}) is the max of the constants' own leaf and those atoms' gaps
+        base, single = self._score(()), []
+        for a in range(n_left):
+            row = [base] * n_right
+            for left, right in rows:
+                row = list(map(max, row, map(abs, map(sub, repeat(left[a]), right))))
+            single.append(row)
         mats_l, mats_r = [(dist_l, dist_r)], [(dist_r, dist_l)]
         for arity, table_l, table_r in self._preds:
             if arity == 2:

@@ -14,15 +14,25 @@ integers over the lcm D of their denominators.  It is built once, on first
 use, and is the package's one scaling path.  ``validate`` runs every check
 on it: a modulus is tabulated once per distinct distance as
 floor(modulus(d) * D), an exact bound for integer value gaps, and the
-structure's Fractions are formatted only for a reported violation.  Two
-distinct tuples differ in some coordinate, so every tuple pair's bound is at
-least the least off-diagonal one, and only pairs whose values lie further
-apart than that are compared.
+structure's Fractions are formatted only for a reported violation.  With lo
+the least off-diagonal distance and hi the largest distance, two checks
+are skipped when the spread proves them clean:
+
+* the triangle inequality, on a zero diagonal with hi <= 2 lo, as d(i,k) <=
+  2 lo <= d(i,j) + d(j,k) for distinct points and a repeated point makes it
+  trivial;
+* a predicate's modulus, when its values lie within its least bound
+  floor(modulus(lo) * D): two distinct tuples differ in some coordinate and
+  a modulus never decreases, so every tuple pair's bound is at least that.
+  Otherwise only the pairs whose values lie further apart are compared.
+
 ``formulas.evaluate`` reads the same form, and the game solver brings both
 sides to their common denominator with ``IntegerForm.of``.
 
 ``structure_from_json`` decodes each distinct ``[num, den]`` and table key
-once per structure; the memo ends with the call.
+once per structure; the memo ends with the call.  ``pair_from_json`` shares
+one memo between the sides, and decodes one ``Signature`` for both when
+their signature JSON is the same.
 """
 
 from __future__ import annotations
@@ -283,19 +293,21 @@ class IntegerForm:
         )
 
 
+def _bound_at(modulus: PwlModulus, g: int, den: int) -> int:
+    """floor(modulus(g / den) * den), -1 at a negative g: an integer gap
+    exceeds modulus(g / den) * den iff it exceeds this."""
+    if g < 0:
+        return -1
+    m = modulus.evaluate(Fraction(g, den))
+    return m.numerator * den // m.denominator
+
+
 def _modulus_bounds(modulus: PwlModulus, form: IntegerForm) -> list[list[int]]:
-    """floor(modulus(d) * den) at every distance d of the structure, -1 at a
-    negative one.  A gap or image distance g * den exceeds modulus(gap) iff
-    it exceeds this integer; the modulus never decreases, so the bound of a
-    tuple pair is the max of its coordinates' bounds, -1 iff its gap is
-    negative.  The modulus is not defined there, and such a pair is not
-    checked against it."""
-    den = form.den
-    bounds = {-1: -1}
-    for g in {g for row in form.dist for g in row if g >= 0}:
-        m = modulus.evaluate(Fraction(g, den))
-        bounds[g] = m.numerator * den // m.denominator
-    return [[bounds[max(g, -1)] for g in row] for row in form.dist]
+    """``_bound_at`` every distance, once per distinct one.  A tuple pair's
+    bound is the max of its coordinates', -1 iff its gap is negative, and
+    such a pair is not checked against the modulus."""
+    bounds = {g: _bound_at(modulus, g, form.den) for g in set(chain.from_iterable(form.dist))}
+    return [[bounds[g] for g in row] for row in form.dist]
 
 
 def _bounds(rows: list[list[int]], xs: tuple, coords: list, js):
@@ -303,13 +315,6 @@ def _bounds(rows: list[list[int]], xs: tuple, coords: list, js):
     tuples at the indices js, in order."""
     cols = [map(rows[x].__getitem__, map(coord.__getitem__, js)) for x, coord in zip(xs, coords)]
     return cols[0] if len(cols) == 1 else map(max, *cols)
-
-
-def _least_bound(rows: list[list[int]]) -> int:
-    """The least off-diagonal bound, -1 on one point: two distinct tuples
-    differ in some coordinate, so the bound of any pair of them is at least
-    this."""
-    return min((b for x, row in enumerate(rows) for y, b in enumerate(row) if x != y), default=-1)
 
 
 def _candidates(values: list[int], least: int):
@@ -329,6 +334,18 @@ def _candidates(values: list[int], least: int):
     return map(later, range(len(values)), values)
 
 
+def _present(report: ValidationReport, name: str, n: int, arity: int, table: dict) -> list:
+    """The tuples over n points that the symbol's table lists, in product
+    order; each one it lacks is reported."""
+    present = []
+    for args in _tuples(n, arity):
+        if args in table:
+            present.append(args)
+        else:
+            report.add("incomplete-table", (name, args), "missing entry")
+    return present
+
+
 def _modulus_detail(modulus: PwlModulus, d, xs: tuple, ys: tuple) -> str:
     """``modulus(gap) = bound`` for a reported pair, on the structure's own
     Fractions."""
@@ -336,16 +353,31 @@ def _modulus_detail(modulus: PwlModulus, d, xs: tuple, ys: tuple) -> str:
     return f"modulus({format_rat(gap)}) = {format_rat(modulus.evaluate(gap))}"
 
 
+def _report_triangles(report: ValidationReport, structure: MetricStructure, dist):
+    """Report every triple (i, j, k) with d(i,k) > d(i,j) + d(j,k)."""
+    labels, d = structure.points, structure.dist
+    for i, row_i in enumerate(dist):
+        for j, d_ij in enumerate(row_i):
+            row_j = dist[j]
+            # d(i,k) > d(i,j) + d(j,k) for some k iff max_k d(i,k) - d(j,k) > d(i,j)
+            if max(map(sub, row_i, row_j)) <= d_ij:
+                continue
+            for k in range(len(dist)):
+                if row_i[k] > d_ij + row_j[k]:
+                    report.add(
+                        "triangle",
+                        (labels[i], labels[j], labels[k]),
+                        f"d({labels[i]},{labels[k]}) = {format_rat(d[i][k])} > "
+                        f"{format_rat(d[i][j])} + {format_rat(d[j][k])}",
+                    )
+
+
 def validate(structure: MetricStructure, allow_pseudometric: bool = False) -> ValidationReport:
     """Full check of the structure axioms; every violation carries a witness.
 
-    Every comparison runs on the structure's ``IntegerForm``; the
-    structure's Fractions are formatted only for a reported violation.  A
-    modulus is evaluated once per distinct distance, and again for each
-    reported pair.  A tuple pair can break a predicate's modulus only when
-    its values lie further apart than the least off-diagonal bound, the
-    least bound any pair of distinct tuples has; only such pairs are
-    compared, in the order of a full scan, so the report is the same."""
+    It runs on the ``IntegerForm`` and skips a check when the spread of
+    the numbers proves it clean, as the module docstring shows; the report
+    is that of a full scan."""
     report = ValidationReport()
     n = structure.size
     labels = structure.points
@@ -356,6 +388,9 @@ def validate(structure: MetricStructure, allow_pseudometric: bool = False) -> Va
         return report
     form = structure.integer_form
     dist, den = form.dist, form.den
+    # the least off-diagonal distance (0 on one point) and the largest distance
+    lo = min(min(row[:i] + row[i + 1:]) for i, row in enumerate(dist)) if n > 1 else 0
+    hi = max(map(max, dist))
 
     for i in range(n):
         if dist[i][i] != 0:
@@ -380,20 +415,9 @@ def validate(structure: MetricStructure, allow_pseudometric: bool = False) -> Va
                     )
                 else:
                     report.add("identity-of-indiscernibles", (labels[i], labels[j]), "d = 0")
-    for i, row_i in enumerate(dist):
-        for j, d_ij in enumerate(row_i):
-            row_j = dist[j]
-            # d(i,k) > d(i,j) + d(j,k) for some k iff max_k d(i,k) - d(j,k) > d(i,j)
-            if max(map(sub, row_i, row_j)) <= d_ij:
-                continue
-            for k in range(n):
-                if row_i[k] > d_ij + row_j[k]:
-                    report.add(
-                        "triangle",
-                        (labels[i], labels[j], labels[k]),
-                        f"d({labels[i]},{labels[k]}) = {format_rat(d[i][k])} > "
-                        f"{format_rat(d[i][j])} + {format_rat(d[j][k])}",
-                    )
+    zero_diagonal = not any(row[i] for i, row in enumerate(dist))
+    if not (zero_diagonal and hi <= 2 * lo):
+        _report_triangles(report, structure, dist)
 
     for sym in structure.signature.predicates:
         table = structure.predicate_tables.get(sym.name)
@@ -401,9 +425,8 @@ def validate(structure: MetricStructure, allow_pseudometric: bool = False) -> Va
             report.add("missing-table", (sym.name,), "predicate table absent")
             continue
         scaled = form.predicates[sym.name]
-        for args in _tuples(n, sym.arity):
-            if args not in table:
-                report.add("incomplete-table", (sym.name, args), "missing entry")
+        # tuple pairs xs < ys in product order, as long as both have a value
+        present = _present(report, sym.name, n, sym.arity, table)
         for args, value in scaled.items():
             if not (0 <= value <= den):
                 report.add(
@@ -411,14 +434,17 @@ def validate(structure: MetricStructure, allow_pseudometric: bool = False) -> Va
                     (sym.name, args),
                     f"value {format_rat(table[args])} not in [0,1]",
                 )
-        # tuple pairs xs < ys in product order, as long as both have a value
-        present = [xs for xs in _tuples(n, sym.arity) if xs in table]
-        coords = [list(coord) for coord in zip(*present)]
         values = [scaled[xs] for xs in present]
-        rows = _modulus_bounds(sym.modulus, form)
-        for i, js in enumerate(_candidates(values, _least_bound(rows))):
+        least = _bound_at(sym.modulus, lo, den)
+        if not values or max(values) - min(values) <= least:
+            continue
+        coords = [list(coord) for coord in zip(*present)]
+        rows = None
+        for i, js in enumerate(_candidates(values, least)):
             if not js:
                 continue
+            if rows is None:
+                rows = _modulus_bounds(sym.modulus, form)
             v, xs = values[i], present[i]
             bounds = list(_bounds(rows, xs, coords, js))
             # a negative gap has bound -1: it passes this filter, and the
@@ -440,13 +466,10 @@ def validate(structure: MetricStructure, allow_pseudometric: bool = False) -> Va
         if table is None:
             report.add("missing-table", (sym.name,), "function table absent")
             continue
-        for args in _tuples(n, sym.arity):
-            if args not in table:
-                report.add("incomplete-table", (sym.name, args), "missing entry")
+        present = _present(report, sym.name, n, sym.arity, table)
         for args, value in table.items():
             if not _is_point(value, n):
                 report.add("function-range", (sym.name, args), f"image {value!r} not a point")
-        present = [xs for xs in _tuples(n, sym.arity) if xs in table]
         coords = [list(coord) for coord in zip(*present)]
         # an image that is not a point is reported above, and skipped here
         images = [fx if _is_point(fx, n) else None for fx in map(table.__getitem__, present)]
@@ -697,7 +720,7 @@ def _tables(decode_value, decode_key):
 def _decoders():
     """A rational and a table-key decoder that decode each distinct
     ``[num, den]`` of two ints and each distinct key string once, for one
-    structure.  Anything else goes through ``rat_from_json`` and
+    structure or pair.  Anything else goes through ``rat_from_json`` and
     ``_key_to_tuple`` every time, and fails with their messages."""
     rats, keys = {}, {}
 
@@ -719,6 +742,25 @@ def _decoders():
     return rational, key
 
 
+def _same_json(a, b) -> bool:
+    """Whether two decoded JSON values encode alike (``==`` holds 1 == 1.0
+    == true); what ``json.dumps`` cannot encode counts as different."""
+    try:
+        return json.dumps(a) == json.dumps(b)
+    except (TypeError, ValueError, RecursionError):
+        return False
+
+
+def _point_labels(raw) -> tuple[str, ...]:
+    """A JSON list of strings and integers as point labels."""
+    if type(raw) is not list:
+        raise ValueError(f"expected a list of point labels, got {type(raw).__name__}")
+    for label in raw:
+        if type(label) is not str and type(label) is not int:
+            raise ValueError(f"a point label must be a string or an integer, got {label!r}")
+    return tuple(map(str, raw))
+
+
 def _check_table_size(sym, n: int, table: dict):
     """Refuse an arity above 64, or a table missing more than 100,000 of its
     n^arity entries: validate would enumerate every one."""
@@ -730,9 +772,14 @@ def _check_table_size(sym, n: int, table: dict):
 
 
 def structure_from_json(data: dict) -> MetricStructure:
-    rational, key = _decoders()
-    sig = json_field(data, "signature", signature_from_json)
-    points = json_field(data, "points", lambda raw: tuple(str(p) for p in raw))
+    return _structure_from_json(data, *_decoders())
+
+
+def _structure_from_json(data: dict, rational, key, signature=signature_from_json):
+    """Decode a structure with the decoders of ``_decoders`` and the given
+    signature decoder."""
+    sig = json_field(data, "signature", signature)
+    points = json_field(data, "points", _point_labels)
     dist = json_field(data, "dist", lambda raw: tuple(tuple(map(rational, row)) for row in raw))
     preds = json_field(data, "predicates", _tables(rational, key), {})
     funcs = json_field(
@@ -785,10 +832,19 @@ def pair_to_json(pair: NamedPair) -> dict:
 
 
 def pair_from_json(data: dict) -> NamedPair:
-    return NamedPair(
-        left=json_field(data, "left", structure_from_json),
-        right=json_field(data, "right", structure_from_json),
-    )
+    """Decode a pair, both sides with one set of ``_decoders``.  The right
+    side reuses the left's ``Signature`` when its signature encodes to the
+    same JSON (``==`` alone would take an arity of 1.0 or true for 1)."""
+    decoders = _decoders()
+    left = json_field(data, "left", lambda raw: _structure_from_json(raw, *decoders))
+
+    def signature(raw):
+        if _same_json(data["left"]["signature"], raw):
+            return left.signature
+        return signature_from_json(raw)
+
+    right = json_field(data, "right", lambda raw: _structure_from_json(raw, *decoders, signature))
+    return NamedPair(left=left, right=right)
 
 
 def save_pair(pair: NamedPair, path):

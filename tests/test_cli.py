@@ -142,6 +142,18 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "function-range" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("points", ["ab", {"a": 0, "b": 1}, [["x"], None]])
+    def test_malformed_points_exit_one(self, structure_file, capsys, points):
+        # each loaded before as labels made up by str(), and a save wrote those
+        blob = json.loads(structure_file.read_text())
+        blob["points"] = points
+        structure_file.write_text(json.dumps(blob))
+        assert main(["--json", "validate", str(structure_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: field 'points': ")
+        assert captured.err.count("\n") == 1
+
 
 class TestEvalCommand:
     def test_sentence(self, structure_file, capsys):

@@ -97,6 +97,27 @@ class TestAtomicDiscrepancy:
         with pytest.raises(ValueError):
             atomic_discrepancy(PAIR_55, Position((0,), (9,)))
 
+    @pytest.mark.parametrize("constants", [(), ("c",), ("c", "e")])
+    def test_one_pair_leaf_table_matches_the_scorer(self, constants):
+        # the pairwise search tabulates leaf({p}) from one left and one right
+        # row per atom on p, not with the scorer; both sides' tables must
+        # hold the scorer's value at every pair
+        rng = random.Random(len(constants))
+        mod = capped_linear(2)
+        sig = Signature(
+            predicates=(PredicateSymbol("P", 1, mod), PredicateSymbol("R", 2, mod)),
+            constants=constants,
+        )
+        for _ in range(20):
+            pair = NamedPair(*(helpers.random_structure(rng, sig, max_points=5) for _ in "LR"))
+            solver = GameSolver(pair)
+            tables = solver._ply_tables()
+            for a in range(pair.left.size):
+                for b in range(pair.right.size):
+                    score = solver._score(((a, b),))
+                    assert tables["L"][0][a][b] == score
+                    assert tables["R"][0][b][a] == score
+
 
 class TestPartialIso:
     def test_epsilon_one_always_passes(self):

@@ -599,6 +599,77 @@ class TestNamedPair:
             NamedPair(a, b)
 
 
+class TestPointLabels:
+    """``points`` is a JSON list of strings and integers; the loader refused
+    nothing before, and a save then wrote other labels than the file's."""
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ("ab", "expected a list of point labels, got str"),
+            ({"a": 0, "b": 1}, "expected a list of point labels, got dict"),
+            ([["x"], None], "a point label must be a string or an integer, got ['x']"),
+            (["a", None], "a point label must be a string or an integer, got None"),
+            (["a", True], "a point label must be a string or an integer, got True"),
+            (["a", 1.0], "a point label must be a string or an integer, got 1.0"),
+        ],
+    )
+    def test_malformed_points_rejected(self, raw, message):
+        data = structure_to_json(two_point(identity_modulus()))
+        data["points"] = raw
+        with pytest.raises(ValueError) as caught:
+            structure_from_json(data)
+        assert str(caught.value) == f"field 'points': {message}"
+
+    def test_integer_labels_load_as_strings(self, tmp_path):
+        data = structure_to_json(two_point(identity_modulus()))
+        data["points"] = [0, "b"]
+        structure = structure_from_json(data)
+        assert structure.points == ("0", "b")
+        path = tmp_path / "s.json"
+        save_structure(structure, path)
+        assert load_structure(path) == structure
+
+
+class TestPairDecoding:
+    """Both sides of a pair share one decoder memo; the right side reuses the
+    left's ``Signature`` when the two signature objects are the same JSON."""
+
+    def pair_json(self, right_modulus=identity_modulus()) -> dict:
+        return {
+            "left": structure_to_json(two_point(identity_modulus())),
+            "right": structure_to_json(two_point(right_modulus)),
+        }
+
+    def test_equal_signatures_decode_once(self, tmp_path):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(self.pair_json()))
+        pair = load_pair(path)
+        assert pair.left.signature is pair.right.signature
+        assert pair == NamedPair(two_point(identity_modulus()), two_point(identity_modulus()))
+
+    def test_unequal_signatures_rejected(self):
+        with pytest.raises(ValueError, match="^paired structures must share a signature$"):
+            structures.pair_from_json(self.pair_json(capped_linear(2)))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # 1.0 == 1 == true in Python, but neither is a JSON integer
+            (("arity", 1.0), "the arity of 'P' must be an integer, got 1.0"),
+            (("arity", True), "the arity of 'P' must be an integer, got True"),
+            (("name", 7), "a symbol name must be a string, got 7"),
+        ],
+    )
+    def test_malformed_right_signature_keeps_its_message(self, edit, message):
+        data = self.pair_json()
+        key, raw = edit
+        data["right"]["signature"]["predicates"][0][key] = raw
+        with pytest.raises(ValueError) as caught:
+            structures.pair_from_json(data)
+        assert str(caught.value) == f"field 'right': field 'signature': {message}"
+
+
 @pytest.fixture
 def form_builds(monkeypatch):
     """Every integer form built, as (structure, den asked for)."""

@@ -354,3 +354,98 @@ def test_negative_gap_is_reported(symbol):
     ]
     assert notes == []
     assert outcome(helpers.fraction_validate, structure, False) == (violations, notes)
+
+
+# Distances from a wide grid: on some structures the largest distance is at
+# most twice the least and the triangle check is skipped, on others it runs;
+# a predicate's least bound covers the spread of its values on some and not
+# on others.
+WIDE_DISTANCES = tuple(F(k, 8) for k in range(1, 9))
+
+
+@st.composite
+def wide_structures(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    moduli = st.sampled_from(TIGHT_MODULI + MODULI)
+    preds = tuple(
+        PredicateSymbol(f"P{i}", draw(st.integers(1, 2)), draw(moduli))
+        for i in range(draw(st.integers(0, 2)))
+    )
+    funcs = tuple(FunctionSymbol("f", 1, draw(moduli)) for _ in range(draw(st.integers(0, 1))))
+    n = draw(st.integers(1, 5))
+    grid = WIDE_DISTANCES[draw(st.integers(0, 6)):]
+    dist = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i][j] = dist[j][i] = rng.choice(grid)
+    values = draw(st.sampled_from((helpers.VALUE_GRID, CLOSE_VALUES)))
+    return MetricStructure(
+        signature=Signature(predicates=preds, functions=funcs),
+        points=tuple(f"p{i}" for i in range(n)),
+        dist=tuple(map(tuple, dist)),
+        predicate_tables={
+            p.name: {args: rng.choice(values) for args in product(range(n), repeat=p.arity)}
+            for p in preds
+        },
+        function_tables={f.name: {(i,): rng.randrange(n) for i in range(n)} for f in funcs},
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_structures(), st.booleans())
+def test_spread_shortcuts_match_the_fraction_oracle(structure, allow_pseudometric):
+    expected = outcome(helpers.fraction_validate, structure, allow_pseudometric)
+    assert outcome(validate, structure, allow_pseudometric) == expected
+
+
+def three_points(ab, bc, ac, diagonal=F(0)):
+    """Points a, b, c at the given distances, d(a,a) = ``diagonal``."""
+    return MetricStructure(
+        signature=Signature(),
+        points=("a", "b", "c"),
+        dist=((diagonal, ab, ac), (ab, F(0), bc), (ac, bc, F(0))),
+    )
+
+
+def reported(structure, allow_pseudometric=False):
+    """The violations as (kind, witness, detail), after checking them and
+    the notes against the oracle."""
+    got = outcome(validate, structure, allow_pseudometric)
+    assert got == outcome(helpers.fraction_validate, structure, allow_pseudometric)
+    return [(v.kind, v.witness, v.detail) for v in got[0]]
+
+
+def test_triangle_spread_at_twice_the_least():
+    # D = 8: the largest distance 4 is twice the least 2, so no triangle breaks
+    assert reported(three_points(F(1, 4), F(1, 4), F(1, 2))) == []
+
+
+def test_triangle_spread_one_unit_above_twice_the_least():
+    # 5/8 > 1/4 + 1/4: a bound of 2 lo + 1 would skip the check
+    assert reported(three_points(F(1, 4), F(1, 4), F(5, 8))) == [
+        ("triangle", ("a", "b", "c"), "d(a,c) = 5/8 > 1/4 + 1/4"),
+        ("triangle", ("c", "b", "a"), "d(c,a) = 5/8 > 1/4 + 1/4"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "distances, allow_pseudometric, breaks_a_triangle",
+    [
+        # a negative self-distance breaks d(a,k) <= d(a,a) + d(a,k), though
+        # the off-diagonal spread is within twice the least
+        ((F(1, 4), F(1, 4), F(1, 4), F(-1, 8)), False, True),
+        ((F(1, 4), F(1, 4), F(1, 4), F(1, 3)), False, False),
+        # a negative distance: no spread is within twice the least
+        ((F(-1, 4), F(1, 4), F(1, 4)), False, True),
+        ((F(-1, 8), F(1, 2), F(1, 2)), False, True),
+        # pseudometric zeros: all zero is within the spread, 0 and 1/4 are not
+        ((F(0), F(0), F(0)), True, False),
+        ((F(0), F(0), F(0)), False, False),
+        ((F(0), F(1, 4), F(1, 4)), True, False),
+        ((F(0), F(1, 2), F(1, 4)), True, True),
+    ],
+)
+def test_triangle_spread_off_its_premises(distances, allow_pseudometric, breaks_a_triangle):
+    violations = reported(three_points(*distances), allow_pseudometric)
+    assert any(kind == "triangle" for kind, _, _ in violations) == breaks_a_triangle
+
