@@ -31,11 +31,14 @@ certificates are those of the full scan.
 
 On set keys a stay (II repeating a played pair) leaves the key as it is, so
 the rounds clamp at the points a key leaves uncovered (V_r = V_u for r >= u),
-and, when every atom mentions at most two played pairs, every child's leaf
-is scored from its parent's, with no memo entry (``GameSolver`` has both
-rules).  The strategy certificates share one node per (key, rounds), held
-in the solver's ``certificate`` table under the same cap, and
-``strategy_to_json`` writes each as a table of those nodes.
+a value search scans only I's moves on uncovered points (the spoiler gains
+nothing by replaying a point, as in the classical Ehrenfeucht-Fraisse
+game), and, when every atom mentions at most two played pairs, every
+child's leaf is scored from its parent's, with no memo entry
+(``GameSolver`` has the three rules).  The strategy certificates share one
+node per (key, rounds), held in the solver's ``certificate`` table under
+the same cap, and ``strategy_to_json`` writes each as a table of those
+nodes.
 
 With function symbols the leaf check ranges over atoms up to a stated term
 depth and the value is labelled depth-truncated.
@@ -217,16 +220,29 @@ class GameSolver:
     and is charged to one position cap, once: a tightened entry is not
     charged again.
 
-    Two shortcuts rest on the keys being sets, so that a stay (II repeating
-    a played pair) leaves the key as it is; ``_OmegaLeafSolver``, whose keys
-    keep an ordered prefix and repeated pairs, opts out of both through
-    ``_set_keys``:
+    Three shortcuts rest on the keys being sets, so that a stay (II
+    repeating a played pair) leaves the key as it is; ``_OmegaLeafSolver``,
+    whose keys keep an ordered prefix and repeated pairs, opts out of all
+    three through ``_set_keys``:
 
     * The rounds clamp at u(key), the points on both sides the key leaves
       uncovered: V_r(S) = V_u(S) for r >= u(S), by the lemma in
       ``infinitary.omega_game_value_atomic``'s docstring, which needs only
       the stay and a leaf that grows along play, so function symbols
       included.
+    * ``_value``'s scan, at r >= 1 rounds and so, after the clamp, u(S) >=
+      1, skips I's moves on covered points: V_r(S) = W_r(S), the max over
+      the moves on uncovered points only.  A covered move is answered by
+      its stay, whose child is S, so it is worth at most V_{r-1}(S); and
+      V_{r-1}(S) <= W_r(S) by induction on r: V_0(S) = leaf(S) <= W_1(S),
+      as every child's leaf is at least leaf(S), and V_{r-1}(S) <=
+      max(W_{r-1}(S), V_{r-2}(S)) <= W_r(S), as V and W grow with the
+      rounds.  The same two facts as the clamp's, so function symbols
+      included.  The covered set of each side is built where the scan
+      switches sides, so a move costs one membership test.  The scans that
+      name a move (``best_move``, ``best_reply``, the certificates and
+      ``dynamic_game_value``'s line) keep every move: on ties a covered
+      move can be the first best one, as on identical sides.
     * At width 2 ``_scan`` scores every child's leaf from its parent's,
       with no memo entry: the leaf of S + {p} is the max of leaf(S),
       leaf({p}) and the atoms on p and one pair q of S, which are d(p, q)
@@ -383,11 +399,10 @@ class GameSolver:
         return best
 
     def _ply_tables(self) -> dict:
-        """Per spoiler side: leaf({p}) by (element, reply), the side's
-        coordinate in a pair, and the (played side, reply side) matrices
-        whose entries at (element, q) and (q, reply) are the two sides of
-        an atom on p and q: the distances, and each binary predicate with p
-        first and with p second."""
+        """Per spoiler side: leaf({p}) by (element, reply) and the (played
+        side, reply side) matrices whose entries at (element, q) and (q,
+        reply) are the two sides of an atom on p and q: the distances, and
+        each binary predicate with p first and with p second."""
         n_left, n_right = self.pair.left.size, self.pair.right.size
         dist_l, dist_r = self._dist
         consts = self._constants
@@ -418,7 +433,7 @@ class GameSolver:
                 cols_l, cols_r = [list(c) for c in zip(*rows_l)], [list(c) for c in zip(*rows_r)]
                 mats_l += [(rows_l, cols_r), (cols_l, rows_r)]
                 mats_r += [(rows_r, cols_l), (cols_r, rows_l)]
-        return {"L": (single, 0, mats_l), "R": ([list(c) for c in zip(*single)], 1, mats_r)}
+        return {"L": (single, mats_l), "R": ([list(c) for c in zip(*single)], mats_r)}
 
     def child(self, position: Position, side: str, element: int, reply: int) -> Position:
         return position.extended(*((element, reply) if side == "L" else (reply, element)))
@@ -449,7 +464,7 @@ class GameSolver:
             return lower
         if upper <= alpha:
             return upper
-        g = self._scan(key, rounds, leaf, alpha, beta)[3]
+        g = self._scan(key, rounds, leaf, alpha, beta, uncovered=self._set_keys)[3]
         if g <= alpha:
             upper = g
         elif g >= beta:
@@ -479,13 +494,16 @@ class GameSolver:
                 key, rounds_left, self._leaf_at(key), moves=((side, element),))
         return reply, self._fraction(worst)
 
-    def _scan(self, key, rounds: int, leaf, alpha=_LOW, beta=_HIGH, moves=None, replies=None):
+    def _scan(self, key, rounds: int, leaf, alpha=_LOW, beta=_HIGH, moves=None, replies=None,
+              uncovered=False):
         """I's first best move over ``moves`` (default: all), II's first best
         reply to it and their value at ``rounds`` >= 1 from a key whose leaf
         is ``leaf``, as (side, element, reply, value), fail-soft in (alpha,
         beta) like ``_value``.  Given a ``replies`` dict, it maps every move
         to its first best reply and that reply's value instead, and the
-        result is None.
+        result is None.  With ``uncovered`` the moves on points the key
+        covers are skipped, which leaves the value as it is on set keys
+        (see the class docstring) but not the first best move.
 
         A move's replies stop at the first one at most ``bound``: the best
         so far, or before the first move the larger of alpha and the leaf,
@@ -495,18 +513,23 @@ class GameSolver:
         if pairwise and self._ply is None:
             self._ply = self._ply_tables()
         bound = leaf if leaf > alpha else alpha
-        best, seen = None, None
+        best, seen, covered = None, None, ()
         for side, element in self._moves if moves is None else moves:
-            if pairwise:
-                if side != seen:
-                    seen = side
-                    single, mine, mats = self._ply[side]
+            if side != seen:
+                seen, mine = side, 0 if side == "L" else 1
+                if uncovered:
+                    covered = {q[mine] for q in key}
+                if pairwise:
+                    single, mats = self._ply[side]
                     # per atom on p and a pair q of the key: the played
                     # side's matrix, q's coordinate in it and the reply
                     # side's column
                     halves = [
                         (played, q[mine], other[q[1 - mine]]) for played, other in mats for q in key
                     ]
+            if element in covered:
+                continue
+            if pairwise:
                 row = single[element]
             best_reply, worst, top = None, None, beta
             for reply in self._replies[side]:
@@ -569,9 +592,10 @@ class GameSolver:
         if node is None:
             replies = {}
             self._scan(key, rounds, self._leaf_at(key), replies=replies)
+            # at one round left every continuation is None: no child is keyed
             responses = {
-                (side, element): (
-                    reply, self._ii_node(self._child(key, side, element, reply), rounds - 1))
+                (side, element): (reply, self._ii_node(
+                    self._child(key, side, element, reply), rounds - 1) if rounds > 1 else None)
                 for (side, element), (reply, _) in replies.items()
             }
             node = self.memoize("certificate", ("II", key, rounds), IIStrategyNode(responses))
@@ -583,7 +607,7 @@ class GameSolver:
         node = self._tables["certificate"].get(("I", key, rounds))
         if node is None:
             side, element, _, _ = self._scan(key, rounds, self._leaf_at(key))
-            continuations = {
+            continuations = dict.fromkeys(self._replies[side]) if rounds == 1 else {
                 reply: self._i_node(self._child(key, side, element, reply), rounds - 1)
                 for reply in self._replies[side]
             }

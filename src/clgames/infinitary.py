@@ -278,6 +278,9 @@ def omega_game_value_atomic(
       the infinite game's optimal move, which covers at least one point, so
       every reply gives a child with u <= r - 1, where by induction on u
       V_{r-1} >= omega.
+
+    The max over uncovered moves is the kernel's own: every value search on
+    set keys scans only I's moves on uncovered points (``GameSolver``).
     """
     solver = GameSolver(pair, term_depth, max_positions)
     return solver.value(start or Position(), pair.left.size + pair.right.size)

@@ -281,13 +281,16 @@ class TestGameValue:
         assert err.value.entries == {"leaf": 1, "value": 4}
         assert str(err.value).startswith("position table would exceed the cap of 5 entries;")
         assert "value table" in str(err.value)
-        # the value solve holds 18 entries and the root's certificate scan
-        # adds 2; then each certificate node looks up the leaf of its key
+        # the value solve holds 14 entries and the root's certificate scan
+        # adds 2; then each certificate node looks up the leaf of its key,
+        # and the node at one played pair expands the moves on its covered
+        # points, which the value solve skips, so a certificate node is the
+        # entry past the cap
         with pytest.raises(ResourceCapError) as err:
             game_value(PAIR_55, rounds=3, max_positions=20)
-        assert err.value.cap == 20 and err.value.table == "leaf"
-        assert err.value.entries == {"leaf": 1, "value": 19, "certificate": 0}
-        assert "leaf table" in str(err.value)
+        assert err.value.cap == 20 and err.value.table == "certificate"
+        assert err.value.entries == {"leaf": 3, "value": 16, "certificate": 1}
+        assert "certificate table" in str(err.value)
         for cap in (0, -3):
             with pytest.raises(ValueError, match="at least 1"):
                 game_value(PAIR_55, rounds=1, max_positions=cap)
@@ -319,11 +322,11 @@ class TestGameValue:
             {"leaf": 35, "value": 290, "certificate": 37}, id="distance-witness-16",
         ),
         pytest.param(
-            build_nested_levels_pair(4, 2), 3, {"leaf": 1, "value": 251},
-            {"leaf": 91, "value": 321, "certificate": 113}, id="nested-levels-4",
+            build_nested_levels_pair(4, 2), 3, {"leaf": 1, "value": 232},
+            {"leaf": 91, "value": 317, "certificate": 113}, id="nested-levels-4",
         ),
         pytest.param(
-            PAIR_55, 6, {"leaf": 1, "value": 28},
+            PAIR_55, 6, {"leaf": 1, "value": 16},
             {"leaf": 17, "value": 34, "certificate": 80}, id="cardinality-witness",
         ),
     ])

@@ -9,6 +9,7 @@ replies tie and cutoffs fire.
 """
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -468,3 +469,105 @@ def test_certificates_match_the_oracle_node_by_node(data):
 
     check_ii(solver.ii_strategy_tree(start, rounds), start, rounds)
     check_i(solver.i_witness_tree(start, rounds), start, rounds)
+
+
+# A spoiler move on a covered point is answered by its stay, whose child is
+# the key itself, so a value search on set keys scans only the moves on
+# uncovered points; the scans that name a move (best moves and replies, the
+# certificates, the dynamic line) keep every move, because a covered move
+# can be the first best one on ties.
+
+
+def identical_sides_pair() -> NamedPair:
+    rng = random.Random(7)
+    side = helpers.random_structure(rng, helpers.random_signature(rng), n_points=3)
+    return NamedPair(side, side)
+
+
+def test_covered_move_is_first_best_on_identical_sides():
+    # II copies every move, so every move is worth 0 and the first, L0, is
+    # the best one, though (0, 0) covers it
+    pair = identical_sides_pair()
+    solver = GameSolver(pair)
+    start = Position((0,), (0,))
+    assert solver.value(start, 2) == 0
+    assert solver.best_move(start, 2) == ("L", 0, 0)
+    assert helpers.first_best_move(pair, (0,), (0,), 2) == ("L", 0, 0)
+    for side, element in solver._moves:
+        assert solver.best_reply(start, side, element, 2) == helpers.first_best_reply(
+            pair, (0,), (0,), side, element, 2
+        )
+    root = solver.ii_strategy_tree(start, 2)
+    assert set(root.responses) == set(solver._moves)
+    node = solver.i_witness_tree(start, 2)
+    assert (node.side, node.element) == ("L", 0)
+
+
+def expanded_moves(solver, solve) -> set:
+    """(key, side, element, covered) for every move that a scan run by
+    ``solve()`` expands: a scan keys each reply of a move it expands
+    through ``_child`` at two rounds or more."""
+    scans, expanded = [], set()
+    scan, child = solver._scan, solver._child
+
+    def tracked_scan(key, *args, **kwargs):
+        scans.append(key)
+        try:
+            return scan(key, *args, **kwargs)
+        finally:
+            scans.pop()
+
+    def tracked_child(key, side, element, reply):
+        if scans and scans[-1] is key:
+            covered = element in {q[0 if side == "L" else 1] for q in key}
+            expanded.add((key, side, element, covered))
+        return child(key, side, element, reply)
+
+    solver._scan, solver._child = tracked_scan, tracked_child
+    try:
+        solve()
+    finally:
+        del solver._scan, solver._child
+    return expanded
+
+
+def test_value_search_skips_covered_moves():
+    pair = distance_witness_pair(F(1, 2), 3)
+    start = Position((0, 1), (0, 1))
+    solver = GameSolver(pair)
+    expanded = expanded_moves(solver, lambda: solver.value(start, 3))
+    assert expanded and not any(covered for *_, covered in expanded)
+    assert solver.value(start, 3) == helpers.brute_force_game_value(pair, (0, 1), (0, 1), 3)
+    # the scans that name a move expand the covered ones too
+    root = solver._enter(start)
+    for solve in (
+        lambda: solver.best_move(start, 3),
+        lambda: solver.ii_strategy_tree(start, 3),
+        lambda: solver.i_witness_tree(start, 3),
+    ):
+        covered = {move for move in expanded_moves(solver, solve) if move[3]}
+        assert {(side, element) for key, side, element, _ in covered if key == root} == {
+            ("L", 0), ("L", 1), ("R", 0), ("R", 1)
+        }
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_value_from_mostly_covered_starts_matches_the_oracles(data):
+    # starts of 3-4 played pairs, often one repeated, leave few points
+    # uncovered, so most of I's moves are covered and skipped
+    pair, left, right = data.draw(pairs_and_starts(max_start=data.draw(st.integers(3, 4))))
+    depth = data.draw(st.integers(0, 2))
+    rounds = data.draw(st.integers(1, 2))
+    start = Position(left, right)
+    solver = GameSolver(pair, depth)
+    assert solver.value(start, rounds) == helpers.brute_force_game_value(
+        pair, left, right, rounds, depth
+    )
+    assert solver.best_move(start, rounds) == helpers.first_best_move(
+        pair, left, right, rounds, depth
+    )
+    if pair.left.size * pair.right.size <= 6:
+        assert omega_game_value_atomic(pair, depth, start) == helpers.value_iteration_omega(
+            pair, depth, start
+        )
