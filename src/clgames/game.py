@@ -50,7 +50,6 @@ import json
 import os
 import sys
 from bisect import bisect_left
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product, repeat
@@ -94,22 +93,6 @@ def default_position_cap() -> int:
     if cap < 1:
         raise ValueError(f"{_ENV_CAP} must be at least 1, got {cap}")
     return cap
-
-
-def too_deep(rounds: int) -> ValueError:
-    """The one-line error of a search deeper than the recursion limit allows."""
-    return ValueError(f"{rounds} rounds need a recursion deeper than the interpreter's limit "
-                      f"of {sys.getrecursionlimit()} frames; use fewer rounds")
-
-
-@contextmanager
-def rounds_within_stack(rounds: int):
-    """Turn a search too deep for the interpreter's recursion limit into a
-    ValueError: the minimax recursion is as deep as the rounds."""
-    try:
-        yield
-    except RecursionError:
-        raise too_deep(rounds) from None
 
 
 class ResourceCapError(RuntimeError):
@@ -200,10 +183,11 @@ class GameSolver:
     is the max over its w-pair subsets.  Memos hold integers; the public
     methods return ``Fraction``s.
 
-    The public methods check their inputs: the rounds must be non-negative
-    (at least 1 for ``best_move`` and ``best_reply``) and every played point
-    in range, and a search deeper than the interpreter's recursion limit
-    ends in a one-line ``ValueError``.
+    The public methods check their inputs in ``_enter``: the rounds must be
+    non-negative (at least 1 for ``best_move`` and ``best_reply``) and every
+    played point in range, and a search deeper than the interpreter's
+    recursion limit is refused before the search starts, each in a
+    one-line ``ValueError``.
 
     The minimax is a fail-soft alpha-beta in two functions that take a
     window (alpha, beta): ``_value`` looks a key up and ``_scan`` holds the
@@ -260,6 +244,11 @@ class GameSolver:
 
     _set_keys = True
     _prefix = 0
+    # frames a search takes beyond its two a round: the leaf's scoring, the
+    # result's conversion, and the C-level calls, in the search and below
+    # its caller, that Python 3.10 and 3.11 count against the limit though
+    # they are no frames (a test runner's stack holds several)
+    _leaf_frames = 24
 
     def __init__(self, pair: NamedPair, term_depth: int = 0, max_positions: int | None = None):
         if term_depth < 0:
@@ -316,15 +305,35 @@ class GameSolver:
             key = self._child(key, "L", *pair)
         return key
 
-    def _enter(self, position: Position, rounds: int = 0, least: int = 0, name: str = "rounds"):
+    def _enter(self, position: Position, rounds: int = 0, least: int = 0, name: str = "rounds",
+               clamp: bool = True):
         """The key of a public method's start, after checking that the rounds
-        (``name``) are at least ``least`` and that every played point is in
-        range."""
+        (``name``) are at least ``least``, that every played point is in
+        range and that the search fits the interpreter's recursion limit.
+
+        The search takes two frames a round (``_value`` and ``_scan``) for
+        the rounds, clamped at u(key) on set keys unless ``clamp`` is off
+        (the certificates span every round), and ``_leaf_frames`` more; it
+        is refused before it starts if that and the caller's frames reach
+        the limit."""
         if rounds < least:
             need = f"at least {least}" if least else "non-negative"
             raise ValueError(f"{name} must be {need}, got {rounds}")
         position.check_against(self.pair)
-        return self._key(position)
+        key = self._key(position)
+        depth = min(rounds, self._uncovered(key)) if clamp and self._set_keys else rounds
+        frame, depth = sys._getframe(1), 2 * depth + self._leaf_frames
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        if depth >= limit:
+            raise ValueError(f"{rounds} rounds need a recursion deeper than the interpreter's "
+                             f"limit of {limit} frames; use fewer rounds")
+        return key
+
+    def _uncovered(self, key) -> int:
+        """u(key): the points on both sides that the key leaves uncovered."""
+        return self._points - len({a for a, _ in key}) - len({b for _, b in key})
 
     def _child(self, key, side: str, element: int, reply: int):
         """The key after the spoiler plays ``element`` on ``side`` and the
@@ -439,9 +448,7 @@ class GameSolver:
         return position.extended(*((element, reply) if side == "L" else (reply, element)))
 
     def value(self, position: Position, rounds: int) -> Fraction:
-        key = self._enter(position, rounds)
-        with rounds_within_stack(rounds):
-            return self._fraction(self._value(key, rounds))
+        return self._fraction(self._value(self._enter(position, rounds), rounds))
 
     def _value(self, key, rounds: int, alpha=_LOW, beta=_HIGH, leaf=None):
         """V_rounds(key), fail-soft in the window (alpha, beta): a result
@@ -451,8 +458,7 @@ class GameSolver:
         given."""
         # u(key) >= points - 2 |key|, so most calls skip counting it
         if self._set_keys and rounds > self._points - 2 * len(key):
-            uncovered = self._points - len({a for a, _ in key}) - len({b for _, b in key})
-            rounds = min(rounds, uncovered)
+            rounds = min(rounds, self._uncovered(key))
         if leaf is None:
             leaf = self._leaf_at(key)
         if rounds == 0:
@@ -482,16 +488,14 @@ class GameSolver:
         """I's value-maximizing move as (side, element, value), first in
         canonical order on ties."""
         key = self._enter(position, rounds, least=1)
-        with rounds_within_stack(rounds):
-            side, element, _, worst = self._scan(key, rounds, self._leaf_at(key))
+        side, element, _, worst = self._scan(key, rounds, self._leaf_at(key))
         return side, element, self._fraction(worst)
 
     def best_reply(self, position: Position, side: str, element: int, rounds_left: int):
         """II's value-minimizing reply (first in canonical order on ties)."""
         key = self._enter(position, rounds_left, least=1)
-        with rounds_within_stack(rounds_left):
-            _, _, reply, worst = self._scan(
-                key, rounds_left, self._leaf_at(key), moves=((side, element),))
+        _, _, reply, worst = self._scan(
+            key, rounds_left, self._leaf_at(key), moves=((side, element),))
         return reply, self._fraction(worst)
 
     def _scan(self, key, rounds: int, leaf, alpha=_LOW, beta=_HIGH, moves=None, replies=None,
@@ -579,11 +583,10 @@ class GameSolver:
         """The root ``node(key, rounds)`` of a certificate.  Its nodes are
         memoized in the ``certificate`` table, made on first use, so the cap
         bounds the certificates as they are built."""
-        key = self._enter(position, rounds)
+        key = self._enter(position, rounds, clamp=False)
         if "certificate" not in self._tables:
             self.memo_table("certificate")
-        with rounds_within_stack(rounds):
-            return node(key, rounds)
+        return node(key, rounds)
 
     def _ii_node(self, key, rounds: int) -> IIStrategyNode | None:
         if rounds == 0:
@@ -786,8 +789,9 @@ def play_interactive(
 
     solver = GameSolver(pair, term_depth)
     position = start or Position()
-    # the rounds and the start are checked before the first line is printed
-    solver._enter(position, rounds)
+    # the rounds and the start are checked before the first line is printed,
+    # one frame down, as deep as best_move and best_reply check them again
+    (lambda: solver._enter(position, rounds))()
     transcript = []
     say(f"game of {rounds} round(s) at precision {format_rat(Fraction(epsilon))}")
     for rnd in range(rounds):

@@ -35,7 +35,6 @@ play order and a repeated pair as a second copy.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -53,7 +52,7 @@ from .formulas import (
     is_atomic,
     modulus_of,
 )
-from .game import GameSolver, Position, _gap_scorer, rounds_within_stack, too_deep
+from .game import GameSolver, Position, _gap_scorer
 from .moduli import WeakModulus, linear_modulus, modulus_leq
 from .structures import MetricStructure, NamedPair, PredicateSymbol, Signature
 
@@ -153,31 +152,25 @@ class _OmegaLeafSolver(RAlphaSolver):
     positions with one key have children with one key, and every V_r
     agrees, by induction on r.  The prefix stays ordered and a repeated
     tail pair stays a second copy, because either can change the leaf.  A
-    stay then adds a copy to the key, so the kernel's shortcuts for set
-    keys (the rounds clamp and the child's leaf from its parent's) are
-    off."""
+    stay then adds a copy to the key, so the kernel's three shortcuts for
+    set keys (the rounds clamp, the skip of I's moves on covered points and
+    the child's leaf from its parent's) are off, and the depth rule counts
+    every round."""
 
     _set_keys = False
 
     def __init__(self, pair: NamedPair, leaf: OmegaLeaf, max_positions: int | None = None):
         super().__init__(pair, leaf, max_positions)
         self._prefix = len(leaf.omega.coords)
+        # the family's moduli and compiled formulas recurse through its
+        # terms, two frames a level of term depth
+        self._leaf_frames = 40 + 2 * leaf.term_depth
         # every key is scored whole: the family has no w-pair subset rule
         self._width = float("inf")
         # p/s-scaled formulas have N = s * (side's den): the product keeps den // N whole
         self._den *= lcm(*(Fraction(q).denominator for q in leaf.scale_factors))
         self._scorer = cache(lambda k: _gap_scorer(pair, generate_basic_family(
             pair.signature, k, leaf.omega, leaf.term_depth, leaf.scale_factors), k, self._den))
-
-    def _enter(self, position: Position, rounds: int = 0, least: int = 0, name: str = "rounds"):
-        # multiset keys never clamp: a search of two frames a round (_value,
-        # _scan) that cannot fit the stack is refused before any family is built
-        frame, depth = sys._getframe(), 2 * rounds
-        while frame is not None:
-            frame, depth = frame.f_back, depth + 1
-        if depth >= sys.getrecursionlimit():
-            raise too_deep(rounds)
-        return super()._enter(position, rounds, least, name)
 
     def _score(self, key):
         return self._scorer(len(key))(tuple(a for a, _ in key), tuple(b for _, b in key))
@@ -193,8 +186,7 @@ def r_alpha(
     """Rank recursion value at a finite clock stage."""
     solver = RAlphaSolver(pair, leaf or AtomicLeaf(), max_positions)
     key = solver._enter(position or Position(), alpha, name="alpha")
-    with rounds_within_stack(alpha):
-        return solver._fraction(solver._value(key, alpha))
+    return solver._fraction(solver._value(key, alpha))
 
 
 @dataclass(frozen=True)
@@ -232,16 +224,15 @@ def dynamic_game_value(
     game = RAlphaSolver(pair, leaf or AtomicLeaf(), max_positions)
     key = game._enter(start or Position(), clock, name="clock")
     line, left = [], clock
-    with rounds_within_stack(clock):
-        target = game._value(key, clock)
-        while left > 0:
-            leaf = game._leaf_at(key)
-            for spent in range(left):
-                side, element, reply, best = game._scan(key, spent + 1, leaf)
-                if best == target:
-                    break
-            line.append((spent, side, element, reply))
-            left, key = spent, game._child(key, side, element, reply)
+    target = game._value(key, clock)
+    while left > 0:
+        leaf = game._leaf_at(key)
+        for spent in range(left):
+            side, element, reply, best = game._scan(key, spent + 1, leaf)
+            if best == target:
+                break
+        line.append((spent, side, element, reply))
+        left, key = spent, game._child(key, side, element, reply)
     return DynamicGameResult(game._fraction(target), clock, tuple(line))
 
 

@@ -8,7 +8,9 @@ Tighter-modulus fixtures for perturbation tests are built explicitly.
 
 from __future__ import annotations
 
+import inspect
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
@@ -825,3 +827,38 @@ def negative_gap_structure(symbol: str) -> MetricStructure:
         predicate_tables={"P": {(0,): F(0), (1,): F(1)}} if symbol == "predicate" else {},
         function_tables={"f": {(0,): 0, (1,): 1}} if symbol == "function" else {},
     )
+
+
+def solve_at_least_admitted_limit(solve, rounds: int):
+    """``solve()`` at the least recursion limit the solvers' depth rule
+    admits; one frame lower the solve must be refused, with the one-line
+    message naming ``rounds``.
+
+    The limit climbs one frame at a time from the caller's depth.  Until a
+    limit is refused, a RecursionError means the limit was too low for the
+    solver's constructor, which runs before the rule, and is skipped; after
+    one, it means the rule admitted a search that outgrew the stack, and it
+    fails the test.  ``solve`` must build its solver afresh on each call, as
+    a memo filled at one limit would shorten the search at the next."""
+    saved, refused = sys.getrecursionlimit(), False
+    try:
+        for limit in range(len(inspect.stack(0)) + 1, saved + 1):
+            try:
+                sys.setrecursionlimit(limit)
+                result = solve()
+            except RecursionError:
+                if refused:
+                    raise
+                continue
+            except ValueError as err:
+                assert str(err) == (
+                    f"{rounds} rounds need a recursion deeper than the interpreter's "
+                    f"limit of {limit} frames; use fewer rounds"
+                )
+                refused = True
+                continue
+            assert refused, f"admitted at {limit} frames, with no lower limit refused"
+            return result
+    finally:
+        sys.setrecursionlimit(saved)
+    raise AssertionError(f"refused at the interpreter's limit of {saved} frames")

@@ -322,6 +322,23 @@ class TestGameCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "recursion" in err and err.count("\n") == 1
 
+    def test_certificates_are_as_deep_as_the_rounds(self, tmp_path, capsys):
+        # on a discrete 2+2 pair the value clamps at the 4 uncovered points,
+        # but the certificates span all 600 rounds, two frames a round
+        pair_file, out = tmp_path / "discrete22.json", tmp_path / "f"
+        save_pair(NamedPair(discrete_structure(2), discrete_structure(2)), pair_file)
+        argv = ["game", "--pair", str(pair_file), "--rounds", "600"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "game value (600 round(s)): 0\n"
+        assert main(argv + ["--strategy", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: 600 rounds need a recursion deeper than the interpreter's limit "
+            f"of {sys.getrecursionlimit()} frames; use fewer rounds\n"
+        )
+        assert not out.exists()
+
     def test_certificates_built_only_for_strategy_file(self, pair_file, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("strategy tree built without --strategy")
@@ -551,6 +568,24 @@ class TestPlayCommand:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "rounds" in captured.err
         assert captured.err.count("\n") == 1
+
+    def test_too_many_rounds_refused_before_the_header(self, tmp_path, capsys, monkeypatch):
+        import io
+
+        # the 600 uncovered points need a search deeper than the stack: the
+        # game is refused before its first line is printed
+        pair_file = tmp_path / "deep.json"
+        save_pair(NamedPair(discrete_structure(300), discrete_structure(300)), pair_file)
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        rc = main(["play", "--pair", str(pair_file), "--rounds", "5000", "--epsilon", "1/2",
+                   "--human-side", "II"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: 5000 rounds need a recursion deeper than the interpreter's limit "
+            f"of {sys.getrecursionlimit()} frames; use fewer rounds\n"
+        )
 
     def test_input_ending_mid_game_exit_one(self, pair_file, capsys, monkeypatch):
         import io

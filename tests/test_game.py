@@ -1,9 +1,11 @@
 """Finite-game solver: leaf discrepancy, minimax values, certificates, REPL."""
 
 import dataclasses
+import inspect
 import io
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,7 @@ from clgames.game import (
     IWitnessNode,
     Position,
     ResourceCapError,
+    _node_table,
     atomic_discrepancy,
     game_value,
     is_partial_eps_delta_iso,
@@ -42,7 +45,7 @@ from clgames.structures import (
     PredicateSymbol,
     Signature,
 )
-from clgames.witnesses import cardinality_witness_pair, distance_witness_pair
+from clgames.witnesses import cardinality_witness_pair, discrete_structure, distance_witness_pair
 
 import helpers
 
@@ -265,8 +268,7 @@ class TestGameValue:
 
     def test_rounds_deeper_than_the_stack_rejected(self):
         # the value clamps at the five uncovered points, but the certificates
-        # span all 5000 rounds; their build dives to the full depth first,
-        # so this fails at once
+        # span all 5000 rounds, so their build is refused before it starts
         with pytest.raises(ValueError, match="recursion"):
             game_value(PAIR_55, rounds=5000)
 
@@ -399,6 +401,42 @@ def test_solver_entry_rejects_bad_input_in_one_line(solve, message):
     with pytest.raises(ValueError, match=message) as err:
         solve()
     assert "\n" not in str(err.value)
+
+
+TERNARY_PAIR = helpers.random_pair(random.Random(7), max_points=3, with_ternary=True)
+FUNCTION_PAIR = helpers.random_pair(random.Random(8), max_points=3, with_function=True)
+DISCRETE_22 = NamedPair(discrete_structure(2), discrete_structure(2))
+
+
+# GameSolver._enter refuses a search too deep for the stack before it
+# starts; at the least recursion limit it admits, every kind of search fits
+@pytest.mark.parametrize("solve, rounds", [
+    # the value clamps at the 5 points left uncovered
+    pytest.param(lambda: GameSolver(PAIR_55).value(Position(), 12), 12, id="pairwise-value"),
+    pytest.param(lambda: GameSolver(TERNARY_PAIR).value(Position(), 3), 3, id="ternary-value"),
+    pytest.param(
+        lambda: GameSolver(FUNCTION_PAIR, 1).value(Position(), 3), 3, id="function-value",
+    ),
+    pytest.param(lambda: GameSolver(PAIR_55).best_move(Position(), 4), 4, id="best-move"),
+    pytest.param(
+        lambda: GameSolver(TERNARY_PAIR).best_move(Position(), 3), 3, id="ternary-best-move",
+    ),
+    # the certificates span all 30 rounds, past the 4 uncovered points
+    pytest.param(
+        lambda: GameSolver(DISCRETE_22).ii_strategy_tree(Position(), 30), 30, id="ii-tree",
+    ),
+    pytest.param(
+        lambda: GameSolver(DISCRETE_22).i_witness_tree(Position(), 30), 30, id="i-tree",
+    ),
+])
+def test_search_fits_the_least_limit_the_depth_rule_admits(solve, rounds):
+    expected = solve()
+    result = helpers.solve_at_least_admitted_limit(solve, rounds)
+    if isinstance(expected, (IIStrategyNode, IWitnessNode)):
+        # a certificate compares as its node table: compared as a tree, its
+        # shared nodes would be visited once per play
+        result, expected = _node_table(result), _node_table(expected)
+    assert result == expected
 
 
 class TestCertificates:
@@ -644,6 +682,29 @@ class TestInteractivePlay:
                 PAIR_55, rounds=-1, epsilon=F(1, 4), in_stream=io.StringIO(""), out_stream=stdout
             )
         assert stdout.getvalue() == ""
+
+    def test_refused_before_the_first_line_or_not_at_all(self):
+        # at every recursion limit, a game too deep for the stack is refused
+        # before play prints anything, and a game it starts is not refused
+        # when the solver makes its first move
+        pair = NamedPair(discrete_structure(3), discrete_structure(3))
+        saved, depth, outcomes = sys.getrecursionlimit(), len(inspect.stack(0)), set()
+        for limit in range(depth + 20, depth + 80):
+            stdout = io.StringIO()
+            try:
+                sys.setrecursionlimit(limit)
+                play_interactive(pair, rounds=4, epsilon=1, human_side="II",
+                                 in_stream=io.StringIO(""), out_stream=stdout)
+            except EOFError:
+                assert "I plays" in stdout.getvalue()
+                outcomes.add("ended")
+            except ValueError as err:
+                assert str(err).startswith("4 rounds need a recursion deeper")
+                assert stdout.getvalue() == ""
+                outcomes.add("refused")
+            finally:
+                sys.setrecursionlimit(saved)
+        assert outcomes == {"refused", "ended"}
 
     def test_human_duplicator_against_solver(self):
         # the solver spoils optimally; whatever it opens with, the exchange

@@ -211,9 +211,9 @@ class TestDynamicGame:
     def test_clock_deeper_than_the_stack_rejected(self):
         # the omega leaf's keys keep every copy of a repeated pair, so a stay
         # grows the key, nothing clamps the clock and the search is as deep
-        # as the clock even on a one-point pair; a lowered limit keeps the
-        # work before the overflow small, as the leaf's family grows with
-        # the fourth power of the key's length
+        # as the clock even on a one-point pair: it is refused before it
+        # starts, so no family, which grows with the fourth power of the
+        # key's length, is built
         pair = one_point_pair()
         leaf = OmegaLeaf(WeakModulus(coords=(), tail=linear_modulus(2), aggregator=Aggregator.MAX))
         limit = sys.getrecursionlimit()
@@ -245,6 +245,38 @@ class TestDynamicGame:
     def test_negative_clock_rejected(self):
         with pytest.raises(ValueError, match="clock must be non-negative"):
             dynamic_game_value(PAIR_55, -1)
+
+
+def tail_leaf(term_depth: int = 0) -> OmegaLeaf:
+    """The omega leaf holding every variable to the modulus 2t."""
+    tail = WeakModulus(coords=(), tail=linear_modulus(2), aggregator=Aggregator.MAX)
+    return OmegaLeaf(tail, term_depth)
+
+
+ONE_POINT_PAIR = one_point_pair()
+
+
+# GameSolver._enter refuses a search too deep for the stack before it
+# starts; at the least recursion limit it admits, every kind of search fits,
+# the omega leaf's family building included
+@pytest.mark.parametrize("solve, rounds", [
+    pytest.param(lambda: r_alpha(PAIR_55, alpha=4), 4, id="r-alpha"),
+    pytest.param(
+        lambda: r_alpha(ONE_POINT_PAIR, alpha=2, leaf=tail_leaf()), 2, id="omega-leaf",
+    ),
+    pytest.param(
+        lambda: r_alpha(ONE_POINT_PAIR, alpha=1, leaf=tail_leaf(3)), 1,
+        id="omega-leaf-term-depth-3",
+    ),
+    pytest.param(lambda: dynamic_game_value(PAIR_55, 4), 4, id="dynamic"),
+    pytest.param(
+        lambda: dynamic_game_value(ONE_POINT_PAIR, 2, leaf=tail_leaf()), 2,
+        id="dynamic-omega-leaf",
+    ),
+])
+def test_search_fits_the_least_limit_the_depth_rule_admits(solve, rounds):
+    expected = solve()
+    assert helpers.solve_at_least_admitted_limit(solve, rounds) == expected
 
 
 class TestMonotonicityAndPseudometric:
