@@ -57,7 +57,7 @@ from .moduli import (
     modulus_max,
 )
 from .rationals import format_rat, rat
-from .structures import MetricStructure, Signature
+from .structures import MetricStructure, Signature, _is_point
 
 __all__ = [
     "Var",
@@ -413,7 +413,7 @@ def evaluate(phi: Formula, structure: MetricStructure, assignment: dict | None =
 
 def _checked_points(assignment: dict, size: int) -> dict:
     for var, point in assignment.items():
-        if isinstance(point, bool) or not isinstance(point, int) or not 0 <= point < size:
+        if not _is_point(point, size):
             raise FormulaError(f"x{var} is assigned {point!r}, not a point index in 0..{size - 1}")
     return assignment
 

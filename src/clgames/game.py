@@ -59,7 +59,7 @@ from operator import sub
 from .formulas import compile_formula, enumerate_atomic, is_delta_formula
 from .moduli import PwlModulus
 from .rationals import format_rat, rat_to_json
-from .structures import IntegerForm, NamedPair
+from .structures import IntegerForm, NamedPair, _is_point
 
 __all__ = [
     "Position",
@@ -132,11 +132,11 @@ class Position:
 
     def check_against(self, pair: NamedPair):
         for i in self.left:
-            if not 0 <= i < pair.left.size:
-                raise ValueError(f"left point index {i} out of range")
+            if not _is_point(i, pair.left.size):
+                raise ValueError(f"left point index {i!r} out of range")
         for i in self.right:
-            if not 0 <= i < pair.right.size:
-                raise ValueError(f"right point index {i} out of range")
+            if not _is_point(i, pair.right.size):
+                raise ValueError(f"right point index {i!r} out of range")
 
 
 @dataclass(frozen=True)

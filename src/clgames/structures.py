@@ -15,16 +15,19 @@ use, and is the package's one scaling path.  ``validate`` runs every check
 on it: a modulus is tabulated once per distinct distance as
 floor(modulus(d) * D), an exact bound for integer value gaps, and the
 structure's Fractions are formatted only for a reported violation.  With lo
-the least off-diagonal distance and hi the largest distance, two checks
-are skipped when the spread proves them clean:
+the least off-diagonal distance and hi the largest distance, a check is
+skipped when the spread proves it clean:
 
 * the triangle inequality, on a zero diagonal with hi <= 2 lo, as d(i,k) <=
   2 lo <= d(i,j) + d(j,k) for distinct points and a repeated point makes it
   trivial;
-* a predicate's modulus, when its values lie within its least bound
+* a symbol's modulus, when its gaps lie within its least bound
   floor(modulus(lo) * D): two distinct tuples differ in some coordinate and
   a modulus never decreases, so every tuple pair's bound is at least that.
-  Otherwise only the pairs whose values lie further apart are compared.
+  A predicate's gaps are its value differences; a function's are its image
+  distances, none above hi, so a function is skipped when hi is within the
+  bound.  Otherwise one search walks the tuple pairs of either kind, a
+  predicate's only where the values lie further apart.
 
 ``formulas.evaluate`` reads the same form, and the game solver brings both
 sides to their common denominator with ``IntegerForm.of``.
@@ -43,7 +46,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, product, repeat
+from itertools import chain, product
 from math import lcm
 from operator import gt, sub
 from pathlib import Path
@@ -171,7 +174,7 @@ class MetricStructure:
         return len(self.points)
 
     def point_index(self, label) -> int:
-        if isinstance(label, int):
+        if type(label) is int:
             if not 0 <= label < len(self.points):
                 raise KeyError(f"point index {label} out of range")
             return label
@@ -258,7 +261,8 @@ def _tuples(n_points: int, arity: int):
 
 
 def _is_point(image, n_points: int) -> bool:
-    return isinstance(image, int) and 0 <= image < n_points
+    """The one point-index rule: an int, not a bool, in range(n_points)."""
+    return type(image) is int and 0 <= image < n_points
 
 
 @dataclass(frozen=True)
@@ -310,13 +314,6 @@ def _modulus_bounds(modulus: PwlModulus, form: IntegerForm) -> list[list[int]]:
     return [[bounds[g] for g in row] for row in form.dist]
 
 
-def _bounds(rows: list[list[int]], xs: tuple, coords: list, js):
-    """The integer modulus bounds between the tuple xs and the present
-    tuples at the indices js, in order."""
-    cols = [map(rows[x].__getitem__, map(coord.__getitem__, js)) for x, coord in zip(xs, coords)]
-    return cols[0] if len(cols) == 1 else map(max, *cols)
-
-
 def _candidates(values: list[int], least: int):
     """For each tuple i, the later tuples j whose value lies more than
     ``least`` from its own, ascending: with every pair's bound at least
@@ -346,11 +343,31 @@ def _present(report: ValidationReport, name: str, n: int, arity: int, table: dic
     return present
 
 
-def _modulus_detail(modulus: PwlModulus, d, xs: tuple, ys: tuple) -> str:
-    """``modulus(gap) = bound`` for a reported pair, on the structure's own
-    Fractions."""
-    gap = max(d[x][y] for x, y in zip(xs, ys))
-    return f"modulus({format_rat(gap)}) = {format_rat(modulus.evaluate(gap))}"
+def _modulus_breaks(structure: MetricStructure, modulus: PwlModulus, present: list, later):
+    """The pairs of present tuples whose integer gap exceeds their modulus
+    bound, in order, as (xs, ys, "modulus(gap) = bound") on the structure's
+    Fractions.  ``later`` gives, for each present tuple, the indices of the
+    later tuples that may break the modulus, ascending, and a map of its
+    gaps to them; the bound rows are built at the first such tuple."""
+    d, rows = structure.dist, None
+    coords = [list(coord) for coord in zip(*present)]
+    for xs, (js, gaps) in zip(present, later):
+        if not js:
+            continue
+        if rows is None:
+            rows = _modulus_bounds(modulus, structure.integer_form)
+        cols = [map(rows[x].__getitem__, map(c.__getitem__, js)) for x, c in zip(xs, coords)]
+        bounds = list(cols[0] if len(cols) == 1 else map(max, *cols))
+        gaps = list(gaps)
+        # a negative gap between the tuples has bound -1: the pair passes
+        # this filter and is skipped below, as a negative distance
+        if not any(map(gt, gaps, bounds)):
+            continue
+        for j, gap, bound in zip(js, gaps, bounds):
+            if 0 <= bound < gap:
+                ys = present[j]
+                g = max(d[x][y] for x, y in zip(xs, ys))
+                yield xs, ys, f"modulus({format_rat(g)}) = {format_rat(modulus.evaluate(g))}"
 
 
 def _report_triangles(report: ValidationReport, structure: MetricStructure, dist):
@@ -438,29 +455,16 @@ def validate(structure: MetricStructure, allow_pseudometric: bool = False) -> Va
         least = _bound_at(sym.modulus, lo, den)
         if not values or max(values) - min(values) <= least:
             continue
-        coords = [list(coord) for coord in zip(*present)]
-        rows = None
-        for i, js in enumerate(_candidates(values, least)):
-            if not js:
-                continue
-            if rows is None:
-                rows = _modulus_bounds(sym.modulus, form)
-            v, xs = values[i], present[i]
-            bounds = list(_bounds(rows, xs, coords, js))
-            # a negative gap has bound -1: it passes this filter, and the
-            # loop below skips it, as it is reported as a negative distance
-            gaps = map(abs, map(sub, map(values.__getitem__, js), repeat(v)))
-            if not any(map(gt, gaps, bounds)):
-                continue
-            for j, bound in zip(js, bounds):
-                if bound >= 0 and abs(v - values[j]) > bound:
-                    ys = present[j]
-                    detail = _modulus_detail(sym.modulus, d, xs, ys)
-                    report.add(
-                        "predicate-modulus",
-                        (sym.name, xs, ys),
-                        f"|{format_rat(table[xs])} - {format_rat(table[ys])}| > {detail}",
-                    )
+        later = (
+            (js, map(abs, map(v.__sub__, map(values.__getitem__, js))))
+            for v, js in zip(values, _candidates(values, least))
+        )
+        for xs, ys, detail in _modulus_breaks(structure, sym.modulus, present, later):
+            report.add(
+                "predicate-modulus",
+                (sym.name, xs, ys),
+                f"|{format_rat(table[xs])} - {format_rat(table[ys])}| > {detail}",
+            )
     for sym in structure.signature.functions:
         table = structure.function_tables.get(sym.name)
         if table is None:
@@ -470,24 +474,18 @@ def validate(structure: MetricStructure, allow_pseudometric: bool = False) -> Va
         for args, value in table.items():
             if not _is_point(value, n):
                 report.add("function-range", (sym.name, args), f"image {value!r} not a point")
-        coords = [list(coord) for coord in zip(*present)]
+        if hi <= _bound_at(sym.modulus, lo, den):
+            continue
         # an image that is not a point is reported above, and skipped here
-        images = [fx if _is_point(fx, n) else None for fx in map(table.__getitem__, present)]
-        rows = _modulus_bounds(sym.modulus, form)
-        for i, fx in enumerate(images):
-            if fx is None:
-                continue
-            later = range(i + 1, len(present))
-            for j, bound in zip(later, _bounds(rows, present[i], coords, later)):
-                fy = images[j]
-                if fy is not None and 0 <= bound < dist[fx][fy]:
-                    xs, ys = present[i], present[j]
-                    detail = _modulus_detail(sym.modulus, d, xs, ys)
-                    report.add(
-                        "function-modulus",
-                        (sym.name, xs, ys),
-                        f"d(f(x),f(y)) = {format_rat(d[fx][fy])} > {detail}",
-                    )
+        present = [xs for xs in present if _is_point(table[xs], n)]
+        images = list(map(table.__getitem__, present))
+        later = (
+            (range(i + 1, len(images)), map(dist[fx].__getitem__, images[i + 1:]))
+            for i, fx in enumerate(images)
+        )
+        for xs, ys, detail in _modulus_breaks(structure, sym.modulus, present, later):
+            gap = format_rat(d[table[xs]][table[ys]])
+            report.add("function-modulus", (sym.name, xs, ys), f"d(f(x),f(y)) = {gap} > {detail}")
     for name in structure.signature.constants:
         if name not in structure.constant_map:
             report.add("missing-constant", (name,), "constant not interpreted")

@@ -772,7 +772,7 @@ def fraction_validate(
             if args not in table:
                 report.add("incomplete-table", (sym.name, args), "missing entry")
         for args, value in table.items():
-            if not (isinstance(value, int) and 0 <= value < n):
+            if not (type(value) is int and 0 <= value < n):
                 report.add("function-range", (sym.name, args), f"image {value!r} not a point")
         for xs in _tuples(n, sym.arity):
             if xs not in table:
@@ -781,7 +781,7 @@ def fraction_validate(
                 if ys <= xs or ys not in table:
                     continue
                 fx, fy = table[xs], table[ys]
-                if not all(isinstance(f, int) and 0 <= f < n for f in (fx, fy)):
+                if not all(type(f) is int and 0 <= f < n for f in (fx, fy)):
                     continue  # reported as out of range
                 gap = max(d[x][y] for x, y in zip(xs, ys))
                 if gap < 0:
@@ -799,7 +799,7 @@ def fraction_validate(
             report.add("missing-constant", (name,), "constant not interpreted")
         else:
             idx = structure.constant_map[name]
-            if not (isinstance(idx, int) and 0 <= idx < n):
+            if not (type(idx) is int and 0 <= idx < n):
                 report.add("constant-range", (name,), f"image {idx!r} not a point")
     for name in structure.constant_map:
         if name not in structure.signature.constants:

@@ -718,3 +718,15 @@ class TestInteractivePlay:
         assert len(outcome["transcript"]) == 2
         assert (outcome["winner"] == "II") == (outcome["discrepancy"] <= F(1, 4))
         assert "I plays" in stdout.getvalue()
+
+
+@pytest.mark.parametrize("point", [True, 0.5, "0"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_start_off_the_point_indices_is_refused_in_one_line(point, side):
+    # one rule with validate and evaluate: an int, not a bool, in range;
+    # 0.5 and "0" reached the solver and failed there with a TypeError
+    pair = distance_witness_pair(Fraction(1, 2), 3)
+    start = Position((point,), (0,)) if side == "left" else Position((0,), (point,))
+    with pytest.raises(ValueError) as caught:
+        game_value(pair, start=start, rounds=1)
+    assert str(caught.value) == f"{side} point index {point!r} out of range"

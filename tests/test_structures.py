@@ -3,11 +3,15 @@
 import dataclasses
 import json
 import random
+import tempfile
 import time
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clgames import structures
 from clgames.formulas import evaluate, parse_formula, sample_formulas
@@ -253,7 +257,7 @@ class TestFunctionImageNotAPoint:
         dist = ((F(0), F(1, 2)), (F(1, 2), F(0)))
         return MetricStructure(sig, ("a", "b"), dist, function_tables={"f": {(0,): image, (1,): 0}})
 
-    @pytest.mark.parametrize("image", [2, -1])
+    @pytest.mark.parametrize("image", [2, -1, True])
     def test_only_the_range_is_reported(self, image):
         structure = self.structure(image)
         report = validate(structure)
@@ -269,6 +273,39 @@ class TestFunctionImageNotAPoint:
             load_structure(path)
 
 
+@st.composite
+def bool_point_structures(draw):
+    """Valid random structures with a unary function and a constant, with
+    some images and the constant then replaced by a bool, which is no point
+    index."""
+    rng = draw(st.randoms(use_true_random=False))
+    sig = helpers.random_signature(rng, with_constant=True, with_function=True)
+    structure = helpers.random_structure(rng, sig, n_points=draw(st.integers(1, 4)))
+    images = structure.function_tables["f"]
+    for args in draw(st.lists(st.sampled_from(sorted(images)), max_size=2)):
+        images[args] = draw(st.booleans())
+    if draw(st.booleans()):
+        structure.constant_map["c"] = draw(st.booleans())
+    return structure
+
+
+@settings(max_examples=100, deadline=None)
+@given(bool_point_structures())
+def test_what_validate_accepts_loads_unchanged(structure):
+    # the JSON loader takes only integers as images and constants, so a
+    # bool that validate took for point 0 or 1 made the saved file unloadable
+    images = [*structure.function_tables["f"].values(), structure.constant_map["c"]]
+    ok = validate(structure).ok
+    assert ok == all(type(i) is int for i in images)
+    if ok:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.json"
+            save_structure(structure, path)
+            loaded = load_structure(path)
+        assert loaded == structure
+        assert structure_to_json(loaded) == structure_to_json(structure)
+
+
 class TestCandidatePairs:
     """Only tuple pairs whose values lie more than the least off-diagonal
     bound apart are compared exactly."""
@@ -281,15 +318,17 @@ class TestCandidatePairs:
     )
 
     def exact_pairs(self, monkeypatch, structure) -> int:
-        # every pair whose bound is computed is compared exactly
+        # the modulus search computes the bound of every candidate pair, and
+        # of no other pair, and compares it exactly
         counted = []
-        bounds = structures._bounds
+        candidates = structures._candidates
 
-        def counting(rows, xs, coords, js):
-            counted.append(len(js))
-            return bounds(rows, xs, coords, js)
+        def counting(values, least):
+            for js in candidates(values, least):
+                counted.append(len(js))
+                yield js
 
-        monkeypatch.setattr(structures, "_bounds", counting)
+        monkeypatch.setattr(structures, "_candidates", counting)
         validate(structure)
         return sum(counted)
 
@@ -383,6 +422,11 @@ class TestExpandWithConstants:
     def test_unknown_point_rejected(self):
         with pytest.raises(KeyError):
             expand_with_constants(two_point(identity_modulus()), ["zz"])
+
+    def test_bool_is_no_point_index(self):
+        # a bool is no point index, though True == 1
+        with pytest.raises(KeyError, match="unknown point True"):
+            expand_with_constants(two_point(identity_modulus()), [True])
 
 
 class TestRelationalize:

@@ -25,6 +25,7 @@ from clgames.moduli import (
     linear_modulus,
     zero_modulus,
 )
+from clgames import structures
 from clgames.structures import (
     FunctionSymbol,
     MetricStructure,
@@ -449,3 +450,49 @@ def test_triangle_spread_off_its_premises(distances, allow_pseudometric, breaks_
     violations = reported(three_points(*distances), allow_pseudometric)
     assert any(kind == "triangle" for kind, _, _ in violations) == breaks_a_triangle
 
+
+
+@pytest.fixture
+def bound_rows(monkeypatch):
+    """The moduli whose bound rows validate builds, one per build."""
+    built = []
+    modulus_bounds = structures._modulus_bounds
+
+    def counting(modulus, form):
+        built.append(modulus)
+        return modulus_bounds(modulus, form)
+
+    monkeypatch.setattr(structures, "_modulus_bounds", counting)
+    return built
+
+
+def with_function(structure, modulus, images):
+    """The structure with one unary function symbol f of the given modulus
+    and images."""
+    return replace(
+        structure,
+        signature=Signature(functions=(FunctionSymbol("f", 1, modulus),)),
+        function_tables={"f": {(i,): image for i, image in enumerate(images)}},
+    )
+
+
+def test_function_spread_at_the_least_bound(bound_rows):
+    # D = 8: under min(2t, 1) the least bound floor(1/2 * 8) = 4 is the
+    # largest distance, so no image distance exceeds a pair's bound, and
+    # f(a) = a, f(b) = c reach it
+    modulus = capped_linear(2)
+    structure = with_function(three_points(F(1, 4), F(1, 4), F(1, 2)), modulus, (0, 2, 0))
+    assert reported(structure) == []
+    assert bound_rows == []
+
+
+def test_function_spread_one_unit_above_the_least_bound(bound_rows):
+    # under 3t/2 the least bound is 3, one unit below the largest distance:
+    # the search runs, and f(a) = a, f(b) = c lie 1/2 apart at d(a,b) = 1/4
+    modulus = linear_modulus(F(3, 2))
+    structure = with_function(three_points(F(1, 4), F(1, 4), F(1, 2)), modulus, (0, 2, 2))
+    assert reported(structure) == [
+        ("function-modulus", ("f", (0,), (1,)), "d(f(x),f(y)) = 1/2 > modulus(1/4) = 3/8"),
+    ]
+    # once per validation: the oracle in ``reported`` builds none
+    assert bound_rows == [modulus]
