@@ -27,7 +27,10 @@ an exact fail-soft alpha-beta (Knuth & Moore 1975) whose memo entries are
 V_r(p) >= leaf(p): a lower bound starts there, and a move whose replies
 already reach the best value so far cannot be I's first best move.  Every
 public method searches with the full window, so values, best moves and
-certificates are those of the full scan.
+certificates are those of the full scan.  Value searches try moves and
+replies in the order of what the solver has already seen, the killer and
+history heuristics (Akl & Newborn 1977; Schaeffer 1989); the scans that
+name a move keep canonical order.
 
 On set keys a stay (II repeating a played pair) leaves the key as it is, so
 the rounds clamp at the points a key leaves uncovered (V_r = V_u for r >= u),
@@ -59,7 +62,7 @@ from operator import sub
 from .formulas import compile_formula, enumerate_atomic, is_delta_formula
 from .moduli import PwlModulus
 from .rationals import format_rat, rat_to_json
-from .structures import IntegerForm, NamedPair, _is_point
+from .structures import NamedPair, _is_point
 
 __all__ = [
     "Position",
@@ -166,6 +169,19 @@ class GameValueResult:
     i_witness: IWitnessNode | None = None
 
 
+class _Rotations(dict):
+    """The rotations of a sequence, by the index they start at, each made
+    when first asked for."""
+
+    def __init__(self, sequence: tuple):
+        super().__init__({0: sequence})
+        self.sequence = sequence
+
+    def __missing__(self, start: int) -> tuple:
+        rotation = self[start] = self.sequence[start:] + self.sequence[:start]
+        return rotation
+
+
 class GameSolver:
     """Backward-induction solver for one structure pair.
 
@@ -197,9 +213,26 @@ class GameSolver:
     entry in place.  The replies to a move stop at the first
     one no greater than the best value so far, or than leaf(p) or alpha
     before any move is scored, and the moves stop once the best reaches
-    beta.  Replies are tried in canonical order, so the full window, which
-    every public method uses, gives the first best move and reply.  Every
-    memo entry, including the certificates' nodes (the ``certificate``
+    beta.  The scans that name a move (``best_move``, ``best_reply``, the
+    certificates and ``dynamic_game_value``'s line) try moves and replies
+    in canonical order, so the full window, which they use, gives the first
+    best move and reply.
+
+    A value search (the scan ``_value`` starts) orders them by the solver's
+    history instead.  Per side, each move keeps the reply that last refuted
+    it, the reply at which its reply loop last stopped at or below the
+    bound, and its replies start there and wrap around.  Per rounds left,
+    the moves start at the one that last cut a scan off (its worst reply
+    reached beta) and wrap around.  Both orders are rotations of
+    ``_moves`` and of ``_replies``, each made when first asked for, so a
+    move costs two list indexings.  Alpha-beta is exact under any order,
+    so every value is the same; the history carries over from one public
+    call to the next, and no option turns it off.  The certificates turn
+    it off for the searches below them, whose table they need in canonical
+    order (with the history it grows), and ``game_value`` builds them
+    before it reads the value from their table.
+
+    Every memo entry, including the certificates' nodes (the ``certificate``
     table, made by the first certificate built), goes through ``memoize``
     and is charged to one position cap, once: a tightened entry is not
     charged again.
@@ -275,6 +308,10 @@ class GameSolver:
         self._compile()
         self._pairwise = self._set_keys and self._width == 2 and not (self._funcs and depth)
         self._ply: dict | None = None
+        # the value searches' move order (``_scan``), made by the first one
+        self._history = True
+        self._orders: dict | None = None
+        self._cutoffs: dict = {}
 
     def _compile(self):
         """Integer distance and predicate tables of both sides over one
@@ -282,9 +319,7 @@ class GameSolver:
         point pairs."""
         sig, sides = self.pair.signature, (self.pair.left, self.pair.right)
         self._den = den = lcm(*(s.integer_form.den for s in sides))
-        left, right = (
-            s.integer_form if s.integer_form.den == den else IntegerForm.of(s, den) for s in sides
-        )
+        left, right = (s.integer_form.over(den) for s in sides)
         self._dist = [left.dist, right.dist]
         self._preds = [
             (p.arity, left.predicates[p.name], right.predicates[p.name]) for p in sig.predicates
@@ -444,6 +479,16 @@ class GameSolver:
                 mats_r += [(rows_r, cols_l), (cols_r, rows_l)]
         return {"L": (single, mats_l), "R": ([list(c) for c in zip(*single)], mats_r)}
 
+    def _history_tables(self) -> dict:
+        """The rotations of the moves, and per spoiler side the rotations of
+        its replies and, per move, the reply that last refuted it (the
+        canonical first to start with)."""
+        sizes = {"L": self.pair.left.size, "R": self.pair.right.size}
+        orders = {side: (_Rotations(tuple(replies)), [0] * sizes[side])
+                  for side, replies in self._replies.items()}
+        orders["moves"] = _Rotations(tuple(self._moves))
+        return orders
+
     def child(self, position: Position, side: str, element: int, reply: int) -> Position:
         return position.extended(*((element, reply) if side == "L" else (reply, element)))
 
@@ -470,7 +515,8 @@ class GameSolver:
             return lower
         if upper <= alpha:
             return upper
-        g = self._scan(key, rounds, leaf, alpha, beta, uncovered=self._set_keys)[3]
+        g = self._scan(key, rounds, leaf, alpha, beta, uncovered=self._set_keys,
+                       history=self._history)[3]
         if g <= alpha:
             upper = g
         elif g >= beta:
@@ -492,14 +538,20 @@ class GameSolver:
         return side, element, self._fraction(worst)
 
     def best_reply(self, position: Position, side: str, element: int, rounds_left: int):
-        """II's value-minimizing reply (first in canonical order on ties)."""
+        """II's value-minimizing reply (first in canonical order on ties) to
+        the spoiler's move ``element`` on ``side``, "L" or "R"."""
         key = self._enter(position, rounds_left, least=1)
+        if side not in ("L", "R"):
+            raise ValueError(f"side must be 'L' or 'R', got {side!r}")
+        name, structure = ("left", self.pair.left) if side == "L" else ("right", self.pair.right)
+        if not _is_point(element, structure.size):
+            raise ValueError(f"{name} point index {element!r} out of range")
         _, _, reply, worst = self._scan(
             key, rounds_left, self._leaf_at(key), moves=((side, element),))
         return reply, self._fraction(worst)
 
     def _scan(self, key, rounds: int, leaf, alpha=_LOW, beta=_HIGH, moves=None, replies=None,
-              uncovered=False):
+              uncovered=False, history=False):
         """I's first best move over ``moves`` (default: all), II's first best
         reply to it and their value at ``rounds`` >= 1 from a key whose leaf
         is ``leaf``, as (side, element, reply, value), fail-soft in (alpha,
@@ -512,15 +564,28 @@ class GameSolver:
         A move's replies stop at the first one at most ``bound``: the best
         so far, or before the first move the larger of alpha and the leaf,
         below which no child's value lies, so such a move cannot beat it;
-        the moves stop once the best reaches beta."""
+        the moves stop once the best reaches beta.  With ``history`` the
+        moves start at the one that last cut off a scan at these rounds, and
+        a move's replies at the one that last refuted it (see the class
+        docstring), which leaves the value as it is but not the first best
+        move or reply."""
         pairwise = self._pairwise
         if pairwise and self._ply is None:
             self._ply = self._ply_tables()
+        if moves is None:
+            moves = self._moves
+        if history:
+            if self._orders is None:
+                self._orders = self._history_tables()
+            moves = self._orders["moves"][self._cutoffs.get(rounds, 0)]
         bound = leaf if leaf > alpha else alpha
         best, seen, covered = None, None, ()
-        for side, element in self._moves if moves is None else moves:
+        for side, element in moves:
             if side != seen:
                 seen, mine = side, 0 if side == "L" else 1
+                order = self._replies[side]
+                if history:
+                    rotations, refuted = self._orders[side]
                 if uncovered:
                     covered = {q[mine] for q in key}
                 if pairwise:
@@ -535,8 +600,10 @@ class GameSolver:
                 continue
             if pairwise:
                 row = single[element]
+            if history:
+                order = rotations[refuted[element]]
             best_reply, worst, top = None, None, beta
-            for reply in self._replies[side]:
+            for reply in order:
                 v = None  # wider keys: ``_value`` looks the child's leaf up
                 if pairwise:
                     # the child's leaf: max(leaf, leaf({p}), the atoms on p
@@ -556,6 +623,8 @@ class GameSolver:
                 if worst is None or v < worst:
                     best_reply, worst = reply, v
                     if v <= bound:
+                        if history:
+                            refuted[element] = reply
                         break
                     if v < top:
                         top = v
@@ -564,6 +633,10 @@ class GameSolver:
             elif best is None or worst > best[3]:
                 best = (side, element, best_reply, worst)
                 if worst >= beta:
+                    if history:
+                        # the move's index in ``_moves``, the left points first
+                        self._cutoffs[rounds] = (
+                            element if side == "L" else self.pair.left.size + element)
                     break
                 if worst > bound:
                     bound = worst
@@ -586,7 +659,13 @@ class GameSolver:
         key = self._enter(position, rounds, clamp=False)
         if "certificate" not in self._tables:
             self.memo_table("certificate")
-        return node(key, rounds)
+        # the searches below keep canonical order: they leave the table a
+        # certificate needs, where the history's bounds would leave more
+        self._history = False
+        try:
+            return node(key, rounds)
+        finally:
+            self._history = True
 
     def _ii_node(self, key, rounds: int) -> IIStrategyNode | None:
         if rounds == 0:
@@ -667,11 +746,12 @@ def game_value(
     with optimal-strategy certificates for both players."""
     start = start or Position()
     solver = GameSolver(pair, term_depth, max_positions)
-    value = solver.value(start, rounds)
     ii_tree = i_tree = None
     if build_strategies:
+        # the certificates first: the value then reads their table
         ii_tree = solver.ii_strategy_tree(start, rounds)
         i_tree = solver.i_witness_tree(start, rounds)
+    value = solver.value(start, rounds)
     return GameValueResult(
         value=value,
         rounds=rounds,
@@ -712,45 +792,46 @@ def strategy_to_json(result: GameValueResult, path) -> None:
     index of each reply's continuation, ``null`` after the last round.  The
     nodes were charged to the solve's cap as they were built, so the file
     is bounded by the cap too."""
-    blob = {
-        "value": rat_to_json(result.value),
-        "ii_strategy": _node_table(result.ii_strategy),
-        "i_witness": _node_table(result.i_witness),
-    }
-    text = json.dumps(blob) + "\n"
+    text = (f'{{"value": {json.dumps(rat_to_json(result.value))}, '
+            f'"ii_strategy": {_node_table(result.ii_strategy)}, '
+            f'"i_witness": {_node_table(result.i_witness)}}}\n')
     with open(path, "w", encoding="utf-8") as file:
         file.write(text)
 
 
-def _node_table(root) -> list | None:
-    """A certificate DAG's nodes as JSON objects in depth-first pre-order,
-    each child replaced by its index."""
+def _node_table(root) -> str:
+    """A certificate DAG's nodes in depth-first pre-order, each child
+    replaced by its index, as the JSON text ``json.dumps`` gives the list of
+    their objects, written as the DAG is walked."""
     if root is None:
-        return None
+        return "null"
     index, table = {}, []
 
-    def visit(node):
+    def visit(node) -> str:
         if node is None:
-            return None
+            return "null"
         if id(node) in index:
-            return index[id(node)]
+            return str(index[id(node)])
         i = index[id(node)] = len(table)
         table.append(None)  # filled once the children have their indices
         if isinstance(node, IIStrategyNode):
-            table[i] = {"kind": "duplicator", "responses": {
-                f"{side}:{element}": {"reply": reply, "next": visit(child)}
-                for (side, element), (reply, child) in sorted(node.responses.items())
-            }}
+            responses = ", ".join(
+                f'"{side}:{element}": {{"reply": {reply}, "next": {visit(child)}}}'
+                for (side, element), (reply, child) in sorted(node.responses.items()))
+            text = f'{{"kind": "duplicator", "responses": {{{responses}}}}}'
         elif isinstance(node, IWitnessNode):
-            table[i] = {"kind": "spoiler", "move": f"{node.side}:{node.element}", "continuations": {
-                str(reply): visit(child) for reply, child in sorted(node.continuations.items())
-            }}
+            continuations = ", ".join(
+                f'"{reply}": {visit(child)}'
+                for reply, child in sorted(node.continuations.items()))
+            text = (f'{{"kind": "spoiler", "move": "{node.side}:{node.element}", '
+                    f'"continuations": {{{continuations}}}}}')
         else:
             raise TypeError(f"not a strategy node: {node!r}")
-        return i
+        table[i] = text
+        return str(i)
 
     visit(root)
-    return table
+    return f"[{', '.join(table)}]"
 
 
 def play_interactive(

@@ -217,20 +217,21 @@ def dynamic_game_value(
     points.  ``tests/helpers.DynamicSolver`` searches the spends instead.
 
     The principal variation holds (clock spent, side, element, reply) per
-    round: the least spend s whose scan ``_scan(key, s + 1, ...)`` reaches
-    the value, and the scan's first best move and its first reply that
-    keeps the value, which then stays the same along the line.
+    round: the least spend s with V_{s+1} reaching the value, and the first
+    best move of the scan ``_scan(key, s + 1, ...)`` and its first reply
+    that keeps the value, which then stays the same along the line.  Along
+    it V_{s+1} <= V_left = value, so each spend is tested in the null window
+    (value - 1, value) of the integer values, and only the spend kept is
+    scanned in full.
     """
     game = RAlphaSolver(pair, leaf or AtomicLeaf(), max_positions)
     key = game._enter(start or Position(), clock, name="clock")
     line, left = [], clock
     target = game._value(key, clock)
     while left > 0:
-        leaf = game._leaf_at(key)
-        for spent in range(left):
-            side, element, reply, best = game._scan(key, spent + 1, leaf)
-            if best == target:
-                break
+        spent = next(
+            s for s in range(left) if game._value(key, s + 1, target - 1, target) >= target)
+        side, element, reply, _ = game._scan(key, spent + 1, game._leaf_at(key))
         line.append((spent, side, element, reply))
         left, key = spent, game._child(key, side, element, reply)
     return DynamicGameResult(game._fraction(target), clock, tuple(line))

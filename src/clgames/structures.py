@@ -296,6 +296,18 @@ class IntegerForm:
             {name: {args: scaled(v) for args, v in t.items()} for name, t in tables.items()},
         )
 
+    def over(self, den: int) -> IntegerForm:
+        """The same numbers over ``den``, a multiple of ``self.den``: each
+        integer times den // self.den, with no ``Fraction`` made again."""
+        if den == self.den:
+            return self
+        k = den // self.den
+        return IntegerForm(
+            den,
+            tuple(tuple(map(k.__mul__, row)) for row in self.dist),
+            {name: {args: v * k for args, v in t.items()} for name, t in self.predicates.items()},
+        )
+
 
 def _bound_at(modulus: PwlModulus, g: int, den: int) -> int:
     """floor(modulus(g / den) * den), -1 at a negative g: an integer gap

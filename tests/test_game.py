@@ -283,16 +283,15 @@ class TestGameValue:
         assert err.value.entries == {"leaf": 1, "value": 4}
         assert str(err.value).startswith("position table would exceed the cap of 5 entries;")
         assert "value table" in str(err.value)
-        # the value solve holds 14 entries and the root's certificate scan
-        # adds 2; then each certificate node looks up the leaf of its key,
-        # and the node at one played pair expands the moves on its covered
-        # points, which the value solve skips, so a certificate node is the
-        # entry past the cap
+        # the certificates are built before the value is read, and each
+        # node looks up the leaf of its key: at a cap of 20 the duplicator's
+        # certificate holds 2 nodes over 3 leaves and 15 values, and the
+        # next node's leaf is the entry past the cap
         with pytest.raises(ResourceCapError) as err:
             game_value(PAIR_55, rounds=3, max_positions=20)
-        assert err.value.cap == 20 and err.value.table == "certificate"
-        assert err.value.entries == {"leaf": 3, "value": 16, "certificate": 1}
-        assert "certificate table" in str(err.value)
+        assert err.value.cap == 20 and err.value.table == "leaf"
+        assert err.value.entries == {"leaf": 3, "value": 15, "certificate": 2}
+        assert "leaf table" in str(err.value)
         for cap in (0, -3):
             with pytest.raises(ValueError, match="at least 1"):
                 game_value(PAIR_55, rounds=1, max_positions=cap)
@@ -320,16 +319,16 @@ class TestGameValue:
 
     @pytest.mark.parametrize("pair, rounds, after_value, after_certificates", [
         pytest.param(
-            distance_witness_pair(F(1, 2), 16), 2, {"leaf": 1, "value": 197},
+            distance_witness_pair(F(1, 2), 16), 2, {"leaf": 1, "value": 50},
             {"leaf": 35, "value": 290, "certificate": 37}, id="distance-witness-16",
         ),
         pytest.param(
-            build_nested_levels_pair(4, 2), 3, {"leaf": 1, "value": 232},
-            {"leaf": 91, "value": 317, "certificate": 113}, id="nested-levels-4",
+            build_nested_levels_pair(4, 2), 3, {"leaf": 1, "value": 30},
+            {"leaf": 91, "value": 326, "certificate": 113}, id="nested-levels-4",
         ),
         pytest.param(
-            PAIR_55, 6, {"leaf": 1, "value": 16},
-            {"leaf": 17, "value": 34, "certificate": 80}, id="cardinality-witness",
+            PAIR_55, 6, {"leaf": 1, "value": 19},
+            {"leaf": 17, "value": 36, "certificate": 80}, id="cardinality-witness",
         ),
     ])
     def test_table_sizes(self, pair, rounds, after_value, after_certificates):
@@ -396,6 +395,25 @@ class TestGameValue:
         lambda: GameSolver(PAIR_55).best_reply(Position((9,), (0,)), "L", 0, 1),
         "^left point index 9 out of range$", id="best-reply-bad-position",
     ),
+    # the spoiler's move is checked too: a side other than "L" or "R", and
+    # an element that is no point of that side (a bool or a negative index
+    # was answered as if it named a point)
+    pytest.param(
+        lambda: GameSolver(PAIR_55).best_reply(Position(), "L", 99, 1),
+        "^left point index 99 out of range$", id="best-reply-element-past-the-side",
+    ),
+    pytest.param(
+        lambda: GameSolver(PAIR_55).best_reply(Position(), "X", 0, 1),
+        "^side must be 'L' or 'R', got 'X'$", id="best-reply-unknown-side",
+    ),
+    pytest.param(
+        lambda: GameSolver(PAIR_55).best_reply(Position(), "R", -1, 1),
+        "^right point index -1 out of range$", id="best-reply-negative-element",
+    ),
+    pytest.param(
+        lambda: GameSolver(PAIR_55).best_reply(Position(), "L", True, 1),
+        "^left point index True out of range$", id="best-reply-bool-element",
+    ),
 ])
 def test_solver_entry_rejects_bad_input_in_one_line(solve, message):
     with pytest.raises(ValueError, match=message) as err:
@@ -433,8 +451,8 @@ def test_search_fits_the_least_limit_the_depth_rule_admits(solve, rounds):
     expected = solve()
     result = helpers.solve_at_least_admitted_limit(solve, rounds)
     if isinstance(expected, (IIStrategyNode, IWitnessNode)):
-        # a certificate compares as its node table: compared as a tree, its
-        # shared nodes would be visited once per play
+        # a certificate compares as its node table's JSON text: compared as
+        # a tree, its shared nodes would be visited once per play
         result, expected = _node_table(result), _node_table(expected)
     assert result == expected
 
@@ -524,13 +542,15 @@ class TestCertificates:
     def test_certificates_counted_against_the_cap(self, monkeypatch, tmp_path):
         # from the empty start at 4 rounds the solve holds 17 leaf and 34
         # value entries, and the two certificates 44 nodes (25 of II's, 19
-        # of I's) in the certificate table: 95 entries in all
+        # of I's) in the certificate table: 95 entries in all; the
+        # certificates are built first, so the root's value entry, read
+        # last, is the one past a cap of 94
         result = game_value(PAIR_55, rounds=4, max_positions=95)
         with pytest.raises(ResourceCapError) as err:
             game_value(PAIR_55, rounds=4, max_positions=94)
-        assert (err.value.cap, err.value.table) == (94, "certificate")
-        assert err.value.entries == {"leaf": 17, "value": 34, "certificate": 43}
-        assert "certificate table" in str(err.value)
+        assert (err.value.cap, err.value.table) == (94, "value")
+        assert err.value.entries == {"leaf": 17, "value": 33, "certificate": 44}
+        assert "value table" in str(err.value)
         # a solve without certificates makes no certificate table
         solver = GameSolver(PAIR_55)
         solver.value(Position(), 4)
@@ -540,7 +560,7 @@ class TestCertificates:
         solver.i_witness_tree(Position(), 4)
         assert len(solver._tables["certificate"]) == 44
         monkeypatch.setenv("CLGAMES_MAX_POSITIONS", "94")
-        with pytest.raises(ResourceCapError, match="certificate 43"):
+        with pytest.raises(ResourceCapError, match="certificate 44"):
             game_value(PAIR_55, rounds=4)
         monkeypatch.delenv("CLGAMES_MAX_POSITIONS")
         # the writer has no cap of its own: the solve's cap bounded the nodes

@@ -187,15 +187,15 @@ class TestDynamicGame:
             helpers.random_structure(rng, sig, n_points=4),
         )
         # the whole solve, its principal variation included, holds 2 leaf
-        # and 37 value entries: the value memoizes the root's leaf and 30
+        # and 43 value entries: the value memoizes the root's leaf and 31
         # values, and the line looks up the leaf of each position it scans
-        # from and, scanning every move, the values of the moves on covered
-        # points, which the value solve skips
-        result = dynamic_game_value(pair, 3, max_positions=39)
+        # from, and adds the values its null-window tests of the spends and
+        # its scans of every move, covered points included, reach
+        result = dynamic_game_value(pair, 3, max_positions=45)
         assert result.value == r_alpha(pair, alpha=3)
         with pytest.raises(ResourceCapError) as err:
-            dynamic_game_value(pair, 3, max_positions=38)
-        assert err.value.entries == {"leaf": 1, "value": 37}
+            dynamic_game_value(pair, 3, max_positions=44)
+        assert err.value.entries == {"leaf": 1, "value": 43}
 
     def test_deep_clock_clamps_at_the_uncovered_points(self):
         # the kernel's rounds clamp cuts the clock to the points the start
@@ -229,9 +229,9 @@ class TestDynamicGame:
         # the clock clamps at the uncovered points, so every clock past them
         # fills the same table
         for clock in (20, 40, 60):
-            assert dynamic_game_value(PAIR_55, clock, max_positions=23).value == F(1, 8)
+            assert dynamic_game_value(PAIR_55, clock, max_positions=29).value == F(1, 8)
             with pytest.raises(ResourceCapError):
-                dynamic_game_value(PAIR_55, clock, max_positions=22)
+                dynamic_game_value(PAIR_55, clock, max_positions=28)
 
     def test_negative_term_depth_rejected(self):
         for solve in (
@@ -356,8 +356,9 @@ class TestOmegaGame:
                 assert omega_game_value_atomic(pair, start=start) == expected
 
     def test_resource_cap(self):
-        # charged per memo entry: this 3+3 pair needs exactly 41, as the
-        # searches scan only the moves on uncovered points
+        # charged per memo entry: this 3+3 pair needs exactly 25, as the
+        # searches scan only the moves on uncovered points, in the order
+        # of the solver's history
         rng = random.Random(43)
         sig = helpers.random_signature(rng)
         pair = NamedPair(
@@ -365,11 +366,11 @@ class TestOmegaGame:
             helpers.random_structure(rng, sig, n_points=3),
         )
         with pytest.raises(ResourceCapError) as err:
-            omega_game_value_atomic(pair, max_positions=40)
-        assert sum(err.value.entries.values()) == 40
+            omega_game_value_atomic(pair, max_positions=24)
+        assert sum(err.value.entries.values()) == 24
         assert set(err.value.entries) == {"leaf", "value"}
         expected = helpers.value_iteration_omega(pair)
-        assert omega_game_value_atomic(pair, max_positions=41) == expected
+        assert omega_game_value_atomic(pair, max_positions=25) == expected
         # the 300-point pair is the 600-round game, deeper than the
         # interpreter's stack at two frames a round: one line that says so
         big = discrete_structure(300)

@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -571,3 +572,75 @@ def test_value_from_mostly_covered_starts_matches_the_oracles(data):
         assert omega_game_value_atomic(pair, depth, start) == helpers.value_iteration_omega(
             pair, depth, start
         )
+
+
+# A value search orders I's moves and II's replies by the solver's history:
+# a move's replies start at the one that last refuted it, and the moves at
+# the one that last cut a scan off at the same rounds left.  The history
+# carries over from one call to the next; no value may depend on it, and
+# the scans that name a move keep canonical order.
+
+
+def history_is_used(solver) -> bool:
+    """Some cutoff or refutation moved a loop's start off canonical order."""
+    if solver._orders is None:
+        return False
+    refuted = [solver._orders[side][1] for side in ("L", "R")]
+    return any(solver._cutoffs.values()) or any(map(any, refuted))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_values_with_a_carried_history_match_fresh_solvers(data):
+    pair = data.draw(pairs(near=True))
+    depth = data.draw(st.integers(0, 1))
+    small = pair.left.size <= 2 and pair.right.size <= 2
+    queries = data.draw(st.lists(
+        st.tuples(
+            st.lists(st.tuples(st.integers(0, pair.left.size - 1),
+                               st.integers(0, pair.right.size - 1)), max_size=2),
+            st.integers(0, 3 if small else 2),
+        ),
+        min_size=2, max_size=5,
+    ))
+    solver = GameSolver(pair, depth)
+    for played, rounds in queries:
+        left, right = tuple(a for a, _ in played), tuple(b for _, b in played)
+        start = Position(left, right)
+        expected = helpers.brute_force_game_value(pair, left, right, rounds, depth)
+        assert solver.value(start, rounds) == expected
+        assert GameSolver(pair, depth).value(start, rounds) == expected
+
+
+@pytest.mark.parametrize("pair, rounds", [
+    pytest.param(distance_witness_pair(F(1, 2), 5), 3, id="distance-witness-5"),
+    pytest.param(helpers.random_pair(random.Random(5), max_points=4), 3, id="random-4"),
+    pytest.param(
+        helpers.random_pair(random.Random(6), max_points=3, with_constant=True,
+                            with_ternary=True), 2, id="random-ternary",
+    ),
+])
+def test_value_searches_leave_the_named_moves_and_certificates(pair, rounds, tmp_path):
+    # one solver searches values first, at every start of one played pair
+    # and every rounds, so that its history is set; then its best move,
+    # best replies and certificates equal a fresh solver's, byte for byte
+    # in the certificate file
+    def named(solver, path):
+        start = Position()
+        answers = [solver.best_move(start, rounds)]
+        answers += [solver.best_reply(start, *move, rounds) for move in solver._moves]
+        result = game.GameValueResult(
+            solver.value(start, rounds), rounds, 0,
+            solver.ii_strategy_tree(start, rounds), solver.i_witness_tree(start, rounds),
+        )
+        game.strategy_to_json(result, path)
+        return answers, path.read_bytes()
+
+    searched = GameSolver(pair)
+    for a, b in product(range(pair.left.size), range(pair.right.size)):
+        for r in range(rounds + 1):
+            searched.value(Position((a,), (b,)), r)
+    searched.value(Position(), rounds)
+    assert history_is_used(searched)
+    assert named(searched, tmp_path / "searched.json") == named(
+        GameSolver(pair), tmp_path / "fresh.json")

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from clgames import structures
 from clgames.formulas import evaluate, parse_formula, sample_formulas
-from clgames.game import game_value
+from clgames.game import GameSolver, game_value
 from clgames.moduli import PwlModulus, capped_linear, identity_modulus, linear_modulus
 from clgames.rationals import rat_from_json
 from clgames.structures import (
@@ -741,7 +741,8 @@ class TestIntegerForm:
 
     def test_load_pair_then_game_builds_each_side_once(self, form_builds, tmp_path):
         # the sides' own denominators are 8 and 12, built once each by
-        # load_pair's validation; the solver adds one form per side over 24
+        # load_pair's validation; the solver scales each side's integers to
+        # 24 and builds no form from the Fractions again
         rng = random.Random(12)
         sig = helpers.random_signature(rng)
         pair = NamedPair(
@@ -755,9 +756,16 @@ class TestIntegerForm:
         assert value == helpers.brute_force_game_value(loaded, (), (), 2)
         assert [(id(s), den) for s, den in form_builds] == [
             (id(loaded.left), None), (id(loaded.right), None),
-            (id(loaded.left), 24), (id(loaded.right), 24),
         ]
         assert (loaded.left.integer_form.den, loaded.right.integer_form.den) == (8, 12)
+        # the scaled tables are the forms over 24
+        solver = GameSolver(loaded)
+        forms = [IntegerForm.of(side, 24) for side in (loaded.left, loaded.right)]
+        assert solver._den == 24
+        assert solver._dist == [form.dist for form in forms]
+        assert solver._preds == [
+            (p.arity, *(form.predicates[p.name] for form in forms)) for p in sig.predicates
+        ]
         # sides over one denominator are read as they are, with no build
         form_builds.clear()
         assert game_value(NamedPair(loaded.left, loaded.left), rounds=2).value == 0
@@ -774,6 +782,22 @@ class TestIntegerForm:
         assert wider.predicates == {
             name: {args: 3 * v for args, v in t.items()} for name, t in form.predicates.items()
         }
+
+    def test_over_a_multiple_equals_the_form_built_over_it(self, form_builds):
+        # over(den) scales the integers; of(structure, den) rebuilds them
+        # from the Fractions: the two agree, and over(den) builds nothing
+        rng = random.Random(14)
+        sig = helpers.random_signature(rng, max_predicates=3)
+        for distances in (helpers.DIST_GRID, helpers.COPRIME_DIST_GRID):
+            structure = helpers.random_structure(
+                rng, sig, 4, values=helpers.COPRIME_VALUE_GRID, distances=distances)
+            form = structure.integer_form
+            for k in (1, 2, 35):
+                form_builds.clear()
+                scaled = form.over(form.den * k)
+                assert form_builds == []
+                assert scaled == IntegerForm.of(structure, form.den * k)
+            assert form.over(form.den) is form
 
     def test_replaced_structure_gets_its_own_form(self, form_builds):
         sig = Signature(predicates=(PredicateSymbol("P", 1, capped_linear(2)),))
