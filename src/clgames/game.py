@@ -27,10 +27,10 @@ an exact fail-soft alpha-beta (Knuth & Moore 1975) whose memo entries are
 V_r(p) >= leaf(p): a lower bound starts there, and a move whose replies
 already reach the best value so far cannot be I's first best move.  Every
 public method searches with the full window, so values, best moves and
-certificates are those of the full scan.  Value searches try moves and
-replies in the order of what the solver has already seen, the killer and
-history heuristics (Akl & Newborn 1977; Schaeffer 1989); the scans that
-name a move keep canonical order.
+certificates are those of the full scan.  Every scan tries I's moves in
+canonical order.  Value searches try II's replies to a move from the one
+that last refuted it, a history heuristic (Schaeffer 1989); the scans that
+name a move try them in canonical order.
 
 On set keys a stay (II repeating a played pair) leaves the key as it is, so
 the rounds clamp at the points a key leaves uncovered (V_r = V_u for r >= u),
@@ -152,12 +152,13 @@ class IIStrategyNode:
 
 @dataclass(frozen=True)
 class IWitnessNode:
-    """A forcing spoiler strategy: the move to make now and a continuation
-    for every duplicator reply."""
+    """A forcing spoiler strategy: the move to make now, a continuation for
+    every duplicator reply, and the game value here, which the move forces."""
 
     side: str
     element: int
     continuations: dict
+    value: Fraction
 
 
 @dataclass(frozen=True)
@@ -218,19 +219,19 @@ class GameSolver:
     in canonical order, so the full window, which they use, gives the first
     best move and reply.
 
-    A value search (the scan ``_value`` starts) orders them by the solver's
-    history instead.  Per side, each move keeps the reply that last refuted
-    it, the reply at which its reply loop last stopped at or below the
-    bound, and its replies start there and wrap around.  Per rounds left,
-    the moves start at the one that last cut a scan off (its worst reply
-    reached beta) and wrap around.  Both orders are rotations of
-    ``_moves`` and of ``_replies``, each made when first asked for, so a
-    move costs two list indexings.  Alpha-beta is exact under any order,
-    so every value is the same; the history carries over from one public
-    call to the next, and no option turns it off.  The certificates turn
-    it off for the searches below them, whose table they need in canonical
-    order (with the history it grows), and ``game_value`` builds them
-    before it reads the value from their table.
+    A value search (the scan ``_value`` starts) also tries I's moves in
+    canonical order, but orders II's replies by the solver's history.  Per
+    side, each move keeps the reply that last refuted it, the reply at
+    which its reply loop last stopped at or below the bound, and its
+    replies start there and wrap around.  The orders are rotations of
+    ``_replies``, each made when first asked for, so a move costs two list
+    indexings.  Alpha-beta is exact under any order, so every value is the
+    same; the history carries over from one public call to the next, and
+    no option turns it off.  The certificates turn it off for the searches
+    below them, whose table they need in canonical order (with the history
+    it grows).  ``game_value`` reads the value off the root scan of I's
+    certificate, which is exact, and searches it only without
+    certificates.
 
     Every memo entry, including the certificates' nodes (the ``certificate``
     table, made by the first certificate built), goes through ``memoize``
@@ -308,10 +309,12 @@ class GameSolver:
         self._compile()
         self._pairwise = self._set_keys and self._width == 2 and not (self._funcs and depth)
         self._ply: dict | None = None
-        # the value searches' move order (``_scan``), made by the first one
+        # the value searches' reply order (``_scan``): per spoiler side, the
+        # rotations of its replies and, per move, the reply that last
+        # refuted it (the canonical first to start with)
         self._history = True
-        self._orders: dict | None = None
-        self._cutoffs: dict = {}
+        self._orders = {"L": (_Rotations(tuple(range(n_right))), [0] * n_left),
+                        "R": (_Rotations(tuple(range(n_left))), [0] * n_right)}
 
     def _compile(self):
         """Integer distance and predicate tables of both sides over one
@@ -479,16 +482,6 @@ class GameSolver:
                 mats_r += [(rows_r, cols_l), (cols_r, rows_l)]
         return {"L": (single, mats_l), "R": ([list(c) for c in zip(*single)], mats_r)}
 
-    def _history_tables(self) -> dict:
-        """The rotations of the moves, and per spoiler side the rotations of
-        its replies and, per move, the reply that last refuted it (the
-        canonical first to start with)."""
-        sizes = {"L": self.pair.left.size, "R": self.pair.right.size}
-        orders = {side: (_Rotations(tuple(replies)), [0] * sizes[side])
-                  for side, replies in self._replies.items()}
-        orders["moves"] = _Rotations(tuple(self._moves))
-        return orders
-
     def child(self, position: Position, side: str, element: int, reply: int) -> Position:
         return position.extended(*((element, reply) if side == "L" else (reply, element)))
 
@@ -564,20 +557,15 @@ class GameSolver:
         A move's replies stop at the first one at most ``bound``: the best
         so far, or before the first move the larger of alpha and the leaf,
         below which no child's value lies, so such a move cannot beat it;
-        the moves stop once the best reaches beta.  With ``history`` the
-        moves start at the one that last cut off a scan at these rounds, and
-        a move's replies at the one that last refuted it (see the class
-        docstring), which leaves the value as it is but not the first best
-        move or reply."""
+        the moves stop once the best reaches beta.  The moves go in
+        canonical order; with ``history`` a move's replies start at the one
+        that last refuted it (see the class docstring), which leaves the
+        value as it is but not the first best reply."""
         pairwise = self._pairwise
         if pairwise and self._ply is None:
             self._ply = self._ply_tables()
         if moves is None:
             moves = self._moves
-        if history:
-            if self._orders is None:
-                self._orders = self._history_tables()
-            moves = self._orders["moves"][self._cutoffs.get(rounds, 0)]
         bound = leaf if leaf > alpha else alpha
         best, seen, covered = None, None, ()
         for side, element in moves:
@@ -633,10 +621,6 @@ class GameSolver:
             elif best is None or worst > best[3]:
                 best = (side, element, best_reply, worst)
                 if worst >= beta:
-                    if history:
-                        # the move's index in ``_moves``, the left points first
-                        self._cutoffs[rounds] = (
-                            element if side == "L" else self.pair.left.size + element)
                     break
                 if worst > bound:
                     bound = worst
@@ -688,12 +672,12 @@ class GameSolver:
             return None
         node = self._tables["certificate"].get(("I", key, rounds))
         if node is None:
-            side, element, _, _ = self._scan(key, rounds, self._leaf_at(key))
+            side, element, _, worst = self._scan(key, rounds, self._leaf_at(key))
             continuations = dict.fromkeys(self._replies[side]) if rounds == 1 else {
                 reply: self._i_node(self._child(key, side, element, reply), rounds - 1)
                 for reply in self._replies[side]
             }
-            node = IWitnessNode(side, element, continuations)
+            node = IWitnessNode(side, element, continuations, self._fraction(worst))
             self.memoize("certificate", ("I", key, rounds), node)
         return node
 
@@ -748,12 +732,10 @@ def game_value(
     solver = GameSolver(pair, term_depth, max_positions)
     ii_tree = i_tree = None
     if build_strategies:
-        # the certificates first: the value then reads their table
         ii_tree = solver.ii_strategy_tree(start, rounds)
         i_tree = solver.i_witness_tree(start, rounds)
-    value = solver.value(start, rounds)
     return GameValueResult(
-        value=value,
+        value=solver.value(start, rounds) if i_tree is None else i_tree.value,
         rounds=rounds,
         term_depth=term_depth,
         ii_strategy=ii_tree,

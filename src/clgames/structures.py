@@ -30,7 +30,7 @@ skipped when the spread proves it clean:
   predicate's only where the values lie further apart.
 
 ``formulas.evaluate`` reads the same form, and the game solver brings both
-sides to their common denominator with ``IntegerForm.of``.
+sides to their common denominator with ``IntegerForm.over``.
 
 ``structure_from_json`` decodes each distinct ``[num, den]`` and table key
 once per structure; the memo ends with the call.  ``pair_from_json`` shares
@@ -276,16 +276,15 @@ class IntegerForm:
     predicates: dict
 
     @classmethod
-    def of(cls, structure: MetricStructure, den: int | None = None) -> IntegerForm:
-        """The structure's form over ``den``: by default the lcm of the
-        denominators of its distances and of its signature's predicate tables
-        (a table the structure lacks is left out), else a multiple of it."""
+    def of(cls, structure: MetricStructure) -> IntegerForm:
+        """The structure's form over the lcm of the denominators of its
+        distances and of its signature's predicate tables (a table the
+        structure lacks is left out)."""
         names = {p.name for p in structure.signature.predicates}
         tables = {name: t for name, t in structure.predicate_tables.items() if name in names}
-        if den is None:
-            dens = {v.denominator for row in structure.dist for v in row}
-            dens.update(v.denominator for t in tables.values() for v in t.values())
-            den = lcm(*dens)
+        dens = {v.denominator for row in structure.dist for v in row}
+        dens.update(v.denominator for t in tables.values() for v in t.values())
+        den = lcm(*dens)
 
         def scaled(v) -> int:
             return v.numerator * (den // v.denominator)

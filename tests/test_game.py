@@ -319,7 +319,7 @@ class TestGameValue:
 
     @pytest.mark.parametrize("pair, rounds, after_value, after_certificates", [
         pytest.param(
-            distance_witness_pair(F(1, 2), 16), 2, {"leaf": 1, "value": 50},
+            distance_witness_pair(F(1, 2), 16), 2, {"leaf": 1, "value": 64},
             {"leaf": 35, "value": 290, "certificate": 37}, id="distance-witness-16",
         ),
         pytest.param(
@@ -327,7 +327,7 @@ class TestGameValue:
             {"leaf": 91, "value": 326, "certificate": 113}, id="nested-levels-4",
         ),
         pytest.param(
-            PAIR_55, 6, {"leaf": 1, "value": 19},
+            PAIR_55, 6, {"leaf": 1, "value": 18},
             {"leaf": 17, "value": 36, "certificate": 80}, id="cardinality-witness",
         ),
     ])
@@ -484,12 +484,12 @@ class TestCertificates:
         def i_tree(solver, position, rounds):
             if rounds == 0:
                 return None
-            side, element, _ = solver.best_move(position, rounds)
+            side, element, value = solver.best_move(position, rounds)
             size = solver.pair.right.size if side == "L" else solver.pair.left.size
             return IWitnessNode(side, element, {
                 reply: i_tree(solver, solver.child(position, side, element, reply), rounds - 1)
                 for reply in range(size)
-            })
+            }, value)
 
         rng = random.Random(20)
         cases = [(PAIR_55, START_11, 3), (PAIR_55, Position(), 4)]
@@ -509,6 +509,8 @@ class TestCertificates:
             assert helpers.strategy_dict(result.i_witness) == helpers.strategy_dict(
                 trees.i_witness
             )
+            # each spoiler node holds the value of its best move
+            assert result.i_witness == trees.i_witness
             strategy_to_json(result, shared)
             strategy_to_json(trees, unshared)
             dag, tree = json.loads(shared.read_text()), json.loads(unshared.read_text())
@@ -540,17 +542,17 @@ class TestCertificates:
         self.exhaustive_check(cardinality_witness_pair(F(1, 4)), 3)
 
     def test_certificates_counted_against_the_cap(self, monkeypatch, tmp_path):
-        # from the empty start at 4 rounds the solve holds 17 leaf and 34
+        # from the empty start at 4 rounds the solve holds 17 leaf and 33
         # value entries, and the two certificates 44 nodes (25 of II's, 19
-        # of I's) in the certificate table: 95 entries in all; the
-        # certificates are built first, so the root's value entry, read
-        # last, is the one past a cap of 94
-        result = game_value(PAIR_55, rounds=4, max_positions=95)
+        # of I's) in the certificate table: 94 entries in all; the value is
+        # read off I's root node, built last, which is the one past a cap
+        # of 93
+        result = game_value(PAIR_55, rounds=4, max_positions=94)
         with pytest.raises(ResourceCapError) as err:
-            game_value(PAIR_55, rounds=4, max_positions=94)
-        assert (err.value.cap, err.value.table) == (94, "value")
-        assert err.value.entries == {"leaf": 17, "value": 33, "certificate": 44}
-        assert "value table" in str(err.value)
+            game_value(PAIR_55, rounds=4, max_positions=93)
+        assert (err.value.cap, err.value.table) == (93, "certificate")
+        assert err.value.entries == {"leaf": 17, "value": 33, "certificate": 43}
+        assert "certificate table" in str(err.value)
         # a solve without certificates makes no certificate table
         solver = GameSolver(PAIR_55)
         solver.value(Position(), 4)
@@ -559,8 +561,8 @@ class TestCertificates:
         assert len(solver._tables["certificate"]) == 25
         solver.i_witness_tree(Position(), 4)
         assert len(solver._tables["certificate"]) == 44
-        monkeypatch.setenv("CLGAMES_MAX_POSITIONS", "94")
-        with pytest.raises(ResourceCapError, match="certificate 44"):
+        monkeypatch.setenv("CLGAMES_MAX_POSITIONS", "93")
+        with pytest.raises(ResourceCapError, match="certificate 43"):
             game_value(PAIR_55, rounds=4)
         monkeypatch.delenv("CLGAMES_MAX_POSITIONS")
         # the writer has no cap of its own: the solve's cap bounded the nodes

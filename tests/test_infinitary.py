@@ -187,15 +187,15 @@ class TestDynamicGame:
             helpers.random_structure(rng, sig, n_points=4),
         )
         # the whole solve, its principal variation included, holds 2 leaf
-        # and 43 value entries: the value memoizes the root's leaf and 31
+        # and 40 value entries: the value memoizes the root's leaf and 31
         # values, and the line looks up the leaf of each position it scans
         # from, and adds the values its null-window tests of the spends and
         # its scans of every move, covered points included, reach
-        result = dynamic_game_value(pair, 3, max_positions=45)
+        result = dynamic_game_value(pair, 3, max_positions=42)
         assert result.value == r_alpha(pair, alpha=3)
         with pytest.raises(ResourceCapError) as err:
-            dynamic_game_value(pair, 3, max_positions=44)
-        assert err.value.entries == {"leaf": 1, "value": 43}
+            dynamic_game_value(pair, 3, max_positions=41)
+        assert err.value.entries == {"leaf": 1, "value": 40}
 
     def test_deep_clock_clamps_at_the_uncovered_points(self):
         # the kernel's rounds clamp cuts the clock to the points the start
@@ -229,9 +229,9 @@ class TestDynamicGame:
         # the clock clamps at the uncovered points, so every clock past them
         # fills the same table
         for clock in (20, 40, 60):
-            assert dynamic_game_value(PAIR_55, clock, max_positions=29).value == F(1, 8)
+            assert dynamic_game_value(PAIR_55, clock, max_positions=28).value == F(1, 8)
             with pytest.raises(ResourceCapError):
-                dynamic_game_value(PAIR_55, clock, max_positions=28)
+                dynamic_game_value(PAIR_55, clock, max_positions=27)
 
     def test_negative_term_depth_rejected(self):
         for solve in (
@@ -357,8 +357,8 @@ class TestOmegaGame:
 
     def test_resource_cap(self):
         # charged per memo entry: this 3+3 pair needs exactly 25, as the
-        # searches scan only the moves on uncovered points, in the order
-        # of the solver's history
+        # searches scan only the moves on uncovered points, and the replies
+        # in the order of the solver's history
         rng = random.Random(43)
         sig = helpers.random_signature(rng)
         pair = NamedPair(

@@ -574,19 +574,49 @@ def test_value_from_mostly_covered_starts_matches_the_oracles(data):
         )
 
 
-# A value search orders I's moves and II's replies by the solver's history:
-# a move's replies start at the one that last refuted it, and the moves at
-# the one that last cut a scan off at the same rounds left.  The history
-# carries over from one call to the next; no value may depend on it, and
-# the scans that name a move keep canonical order.
+# A value search orders II's replies by the solver's history: a move's
+# replies start at the one that last refuted it, while I's moves keep
+# canonical order.  The history carries over from one call to the next; no
+# value may depend on it, and the scans that name a move keep canonical
+# order.
 
 
 def history_is_used(solver) -> bool:
-    """Some cutoff or refutation moved a loop's start off canonical order."""
-    if solver._orders is None:
-        return False
-    refuted = [solver._orders[side][1] for side in ("L", "R")]
-    return any(solver._cutoffs.values()) or any(map(any, refuted))
+    """Some refutation moved a reply loop's start off canonical order."""
+    return any(any(solver._orders[side][1]) for side in ("L", "R"))
+
+
+def test_every_scan_tries_the_moves_in_canonical_order():
+    # wrapped like expanded_moves: the moves each scan keys a child of, in
+    # the order it keys them, follow ``_moves`` after a history is set
+    pair = distance_witness_pair(F(1, 2), 6)
+    solver = GameSolver(pair)
+    scans, tried = [], []
+    scan, child = solver._scan, solver._child
+
+    def tracked_scan(key, *args, **kwargs):
+        scans.append([])
+        try:
+            return scan(key, *args, **kwargs)
+        finally:
+            tried.append(scans.pop())
+
+    def tracked_child(key, side, element, reply):
+        if scans and (side, element) not in scans[-1]:
+            scans[-1].append((side, element))
+        return child(key, side, element, reply)
+
+    solver._scan, solver._child = tracked_scan, tracked_child
+    try:
+        for rounds in (2, 3, 4, 3):
+            solver.value(Position(), rounds)
+    finally:
+        del solver._scan, solver._child
+    assert history_is_used(solver)
+    order = {move: i for i, move in enumerate(solver._moves)}
+    assert sum(len(moves) > 1 for moves in tried) > 10
+    for moves in tried:
+        assert [order[move] for move in moves] == sorted(order[move] for move in moves)
 
 
 @settings(max_examples=40, deadline=None)

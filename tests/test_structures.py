@@ -716,16 +716,34 @@ class TestPairDecoding:
 
 @pytest.fixture
 def form_builds(monkeypatch):
-    """Every integer form built, as (structure, den asked for)."""
+    """The structure of every integer form built."""
     built = []
     build = IntegerForm.of.__func__
 
-    def counting(cls, structure, den=None):
-        built.append((structure, den))
-        return build(cls, structure, den)
+    def counting(cls, structure):
+        built.append(structure)
+        return build(cls, structure)
 
     monkeypatch.setattr(IntegerForm, "of", classmethod(counting))
     return built
+
+
+def form_over(structure, den: int) -> IntegerForm:
+    """The structure's distances and signature predicate values over
+    ``den``, each ``Fraction`` times den on its own: the oracle for
+    ``IntegerForm.of`` and ``IntegerForm.over``."""
+    def scaled(v) -> int:
+        v *= den
+        assert v.denominator == 1
+        return v.numerator
+
+    names = {p.name for p in structure.signature.predicates}
+    return IntegerForm(
+        den,
+        tuple(tuple(map(scaled, row)) for row in structure.dist),
+        {name: {args: scaled(v) for args, v in t.items()}
+         for name, t in structure.predicate_tables.items() if name in names},
+    )
 
 
 class TestIntegerForm:
@@ -737,7 +755,7 @@ class TestIntegerForm:
         assert len(sentences) == 40
         for phi in sentences:
             assert evaluate(phi, structure) == helpers.fraction_evaluate(phi, structure)
-        assert len(form_builds) == 1 and form_builds[0][0] is structure
+        assert len(form_builds) == 1 and form_builds[0] is structure
 
     def test_load_pair_then_game_builds_each_side_once(self, form_builds, tmp_path):
         # the sides' own denominators are 8 and 12, built once each by
@@ -754,13 +772,11 @@ class TestIntegerForm:
         loaded = load_pair(path)
         value = game_value(loaded, rounds=2).value
         assert value == helpers.brute_force_game_value(loaded, (), (), 2)
-        assert [(id(s), den) for s, den in form_builds] == [
-            (id(loaded.left), None), (id(loaded.right), None),
-        ]
+        assert list(map(id, form_builds)) == [id(loaded.left), id(loaded.right)]
         assert (loaded.left.integer_form.den, loaded.right.integer_form.den) == (8, 12)
         # the scaled tables are the forms over 24
         solver = GameSolver(loaded)
-        forms = [IntegerForm.of(side, 24) for side in (loaded.left, loaded.right)]
+        forms = [form_over(side, 24) for side in (loaded.left, loaded.right)]
         assert solver._den == 24
         assert solver._dist == [form.dist for form in forms]
         assert solver._preds == [
@@ -775,8 +791,8 @@ class TestIntegerForm:
         rng = random.Random(13)
         structure = helpers.random_structure(rng, helpers.random_signature(rng), 3)
         form = structure.integer_form
-        assert IntegerForm.of(structure, form.den) == form
-        wider = IntegerForm.of(structure, form.den * 3)
+        assert form == form_over(structure, form.den)
+        wider = form.over(form.den * 3)
         assert wider.den == form.den * 3
         assert wider.dist == tuple(tuple(3 * v for v in row) for row in form.dist)
         assert wider.predicates == {
@@ -784,8 +800,8 @@ class TestIntegerForm:
         }
 
     def test_over_a_multiple_equals_the_form_built_over_it(self, form_builds):
-        # over(den) scales the integers; of(structure, den) rebuilds them
-        # from the Fractions: the two agree, and over(den) builds nothing
+        # over(den) scales the integers; the oracle scales the Fractions:
+        # the two agree, and over(den) builds nothing
         rng = random.Random(14)
         sig = helpers.random_signature(rng, max_predicates=3)
         for distances in (helpers.DIST_GRID, helpers.COPRIME_DIST_GRID):
@@ -796,7 +812,7 @@ class TestIntegerForm:
                 form_builds.clear()
                 scaled = form.over(form.den * k)
                 assert form_builds == []
-                assert scaled == IntegerForm.of(structure, form.den * k)
+                assert scaled == form_over(structure, form.den * k)
             assert form.over(form.den) is form
 
     def test_replaced_structure_gets_its_own_form(self, form_builds):
@@ -818,4 +834,4 @@ class TestIntegerForm:
         assert evaluate(phi, structure) == 1
         assert halved.integer_form is not structure.integer_form
         assert (structure.integer_form.den, halved.integer_form.den) == (3, 10)
-        assert [s for s, _ in form_builds] == [structure, halved]
+        assert form_builds == [structure, halved]
