@@ -256,6 +256,8 @@ def _cmd_ralpha(args) -> int:
             raise ValueError("--leaf omega needs --omega <weak-modulus.json>")
         omega = weak_modulus_from_json(json.loads(args.omega.read_text()))
         leaf = infinitary.OmegaLeaf(omega, term_depth=args.term_depth)
+    elif args.omega is not None:
+        raise ValueError("--omega needs --leaf omega")
     else:
         leaf = infinitary.AtomicLeaf(term_depth=args.term_depth)
     if args.alpha.strip().lower() == "omega":

@@ -1045,9 +1045,8 @@ def parse_formula(text: str, sig: Signature) -> Formula:
         tok = parser.peek()
         if tok.kind != "end":
             raise ParseError(f"trailing input {tok.text!r}", tok.pos)
-        check_well_formed(phi, sig)
     except RecursionError:
-        # the parser and the check recurse once per level of nesting
+        # the parser recurses once per level of nesting
         raise FormulaError(
             f"formula nested too deeply for the interpreter's recursion limit "
             f"of {sys.getrecursionlimit()} frames"

@@ -170,19 +170,6 @@ class GameValueResult:
     i_witness: IWitnessNode | None = None
 
 
-class _Rotations(dict):
-    """The rotations of a sequence, by the index they start at, each made
-    when first asked for."""
-
-    def __init__(self, sequence: tuple):
-        super().__init__({0: sequence})
-        self.sequence = sequence
-
-    def __missing__(self, start: int) -> tuple:
-        rotation = self[start] = self.sequence[start:] + self.sequence[:start]
-        return rotation
-
-
 class GameSolver:
     """Backward-induction solver for one structure pair.
 
@@ -195,10 +182,10 @@ class GameSolver:
     denominator; a key's terms are its pairs and the constants, closed
     ``term_depth`` times under the function tables.  An atom mentions at
     most w = max(2, largest predicate arity) * max(1, largest function
-    arity)^term_depth played pairs, so a key of at most w pairs is scored
-    directly, over the same atoms as ``enumerate_atomic``, and a longer key
-    is the max over its w-pair subsets.  Memos hold integers; the public
-    methods return ``Fraction``s.
+    arity)^term_depth played pairs, so ``_score`` scores a key of at most w
+    pairs directly, over the same atoms as ``enumerate_atomic``, and a
+    longer key as the max over its w-pair subsets.  Memos hold integers;
+    the public methods return ``Fraction``s.
 
     The public methods check their inputs in ``_enter``: the rounds must be
     non-negative (at least 1 for ``best_move`` and ``best_reply``) and every
@@ -219,19 +206,19 @@ class GameSolver:
     in canonical order, so the full window, which they use, gives the first
     best move and reply.
 
-    A value search (the scan ``_value`` starts) also tries I's moves in
-    canonical order, but orders II's replies by the solver's history.  Per
-    side, each move keeps the reply that last refuted it, the reply at
-    which its reply loop last stopped at or below the bound, and its
-    replies start there and wrap around.  The orders are rotations of
-    ``_replies``, each made when first asked for, so a move costs two list
-    indexings.  Alpha-beta is exact under any order, so every value is the
-    same; the history carries over from one public call to the next, and
-    no option turns it off.  The certificates turn it off for the searches
-    below them, whose table they need in canonical order (with the history
-    it grows).  ``game_value`` reads the value off the root scan of I's
-    certificate, which is exact, and searches it only without
-    certificates.
+    A value search (the scan ``_value`` starts, the one with
+    ``value_search`` on) also tries I's moves in canonical order, but orders
+    II's replies by the solver's history.  Per side, each move keeps the
+    reply that last refuted it, the reply at which its reply loop last
+    stopped at or below the bound, and its replies start there and wrap
+    around.  The orders are the rotations of ``_replies``, all built with
+    the solver, so a move costs two list indexings.  Alpha-beta is exact
+    under any order, so every value is the same; the history carries over
+    from one public call to the next, and no option turns it off.  The
+    certificates turn it off for the searches below them, whose table they
+    need in canonical order (with the history it grows).  ``game_value``
+    reads the value off the root scan of I's certificate, which is exact,
+    and searches it only without certificates.
 
     Every memo entry, including the certificates' nodes (the ``certificate``
     table, made by the first certificate built), goes through ``memoize``
@@ -310,11 +297,13 @@ class GameSolver:
         self._pairwise = self._set_keys and self._width == 2 and not (self._funcs and depth)
         self._ply: dict | None = None
         # the value searches' reply order (``_scan``): per spoiler side, the
-        # rotations of its replies and, per move, the reply that last
-        # refuted it (the canonical first to start with)
+        # rotations of its n replies, by the reply they start at, and, per
+        # move, the reply that last refuted it (the canonical first to start with)
         self._history = True
-        self._orders = {"L": (_Rotations(tuple(range(n_right))), [0] * n_left),
-                        "R": (_Rotations(tuple(range(n_left))), [0] * n_right)}
+        self._orders = {
+            side: ([(*range(s, n), *range(s)) for s in range(n)], [0] * moves)
+            for side, moves, n in (("L", n_left, n_right), ("R", n_right, n_left))
+        }
 
     def _compile(self):
         """Integer distance and predicate tables of both sides over one
@@ -407,17 +396,17 @@ class GameSolver:
     def _leaf_at(self, key):
         if key in self._leaf:
             return self._leaf[key]
-        if len(key) > self._width:
-            # every atom lies within some width-pair subset of the position
-            best = max(self._leaf_at(sub) for sub in combinations(key, self._width))
-        else:
-            best = self._score(key)
-        return self.memoize("leaf", key, best)
+        return self.memoize("leaf", key, self._score(key))
 
     def _score(self, key) -> int:
         """Largest integer gap over the atoms of a set key: d(t, u) for
         distinct terms and P over all term tuples, the terms being the pairs
-        and the constants closed ``term_depth`` times under the functions."""
+        and the constants closed ``term_depth`` times under the functions.
+        A key of more than w pairs is the max of its w-pair subsets'
+        memoized leaves."""
+        if len(key) > self._width:
+            # every atom lies within some width-pair subset of the position
+            return max(self._leaf_at(sub) for sub in combinations(key, self._width))
         terms = key + self._constants
         for _ in range(self.term_depth if self._funcs else 0):
             new = {
@@ -508,8 +497,7 @@ class GameSolver:
             return lower
         if upper <= alpha:
             return upper
-        g = self._scan(key, rounds, leaf, alpha, beta, uncovered=self._set_keys,
-                       history=self._history)[3]
+        g = self._scan(key, rounds, leaf, alpha, beta, value_search=True)[3]
         if g <= alpha:
             upper = g
         elif g >= beta:
@@ -527,7 +515,7 @@ class GameSolver:
         """I's value-maximizing move as (side, element, value), first in
         canonical order on ties."""
         key = self._enter(position, rounds, least=1)
-        side, element, _, worst = self._scan(key, rounds, self._leaf_at(key))
+        side, element, _, worst = self._scan(key, rounds)
         return side, element, self._fraction(worst)
 
     def best_reply(self, position: Position, side: str, element: int, rounds_left: int):
@@ -539,33 +527,37 @@ class GameSolver:
         name, structure = ("left", self.pair.left) if side == "L" else ("right", self.pair.right)
         if not _is_point(element, structure.size):
             raise ValueError(f"{name} point index {element!r} out of range")
-        _, _, reply, worst = self._scan(
-            key, rounds_left, self._leaf_at(key), moves=((side, element),))
+        _, _, reply, worst = self._scan(key, rounds_left, moves=((side, element),))
         return reply, self._fraction(worst)
 
-    def _scan(self, key, rounds: int, leaf, alpha=_LOW, beta=_HIGH, moves=None, replies=None,
-              uncovered=False, history=False):
+    def _scan(self, key, rounds: int, leaf=None, alpha=_LOW, beta=_HIGH, moves=None,
+              replies=None, value_search=False):
         """I's first best move over ``moves`` (default: all), II's first best
         reply to it and their value at ``rounds`` >= 1 from a key whose leaf
-        is ``leaf``, as (side, element, reply, value), fail-soft in (alpha,
-        beta) like ``_value``.  Given a ``replies`` dict, it maps every move
-        to its first best reply and that reply's value instead, and the
-        result is None.  With ``uncovered`` the moves on points the key
-        covers are skipped, which leaves the value as it is on set keys
-        (see the class docstring) but not the first best move.
+        is ``leaf`` (looked up if not given), as (side, element, reply,
+        value), fail-soft in (alpha, beta) like ``_value``.  Given a
+        ``replies`` dict, it maps every move to its first best reply and
+        that reply's value instead, and the result is None.
 
         A move's replies stop at the first one at most ``bound``: the best
         so far, or before the first move the larger of alpha and the leaf,
         below which no child's value lies, so such a move cannot beat it;
         the moves stop once the best reaches beta.  The moves go in
-        canonical order; with ``history`` a move's replies start at the one
-        that last refuted it (see the class docstring), which leaves the
-        value as it is but not the first best reply."""
+        canonical order, and so do the replies unless ``value_search`` is
+        on.  A value search (``_value``'s) skips the moves on points the key
+        covers on set keys, and, unless the certificates turned the history
+        off, starts a move's replies at the one that last refuted it (see
+        the class docstring).  Both leave the value as it is, but not the
+        first best move and reply."""
         pairwise = self._pairwise
         if pairwise and self._ply is None:
             self._ply = self._ply_tables()
+        if leaf is None:
+            leaf = self._leaf_at(key)
         if moves is None:
             moves = self._moves
+        uncovered = value_search and self._set_keys
+        history = value_search and self._history
         bound = leaf if leaf > alpha else alpha
         best, seen, covered = None, None, ()
         for side, element in moves:
@@ -643,6 +635,8 @@ class GameSolver:
         key = self._enter(position, rounds, clamp=False)
         if "certificate" not in self._tables:
             self.memo_table("certificate")
+        if rounds == 0:
+            return None
         # the searches below keep canonical order: they leave the table a
         # certificate needs, where the history's bounds would leave more
         self._history = False
@@ -651,13 +645,11 @@ class GameSolver:
         finally:
             self._history = True
 
-    def _ii_node(self, key, rounds: int) -> IIStrategyNode | None:
-        if rounds == 0:
-            return None
+    def _ii_node(self, key, rounds: int) -> IIStrategyNode:
         node = self._tables["certificate"].get(("II", key, rounds))
         if node is None:
             replies = {}
-            self._scan(key, rounds, self._leaf_at(key), replies=replies)
+            self._scan(key, rounds, replies=replies)
             # at one round left every continuation is None: no child is keyed
             responses = {
                 (side, element): (reply, self._ii_node(
@@ -667,12 +659,10 @@ class GameSolver:
             node = self.memoize("certificate", ("II", key, rounds), IIStrategyNode(responses))
         return node
 
-    def _i_node(self, key, rounds: int) -> IWitnessNode | None:
-        if rounds == 0:
-            return None
+    def _i_node(self, key, rounds: int) -> IWitnessNode:
         node = self._tables["certificate"].get(("I", key, rounds))
         if node is None:
-            side, element, _, worst = self._scan(key, rounds, self._leaf_at(key))
+            side, element, _, worst = self._scan(key, rounds)
             continuations = dict.fromkeys(self._replies[side]) if rounds == 1 else {
                 reply: self._i_node(self._child(key, side, element, reply), rounds - 1)
                 for reply in self._replies[side]

@@ -165,8 +165,6 @@ class _OmegaLeafSolver(RAlphaSolver):
         # the family's moduli and compiled formulas recurse through its
         # terms, two frames a level of term depth
         self._leaf_frames = 40 + 2 * leaf.term_depth
-        # every key is scored whole: the family has no w-pair subset rule
-        self._width = float("inf")
         # p/s-scaled formulas have N = s * (side's den): the product keeps den // N whole
         self._den *= lcm(*(Fraction(q).denominator for q in leaf.scale_factors))
         self._scorer = cache(lambda k: _gap_scorer(pair, generate_basic_family(
@@ -231,7 +229,7 @@ def dynamic_game_value(
     while left > 0:
         spent = next(
             s for s in range(left) if game._value(key, s + 1, target - 1, target) >= target)
-        side, element, reply, _ = game._scan(key, spent + 1, game._leaf_at(key))
+        side, element, reply, _ = game._scan(key, spent + 1)
         line.append((spent, side, element, reply))
         left, key = spent, game._child(key, side, element, reply)
     return DynamicGameResult(game._fraction(target), clock, tuple(line))

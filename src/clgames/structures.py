@@ -32,10 +32,10 @@ skipped when the spread proves it clean:
 ``formulas.evaluate`` reads the same form, and the game solver brings both
 sides to their common denominator with ``IntegerForm.over``.
 
-``structure_from_json`` decodes each distinct ``[num, den]`` and table key
-once per structure; the memo ends with the call.  ``pair_from_json`` shares
-one memo between the sides, and decodes one ``Signature`` for both when
-their signature JSON is the same.
+``structure_from_json`` decodes each distinct ``[num, den]`` once per
+structure; the memo ends with the call.  Table keys are decoded one by one.
+``pair_from_json`` shares one rational memo between the sides, and decodes
+one ``Signature`` for both when their signature JSON is the same.
 """
 
 from __future__ import annotations
@@ -718,20 +718,19 @@ def structure_to_json(structure: MetricStructure) -> dict:
     }
 
 
-def _tables(decode_value, decode_key):
+def _tables(decode_value):
     """Decoder for {symbol: {"(i,j,...)": value}} tables."""
     return lambda raw: {
-        name: {decode_key(k): decode_value(v) for k, v in table.items()}
+        name: {_key_to_tuple(k): decode_value(v) for k, v in table.items()}
         for name, table in raw.items()
     }
 
 
-def _decoders():
-    """A rational and a table-key decoder that decode each distinct
-    ``[num, den]`` of two ints and each distinct key string once, for one
-    structure or pair.  Anything else goes through ``rat_from_json`` and
-    ``_key_to_tuple`` every time, and fails with their messages."""
-    rats, keys = {}, {}
+def _rational_decoder():
+    """A rational decoder that decodes each distinct ``[num, den]`` of two
+    ints once, for one structure or pair.  Anything else goes through
+    ``rat_from_json`` every time, and fails with its messages."""
+    rats = {}
 
     def rational(raw):
         if type(raw) is list and len(raw) == 2 and type(raw[0]) is int and type(raw[1]) is int:
@@ -742,13 +741,7 @@ def _decoders():
             return value
         return rat_from_json(raw)
 
-    def key(raw):
-        value = keys.get(raw)
-        if value is None:
-            value = keys[raw] = _key_to_tuple(raw)
-        return value
-
-    return rational, key
+    return rational
 
 
 def _same_json(a, b) -> bool:
@@ -781,19 +774,17 @@ def _check_table_size(sym, n: int, table: dict):
 
 
 def structure_from_json(data: dict) -> MetricStructure:
-    return _structure_from_json(data, *_decoders())
+    return _structure_from_json(data, _rational_decoder())
 
 
-def _structure_from_json(data: dict, rational, key, signature=signature_from_json):
-    """Decode a structure with the decoders of ``_decoders`` and the given
+def _structure_from_json(data: dict, rational, signature=signature_from_json):
+    """Decode a structure with a ``_rational_decoder`` and the given
     signature decoder."""
     sig = json_field(data, "signature", signature)
     points = json_field(data, "points", _point_labels)
     dist = json_field(data, "dist", lambda raw: tuple(tuple(map(rational, row)) for row in raw))
-    preds = json_field(data, "predicates", _tables(rational, key), {})
-    funcs = json_field(
-        data, "functions", _tables(lambda v: _json_int(v, "a function image"), key), {}
-    )
+    preds = json_field(data, "predicates", _tables(rational), {})
+    funcs = json_field(data, "functions", _tables(lambda v: _json_int(v, "a function image")), {})
     for sym in sig.predicates:
         _check_table_size(sym, len(points), preds.get(sym.name, {}))
     for sym in sig.functions:
@@ -841,18 +832,18 @@ def pair_to_json(pair: NamedPair) -> dict:
 
 
 def pair_from_json(data: dict) -> NamedPair:
-    """Decode a pair, both sides with one set of ``_decoders``.  The right
+    """Decode a pair, both sides with one ``_rational_decoder``.  The right
     side reuses the left's ``Signature`` when its signature encodes to the
     same JSON (``==`` alone would take an arity of 1.0 or true for 1)."""
-    decoders = _decoders()
-    left = json_field(data, "left", lambda raw: _structure_from_json(raw, *decoders))
+    rational = _rational_decoder()
+    left = json_field(data, "left", lambda raw: _structure_from_json(raw, rational))
 
     def signature(raw):
         if _same_json(data["left"]["signature"], raw):
             return left.signature
         return signature_from_json(raw)
 
-    right = json_field(data, "right", lambda raw: _structure_from_json(raw, *decoders, signature))
+    right = json_field(data, "right", lambda raw: _structure_from_json(raw, rational, signature))
     return NamedPair(left=left, right=right)
 
 

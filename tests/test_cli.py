@@ -464,6 +464,16 @@ class TestRalphaCommand:
         rc = main(["ralpha", "--pair", str(pair_file), "--alpha", "1", "--leaf", "omega"])
         assert rc == 1
 
+    @pytest.mark.parametrize("alpha", ["1", "omega"])
+    def test_omega_file_needs_omega_leaf(self, pair_file, tmp_path, capsys, alpha):
+        # without --leaf omega the file was ignored and the atomic leaf solved
+        rc = main(["ralpha", "--pair", str(pair_file), "--alpha", alpha,
+                   "--omega", str(omega_file(tmp_path))])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --omega needs --leaf omega\n"
+
 
 class TestThetaAndDist:
     def test_theta_report(self, structure_file, capsys):

@@ -118,6 +118,26 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_formula("d(x0, zz)", SIG)
 
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("P(f(x0, x1))", "function 'f' expects 1 arguments, got 2", 2),
+            ("P(g(x0))", "unknown function 'g'", 2),
+            ("d(f(zz), x0)", "unknown symbol 'zz'", 4),
+        ],
+        ids=["function-arity", "unknown-function", "unknown-constant-in-function"],
+    )
+    def test_function_term_errors_have_positions(self, text, message, position):
+        sig = Signature(
+            predicates=SIG.predicates,
+            functions=(FunctionSymbol("f", 1, identity_modulus()),),
+            constants=SIG.constants,
+        )
+        with pytest.raises(ParseError) as err:
+            parse_formula(text, sig)
+        assert err.value.position == position
+        assert str(err.value) == f"{message} (at position {position})"
+
     def test_neg_sugar_requires_one(self):
         with pytest.raises(ParseError):
             parse_formula("2 - P(x0)", SIG)

@@ -617,6 +617,26 @@ class TestJsonIO:
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {raw!r}"):
             structure_from_json(data)
 
+    @pytest.mark.parametrize("raw", ["0,1", "(a)"])
+    @pytest.mark.parametrize("kind", ["structure", "pair"])
+    def test_malformed_table_key_is_one_value_error(self, tmp_path, raw, kind):
+        # every table key goes through _key_to_tuple, on each side of a pair
+        structure = structure_to_json(two_point(identity_modulus()))
+        structure["predicates"]["P"][raw] = structure["predicates"]["P"].pop("(0)")
+        if kind == "structure":
+            data, load = structure, load_structure
+        else:
+            good = structure_to_json(two_point(identity_modulus()))
+            data, load = {"left": good, "right": structure}, load_pair
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="field 'predicates': ") as err:
+            load(path)
+        assert type(err.value) is ValueError
+        assert len(str(err.value).splitlines()) == 1
+        if kind == "pair":
+            assert str(err.value).startswith("field 'right': field 'predicates': ")
+
     @pytest.mark.parametrize("arity", [18, 65])
     def test_table_out_of_reach_is_a_value_error(self, arity):
         # 2^18 entries, all but one missing, or an arity above 64: refused
