@@ -15,10 +15,15 @@ structurally equal.  Every computed modulus (``concave_envelope``,
 ``compose``, ``modulus_max``, ``cap_at_one``) gets that form from one upper
 hull, ``_hull``.  Where the algebra fixes the answer, no hull is built:
 ``compose`` returns the other side of an identity and zero beside a zero
-modulus, and ``modulus_max`` returns its argument when all of its
-arguments are equal.  These shortcuts are exact because every
-``PwlModulus`` is canonical and the canonical form is unique, so the hull
-would rebuild that very modulus.
+modulus; ``modulus_max`` returns the shared zero modulus for no argument
+and its argument when all of its arguments are equal; and ``compose``
+with an outer modulus q*t or min(q*t, c), as every connective's and
+atom's is, returns min(q*inner, c) in closed form.  These are exact
+because every ``PwlModulus`` is canonical and the canonical form is
+unique, so the hull would rebuild that very modulus.  The closed form is
+canonical as built: scaling by q > 0 keeps the slopes strictly
+decreasing, and the cap keeps a prefix of the segments with final slope 0
+below the last, positive, one.
 
 ``KaryModulus`` aggregates per-coordinate unary moduli with max or sum;
 ``WeakModulus`` extends that to infinitely many coordinates via a finite
@@ -169,11 +174,27 @@ def compose(outer: PwlModulus, inner: PwlModulus) -> PwlModulus:
     modulus on either side returns zero, without a hull: every input is
     canonical and the canonical form is unique, so the hull would rebuild
     exactly that modulus.
+
+    An outer modulus q*t or min(q*t, c) (one breakpoint, or two with final
+    slope 0) gives min(q*inner, c) in closed form, also without a hull and
+    without evaluating either modulus: inner's breakpoint outputs and final
+    slope are scaled by q, and the result is cut at the first point where
+    it reaches c, with final slope 0 from there.  This is canonical, so it
+    is what the hull would rebuild: scaling by q > 0 keeps the slopes
+    strictly decreasing, the cut keeps a prefix of the segments (the last
+    one shortened, at its own slope), and final slope 0 lies below the
+    last, positive, segment slope.
     """
     if inner == _IDENTITY or outer == _ZERO_MODULUS:
         return outer
     if outer == _IDENTITY or inner == _ZERO_MODULUS:
         return inner
+    obps = outer.breakpoints
+    if len(obps) == 1:
+        return _scaled(inner, outer.final_slope, None)
+    if len(obps) == 2 and outer.final_slope == 0:
+        u, c = obps[1]
+        return _scaled(inner, c / u, c)
     # candidate kinks: inner's own breakpoints plus the points where inner
     # crosses one of outer's breakpoint inputs
     xs = {x for x, _ in inner.breakpoints}
@@ -190,6 +211,29 @@ def compose(outer: PwlModulus, inner: PwlModulus) -> PwlModulus:
     else:
         final = outer.final_slope * inner.final_slope
     return _hull(pts, final)
+
+
+def _scaled(delta: PwlModulus, q: Fraction, cap: Fraction | None) -> PwlModulus:
+    """min(q * delta, cap) for q > 0 and a nonzero canonical delta, whose
+    segment slopes are all positive; no cap when ``cap`` is None."""
+    bps = [(_ZERO, _ZERO)]
+    for x, y in delta.breakpoints[1:]:
+        y = q * y
+        if cap is not None and y >= cap:
+            if y > cap:
+                # the cap is met inside the segment from the last kept point
+                x0, y0 = bps[-1]
+                x = x0 + (cap - y0) * (x - x0) / (y - y0)
+            bps.append((x, cap))
+            return PwlModulus(tuple(bps), _ZERO)
+        bps.append((x, y))
+    slope = q * delta.final_slope
+    if cap is not None and slope:
+        # the cap is met on the final ray
+        xk, yk = bps[-1]
+        bps.append((xk + (cap - yk) / slope, cap))
+        slope = _ZERO
+    return PwlModulus(tuple(bps), slope)
 
 
 def _preimage(delta: PwlModulus, target: Fraction) -> Fraction | None:
@@ -235,11 +279,13 @@ def concave_envelope(samples: Sequence[tuple], tail_slope) -> PwlModulus:
 
 def modulus_max(*moduli: PwlModulus) -> PwlModulus:
     """Least concave PWL majorant of the pointwise max of the moduli: the
-    zero modulus for none, and the first modulus, returned as it is, when
-    every argument equals it (the hull of one canonical modulus is that
-    modulus).  Otherwise it is the one hull, ``_hull``, of their
+    shared zero modulus for none, and the first modulus, returned as it is,
+    when every argument equals it (the hull of one canonical modulus is
+    that modulus).  Otherwise it is the one hull, ``_hull``, of their
     breakpoints under the steepest final slope."""
-    if moduli and all(m == moduli[0] for m in moduli[1:]):
+    if not moduli:
+        return _ZERO_MODULUS
+    if all(m == moduli[0] for m in moduli[1:]):
         return moduli[0]
     points = {_ZERO: _ZERO}
     for m in moduli:

@@ -344,13 +344,21 @@ def _candidates(values: list[int], least: int):
 
 def _present(report: ValidationReport, name: str, n: int, arity: int, table: dict) -> list:
     """The tuples over n points that the symbol's table lists, in product
-    order; each one it lacks is reported."""
+    order; each one it lacks is reported, and so is each entry that is not
+    such a tuple.  Those are looked for only when the table holds more
+    entries than the tuples found."""
     present = []
     for args in _tuples(n, arity):
         if args in table:
             present.append(args)
         else:
             report.add("incomplete-table", (name, args), "missing entry")
+    if len(table) > len(present):
+        for args in table:
+            if len(args) != arity or not all(_is_point(a, n) for a in args):
+                report.add(
+                    "stray-entry", (name, args), f"not a {arity}-tuple over the {n} points"
+                )
     return present
 
 
@@ -645,12 +653,17 @@ def find_isomorphism(left: MetricStructure, right: MetricStructure):
 
 # --- JSON (de)serialization -------------------------------------------------
 
-def _key_to_tuple(key: str) -> tuple[int, ...]:
+def _key_to_tuple(name: str, key: str) -> tuple[int, ...]:
+    """The tuple of integers that the key "(i,j,...)" in the table of the
+    symbol ``name`` lists; any other key is refused in one line that names
+    the symbol and the key."""
     body = key.strip()
-    if not (body.startswith("(") and body.endswith(")")):
-        raise ValueError(f"table key must look like '(i,j,...)', got {key!r}")
-    parts = [p.strip() for p in body[1:-1].split(",")]
-    return tuple(int(p) for p in parts if p)
+    if body.startswith("(") and body.endswith(")"):
+        try:
+            return tuple(int(p) for p in body[1:-1].split(",") if p.strip())
+        except ValueError:
+            pass
+    raise ValueError(f"symbol {name!r}: table key {key!r} must look like '(i,j,...)' over integers")
 
 
 def _tuple_to_key(args: tuple[int, ...]) -> str:
@@ -721,7 +734,7 @@ def structure_to_json(structure: MetricStructure) -> dict:
 def _tables(decode_value):
     """Decoder for {symbol: {"(i,j,...)": value}} tables."""
     return lambda raw: {
-        name: {_key_to_tuple(k): decode_value(v) for k, v in table.items()}
+        name: {_key_to_tuple(name, k): decode_value(v) for k, v in table.items()}
         for name, table in raw.items()
     }
 

@@ -740,6 +740,11 @@ def fraction_validate(
         for args in _tuples(n, sym.arity):
             if args not in table:
                 report.add("incomplete-table", (sym.name, args), "missing entry")
+        for args in table:
+            if len(args) != sym.arity or not all(type(a) is int and 0 <= a < n for a in args):
+                report.add(
+                    "stray-entry", (sym.name, args), f"not a {sym.arity}-tuple over the {n} points"
+                )
         for args, value in table.items():
             if not (0 <= value <= 1):
                 report.add(
@@ -771,6 +776,11 @@ def fraction_validate(
         for args in _tuples(n, sym.arity):
             if args not in table:
                 report.add("incomplete-table", (sym.name, args), "missing entry")
+        for args in table:
+            if len(args) != sym.arity or not all(type(a) is int and 0 <= a < n for a in args):
+                report.add(
+                    "stray-entry", (sym.name, args), f"not a {sym.arity}-tuple over the {n} points"
+                )
         for args, value in table.items():
             if not (type(value) is int and 0 <= value < n):
                 report.add("function-range", (sym.name, args), f"image {value!r} not a point")

@@ -26,6 +26,8 @@ from clgames.moduli import (
     zero_modulus,
 )
 
+from clgames import moduli as moduli_module
+
 import helpers
 
 F = Fraction
@@ -203,9 +205,13 @@ class TestModulusMax:
         assert m.final_slope == max(a.final_slope, b.final_slope)
 
 
-# the moduli the shortcuts of compose and modulus_max act on, drawn often
+# the moduli the shortcuts of compose and modulus_max act on, drawn often:
+# the identity and zero, and the (capped) linear outer moduli of compose's
+# closed form, with caps below, at and above 1
 special_moduli = st.sampled_from([identity_modulus(), zero_modulus()])
-mixed_moduli = st.one_of(special_moduli, moduli())
+grid = st.sampled_from([F(1, 4), F(1, 2), F(1), F(3, 2), F(2), F(3)])
+linear_moduli = st.one_of(st.builds(linear_modulus, grid), st.builds(capped_linear, grid, grid))
+mixed_moduli = st.one_of(special_moduli, linear_moduli, moduli())
 
 
 @st.composite
@@ -216,8 +222,9 @@ def argument_lists(draw):
 
 
 class TestShortcutsAgainstTheHull:
-    """``compose`` and ``modulus_max`` return a known modulus where the
-    algebra fixes the answer; ``helpers.hull_compose`` and
+    """``compose`` and ``modulus_max`` return a known modulus, or build
+    compose's closed form, where the algebra fixes the answer;
+    ``helpers.hull_compose`` and
     ``helpers.hull_modulus_max`` always build the hull.  The canonical form
     is unique, so the two must agree structurally."""
 
@@ -239,6 +246,31 @@ class TestShortcutsAgainstTheHull:
         for ms in [(), (cap2,), (cap2, cap2, cap2), (one, one), (zero, zero), (one, zero),
                    (cap2, one, cap2), (one, cap2, cap2)]:
             assert modulus_max(*ms) == helpers.hull_modulus_max(*ms)
+        assert modulus_max() is moduli_module._ZERO_MODULUS
+
+    @pytest.mark.parametrize(
+        "inner, tail, expected",
+        [
+            # 2 * 1/2 reaches the cap 1 at the inner breakpoint 1
+            ([(0, 0), (1, F(1, 2)), (2, F(3, 4))], 0, [(0, 0), (1, 1)]),
+            # 3/4 at 1 and 5/4 at 3: the cap is met at 2, inside the segment
+            ([(0, 0), (1, F(3, 8)), (3, F(5, 8))], 0, [(0, 0), (1, F(3, 4)), (2, 1)]),
+            # 1/2 at 1, then slope 2 * 1/8: the cap is met at 3, on the final ray
+            ([(0, 0), (1, F(1, 4))], F(1, 8), [(0, 0), (1, F(1, 2)), (3, 1)]),
+            # 1/2 at 1 and flat from there: the cap is never met
+            ([(0, 0), (1, F(1, 4))], 0, [(0, 0), (1, F(1, 2))]),
+        ],
+        ids=["at-a-breakpoint", "inside-a-segment", "on-the-final-ray", "never"],
+    )
+    def test_closed_form_meets_the_cap(self, inner, tail, expected):
+        inner, outer = concave_envelope(inner, tail), capped_linear(2)
+        composed = compose(outer, inner)
+        assert composed == PwlModulus(tuple(expected), F(0)) == helpers.hull_compose(outer, inner)
+        # uncapped, inner's outputs and final slope double
+        doubled = compose(linear_modulus(2), inner)
+        assert doubled == helpers.hull_compose(linear_modulus(2), inner)
+        assert doubled.breakpoints == tuple((x, 2 * y) for x, y in inner.breakpoints)
+        assert doubled.final_slope == 2 * tail
 
 
 class TestModulusLeq:

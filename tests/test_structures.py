@@ -273,6 +273,37 @@ class TestFunctionImageNotAPoint:
             load_structure(path)
 
 
+class TestStrayEntries:
+    """A table entry whose key is not a tuple of the symbol's arity over the
+    points is reported, with the symbol and the key as its witness."""
+
+    @pytest.mark.parametrize("key, args", [("(5)", (5,)), ("(-1)", (-1,)), ("(0,1)", (0, 1))])
+    def test_predicate_entry(self, tmp_path, key, args):
+        data = structure_to_json(two_point(identity_modulus()))
+        data["predicates"]["P"][key] = [1, 2]
+        self.check(tmp_path, data, ("P", args))
+
+    @pytest.mark.parametrize("key, args", [("(7)", (7,)), ("(-1)", (-1,)), ("(0,1)", (0, 1))])
+    def test_function_entry(self, tmp_path, key, args):
+        # f(a) = f(b) = a, within any modulus
+        sig = Signature(functions=(FunctionSymbol("f", 1, identity_modulus()),))
+        dist = ((F(0), F(1)), (F(1), F(0)))
+        structure = MetricStructure(sig, ("a", "b"), dist, function_tables={"f": {(0,): 0, (1,): 0}})
+        data = structure_to_json(structure)
+        data["functions"]["f"][key] = 0
+        self.check(tmp_path, data, ("f", args))
+
+    def check(self, tmp_path, data, witness):
+        structure = structure_from_json(data)
+        report = validate(structure)
+        assert [(v.kind, v.witness) for v in report.violations] == [("stray-entry", witness)]
+        assert report.violations == helpers.fraction_validate(structure).violations
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(StructureValidationError, match="stray-entry"):
+            load_structure(path)
+
+
 @st.composite
 def bool_point_structures(draw):
     """Valid random structures with a unary function and a constant, with
@@ -634,6 +665,8 @@ class TestJsonIO:
             load(path)
         assert type(err.value) is ValueError
         assert len(str(err.value).splitlines()) == 1
+        # the message names the symbol and the key
+        assert "'P'" in str(err.value) and repr(raw) in str(err.value)
         if kind == "pair":
             assert str(err.value).startswith("field 'right': field 'predicates': ")
 

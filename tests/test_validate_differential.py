@@ -131,6 +131,14 @@ def _break_incomplete_table(parts, rng):
         del table[rng.choice(sorted(table))]
 
 
+def _break_stray_entry(parts, rng):
+    if found := _table(parts, rng.choice(("predicates", "functions")), rng, 0):
+        sym, table = found
+        n = len(parts["dist"])
+        args = rng.choice(((n,) * sym.arity, (-1,) * sym.arity, (0,) * (sym.arity + 1)))
+        table[args] = F(1, 2) if isinstance(sym, PredicateSymbol) else 0
+
+
 def _break_predicate_bound(parts, rng):
     if found := _table(parts, "predicates", rng):
         table = found[1]
@@ -191,6 +199,7 @@ BREAKS = {
     "triangle": _break_triangle,
     "missing-table": _break_missing_table,
     "incomplete-table": _break_incomplete_table,
+    "stray-entry": _break_stray_entry,
     "predicate-bound": _break_predicate_bound,
     "predicate-modulus": _break_predicate_modulus,
     "function-range": _break_function_range,
