@@ -25,6 +25,17 @@ canonical as built: scaling by q > 0 keeps the slopes strictly
 decreasing, and the cap keeps a prefix of the segments with final slope 0
 below the last, positive, one.
 
+``compose``, ``modulus_max``, ``modulus_leq``, ``cap_at_one`` and
+``capped_linear`` answer from one module-level memo, keyed by the
+operation and its arguments: the moduli, or ``capped_linear``'s slope and
+cap as Fractions.  A ``PwlModulus`` computes its hash once, when it is
+built, and keeps it, so a key hashes without any ``Fraction`` arithmetic.
+The memo holds at most ``_MEMO_LIMIT`` entries and is cleared when full.
+It is exact for the reason above: a ``PwlModulus`` is immutable and
+canonical, so equal arguments are equal moduli with one result.  A miss,
+such as every operation of a single ``clgames theta``, still takes the
+shortcuts and the closed form before any hull.
+
 ``KaryModulus`` aggregates per-coordinate unary moduli with max or sum;
 ``WeakModulus`` extends that to infinitely many coordinates via a finite
 prefix plus a tail rule, and is only ever evaluated through its finite
@@ -94,6 +105,11 @@ class PwlModulus:
                 raise ValueError("segment slopes must strictly decrease (canonical concavity)")
         if slopes and self.final_slope >= slopes[-1]:
             raise ValueError("final slope must be strictly below the last segment slope")
+        # hashed once: the calculus memo hashes its arguments on every call
+        object.__setattr__(self, "_hash", hash((bps, self.final_slope)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __call__(self, t) -> Fraction:
         return self.evaluate(t)
@@ -137,6 +153,20 @@ def _hull(points: dict, tail_slope: Fraction) -> PwlModulus:
     return PwlModulus(tuple(hull[: heights.index(max(heights)) + 1]), tail_slope)
 
 
+# The calculus memo: (operation, *arguments) -> result, for ``compose``,
+# ``modulus_max``, ``modulus_leq``, ``cap_at_one`` and ``capped_linear``.
+# Exact, as every PwlModulus is immutable and canonical; cleared when full.
+_MEMO: dict = {}
+_MEMO_LIMIT = 1 << 14
+
+
+def _remember(key: tuple, result):
+    if len(_MEMO) >= _MEMO_LIMIT:
+        _MEMO.clear()
+    _MEMO[key] = result
+    return result
+
+
 def zero_modulus() -> PwlModulus:
     return PwlModulus(((_ZERO, _ZERO),), _ZERO)
 
@@ -160,6 +190,12 @@ def linear_modulus(slope) -> PwlModulus:
 def capped_linear(slope, cap=_ONE) -> PwlModulus:
     """min(slope * t, cap): the workhorse modulus of the [0,1] setting."""
     slope, cap = rat(slope), rat(cap)
+    key = "capped_linear", slope, cap
+    result = _MEMO.get(key)
+    return _remember(key, _capped_linear(slope, cap)) if result is None else result
+
+
+def _capped_linear(slope: Fraction, cap: Fraction) -> PwlModulus:
     if slope < 0 or cap < 0:
         raise ValueError("slope and cap must be non-negative")
     if slope == 0 or cap == 0:
@@ -185,6 +221,12 @@ def compose(outer: PwlModulus, inner: PwlModulus) -> PwlModulus:
     one shortened, at its own slope), and final slope 0 lies below the
     last, positive, segment slope.
     """
+    key = "compose", outer, inner
+    result = _MEMO.get(key)
+    return _remember(key, _compose(outer, inner)) if result is None else result
+
+
+def _compose(outer: PwlModulus, inner: PwlModulus) -> PwlModulus:
     if inner == _IDENTITY or outer == _ZERO_MODULUS:
         return outer
     if outer == _IDENTITY or inner == _ZERO_MODULUS:
@@ -283,6 +325,12 @@ def modulus_max(*moduli: PwlModulus) -> PwlModulus:
     when every argument equals it (the hull of one canonical modulus is
     that modulus).  Otherwise it is the one hull, ``_hull``, of their
     breakpoints under the steepest final slope."""
+    key = "modulus_max", *moduli
+    result = _MEMO.get(key)
+    return _remember(key, _modulus_max(moduli)) if result is None else result
+
+
+def _modulus_max(moduli: tuple) -> PwlModulus:
     if not moduli:
         return _ZERO_MODULUS
     if all(m == moduli[0] for m in moduli[1:]):
@@ -296,6 +344,12 @@ def modulus_max(*moduli: PwlModulus) -> PwlModulus:
 
 def modulus_leq(a: PwlModulus, b: PwlModulus) -> bool:
     """Exact pointwise a <= b on [0, inf)."""
+    key = "modulus_leq", a, b
+    result = _MEMO.get(key)
+    return _remember(key, _modulus_leq(a, b)) if result is None else result
+
+
+def _modulus_leq(a: PwlModulus, b: PwlModulus) -> bool:
     if a.final_slope > b.final_slope:
         return False
     xs = {x for x, _ in a.breakpoints} | {x for x, _ in b.breakpoints}
@@ -304,6 +358,12 @@ def modulus_leq(a: PwlModulus, b: PwlModulus) -> bool:
 
 def cap_at_one(delta: PwlModulus) -> PwlModulus:
     """Pointwise min(delta, 1); stays concave PWL."""
+    key = "cap_at_one", delta
+    result = _MEMO.get(key)
+    return _remember(key, _cap_at_one(delta)) if result is None else result
+
+
+def _cap_at_one(delta: PwlModulus) -> PwlModulus:
     if delta.final_slope == 0 and delta.breakpoints[-1][1] <= 1:
         return delta
     kept = {x: y for x, y in delta.breakpoints if y < 1}

@@ -732,11 +732,24 @@ def structure_to_json(structure: MetricStructure) -> dict:
 
 
 def _tables(decode_value):
-    """Decoder for {symbol: {"(i,j,...)": value}} tables."""
-    return lambda raw: {
-        name: {_key_to_tuple(name, k): decode_value(v) for k, v in table.items()}
-        for name, table in raw.items()
-    }
+    """Decoder for {symbol: {"(i,j,...)": value}} tables; two keys that list
+    the same tuple, such as "(0)" and "(00)", are refused in one line."""
+
+    def table(name, raw):
+        decoded = {_key_to_tuple(name, k): decode_value(v) for k, v in raw.items()}
+        if len(decoded) < len(raw):
+            first = {}
+            for k in raw:
+                args = _key_to_tuple(name, k)
+                earlier = first.setdefault(args, k)
+                if earlier != k:
+                    raise ValueError(
+                        f"symbol {name!r}: table keys {earlier!r} and {k!r} "
+                        f"both list {_tuple_to_key(args)}"
+                    )
+        return decoded
+
+    return lambda raw: {name: table(name, t) for name, t in raw.items()}
 
 
 def _rational_decoder():

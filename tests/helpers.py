@@ -42,7 +42,6 @@ from clgames.moduli import (
     PwlModulus,
     _hull,
     _preimage,
-    cap_at_one,
     capped_linear,
     identity_modulus,
     zero_modulus,
@@ -253,6 +252,16 @@ def hull_modulus_max(*moduli: PwlModulus) -> PwlModulus:
     return _hull(points, max((m.final_slope for m in moduli), default=F(0)))
 
 
+def hull_cap_at_one(delta: PwlModulus) -> PwlModulus:
+    """``moduli.cap_at_one`` without its shortcut: the hull of min(delta, 1)
+    at delta's breakpoints and at the least t with delta(t) = 1, if any."""
+    points = {x: min(y, F(1)) for x, y in delta.breakpoints}
+    crossing = _preimage(delta, F(1))
+    if crossing is not None:
+        points[crossing] = F(1)
+    return _hull(points, F(0))
+
+
 def _hull_term_modulus(t: Term, sig: Signature) -> PwlModulus:
     if isinstance(t, Var):
         return identity_modulus()
@@ -275,13 +284,14 @@ def _hull_conn_modulus(conn) -> PwlModulus:
 
 
 def hull_modulus_of(phi, sig: Signature) -> PwlModulus:
-    """``formulas.modulus_of`` over ``hull_compose`` and ``hull_modulus_max``."""
+    """``formulas.modulus_of`` over ``hull_compose``, ``hull_modulus_max``
+    and ``hull_cap_at_one``."""
     if isinstance(phi, (Dist, Pred)):
         if isinstance(phi, Dist):
             atom, terms = capped_linear(2), (phi.left, phi.right)
         else:
             atom, terms = sig.predicate(phi.name).modulus, phi.args
-        return cap_at_one(
+        return hull_cap_at_one(
             hull_modulus_max(*(hull_compose(atom, _hull_term_modulus(t, sig)) for t in terms))
         )
     if isinstance(phi, Conn):

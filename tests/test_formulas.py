@@ -40,6 +40,7 @@ from clgames.formulas import (
     sample_formulas,
     theta_of,
 )
+from clgames import moduli
 from clgames.moduli import capped_linear, identity_modulus
 from clgames.structures import (
     FunctionSymbol,
@@ -254,26 +255,50 @@ class TestModulusCalculus:
         # modulus_of and theta_of skip the hull for identity and zero
         # compositions and for equal maxima; the recursion in helpers
         # builds every hull, and the canonical form is unique
-        sig = {
-            "benchmark": Signature(predicates=(
-                PredicateSymbol("P", 1, capped_linear(2)), PredicateSymbol("R", 2, capped_linear(2)),
-            )),
-            "SIG": SIG,
-            "functions": Signature(
-                predicates=(PredicateSymbol("P", 1, capped_linear(F(3, 2))),),
-                functions=(
-                    FunctionSymbol("f", 1, capped_linear(F(1, 2), F(1, 3))),
-                    FunctionSymbol("g", 2, identity_modulus()),
-                ),
-                constants=("c",),
-            ),
-        }[which]
-        formulas = sample_formulas(sig, 3, 40, 0) + [
-            phi for q in (2, 3, 4) for phi in sample_formulas(sig, q, 20, q, free_vars_count=1)
-        ]
+        sig, formulas = hull_recursion_cases(which)
         for phi in formulas:
             assert modulus_of(phi, sig) == helpers.hull_modulus_of(phi, sig)
             assert theta_of(phi, sig) == helpers.hull_theta_of(phi, sig)
+
+    @pytest.mark.parametrize("memo", ["cleared", "full"])
+    @pytest.mark.parametrize("which", ["benchmark", "SIG", "functions"])
+    def test_memo_matches_the_hull_recursion(self, which, memo, monkeypatch):
+        # each sentence from a cleared memo, or from one that holds every
+        # answer and is at its bound
+        sig, formulas = hull_recursion_cases(which)
+        if memo == "full":
+            for phi in formulas:
+                modulus_of(phi, sig), theta_of(phi, sig)
+            monkeypatch.setattr(moduli, "_MEMO_LIMIT", len(moduli._MEMO))
+        for phi in formulas:
+            if memo == "cleared":
+                moduli._MEMO.clear()
+            assert modulus_of(phi, sig) == helpers.hull_modulus_of(phi, sig)
+            assert theta_of(phi, sig) == helpers.hull_theta_of(phi, sig)
+        if memo == "full":
+            assert len(moduli._MEMO) == moduli._MEMO_LIMIT
+
+
+def hull_recursion_cases(which: str):
+    """A signature and its sampled formulas, for the hull recursion tests."""
+    sig = {
+        "benchmark": Signature(predicates=(
+            PredicateSymbol("P", 1, capped_linear(2)), PredicateSymbol("R", 2, capped_linear(2)),
+        )),
+        "SIG": SIG,
+        "functions": Signature(
+            predicates=(PredicateSymbol("P", 1, capped_linear(F(3, 2))),),
+            functions=(
+                FunctionSymbol("f", 1, capped_linear(F(1, 2), F(1, 3))),
+                FunctionSymbol("g", 2, identity_modulus()),
+            ),
+            constants=("c",),
+        ),
+    }[which]
+    formulas = sample_formulas(sig, 3, 40, 0) + [
+        phi for q in (2, 3, 4) for phi in sample_formulas(sig, q, 20, q, free_vars_count=1)
+    ]
+    return sig, formulas
 
 
 class TestDeltaFormulas:

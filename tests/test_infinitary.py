@@ -1,6 +1,7 @@
 """Rank recursion, dynamic-clock games, the infinite-game fixpoint, and the
 coordinate-indexed leaf families."""
 
+import hashlib
 import inspect
 import random
 import sys
@@ -15,6 +16,7 @@ from clgames.formulas import (
     Pred,
     Scale,
     Var,
+    format_formula,
     modulus_of,
 )
 from clgames.game import Position, ResourceCapError, game_value
@@ -46,6 +48,8 @@ from clgames.structures import (
     validate,
 )
 from clgames.witnesses import cardinality_witness_pair, discrete_structure
+
+from clgames import infinitary, moduli
 
 import helpers
 
@@ -452,6 +456,41 @@ class TestBasicOmegaCertificates:
 
 
 class TestOmegaLeaf:
+    @pytest.mark.parametrize(
+        "arity, count, sha256",
+        [
+            (2, 14, "f39dc906a3a6acbcefec567139dffb16691052eeedd1c0156435a6b33f2c2d6e"),
+            (3, 41, "a7a5e9e9aeb27462e5c1d776f2a6b320f6eaeac05ed6a0486f9ef619662163d3"),
+        ],
+    )
+    def test_family_from_the_memo_matches_a_cold_check_per_candidate(
+        self, arity, count, sha256, monkeypatch
+    ):
+        # P unary, Q binary and f unary at min(2t, 1), term depth 1, under
+        # the weak modulus w: x0 at the identity, later variables at 2t
+        mod = capped_linear(2)
+        sig = Signature(
+            predicates=(PredicateSymbol("P", 1, mod), PredicateSymbol("Q", 2, mod)),
+            functions=(FunctionSymbol("f", 1, mod),),
+        )
+        w = WeakModulus(
+            coords=(identity_modulus(),), tail=linear_modulus(2), aggregator=Aggregator.MAX
+        )
+        build = lambda: generate_basic_family(
+            sig, arity, w, term_depth=1, scale_factors=(F(2), F(1, 2))
+        )
+        family = build()
+        assert build() == family
+        text = "\n".join(map(format_formula, family))
+        assert (len(family), hashlib.sha256(text.encode()).hexdigest()) == (count, sha256)
+
+        def cold_check(phi, sig, omega):
+            moduli._MEMO.clear()
+            return check_basic_omega(phi, sig, omega)
+
+        monkeypatch.setattr(infinitary, "check_basic_omega", cold_check)
+        assert build() == family
+
     def test_family_contains_certified_formulas_only(self):
         sig = Signature(predicates=(PredicateSymbol("P", 1, identity_modulus()),))
         family = generate_basic_family(sig, 2, OMEGA_MAX_ID, scale_factors=(F(2),))

@@ -1,5 +1,7 @@
 """Moduli kernel: evaluation, composition, envelopes, comparisons, weak moduli."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -271,6 +273,121 @@ class TestShortcutsAgainstTheHull:
         assert doubled == helpers.hull_compose(linear_modulus(2), inner)
         assert doubled.breakpoints == tuple((x, 2 * y) for x, y in inner.breakpoints)
         assert doubled.final_slope == 2 * tail
+
+
+def fresh(m: PwlModulus) -> PwlModulus:
+    """An equal modulus built anew, sharing no object with ``m``."""
+    return modulus_from_json(modulus_to_json(m))
+
+
+def pointwise_leq(a: PwlModulus, b: PwlModulus) -> bool:
+    """a <= b at every breakpoint of either, one past the last, and on the
+    final rays: both are linear between and beyond those points."""
+    probes = {x for x, _ in a.breakpoints} | {x for x, _ in b.breakpoints}
+    probes.add(max(probes) + 1)
+    return a.final_slope <= b.final_slope and all(a(t) <= b(t) for t in probes)
+
+
+MEMO_STATES = ["fresh copies", "cleared", "small bound"]
+
+
+def twice(state: str, op, *args):
+    """``op(*args)``, then again on fresh copies of the arguments, after
+    clearing the memo, or with the memo bounded at 2 entries."""
+    with pytest.MonkeyPatch.context() as patch:
+        if state == "small bound":
+            patch.setattr(moduli_module, "_MEMO_LIMIT", 2)
+            moduli_module._MEMO.clear()
+        first = op(*args)
+        if state == "cleared":
+            moduli_module._MEMO.clear()
+        second = op(*map(fresh, args)) if state == "fresh copies" else op(*args)
+        assert len(moduli_module._MEMO) <= moduli_module._MEMO_LIMIT
+    return first, second
+
+
+class TestMemo:
+    """Every operation answers from the memo as the hull would."""
+
+    @pytest.mark.parametrize("state", MEMO_STATES)
+    @settings(max_examples=60)
+    @given(mixed_moduli, mixed_moduli)
+    def test_compose(self, state, outer, inner):
+        expected = helpers.hull_compose(outer, inner)
+        assert twice(state, compose, outer, inner) == (expected, expected)
+
+    @pytest.mark.parametrize("state", MEMO_STATES)
+    @settings(max_examples=60)
+    @given(argument_lists())
+    def test_modulus_max(self, state, ms):
+        expected = helpers.hull_modulus_max(*ms)
+        assert twice(state, modulus_max, *ms) == (expected, expected)
+
+    @pytest.mark.parametrize("state", MEMO_STATES)
+    @settings(max_examples=60)
+    @given(mixed_moduli)
+    def test_cap_at_one(self, state, m):
+        expected = helpers.hull_cap_at_one(m)
+        assert twice(state, cap_at_one, m) == (expected, expected)
+
+    @pytest.mark.parametrize("state", MEMO_STATES)
+    @settings(max_examples=60)
+    @given(mixed_moduli, mixed_moduli)
+    def test_modulus_leq(self, state, a, b):
+        for x, y in ((a, b), (b, a), (a, a)):
+            expected = pointwise_leq(x, y)
+            assert twice(state, modulus_leq, x, y) == (expected, expected)
+
+    @pytest.mark.parametrize("state", ["cleared", "small bound"])
+    def test_capped_linear(self, state):
+        for slope, cap, expected in [
+            (2, 1, [(0, 0), (F(1, 2), 1)]),
+            (F(1, 2), F(1, 3), [(0, 0), (F(2, 3), F(1, 3))]),
+            ("3/2", 1, [(0, 0), (F(2, 3), 1)]),
+            (0, 1, []),
+            (1, 0, []),
+        ]:
+            expected = PwlModulus(tuple(expected) or ((F(0), F(0)),), F(0))
+            assert twice(state, capped_linear, slope, cap) == (expected, expected)
+
+    def test_capped_linear_keys_by_value(self):
+        # an int, a string and a Fraction of equal value give one modulus;
+        # what rat refuses is refused on every call, after an equal hit too
+        assert capped_linear(2) == capped_linear("2") == capped_linear(F(2))
+        for bad in (2.0, True):
+            for _ in range(2):
+                with pytest.raises(TypeError):
+                    capped_linear(bad)
+
+    def test_full_memo_is_cleared(self, monkeypatch):
+        inner = capped_linear(2)
+        monkeypatch.setattr(moduli_module, "_MEMO_LIMIT", 3)
+        moduli_module._MEMO.clear()
+        for q in range(1, 5):
+            compose(linear_modulus(q), inner)
+        # the fourth entry found three, and started again from none
+        assert len(moduli_module._MEMO) == 1
+
+
+class TestHash:
+    @settings(max_examples=60)
+    @given(moduli())
+    def test_equal_moduli_hash_equal(self, m):
+        for other in (fresh(m), concave_envelope(m.breakpoints, m.final_slope)):
+            assert other == m and hash(other) == hash(m)
+        assert hash(m) == hash((m.breakpoints, m.final_slope))
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_round_trips_keep_equality_and_hash(self, round_trip):
+        for m in (identity_modulus(), zero_modulus(), capped_linear(F(3, 2)),
+                  concave_envelope([(0, 0), (1, F(1, 2)), (3, 1)], F(1, 8))):
+            copied = round_trip(m)
+            assert copied == m and hash(copied) == hash(m)
+            assert compose(copied, identity_modulus()) == m
 
 
 class TestModulusLeq:

@@ -670,6 +670,41 @@ class TestJsonIO:
         if kind == "pair":
             assert str(err.value).startswith("field 'right': field 'predicates': ")
 
+    @pytest.mark.parametrize("twin", ["(00)", "( 0 )"])
+    @pytest.mark.parametrize("table, symbol", [("predicates", "P"), ("functions", "f")])
+    @pytest.mark.parametrize("kind", ["structure", "pair"])
+    def test_keys_listing_one_tuple_are_refused(self, tmp_path, twin, table, symbol, kind):
+        # "(0)" and its twin both decode to (0,): the later one replaced the
+        # earlier, and the file loaded and validated
+        sig = Signature(
+            predicates=(PredicateSymbol("P", 1, identity_modulus()),),
+            functions=(FunctionSymbol("f", 1, capped_linear(2)),),
+        )
+        s = MetricStructure(
+            signature=sig,
+            points=("a", "b"),
+            dist=((F(0), F(1)), (F(1), F(0))),
+            predicate_tables={"P": {(0,): F(0), (1,): F(1)}},
+            function_tables={"f": {(0,): 1, (1,): 0}},
+        )
+        structure = structure_to_json(s)
+        structure[table][symbol][twin] = structure[table][symbol]["(1)"]
+        if kind == "structure":
+            data, load = structure, load_structure
+        else:
+            data, load = {"left": structure_to_json(s), "right": structure}, load_pair
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError) as err:
+            load(path)
+        message = str(err.value)
+        assert type(err.value) is ValueError and len(message.splitlines()) == 1
+        assert message.endswith(
+            f"field {table!r}: symbol {symbol!r}: table keys '(0)' and {twin!r} both list (0)"
+        )
+        if kind == "pair":
+            assert message.startswith(f"field 'right': field {table!r}: ")
+
     @pytest.mark.parametrize("arity", [18, 65])
     def test_table_out_of_reach_is_a_value_error(self, arity):
         # 2^18 entries, all but one missing, or an arity above 64: refused
