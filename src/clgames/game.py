@@ -100,8 +100,9 @@ def default_position_cap() -> int:
 
 class ResourceCapError(RuntimeError):
     """A solve that would outgrow the position cap.  ``table`` names the memo
-    table whose new entry reached the cap; ``entries`` maps each memo table
-    to the entries it held."""
+    table whose new entry reached the cap, or ``family`` for an omega-leaf
+    family with more candidates than the cap; ``entries`` maps each memo
+    table to the entries it held."""
 
     def __init__(self, cap: int, table: str, entries: dict):
         held = ", ".join(f"{name} {count}" for name, count in entries.items())

@@ -52,7 +52,7 @@ from .formulas import (
     is_atomic,
     modulus_of,
 )
-from .game import GameSolver, Position, _gap_scorer
+from .game import GameSolver, Position, ResourceCapError, _gap_scorer
 from .moduli import WeakModulus, linear_modulus, modulus_leq
 from .structures import MetricStructure, NamedPair, PredicateSymbol, Signature
 
@@ -122,6 +122,22 @@ def generate_basic_family(
     return [phi for phi in candidates if check_basic_omega(phi, sig, omega)]
 
 
+def _family_size(sig: Signature, arity: int, term_depth: int, scales: int, limit: int) -> int:
+    """The number of candidates ``generate_basic_family`` checks, counted
+    without building any, or some number above ``limit`` when the count is.
+
+    Terms follow T_d = arity + constants + the sum over functions f of
+    T_{d-1}^arity(f); n = C(T, 2) + the sum over predicates P of
+    T^arity(P) atoms give n(1 + scales) + n(n-1)/2 + n(n-1) candidates.  T
+    is held at limit + 2, which keeps every count past it above ``limit``
+    (C(limit + 2, 2) > limit) and the integers small at any term depth."""
+    terms = base = arity + len(sig.constants)
+    for _ in range(term_depth if sig.functions else 0):
+        terms = min(base + sum(terms ** f.arity for f in sig.functions), limit + 2)
+    atoms = terms * (terms - 1) // 2 + sum(terms ** p.arity for p in sig.predicates)
+    return atoms * (1 + scales) + 3 * atoms * (atoms - 1) // 2
+
+
 class RAlphaSolver(GameSolver):
     """Memoized rank recursion over one structure pair: the finite game's
     minimax with the leaf scored over the chosen family.
@@ -167,8 +183,17 @@ class _OmegaLeafSolver(RAlphaSolver):
         self._leaf_frames = 40 + 2 * leaf.term_depth
         # p/s-scaled formulas have N = s * (side's den): the product keeps den // N whole
         self._den *= lcm(*(Fraction(q).denominator for q in leaf.scale_factors))
-        self._scorer = cache(lambda k: _gap_scorer(pair, generate_basic_family(
-            pair.signature, k, leaf.omega, leaf.term_depth, leaf.scale_factors), k, self._den))
+
+        def family(k):
+            # counted first: a family over the cap is refused before it is built
+            if _family_size(pair.signature, k, leaf.term_depth, len(leaf.scale_factors),
+                            self.cap) > self.cap:
+                held = {name: len(memo) for name, memo in self._tables.items()}
+                raise ResourceCapError(self.cap, "family", held)
+            return generate_basic_family(
+                pair.signature, k, leaf.omega, leaf.term_depth, leaf.scale_factors)
+
+        self._scorer = cache(lambda k: _gap_scorer(pair, family(k), k, self._den))
 
     def _score(self, key):
         return self._scorer(len(key))(tuple(a for a, _ in key), tuple(b for _, b in key))

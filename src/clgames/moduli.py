@@ -13,28 +13,25 @@ Canonical form: segment slopes strictly decrease and the final slope is
 strictly below the last segment slope, so pointwise-equal moduli are
 structurally equal.  Every computed modulus (``concave_envelope``,
 ``compose``, ``modulus_max``, ``cap_at_one``) gets that form from one upper
-hull, ``_hull``.  Where the algebra fixes the answer, no hull is built:
-``compose`` returns the other side of an identity and zero beside a zero
-modulus; ``modulus_max`` returns the shared zero modulus for no argument
-and its argument when all of its arguments are equal; and ``compose``
-with an outer modulus q*t or min(q*t, c), as every connective's and
-atom's is, returns min(q*inner, c) in closed form.  These are exact
-because every ``PwlModulus`` is canonical and the canonical form is
-unique, so the hull would rebuild that very modulus.  The closed form is
-canonical as built: scaling by q > 0 keeps the slopes strictly
-decreasing, and the cap keeps a prefix of the segments with final slope 0
-below the last, positive, one.
+hull, ``_hull``.
 
 ``compose``, ``modulus_max``, ``modulus_leq``, ``cap_at_one`` and
-``capped_linear`` answer from one module-level memo, keyed by the
+``capped_linear`` answer first from one module-level memo, keyed by the
 operation and its arguments: the moduli, or ``capped_linear``'s slope and
 cap as Fractions.  A ``PwlModulus`` computes its hash once, when it is
 built, and keeps it, so a key hashes without any ``Fraction`` arithmetic.
 The memo holds at most ``_MEMO_LIMIT`` entries and is cleared when full.
-It is exact for the reason above: a ``PwlModulus`` is immutable and
-canonical, so equal arguments are equal moduli with one result.  A miss,
-such as every operation of a single ``clgames theta``, still takes the
-shortcuts and the closed form before any hull.
+It is exact: a ``PwlModulus`` is immutable and canonical, so equal
+arguments are equal moduli with one result.
+
+On a miss, such as every operation of a single ``clgames theta``, an
+operation whose answer is one of its arguments returns that very object,
+so a later memo key holding it matches by identity, not by ``==`` on
+tuples of Fractions: ``compose`` returns the other side of an identity
+and zero beside a zero modulus, ``modulus_max`` the first of equal
+arguments, and ``cap_at_one`` a modulus already at most 1.  Otherwise the
+hull builds the answer.  The shortcuts are exact because the canonical
+form is unique, so the hull would rebuild that very modulus.
 
 ``KaryModulus`` aggregates per-coordinate unary moduli with max or sum;
 ``WeakModulus`` extends that to infinitely many coordinates via a finite
@@ -206,20 +203,12 @@ def _capped_linear(slope: Fraction, cap: Fraction) -> PwlModulus:
 def compose(outer: PwlModulus, inner: PwlModulus) -> PwlModulus:
     """Exact composition outer(inner(t)); concave PWL is closed under it.
 
-    The identity on either side returns the other side, and the zero
-    modulus on either side returns zero, without a hull: every input is
-    canonical and the canonical form is unique, so the hull would rebuild
-    exactly that modulus.
-
-    An outer modulus q*t or min(q*t, c) (one breakpoint, or two with final
-    slope 0) gives min(q*inner, c) in closed form, also without a hull and
-    without evaluating either modulus: inner's breakpoint outputs and final
-    slope are scaled by q, and the result is cut at the first point where
-    it reaches c, with final slope 0 from there.  This is canonical, so it
-    is what the hull would rebuild: scaling by q > 0 keeps the slopes
-    strictly decreasing, the cut keeps a prefix of the segments (the last
-    one shortened, at its own slope), and final slope 0 lies below the
-    last, positive, segment slope.
+    The memo answers first.  On a miss, the identity on either side returns
+    the other side, and the zero modulus on either side returns zero, as
+    the argument object itself, so later memo keys match it by identity;
+    every input is canonical, so the hull would rebuild exactly that
+    modulus.  Otherwise the answer is the hull of outer(inner(x)) over
+    inner's breakpoints and the points where inner reaches one of outer's.
     """
     key = "compose", outer, inner
     result = _MEMO.get(key)
@@ -231,12 +220,6 @@ def _compose(outer: PwlModulus, inner: PwlModulus) -> PwlModulus:
         return outer
     if outer == _IDENTITY or inner == _ZERO_MODULUS:
         return inner
-    obps = outer.breakpoints
-    if len(obps) == 1:
-        return _scaled(inner, outer.final_slope, None)
-    if len(obps) == 2 and outer.final_slope == 0:
-        u, c = obps[1]
-        return _scaled(inner, c / u, c)
     # candidate kinks: inner's own breakpoints plus the points where inner
     # crosses one of outer's breakpoint inputs
     xs = {x for x, _ in inner.breakpoints}
@@ -253,29 +236,6 @@ def _compose(outer: PwlModulus, inner: PwlModulus) -> PwlModulus:
     else:
         final = outer.final_slope * inner.final_slope
     return _hull(pts, final)
-
-
-def _scaled(delta: PwlModulus, q: Fraction, cap: Fraction | None) -> PwlModulus:
-    """min(q * delta, cap) for q > 0 and a nonzero canonical delta, whose
-    segment slopes are all positive; no cap when ``cap`` is None."""
-    bps = [(_ZERO, _ZERO)]
-    for x, y in delta.breakpoints[1:]:
-        y = q * y
-        if cap is not None and y >= cap:
-            if y > cap:
-                # the cap is met inside the segment from the last kept point
-                x0, y0 = bps[-1]
-                x = x0 + (cap - y0) * (x - x0) / (y - y0)
-            bps.append((x, cap))
-            return PwlModulus(tuple(bps), _ZERO)
-        bps.append((x, y))
-    slope = q * delta.final_slope
-    if cap is not None and slope:
-        # the cap is met on the final ray
-        xk, yk = bps[-1]
-        bps.append((xk + (cap - yk) / slope, cap))
-        slope = _ZERO
-    return PwlModulus(tuple(bps), slope)
 
 
 def _preimage(delta: PwlModulus, target: Fraction) -> Fraction | None:

@@ -139,6 +139,19 @@ def random_pair(
     )
 
 
+def binary_function_pair() -> NamedPair:
+    """Two points a side and one binary function g at min(2t, 1), which any
+    point map respects at distances >= 1/2: its omega-leaf family at arity
+    2 and term depth 2 has 38 terms, 703 atoms and 742,368 candidates."""
+    sig = Signature(functions=(FunctionSymbol("g", 2, capped_linear(2)),))
+
+    def side(d, g):
+        return MetricStructure(sig, ("a", "b"), ((F(0), d), (d, F(0))), function_tables={
+            "g": {(i, j): g(i, j) for i in range(2) for j in range(2)}})
+
+    return NamedPair(side(F(1, 2), lambda i, j: (i + j) % 2), side(F(1), lambda i, j: i))
+
+
 def redrawn_copy(structure: MetricStructure, rng: random.Random, entries: int) -> MetricStructure:
     """The structure with ``entries`` predicate-table entries redrawn: paired
     with the original it is nearly isomorphic, so a few atoms decide the

@@ -475,6 +475,25 @@ class TestRalphaCommand:
         assert err == "error: --omega needs --leaf omega\n"
 
 
+    def test_family_over_the_cap_refused_in_one_line(self, tmp_path, capsys):
+        # the family at arity 2 and term depth 2 has 742,368 candidates:
+        # building them ran past 40 s before they were counted first
+        path, omega = tmp_path / "g.json", tmp_path / "w4.json"
+        save_pair(helpers.binary_function_pair(), path)
+        w = WeakModulus(coords=(), tail=linear_modulus(4), aggregator=Aggregator.MAX)
+        omega.write_text(json.dumps(weak_modulus_to_json(w)))
+        start = time.perf_counter()
+        rc = main(["ralpha", "--pair", str(path), "--alpha", "2", "--leaf", "omega",
+                   "--omega", str(omega), "--term-depth", "2", "--max-positions", "1000"])
+        assert time.perf_counter() - start < 5
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("error: position table would exceed the cap of 1000 entries; "
+                              "reached by the family table")
+
+
 class TestThetaAndDist:
     def test_theta_report(self, structure_file, capsys):
         rc = main(["theta", "--structure", str(structure_file), "--formula", "1 - d(x0, x1)"])

@@ -645,6 +645,48 @@ class TestOmegaLeaf:
                 r_alpha(pair, alpha=alpha, leaf=leaf, max_positions=cap - 1)
             assert err.value.table == "value" and err.value.entries == held
 
+    @pytest.mark.parametrize("term_depth", [2, 3])
+    def test_family_over_the_cap_is_refused_before_it_is_built(self, monkeypatch, term_depth):
+        # arity 2 has 742,368 candidates at term depth 2 and about 1.6e12 at
+        # term depth 3; building them ran past 40 s, or out of memory
+        built = []
+
+        def family(sig, arity, *args):
+            built.append(arity)
+            return generate_basic_family(sig, arity, *args)
+
+        monkeypatch.setattr(infinitary, "generate_basic_family", family)
+        pair = helpers.binary_function_pair()
+        omega = WeakModulus(coords=(), tail=linear_modulus(4), aggregator=Aggregator.MAX)
+        leaf = OmegaLeaf(omega, term_depth)
+        with pytest.raises(ResourceCapError) as err:
+            r_alpha(pair, alpha=2, leaf=leaf, max_positions=1000)
+        assert err.value.table == "family" and err.value.cap == 1000
+        assert max(built, default=-1) < 2
+
+    @pytest.mark.parametrize("options", [{}, {"with_constant": True, "with_function": True},
+                                         {"with_ternary": True}])
+    def test_family_size_counts_the_candidates(self, options):
+        # a weak modulus at 10^6 t certifies every candidate, so the family
+        # is all of them; under a limit one below the count, the count held
+        # at the limit still passes it
+        generous = WeakModulus(coords=(), tail=linear_modulus(10**6), aggregator=Aggregator.MAX)
+        rng = random.Random(49)
+        for _ in range(3):
+            sig = helpers.random_signature(rng, **options)
+            for arity in range(3):
+                for term_depth in range(3):
+                    scales = (F(2), F(1, 2))[: rng.randint(0, 2)]
+                    n = len(generate_basic_family(sig, arity, generous, term_depth, scales))
+                    size = infinitary._family_size(sig, arity, term_depth, len(scales), 10**9)
+                    assert size == n
+                    assert infinitary._family_size(sig, arity, term_depth, len(scales), n - 1) >= n
+        # 38 terms and 703 atoms; the terms are held past the limit, so a
+        # deep count stays small and fast
+        sig = helpers.binary_function_pair().signature
+        assert infinitary._family_size(sig, 2, 2, 2, 10**9) == 742_368
+        assert 1000 < infinitary._family_size(sig, 2, 400, 2, 1000) < 10**12
+
     def test_rank_recursion_with_omega_leaf(self):
         generous = WeakModulus(coords=(), tail=linear_modulus(2), aggregator=Aggregator.MAX)
         value = r_alpha(PAIR_55, START_11, alpha=1, leaf=OmegaLeaf(generous))

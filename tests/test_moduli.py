@@ -207,9 +207,9 @@ class TestModulusMax:
         assert m.final_slope == max(a.final_slope, b.final_slope)
 
 
-# the moduli the shortcuts of compose and modulus_max act on, drawn often:
-# the identity and zero, and the (capped) linear outer moduli of compose's
-# closed form, with caps below, at and above 1
+# drawn often: the identity and zero, which the shortcuts of compose and
+# modulus_max act on, and the (capped) linear moduli of every connective
+# and atom, with caps below, at and above 1
 special_moduli = st.sampled_from([identity_modulus(), zero_modulus()])
 grid = st.sampled_from([F(1, 4), F(1, 2), F(1), F(3, 2), F(2), F(3)])
 linear_moduli = st.one_of(st.builds(linear_modulus, grid), st.builds(capped_linear, grid, grid))
@@ -224,9 +224,8 @@ def argument_lists(draw):
 
 
 class TestShortcutsAgainstTheHull:
-    """``compose`` and ``modulus_max`` return a known modulus, or build
-    compose's closed form, where the algebra fixes the answer;
-    ``helpers.hull_compose`` and
+    """``compose`` and ``modulus_max`` return a known modulus where the
+    algebra fixes the answer; ``helpers.hull_compose`` and
     ``helpers.hull_modulus_max`` always build the hull.  The canonical form
     is unique, so the two must agree structurally."""
 
@@ -250,6 +249,18 @@ class TestShortcutsAgainstTheHull:
             assert modulus_max(*ms) == helpers.hull_modulus_max(*ms)
         assert modulus_max() is moduli_module._ZERO_MODULUS
 
+    def test_shortcuts_return_their_argument(self):
+        # the argument object itself, not an equal copy: a later memo key
+        # holding the result then matches by identity, without == on tuples
+        # of Fractions
+        moduli_module._MEMO.clear()
+        m, zero = concave_envelope([(0, 0), (1, F(1, 2)), (3, 1)], F(1, 8)), zero_modulus()
+        assert compose(identity_modulus(), m) is m
+        assert compose(m, identity_modulus()) is m
+        assert compose(zero, m) is zero and compose(m, zero) is zero
+        assert modulus_max(m, m) is m
+        assert cap_at_one(capped_linear(2)) is capped_linear(2)
+
     @pytest.mark.parametrize(
         "inner, tail, expected",
         [
@@ -265,6 +276,8 @@ class TestShortcutsAgainstTheHull:
         ids=["at-a-breakpoint", "inside-a-segment", "on-the-final-ray", "never"],
     )
     def test_closed_form_meets_the_cap(self, inner, tail, expected):
+        # compose builds min(2 * inner, 1) through the hull; the expected
+        # breakpoints are its closed form, cut where 2 * inner reaches 1
         inner, outer = concave_envelope(inner, tail), capped_linear(2)
         composed = compose(outer, inner)
         assert composed == PwlModulus(tuple(expected), F(0)) == helpers.hull_compose(outer, inner)
