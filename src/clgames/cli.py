@@ -408,6 +408,13 @@ def _demo_covering(lines, checks):
     return cases
 
 
+def _save_demo_pair(args, pair, name: str):
+    """Write the pair to ``name`` under ``--out``, if given."""
+    if args.out:
+        args.out.mkdir(parents=True, exist_ok=True)
+        save_pair(pair, args.out / name)
+
+
 def _demo_distance_witness(args, lines, checks):
     delta = rat(args.delta)
     cases = []
@@ -425,9 +432,7 @@ def _demo_distance_witness(args, lines, checks):
         )
         cases.append({"m": m, "value": rat_to_json(value), "bound": rat_to_json(bound), "ok": ok})
         previous = value
-        if args.out:
-            args.out.mkdir(parents=True, exist_ok=True)
-            save_pair(pair, args.out / f"distance_witness_m{m}.json")
+        _save_demo_pair(args, pair, f"distance_witness_m{m}.json")
     return cases
 
 
@@ -459,9 +464,7 @@ def _demo_cardinality_witness(args, lines, checks):
     lines.append("strategy replies: " + ", ".join(
         f"{side}{elt}->{reply}" for (side, elt), reply in sorted(replies.items())
     ))
-    if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
-        save_pair(pair, args.out / "cardinality_witness.json")
+    _save_demo_pair(args, pair, "cardinality_witness.json")
     return cases
 
 
@@ -484,18 +487,14 @@ def _demo_nested_levels(args, lines, checks):
         )
         cases.append({"m": m, "value": rat_to_json(value), "bound": rat_to_json(bound), "ok": ok})
         previous = value
-        if args.out:
-            args.out.mkdir(parents=True, exist_ok=True)
-            save_pair(pair, args.out / f"nested_levels_m{m}.json")
+        _save_demo_pair(args, pair, f"nested_levels_m{m}.json")
     requested = infinitary.build_nested_levels_pair(args.m, args.level_size)
     value = game_value(requested, rounds=1, build_strategies=False).value
     lines.append(
         f"requested m={args.m}, level_size={args.level_size}: 1-round value {format_rat(value)}"
     )
     cases.append({"m": args.m, "level_size": args.level_size, "value": rat_to_json(value)})
-    if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
-        save_pair(requested, args.out / f"nested_levels_m{args.m}.json")
+    _save_demo_pair(args, requested, f"nested_levels_m{args.m}.json")
     return cases
 
 

@@ -55,6 +55,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product, repeat
 from math import lcm
 from operator import sub
@@ -101,14 +102,14 @@ def default_position_cap() -> int:
 class ResourceCapError(RuntimeError):
     """A solve that would outgrow the position cap.  ``table`` names the memo
     table whose new entry reached the cap, or ``family`` for an omega-leaf
-    family with more candidates than the cap; ``entries`` maps each memo
-    table to the entries it held."""
+    family with more candidates than the cap, which ``detail`` then counts;
+    ``entries`` maps each memo table to the entries it held."""
 
-    def __init__(self, cap: int, table: str, entries: dict):
+    def __init__(self, cap: int, table: str, entries: dict, detail: str = ""):
         held = ", ".join(f"{name} {count}" for name, count in entries.items())
         super().__init__(
             f"position table would exceed the cap of {cap} entries; "
-            f"reached by the {table} table (entries held: {held}); "
+            f"reached by the {table} table{detail} (entries held: {held}); "
             f"raise --max-positions (or {_ENV_CAP}) or shrink the instance"
         )
         self.cap = cap
@@ -296,7 +297,6 @@ class GameSolver:
         self._values = self.memo_table("value")
         self._compile()
         self._pairwise = self._set_keys and self._width == 2 and not (self._funcs and depth)
-        self._ply: dict | None = None
         # the value searches' reply order (``_scan``): per spoiler side, the
         # rotations of its n replies, by the reply they start at, and, per
         # move, the reply that last refuted it (the canonical first to start with)
@@ -383,11 +383,15 @@ class GameSolver:
         """Store ``key -> value`` in the named memo table, charging the entry
         to the cap."""
         if self._entries >= self.cap:
-            entries = {name: len(memo) for name, memo in self._tables.items()}
-            raise ResourceCapError(self.cap, table, entries)
+            raise self._cap_error(table)
         self._entries += 1
         self._tables[table][key] = value
         return value
+
+    def _cap_error(self, table: str, detail: str = "") -> ResourceCapError:
+        """The refusal of ``table``, with the entries each memo table holds."""
+        held = {name: len(memo) for name, memo in self._tables.items()}
+        return ResourceCapError(self.cap, table, held, detail)
 
     def leaf(self, position: Position) -> Fraction:
         """Largest atomic value gap at the position: the least eps making it
@@ -472,6 +476,8 @@ class GameSolver:
                 mats_r += [(rows_r, cols_l), (cols_r, rows_l)]
         return {"L": (single, mats_l), "R": ([list(c) for c in zip(*single)], mats_r)}
 
+    _ply = cached_property(_ply_tables)
+
     def child(self, position: Position, side: str, element: int, reply: int) -> Position:
         return position.extended(*((element, reply) if side == "L" else (reply, element)))
 
@@ -551,8 +557,6 @@ class GameSolver:
         the class docstring).  Both leave the value as it is, but not the
         first best move and reply."""
         pairwise = self._pairwise
-        if pairwise and self._ply is None:
-            self._ply = self._ply_tables()
         if leaf is None:
             leaf = self._leaf_at(key)
         if moves is None:

@@ -52,7 +52,7 @@ from .formulas import (
     is_atomic,
     modulus_of,
 )
-from .game import GameSolver, Position, ResourceCapError, _gap_scorer
+from .game import GameSolver, Position, _gap_scorer
 from .moduli import WeakModulus, linear_modulus, modulus_leq
 from .structures import MetricStructure, NamedPair, PredicateSymbol, Signature
 
@@ -66,7 +66,6 @@ __all__ = [
     "omega_game_value_atomic",
     "check_basic_omega",
     "generate_basic_family",
-    "build_section6_counterexample",
     "build_nested_levels_pair",
 ]
 
@@ -185,11 +184,12 @@ class _OmegaLeafSolver(RAlphaSolver):
         self._den *= lcm(*(Fraction(q).denominator for q in leaf.scale_factors))
 
         def family(k):
-            # counted first: a family over the cap is refused before it is built
-            if _family_size(pair.signature, k, leaf.term_depth, len(leaf.scale_factors),
-                            self.cap) > self.cap:
-                held = {name: len(memo) for name, memo in self._tables.items()}
-                raise ResourceCapError(self.cap, "family", held)
+            # counted first: a family over the cap is refused before it is
+            # built, with its count, a lower bound once the terms are held
+            size = _family_size(pair.signature, k, leaf.term_depth, len(leaf.scale_factors),
+                                self.cap)
+            if size > self.cap:
+                raise self._cap_error("family", f" at arity {k}, at least {size:,} candidates")
             return generate_basic_family(
                 pair.signature, k, leaf.omega, leaf.term_depth, leaf.scale_factors)
 
@@ -347,7 +347,3 @@ def build_nested_levels_pair(m: int, level_size: int) -> NamedPair:
         signature=sig, points=tuple(labels), dist=dist, predicate_tables=tables(m - 2)
     )
     return NamedPair(left, right)
-
-
-# alias under the demo's published name
-build_section6_counterexample = build_nested_levels_pair

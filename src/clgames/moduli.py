@@ -16,17 +16,18 @@ structurally equal.  Every computed modulus (``concave_envelope``,
 hull, ``_hull``.
 
 ``compose``, ``modulus_max``, ``modulus_leq``, ``cap_at_one`` and
-``capped_linear`` answer first from one module-level memo, keyed by the
-operation and its arguments: the moduli, or ``capped_linear``'s slope and
-cap as Fractions.  A ``PwlModulus`` computes its hash once, when it is
+``capped_linear`` are ``functools.lru_cache`` functions (``capped_linear``
+through ``_capped_linear``, after ``rat``), keyed by their arguments: the
+moduli, or ``capped_linear``'s slope and cap as Fractions.  Each cache keeps
+the ``_CACHE_SIZE`` most recently used answers, and ``cache_info()`` counts
+its hits and misses.  A ``PwlModulus`` computes its hash once, when it is
 built, and keeps it, so a key hashes without any ``Fraction`` arithmetic.
-The memo holds at most ``_MEMO_LIMIT`` entries and is cleared when full.
-It is exact: a ``PwlModulus`` is immutable and canonical, so equal
+The caches are exact: a ``PwlModulus`` is immutable and canonical, so equal
 arguments are equal moduli with one result.
 
 On a miss, such as every operation of a single ``clgames theta``, an
 operation whose answer is one of its arguments returns that very object,
-so a later memo key holding it matches by identity, not by ``==`` on
+so a later cache key holding it matches by identity, not by ``==`` on
 tuples of Fractions: ``compose`` returns the other side of an identity
 and zero beside a zero modulus, ``modulus_max`` the first of equal
 arguments, and ``cap_at_one`` a modulus already at most 1.  Otherwise the
@@ -44,6 +45,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .rationals import format_rat, json_field, rat, rat_from_json, rat_to_json
@@ -71,6 +73,9 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# the answers each calculus cache keeps
+_CACHE_SIZE = 1 << 14
 
 
 class Aggregator(str, enum.Enum):
@@ -102,7 +107,7 @@ class PwlModulus:
                 raise ValueError("segment slopes must strictly decrease (canonical concavity)")
         if slopes and self.final_slope >= slopes[-1]:
             raise ValueError("final slope must be strictly below the last segment slope")
-        # hashed once: the calculus memo hashes its arguments on every call
+        # hashed once: the calculus caches hash their arguments on every call
         object.__setattr__(self, "_hash", hash((bps, self.final_slope)))
 
     def __hash__(self) -> int:
@@ -150,20 +155,6 @@ def _hull(points: dict, tail_slope: Fraction) -> PwlModulus:
     return PwlModulus(tuple(hull[: heights.index(max(heights)) + 1]), tail_slope)
 
 
-# The calculus memo: (operation, *arguments) -> result, for ``compose``,
-# ``modulus_max``, ``modulus_leq``, ``cap_at_one`` and ``capped_linear``.
-# Exact, as every PwlModulus is immutable and canonical; cleared when full.
-_MEMO: dict = {}
-_MEMO_LIMIT = 1 << 14
-
-
-def _remember(key: tuple, result):
-    if len(_MEMO) >= _MEMO_LIMIT:
-        _MEMO.clear()
-    _MEMO[key] = result
-    return result
-
-
 def zero_modulus() -> PwlModulus:
     return PwlModulus(((_ZERO, _ZERO),), _ZERO)
 
@@ -186,12 +177,10 @@ def linear_modulus(slope) -> PwlModulus:
 
 def capped_linear(slope, cap=_ONE) -> PwlModulus:
     """min(slope * t, cap): the workhorse modulus of the [0,1] setting."""
-    slope, cap = rat(slope), rat(cap)
-    key = "capped_linear", slope, cap
-    result = _MEMO.get(key)
-    return _remember(key, _capped_linear(slope, cap)) if result is None else result
+    return _capped_linear(rat(slope), rat(cap))
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _capped_linear(slope: Fraction, cap: Fraction) -> PwlModulus:
     if slope < 0 or cap < 0:
         raise ValueError("slope and cap must be non-negative")
@@ -200,22 +189,19 @@ def _capped_linear(slope: Fraction, cap: Fraction) -> PwlModulus:
     return PwlModulus(((_ZERO, _ZERO), (cap / slope, cap)), _ZERO)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def compose(outer: PwlModulus, inner: PwlModulus) -> PwlModulus:
     """Exact composition outer(inner(t)); concave PWL is closed under it.
 
-    The memo answers first.  On a miss, the identity on either side returns
-    the other side, and the zero modulus on either side returns zero, as
-    the argument object itself, so later memo keys match it by identity;
-    every input is canonical, so the hull would rebuild exactly that
-    modulus.  Otherwise the answer is the hull of outer(inner(x)) over
-    inner's breakpoints and the points where inner reaches one of outer's.
+    Cached by (outer, inner), up to ``_CACHE_SIZE`` answers, exactly, as
+    equal canonical moduli have one composite.  On a miss, the identity on
+    either side returns the other side, and the zero modulus on either side
+    returns zero, as the argument object itself, so later cache keys match
+    it by identity; every input is canonical, so the hull would rebuild
+    exactly that modulus.  Otherwise the answer is the hull of
+    outer(inner(x)) over inner's breakpoints and the points where inner
+    reaches one of outer's.
     """
-    key = "compose", outer, inner
-    result = _MEMO.get(key)
-    return _remember(key, _compose(outer, inner)) if result is None else result
-
-
-def _compose(outer: PwlModulus, inner: PwlModulus) -> PwlModulus:
     if inner == _IDENTITY or outer == _ZERO_MODULUS:
         return outer
     if outer == _IDENTITY or inner == _ZERO_MODULUS:
@@ -279,18 +265,13 @@ def concave_envelope(samples: Sequence[tuple], tail_slope) -> PwlModulus:
     return _hull(pts, tail_slope)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def modulus_max(*moduli: PwlModulus) -> PwlModulus:
     """Least concave PWL majorant of the pointwise max of the moduli: the
     shared zero modulus for none, and the first modulus, returned as it is,
     when every argument equals it (the hull of one canonical modulus is
     that modulus).  Otherwise it is the one hull, ``_hull``, of their
     breakpoints under the steepest final slope."""
-    key = "modulus_max", *moduli
-    result = _MEMO.get(key)
-    return _remember(key, _modulus_max(moduli)) if result is None else result
-
-
-def _modulus_max(moduli: tuple) -> PwlModulus:
     if not moduli:
         return _ZERO_MODULUS
     if all(m == moduli[0] for m in moduli[1:]):
@@ -302,28 +283,18 @@ def _modulus_max(moduli: tuple) -> PwlModulus:
     return _hull(points, max((m.final_slope for m in moduli), default=_ZERO))
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def modulus_leq(a: PwlModulus, b: PwlModulus) -> bool:
     """Exact pointwise a <= b on [0, inf)."""
-    key = "modulus_leq", a, b
-    result = _MEMO.get(key)
-    return _remember(key, _modulus_leq(a, b)) if result is None else result
-
-
-def _modulus_leq(a: PwlModulus, b: PwlModulus) -> bool:
     if a.final_slope > b.final_slope:
         return False
     xs = {x for x, _ in a.breakpoints} | {x for x, _ in b.breakpoints}
     return all(a.evaluate(x) <= b.evaluate(x) for x in xs)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def cap_at_one(delta: PwlModulus) -> PwlModulus:
     """Pointwise min(delta, 1); stays concave PWL."""
-    key = "cap_at_one", delta
-    result = _MEMO.get(key)
-    return _remember(key, _cap_at_one(delta)) if result is None else result
-
-
-def _cap_at_one(delta: PwlModulus) -> PwlModulus:
     if delta.final_slope == 0 and delta.breakpoints[-1][1] <= 1:
         return delta
     kept = {x: y for x, y in delta.breakpoints if y < 1}

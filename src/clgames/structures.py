@@ -32,10 +32,14 @@ skipped when the spread proves it clean:
 ``formulas.evaluate`` reads the same form, and the game solver brings both
 sides to their common denominator with ``IntegerForm.over``.
 
-``structure_from_json`` decodes each distinct ``[num, den]`` once per
-structure; the memo ends with the call.  Table keys are decoded one by one.
-``pair_from_json`` shares one rational memo between the sides, and decodes
-one ``Signature`` for both when their signature JSON is the same.
+The JSON loader keeps two ``functools.lru_cache`` caches of at most
+``_LOAD_CACHE_SIZE`` entries each, whose ``cache_info()`` counts their hits
+and misses.  One maps a ``[num, den]`` of two ints to its ``Fraction``; the
+other maps a signature's ``json.dumps`` text to its ``Signature``, so the
+two sides of a pair, and every later load of the same signature, share one.
+Both are exact: a ``Fraction`` and a ``Signature`` are immutable and decoded
+from their key alone, and a decoding error is raised anew on every call, as
+a cache keeps no exception.  Table keys are decoded one by one.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import json
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import chain, product
 from math import lcm
@@ -752,31 +756,38 @@ def _tables(decode_value):
     return lambda raw: {name: table(name, t) for name, t in raw.items()}
 
 
-def _rational_decoder():
-    """A rational decoder that decodes each distinct ``[num, den]`` of two
-    ints once, for one structure or pair.  Anything else goes through
-    ``rat_from_json`` every time, and fails with its messages."""
-    rats = {}
-
-    def rational(raw):
-        if type(raw) is list and len(raw) == 2 and type(raw[0]) is int and type(raw[1]) is int:
-            pair = raw[0], raw[1]
-            value = rats.get(pair)
-            if value is None:
-                value = rats[pair] = rat_from_json(raw)
-            return value
-        return rat_from_json(raw)
-
-    return rational
+# the entries each loader cache keeps
+_LOAD_CACHE_SIZE = 1 << 12
 
 
-def _same_json(a, b) -> bool:
-    """Whether two decoded JSON values encode alike (``==`` holds 1 == 1.0
-    == true); what ``json.dumps`` cannot encode counts as different."""
+def _rational(raw) -> Fraction:
+    """A JSON rational, each ``[num, den]`` of two ints through the cache.
+    Anything else goes through ``rat_from_json`` every time, and fails with
+    its messages."""
+    if type(raw) is list and len(raw) == 2 and type(raw[0]) is int and type(raw[1]) is int:
+        return _int_rational(raw[0], raw[1])
+    return rat_from_json(raw)
+
+
+@lru_cache(maxsize=_LOAD_CACHE_SIZE)
+def _int_rational(num: int, den: int) -> Fraction:
+    return rat_from_json([num, den])
+
+
+def _signature(raw) -> Signature:
+    """A signature through the cache, keyed by its ``json.dumps`` text
+    (``==`` alone would take an arity of 1.0 or true for 1); what
+    ``json.dumps`` cannot encode is decoded directly."""
     try:
-        return json.dumps(a) == json.dumps(b)
+        text = json.dumps(raw)
     except (TypeError, ValueError, RecursionError):
-        return False
+        return signature_from_json(raw)
+    return _signature_from_text(text)
+
+
+@lru_cache(maxsize=_LOAD_CACHE_SIZE)
+def _signature_from_text(text: str) -> Signature:
+    return signature_from_json(json.loads(text))
 
 
 def _point_labels(raw) -> tuple[str, ...]:
@@ -800,16 +811,10 @@ def _check_table_size(sym, n: int, table: dict):
 
 
 def structure_from_json(data: dict) -> MetricStructure:
-    return _structure_from_json(data, _rational_decoder())
-
-
-def _structure_from_json(data: dict, rational, signature=signature_from_json):
-    """Decode a structure with a ``_rational_decoder`` and the given
-    signature decoder."""
-    sig = json_field(data, "signature", signature)
+    sig = json_field(data, "signature", _signature)
     points = json_field(data, "points", _point_labels)
-    dist = json_field(data, "dist", lambda raw: tuple(tuple(map(rational, row)) for row in raw))
-    preds = json_field(data, "predicates", _tables(rational), {})
+    dist = json_field(data, "dist", lambda raw: tuple(tuple(map(_rational, row)) for row in raw))
+    preds = json_field(data, "predicates", _tables(_rational), {})
     funcs = json_field(data, "functions", _tables(lambda v: _json_int(v, "a function image")), {})
     for sym in sig.predicates:
         _check_table_size(sym, len(points), preds.get(sym.name, {}))
@@ -858,19 +863,8 @@ def pair_to_json(pair: NamedPair) -> dict:
 
 
 def pair_from_json(data: dict) -> NamedPair:
-    """Decode a pair, both sides with one ``_rational_decoder``.  The right
-    side reuses the left's ``Signature`` when its signature encodes to the
-    same JSON (``==`` alone would take an arity of 1.0 or true for 1)."""
-    rational = _rational_decoder()
-    left = json_field(data, "left", lambda raw: _structure_from_json(raw, rational))
-
-    def signature(raw):
-        if _same_json(data["left"]["signature"], raw):
-            return left.signature
-        return signature_from_json(raw)
-
-    right = json_field(data, "right", lambda raw: _structure_from_json(raw, rational, signature))
-    return NamedPair(left=left, right=right)
+    left = json_field(data, "left", structure_from_json)
+    return NamedPair(left=left, right=json_field(data, "right", structure_from_json))
 
 
 def save_pair(pair: NamedPair, path):

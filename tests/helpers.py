@@ -36,14 +36,18 @@ from clgames.formulas import (
     _Slot,
     enumerate_atomic,
 )
+from clgames import moduli as moduli_module
 from clgames.game import IIStrategyNode, Position
-from clgames.infinitary import AtomicLeaf, RAlphaSolver, check_basic_omega
+from clgames.infinitary import AtomicLeaf, RAlphaSolver, check_basic_omega, generate_basic_family
 from clgames.moduli import (
+    Aggregator,
     PwlModulus,
+    WeakModulus,
     _hull,
     _preimage,
     capped_linear,
     identity_modulus,
+    linear_modulus,
     zero_modulus,
 )
 from clgames.rationals import format_rat
@@ -231,6 +235,36 @@ def conn_apply(conn, values) -> Fraction:
 
         return go(conn.tree)
     raise FormulaError(f"unknown connective {conn!r}")
+
+
+# --- the calculus caches -----------------------------------------------------
+
+# ``moduli``'s names of its five calculus caches
+CALCULUS_CACHES = ("compose", "modulus_max", "modulus_leq", "cap_at_one", "_capped_linear")
+
+
+def calculus_caches() -> list:
+    """The five calculus caches that ``moduli`` holds now."""
+    return [getattr(moduli_module, name) for name in CALCULUS_CACHES]
+
+
+def clear_calculus_caches():
+    for cache in calculus_caches():
+        cache.cache_clear()
+
+
+def family_build(arity: int):
+    """A build of the omega leaf's family at ``arity``, the calculus's
+    largest traffic: P unary, Q binary and f unary at min(2t, 1), term
+    depth 1, scale factors 2 and 1/2, under the weak modulus w (x0 at the
+    identity, later variables at 2t)."""
+    mod = capped_linear(2)
+    sig = Signature(
+        predicates=(PredicateSymbol("P", 1, mod), PredicateSymbol("Q", 2, mod)),
+        functions=(FunctionSymbol("f", 1, mod),),
+    )
+    w = WeakModulus(coords=(identity_modulus(),), tail=linear_modulus(2), aggregator=Aggregator.MAX)
+    return lambda: generate_basic_family(sig, arity, w, term_depth=1, scale_factors=(F(2), F(1, 2)))
 
 
 # --- the modulus calculus through the hull alone -----------------------------

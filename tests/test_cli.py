@@ -491,7 +491,8 @@ class TestRalphaCommand:
         assert out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("error: position table would exceed the cap of 1000 entries; "
-                              "reached by the family table")
+                              "reached by the family table at arity 2, "
+                              "at least 742,368 candidates (entries held: ")
 
 
 class TestThetaAndDist:

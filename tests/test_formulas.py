@@ -262,21 +262,43 @@ class TestModulusCalculus:
 
     @pytest.mark.parametrize("memo", ["cleared", "full"])
     @pytest.mark.parametrize("which", ["benchmark", "SIG", "functions"])
-    def test_memo_matches_the_hull_recursion(self, which, memo, monkeypatch):
-        # each sentence from a cleared memo, or from one that holds every
-        # answer and is at its bound
+    def test_memo_matches_the_hull_recursion(self, which, memo):
+        # each sentence from cleared caches, or from caches that hold every
+        # answer and are at their bound
         sig, formulas = hull_recursion_cases(which)
         if memo == "full":
+            fill_the_calculus_caches()
             for phi in formulas:
                 modulus_of(phi, sig), theta_of(phi, sig)
-            monkeypatch.setattr(moduli, "_MEMO_LIMIT", len(moduli._MEMO))
         for phi in formulas:
             if memo == "cleared":
-                moduli._MEMO.clear()
+                helpers.clear_calculus_caches()
             assert modulus_of(phi, sig) == helpers.hull_modulus_of(phi, sig)
             assert theta_of(phi, sig) == helpers.hull_theta_of(phi, sig)
         if memo == "full":
-            assert len(moduli._MEMO) == moduli._MEMO_LIMIT
+            for cache in helpers.calculus_caches():
+                assert cache.cache_info().currsize == cache.cache_info().maxsize
+
+
+# per calculus cache, a call whose key holds the linear modulus q t
+FILLERS = {
+    "compose": lambda q: moduli.compose(moduli.linear_modulus(q), identity_modulus()),
+    "modulus_max": lambda q: moduli.modulus_max(moduli.linear_modulus(q)),
+    "modulus_leq": lambda q: moduli.modulus_leq(moduli.linear_modulus(q), identity_modulus()),
+    "cap_at_one": lambda q: moduli.cap_at_one(moduli.linear_modulus(q)),
+    "_capped_linear": lambda q: moduli._capped_linear(F(q), F(1)),
+}
+
+
+def fill_the_calculus_caches():
+    """Clear each calculus cache and fill it to its bound with keys that no
+    sentence asks."""
+    helpers.clear_calculus_caches()
+    for name, call in FILLERS.items():
+        cache, q = getattr(moduli, name), 10**6
+        while cache.cache_info().currsize < cache.cache_info().maxsize:
+            call(q)
+            q += 1
 
 
 def hull_recursion_cases(which: str):

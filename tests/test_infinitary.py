@@ -49,7 +49,7 @@ from clgames.structures import (
 )
 from clgames.witnesses import cardinality_witness_pair, discrete_structure
 
-from clgames import infinitary, moduli
+from clgames import infinitary
 
 import helpers
 
@@ -466,26 +466,14 @@ class TestOmegaLeaf:
     def test_family_from_the_memo_matches_a_cold_check_per_candidate(
         self, arity, count, sha256, monkeypatch
     ):
-        # P unary, Q binary and f unary at min(2t, 1), term depth 1, under
-        # the weak modulus w: x0 at the identity, later variables at 2t
-        mod = capped_linear(2)
-        sig = Signature(
-            predicates=(PredicateSymbol("P", 1, mod), PredicateSymbol("Q", 2, mod)),
-            functions=(FunctionSymbol("f", 1, mod),),
-        )
-        w = WeakModulus(
-            coords=(identity_modulus(),), tail=linear_modulus(2), aggregator=Aggregator.MAX
-        )
-        build = lambda: generate_basic_family(
-            sig, arity, w, term_depth=1, scale_factors=(F(2), F(1, 2))
-        )
+        build = helpers.family_build(arity)
         family = build()
         assert build() == family
         text = "\n".join(map(format_formula, family))
         assert (len(family), hashlib.sha256(text.encode()).hexdigest()) == (count, sha256)
 
         def cold_check(phi, sig, omega):
-            moduli._MEMO.clear()
+            helpers.clear_calculus_caches()
             return check_basic_omega(phi, sig, omega)
 
         monkeypatch.setattr(infinitary, "check_basic_omega", cold_check)
@@ -663,6 +651,11 @@ class TestOmegaLeaf:
             r_alpha(pair, alpha=2, leaf=leaf, max_positions=1000)
         assert err.value.table == "family" and err.value.cap == 1000
         assert max(built, default=-1) < 2
+        # the first family over the cap, with its exact count: at term depth
+        # 3 the arity-1 family is already over it
+        arity, count = {2: (2, "742,368"), 3: (1, "158,925")}[term_depth]
+        assert (f"reached by the family table at arity {arity}, at least {count} candidates "
+                "(entries held: ") in str(err.value)
 
     @pytest.mark.parametrize("options", [{}, {"with_constant": True, "with_function": True},
                                          {"with_ternary": True}])
@@ -686,6 +679,9 @@ class TestOmegaLeaf:
         sig = helpers.binary_function_pair().signature
         assert infinitary._family_size(sig, 2, 2, 2, 10**9) == 742_368
         assert 1000 < infinitary._family_size(sig, 2, 400, 2, 1000) < 10**12
+        # at term depth 3 the terms held at 1,002 give a lower bound
+        assert infinitary._family_size(sig, 2, 3, 2, 1000) == 377_255_631_753
+        assert infinitary._family_size(sig, 2, 3, 2, 10**13) == 1_637_208_397_440
 
     def test_rank_recursion_with_omega_leaf(self):
         generous = WeakModulus(coords=(), tail=linear_modulus(2), aggregator=Aggregator.MAX)

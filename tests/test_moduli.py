@@ -3,6 +3,7 @@
 import copy
 import pickle
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -250,10 +251,10 @@ class TestShortcutsAgainstTheHull:
         assert modulus_max() is moduli_module._ZERO_MODULUS
 
     def test_shortcuts_return_their_argument(self):
-        # the argument object itself, not an equal copy: a later memo key
+        # the argument object itself, not an equal copy: a later cache key
         # holding the result then matches by identity, without == on tuples
         # of Fractions
-        moduli_module._MEMO.clear()
+        helpers.clear_calculus_caches()
         m, zero = concave_envelope([(0, 0), (1, F(1, 2)), (3, 1)], F(1, 8)), zero_modulus()
         assert compose(identity_modulus(), m) is m
         assert compose(m, identity_modulus()) is m
@@ -303,45 +304,55 @@ def pointwise_leq(a: PwlModulus, b: PwlModulus) -> bool:
 
 MEMO_STATES = ["fresh copies", "cleared", "small bound"]
 
+# every calculus function under a cache of 2 entries, kept across tests and
+# examples, so nearly every new key evicts an older one
+SMALL_CACHES = {
+    name: lru_cache(maxsize=2)(cache.__wrapped__)
+    for name, cache in zip(helpers.CALCULUS_CACHES, helpers.calculus_caches())
+}
 
-def twice(state: str, op, *args):
-    """``op(*args)``, then again on fresh copies of the arguments, after
-    clearing the memo, or with the memo bounded at 2 entries."""
+
+def twice(state: str, name: str, *args):
+    """``moduli.<name>(*args)``, then again: on fresh copies of the
+    arguments, after clearing the caches, or with every calculus function
+    under its cache of 2 entries in ``SMALL_CACHES``."""
     with pytest.MonkeyPatch.context() as patch:
         if state == "small bound":
-            patch.setattr(moduli_module, "_MEMO_LIMIT", 2)
-            moduli_module._MEMO.clear()
+            for cache_name, small in SMALL_CACHES.items():
+                patch.setattr(moduli_module, cache_name, small)
+        op = getattr(moduli_module, name)
         first = op(*args)
         if state == "cleared":
-            moduli_module._MEMO.clear()
+            helpers.clear_calculus_caches()
         second = op(*map(fresh, args)) if state == "fresh copies" else op(*args)
-        assert len(moduli_module._MEMO) <= moduli_module._MEMO_LIMIT
+        for cache in helpers.calculus_caches():
+            assert cache.cache_info().currsize <= cache.cache_info().maxsize
     return first, second
 
 
 class TestMemo:
-    """Every operation answers from the memo as the hull would."""
+    """Every operation answers from its cache as the hull would."""
 
     @pytest.mark.parametrize("state", MEMO_STATES)
     @settings(max_examples=60)
     @given(mixed_moduli, mixed_moduli)
     def test_compose(self, state, outer, inner):
         expected = helpers.hull_compose(outer, inner)
-        assert twice(state, compose, outer, inner) == (expected, expected)
+        assert twice(state, "compose", outer, inner) == (expected, expected)
 
     @pytest.mark.parametrize("state", MEMO_STATES)
     @settings(max_examples=60)
     @given(argument_lists())
     def test_modulus_max(self, state, ms):
         expected = helpers.hull_modulus_max(*ms)
-        assert twice(state, modulus_max, *ms) == (expected, expected)
+        assert twice(state, "modulus_max", *ms) == (expected, expected)
 
     @pytest.mark.parametrize("state", MEMO_STATES)
     @settings(max_examples=60)
     @given(mixed_moduli)
     def test_cap_at_one(self, state, m):
         expected = helpers.hull_cap_at_one(m)
-        assert twice(state, cap_at_one, m) == (expected, expected)
+        assert twice(state, "cap_at_one", m) == (expected, expected)
 
     @pytest.mark.parametrize("state", MEMO_STATES)
     @settings(max_examples=60)
@@ -349,7 +360,7 @@ class TestMemo:
     def test_modulus_leq(self, state, a, b):
         for x, y in ((a, b), (b, a), (a, a)):
             expected = pointwise_leq(x, y)
-            assert twice(state, modulus_leq, x, y) == (expected, expected)
+            assert twice(state, "modulus_leq", x, y) == (expected, expected)
 
     @pytest.mark.parametrize("state", ["cleared", "small bound"])
     def test_capped_linear(self, state):
@@ -361,7 +372,7 @@ class TestMemo:
             (1, 0, []),
         ]:
             expected = PwlModulus(tuple(expected) or ((F(0), F(0)),), F(0))
-            assert twice(state, capped_linear, slope, cap) == (expected, expected)
+            assert twice(state, "capped_linear", slope, cap) == (expected, expected)
 
     def test_capped_linear_keys_by_value(self):
         # an int, a string and a Fraction of equal value give one modulus;
@@ -372,14 +383,29 @@ class TestMemo:
                 with pytest.raises(TypeError):
                     capped_linear(bad)
 
-    def test_full_memo_is_cleared(self, monkeypatch):
+    def test_small_caches_evict(self):
+        # three keys through a cache of two: the first is evicted, and
+        # asked again it is a miss with the same answer
+        compose_small = SMALL_CACHES["compose"]
+        compose_small.cache_clear()
         inner = capped_linear(2)
-        monkeypatch.setattr(moduli_module, "_MEMO_LIMIT", 3)
-        moduli_module._MEMO.clear()
-        for q in range(1, 5):
-            compose(linear_modulus(q), inner)
-        # the fourth entry found three, and started again from none
-        assert len(moduli_module._MEMO) == 1
+        first = compose_small(linear_modulus(1), inner)
+        for q in (2, 3):
+            compose_small(linear_modulus(q), inner)
+        assert compose_small(linear_modulus(1), inner) == first
+        info = compose_small.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 4, 2)
+
+    def test_caches_stay_within_their_bound(self):
+        # the CI's arity-5 family, the calculus's largest traffic: 31
+        # misses and 567,836 hits, every cache within its maxsize
+        build = helpers.family_build(5)
+        helpers.clear_calculus_caches()
+        assert len(build()) == 140
+        infos = [cache.cache_info() for cache in helpers.calculus_caches()]
+        assert all(info.currsize <= info.maxsize for info in infos)
+        assert sum(info.misses for info in infos) == 31
+        assert sum(info.hits for info in infos) == 567_836
 
 
 class TestHash:

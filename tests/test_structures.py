@@ -764,8 +764,8 @@ class TestPointLabels:
 
 
 class TestPairDecoding:
-    """Both sides of a pair share one decoder memo; the right side reuses the
-    left's ``Signature`` when the two signature objects are the same JSON."""
+    """The loader's caches: each ``[num, den]`` decodes once, and each
+    signature JSON text once, across the sides of a pair and across loads."""
 
     def pair_json(self, right_modulus=identity_modulus()) -> dict:
         return {
@@ -779,6 +779,49 @@ class TestPairDecoding:
         pair = load_pair(path)
         assert pair.left.signature is pair.right.signature
         assert pair == NamedPair(two_point(identity_modulus()), two_point(identity_modulus()))
+
+    def test_a_second_load_adds_no_miss(self, tmp_path):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(self.pair_json()))
+        first = load_pair(path)
+        caches = structures._int_rational, structures._signature_from_text
+        misses = [cache.cache_info().misses for cache in caches]
+        hits = [cache.cache_info().hits for cache in caches]
+        assert load_pair(path) == first
+        assert [cache.cache_info().misses for cache in caches] == misses
+        assert all(cache.cache_info().hits > h for cache, h in zip(caches, hits))
+
+    def test_two_loads_share_one_signature(self, tmp_path):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            path.write_text(json.dumps(self.pair_json()))
+        first, second = map(load_pair, paths)
+        assert first.left.signature is second.left.signature is second.right.signature
+
+    @pytest.mark.parametrize(
+        "where, raw, message",
+        [
+            (("dist", 0, 1), [1, 0], "field 'dist': rational denominator must be positive, got 0"),
+            (("signature", "predicates", 0, "arity"), 1.0,
+             "field 'signature': the arity of 'P' must be an integer, got 1.0"),
+            (("signature", "predicates", 0, "modulus"), {},
+             "field 'signature': modulus JSON needs 'breakpoints' and 'final_slope'"),
+        ],
+        ids=["rational", "arity", "modulus"],
+    )
+    def test_malformed_input_fails_alike_on_every_load(self, tmp_path, where, raw, message):
+        # a cache keeps no exception: the second load decodes and fails again
+        data = self.pair_json()
+        target = data["left"]
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = raw
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(data))
+        for _ in range(2):
+            with pytest.raises(ValueError) as caught:
+                load_pair(path)
+            assert str(caught.value) == f"field 'left': {message}"
 
     def test_unequal_signatures_rejected(self):
         with pytest.raises(ValueError, match="^paired structures must share a signature$"):
