@@ -16,7 +16,6 @@ from pathlib import Path
 
 from . import infinitary, witnesses
 from .formulas import (
-    FormulaError,
     covering_sentence,
     evaluate,
     format_formula,
@@ -36,7 +35,6 @@ from .game import (
 from .moduli import modulus_to_json, weak_modulus_from_json
 from .rationals import format_rat, rat, rat_to_json
 from .structures import (
-    StructureValidationError,
     load_pair,
     load_structure,
     save_pair,
@@ -135,8 +133,7 @@ def main(argv=None) -> int:
             if value is not None and value < 0:
                 parser.exit(2, f"error: {flag} must be non-negative, got {format_rat(value)}\n")
         return args.run(args)
-    except (StructureValidationError, ResourceCapError, FormulaError,
-            ValueError, KeyError, OSError, EOFError, json.JSONDecodeError) as exc:
+    except (ResourceCapError, ValueError, KeyError, OSError, EOFError) as exc:
         _error(exc)
         return 1
     except RecursionError as exc:

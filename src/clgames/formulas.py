@@ -26,9 +26,11 @@ variable is not free in its body (``sup x2. d(x0, x1)``, or the outer
 ``inf x0`` of ``inf x0. sup x0. P(x0)``) compiles to its body: a structure
 has at least one point, so the inf or sup of a constant is that constant.
 
-Concrete syntax (ASCII): variables ``x0, x1, ...``; any other bound
-identifier is renamed to the next free index; bare identifiers are
-constants; ``d(t, t)`` and ``P(t, ...)`` atoms; ``1 - f`` (Neg), ``f -. g``
+Concrete syntax (ASCII): variables ``x0, x1, ...`` (or ``v0, v1, ...``);
+any other bound identifier, such as ``y`` in ``sup y.``, gets the smallest
+index that is neither bound around its binder nor spelled out as ``x<i>``
+or ``v<i>`` anywhere in the text; bare identifiers are constants;
+``d(t, t)`` and ``P(t, ...)`` atoms; ``1 - f`` (Neg), ``f -. g``
 (TruncSub), ``f (+) g`` (TruncAdd), ``min(...)``, ``max(...)``, ``q * f``
 (Scale), rational literals like ``1/4`` or ``0.25``; quantifiers
 ``inf x0. f`` and ``sup x0. f`` extend as far right as possible.
@@ -844,41 +846,35 @@ class _Token:
     kind: str
     text: str
     pos: int
+    index: int | None = None  # i for an ident spelled x<i> or v<i>
 
 
 def _tokenize(text: str) -> list:
+    """The tokens of ``text``, each kind from the group that matched; an
+    ident's variable index is read here, once."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
-        pos = m.end()
-        for kind in ("truncadd", "truncsub", "number", "ident", "punct"):
-            if m.group(kind) is not None:
-                tokens.append(_Token(kind, m.group(kind), m.start(kind)))
-                break
+    end = 0
+    # the scanner matches only where the last token ended: a search would
+    # retry a long run of blanks from each of its positions
+    for m in iter(_TOKEN.scanner(text).match, None):
+        end = m.end()
+        kind = m.lastgroup
+        word = m[kind]
+        var = _VAR_NAME.match(word) if kind == "ident" else None
+        tokens.append(_Token(kind, word, m.start(kind), int(var[1]) if var else None))
+    rest = text[end:].lstrip()
+    if rest:
+        raise ParseError(f"unexpected character {rest[0]!r}", end)
     tokens.append(_Token("end", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str, sig: Signature):
-        self.text = text
         self.sig = sig
         self.tokens = _tokenize(text)
         self.i = 0
         self.bound: dict[str, list[int]] = {}
-        # indices spelled out as x<i>/v<i> anywhere; bespoke binder names
-        # must not collide with them
-        self.reserved = {
-            int(m.group(1))
-            for tok in self.tokens
-            if tok.kind == "ident" and (m := _VAR_NAME.match(tok.text))
-        }
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -917,7 +913,7 @@ class _Parser:
         name = name_tok.text
         if name in _KEYWORDS:
             raise ParseError(f"{name!r} cannot be a variable name", name_tok.pos)
-        index = self._bind_index(name)
+        index = self._bind_index(name_tok)
         self.expect(".")
         self.bound.setdefault(name, []).append(index)
         try:
@@ -927,12 +923,13 @@ class _Parser:
         cls = Inf if which == "inf" else Sup
         return cls(index, body)
 
-    def _bind_index(self, name: str) -> int:
-        m = _VAR_NAME.match(name)
-        if m:
-            return int(m.group(1))
-        # bespoke bound names get the smallest index not otherwise in use
-        used = {idx for stack in self.bound.values() for idx in stack} | self.reserved
+    def _bind_index(self, tok: _Token) -> int:
+        if tok.index is not None:
+            return tok.index
+        # a bespoke bound name gets the smallest index neither bound around
+        # it nor spelled out as x<i>/v<i> anywhere in the text
+        used = {idx for stack in self.bound.values() for idx in stack}
+        used.update(t.index for t in self.tokens if t.index is not None)
         idx = 0
         while idx in used:
             idx += 1
@@ -1030,9 +1027,8 @@ class _Parser:
             return Apply(name, args)
         if name in self.bound and self.bound[name]:
             return Var(self.bound[name][-1])
-        m = _VAR_NAME.match(name)
-        if m:
-            return Var(int(m.group(1)))
+        if tok.index is not None:
+            return Var(tok.index)
         if name in self.sig.constants:
             return Const(name)
         raise ParseError(f"unknown symbol {name!r}", tok.pos)

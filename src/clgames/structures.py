@@ -39,7 +39,10 @@ other maps a signature's ``json.dumps`` text to its ``Signature``, so the
 two sides of a pair, and every later load of the same signature, share one.
 Both are exact: a ``Fraction`` and a ``Signature`` are immutable and decoded
 from their key alone, and a decoding error is raised anew on every call, as
-a cache keeps no exception.  Table keys are decoded one by one.
+a cache keeps no exception.  Table keys are decoded one by one: a key
+"(i,j,...)" lists integers between its commas, and one empty part after a
+final comma, as in ``"(0,)"``, is dropped; any other empty part, as in
+``"(0,,1)"``, ``"(,0)"`` or ``"()"``, is refused.
 """
 
 from __future__ import annotations
@@ -663,8 +666,13 @@ def _key_to_tuple(name: str, key: str) -> tuple[int, ...]:
     the symbol and the key."""
     body = key.strip()
     if body.startswith("(") and body.endswith(")"):
+        *parts, last = body[1:-1].split(",")
+        # "(0,)", as str((0,)) writes it, ends in one empty part; any other
+        # empty part is refused
+        if not parts or last.strip():
+            parts.append(last)
         try:
-            return tuple(int(p) for p in body[1:-1].split(",") if p.strip())
+            return tuple(map(int, parts))
         except ValueError:
             pass
     raise ValueError(f"symbol {name!r}: table key {key!r} must look like '(i,j,...)' over integers")

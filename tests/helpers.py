@@ -26,6 +26,7 @@ from clgames.formulas import (
     MaxOf,
     MinOf,
     Neg,
+    ParseError,
     Pred,
     Scale,
     Sup,
@@ -34,6 +35,7 @@ from clgames.formulas import (
     TruncSub,
     Var,
     _Slot,
+    _TOKEN,
     enumerate_atomic,
 )
 from clgames import moduli as moduli_module
@@ -235,6 +237,31 @@ def conn_apply(conn, values) -> Fraction:
 
         return go(conn.tree)
     raise FormulaError(f"unknown connective {conn!r}")
+
+
+# --- the formula tokenizer ---------------------------------------------------
+
+def probing_tokenize(text: str) -> list:
+    """The ``(kind, text, pos)`` tokens of ``text``, end token included,
+    found by matching ``_TOKEN`` at each position and probing every named
+    group for the one that matched; a rest that is not blank raises the
+    ``ParseError`` the parser raises."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
+        pos = m.end()
+        for kind in ("truncadd", "truncsub", "number", "ident", "punct"):
+            if m.group(kind) is not None:
+                tokens.append((kind, m.group(kind), m.start(kind)))
+                break
+    tokens.append(("end", "", len(text)))
+    return tokens
 
 
 # --- the calculus caches -----------------------------------------------------

@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clgames.formulas import (
     Apply,
@@ -23,6 +25,8 @@ from clgames.formulas import (
     Sup,
     TruncSub,
     Var,
+    _VAR_NAME,
+    _tokenize,
     check_well_formed,
     collapse_connectives,
     covering_sentence,
@@ -87,9 +91,21 @@ class TestParser:
             MaxOf(2), (Pred("P", (Var(0),)), Conn(Neg(), (Pred("P", (Var(1),)),)))
         )
 
-    def test_bespoke_bound_name_gets_fresh_index(self):
-        phi = parse_formula("inf x0. sup y. d(y, x0)", SIG)
-        assert phi == Inf(0, Sup(1, Dist(Var(1), Var(0))))
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("inf x0. sup y. d(y, x0)", Inf(0, Sup(1, Dist(Var(1), Var(0))))),
+            # an index spelled out after the binder is reserved too
+            ("sup y. d(y, x0)", Sup(1, Dist(Var(1), Var(0)))),
+            # an index not spelled out stays free
+            ("sup y. d(y, x1)", Sup(0, Dist(Var(0), Var(1)))),
+            # the v<i> spelling reserves its index as well
+            ("sup y. sup z. d(y, v0)", Sup(1, Sup(2, Dist(Var(1), Var(0))))),
+        ],
+        ids=["x0-bound-around", "x0-after", "x1-after", "v0-after"],
+    )
+    def test_bespoke_bound_name_gets_fresh_index(self, text, expected):
+        assert parse_formula(text, SIG) == expected
 
     def test_rational_literals(self):
         assert parse_formula("1/4", SIG) == Conn(ConstVal(F(1, 4)), ())
@@ -183,6 +199,34 @@ class TestParser:
         phi = parse_formula("P(f(f(x0)))", sig)
         assert phi == Pred("P", (Apply("f", (Apply("f", (Var(0),)),)),))
         assert parse_formula(format_formula(phi), sig) == phi
+
+
+# pieces of formula text, blank runs and stray characters ("٣" is a
+# non-ASCII digit, which the number group matches)
+_TEXT_PIECES = st.sampled_from(
+    ["inf", "sup", "x0", "x12", "v3", "x", "v", "y", "z_1", "d", "P", "R", "c", "min", "max",
+     ".", "(", ")", ",", "-", "-.", "(+)", "+", "*", "1", "0.25", "1/4", "3/0", "1.", "٣",
+     " ", "   ", "\t", "\n ", "@", "#", "é", "!"]
+)
+
+
+class TestTokenizer:
+    @given(st.lists(_TEXT_PIECES, max_size=16).map("".join), st.sampled_from(["", " ", "  \n"]))
+    @settings(max_examples=400, deadline=None)
+    def test_tokens_match_the_probing_tokenizer(self, body, trailing):
+        text = body + trailing
+        try:
+            expected = helpers.probing_tokenize(text)
+        except ParseError as err:
+            with pytest.raises(ParseError) as got:
+                _tokenize(text)
+            assert str(got.value) == str(err) and got.value.position == err.position
+            return
+        tokens = _tokenize(text)
+        assert [(t.kind, t.text, t.pos) for t in tokens] == expected
+        for tok in tokens:
+            m = _VAR_NAME.match(tok.text) if tok.kind == "ident" else None
+            assert tok.index == (int(m.group(1)) if m else None)
 
 
 class TestQuantifierRank:

@@ -648,7 +648,16 @@ class TestJsonIO:
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {raw!r}"):
             structure_from_json(data)
 
-    @pytest.mark.parametrize("raw", ["0,1", "(a)"])
+    def test_key_with_a_final_comma_loads(self):
+        # "(0,)" is how str((0,)) writes the tuple
+        s = two_point(identity_modulus())
+        data = structure_to_json(s)
+        data["predicates"]["P"]["(0,)"] = data["predicates"]["P"].pop("(0)")
+        assert structure_from_json(data) == s
+
+    # an empty part ("(0,,1)", "(,0)", "()", "(0,,)") once loaded as a
+    # shorter tuple
+    @pytest.mark.parametrize("raw", ["0,1", "(a)", "(0,,1)", "(,0)", "()", "(0,,)"])
     @pytest.mark.parametrize("kind", ["structure", "pair"])
     def test_malformed_table_key_is_one_value_error(self, tmp_path, raw, kind):
         # every table key goes through _key_to_tuple, on each side of a pair
