@@ -830,14 +830,14 @@ _TOKEN = re.compile(
     r"""\s*(?:
         (?P<truncadd>\(\+\))
       | (?P<truncsub>-\.)
-      | (?P<number>\d+(?:\.\d+)?(?:/\d+)?)
+      | (?P<number>[0-9]+(?:\.[0-9]+)?(?:/[0-9]+)?)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<punct>[(),.*-])
     )""",
     re.VERBOSE,
 )
 
-_VAR_NAME = re.compile(r"^[xv](\d+)$")
+_VAR_NAME = re.compile(r"^[xv]([0-9]+)$")
 _KEYWORDS = {"inf", "sup", "min", "max", "d"}
 
 

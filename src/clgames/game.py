@@ -18,7 +18,11 @@ recursion in ``clgames.infinitary``.
 It memoizes on sets of played pairs, function symbols included: the atoms
 at a term depth over a position are closed under renaming its variables,
 and a repeated pair adds no new term value, so the atomic leaf, and with it
-every game value, depends only on the set of distinct played pairs.  The
+every game value, depends only on the set of distinct played pairs.  A
+constant c is a pair (c^L, c^R) that every position starts with: the game
+from a position is the game on the two expansions that name its points by
+constants (``structures.expand_with_constants``), and playing a constant's
+pair adds no term, so every key starts at the constants' pairs.  The
 same key rule, with an ordered prefix and repeats kept, serves the
 coordinate-indexed omega leaf of ``clgames.infinitary``.  Values
 are integers over one common denominator inside the solver.  The search is
@@ -32,8 +36,9 @@ canonical order.  Value searches try II's replies to a move from the one
 that last refuted it, a history heuristic (Schaeffer 1989); the scans that
 name a move try them in canonical order.
 
-On set keys a stay (II repeating a played pair) leaves the key as it is, so
-the rounds clamp at the points a key leaves uncovered (V_r = V_u for r >= u),
+On set keys a stay (II repeating a played pair, or answering c^L by c^R)
+leaves the key as it is, so the rounds clamp at the points a key leaves
+uncovered, the constants' points counted as covered (V_r = V_u for r >= u),
 a value search scans only I's moves on uncovered points (the spoiler gains
 nothing by replaying a point, as in the classical Ehrenfeucht-Fraisse
 game), and, when every atom mentions at most two played pairs, every
@@ -56,9 +61,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product, repeat
+from itertools import combinations, product
 from math import lcm
-from operator import sub
 
 from .formulas import compile_formula, enumerate_atomic, is_delta_formula
 from .moduli import PwlModulus
@@ -178,16 +182,21 @@ class GameSolver:
     Positions are keyed by one rule, in ``_child``: the first ``_prefix``
     played pairs in play order, then the rest sorted, as a set on set keys
     (``_set_keys``) and as a multiset otherwise.  Here the prefix is empty,
-    so a key is the sorted tuple of distinct played pairs, and the minimax
-    recurses over these keys.  The pair is compiled once into
-    integer tables, the sides' ``integer_form`` over their common
-    denominator; a key's terms are its pairs and the constants, closed
-    ``term_depth`` times under the function tables.  An atom mentions at
-    most w = max(2, largest predicate arity) * max(1, largest function
-    arity)^term_depth played pairs, so ``_score`` scores a key of at most w
-    pairs directly, over the same atoms as ``enumerate_atomic``, and a
-    longer key as the max over its w-pair subsets.  Memos hold integers;
-    the public methods return ``Fraction``s.
+    and a key is the sorted tuple of distinct pairs that starts, in
+    ``_key``, at ``_start``, the constants' pairs (c^L, c^R), and grows by
+    the played pairs; the minimax recurses over these keys.  This is exact:
+    a constant's pair is a term of every position, so a key's terms, at
+    every term depth, are those of its played pairs and the constants, and
+    playing a constant's pair adds none; every leaf, and so every value, is
+    the same as with the constants held apart.  The pair is compiled once
+    into integer tables, the sides' ``integer_form`` over their common
+    denominator; a key's terms are its pairs, closed ``term_depth`` times
+    under the function tables.  An atom mentions at most w = max(2, largest
+    predicate arity) * max(1, largest function arity)^term_depth of a key's
+    pairs, so ``_score`` scores a key of at most w pairs directly, over the
+    same atoms as ``enumerate_atomic``, and a longer key as the max over its
+    w-pair subsets.  Memos hold integers; the public methods return
+    ``Fraction``s.
 
     The public methods check their inputs in ``_enter``: the rounds must be
     non-negative (at least 1 for ``best_move`` and ``best_reply``) and every
@@ -228,9 +237,12 @@ class GameSolver:
     charged again.
 
     Three shortcuts rest on the keys being sets, so that a stay (II
-    repeating a played pair) leaves the key as it is; ``_OmegaLeafSolver``,
-    whose keys keep an ordered prefix and repeated pairs, opts out of all
-    three through ``_set_keys``:
+    repeating a played pair) leaves the key as it is.  A constant's pair is
+    in every key, so a move on c^L answered by c^R is a stay too, and the
+    shortcuts count the constants' points as covered.  ``_OmegaLeafSolver``,
+    whose keys keep an ordered prefix and repeated pairs and start empty,
+    its family scoring the constants as terms, opts out of all three
+    through ``_set_keys``:
 
     * The rounds clamp at u(key), the points on both sides the key leaves
       uncovered: V_r(S) = V_u(S) for r >= u(S), by the lemma in
@@ -254,12 +266,12 @@ class GameSolver:
       with no memo entry: the leaf of S + {p} is the max of leaf(S),
       leaf({p}) and the atoms on p and one pair q of S, which are d(p, q)
       and each binary predicate in both argument orders, read off the
-      integer tables.  leaf({p}), a table filled once per solver, is the
-      constants' own leaf max'd with the gap of each atom on p and the
-      constants (d(p, c), and each predicate at each argument pattern that
-      includes p), read from one row of values per side.  At one round
-      left the child's leaf is its value; otherwise it starts the child's
-      search, so a value solve memoizes the start's leaf only.  Wider keys
+      integer tables.  leaf({p}), a table filled once per solver, holds the
+      atoms on p alone, P(p) and P(p, p).  The constants need no rows of
+      their own: their pairs are pairs q of S, and leaf(S) already holds
+      their own atoms.  At one round left the child's leaf is its value;
+      otherwise it starts the child's search, so a value solve memoizes the
+      start's leaf only.  Wider keys
       (ternary predicates) and function terms at a positive term depth,
       which couple pairs through the closure, keep the memoized
       ``_leaf_at``.
@@ -283,7 +295,8 @@ class GameSolver:
         elif max_positions < 1:
             raise ValueError(f"the position cap must be at least 1, got {max_positions}")
         self.cap = max_positions
-        # an atom mentions at most this many played pairs; no key holds more than |L| * |R|
+        # an atom mentions at most this many of a key's pairs, the constants'
+        # included; no key holds more than |L| * |R|
         n_left, n_right = pair.left.size, pair.right.size
         sig, depth = pair.signature, min(term_depth, n_left * n_right)
         arities = [f.arity for f in sig.functions]
@@ -308,8 +321,8 @@ class GameSolver:
 
     def _compile(self):
         """Integer distance and predicate tables of both sides over one
-        common denominator ``_den``, the function tables and the constants'
-        point pairs."""
+        common denominator ``_den``, the function tables and ``_start``, the
+        key every position starts at."""
         sig, sides = self.pair.signature, (self.pair.left, self.pair.right)
         self._den = den = lcm(*(s.integer_form.den for s in sides))
         left, right = (s.integer_form.over(den) for s in sides)
@@ -320,15 +333,18 @@ class GameSolver:
         self._funcs = [
             (f.arity, *(s.function_tables[f.name] for s in sides)) for f in sig.functions
         ]
-        self._constants = tuple(tuple(s.constant_map[c] for s in sides) for c in sig.constants)
+        # on set keys the constants' pairs (c^L, c^R), sorted for ``_child`` to bisect
+        pairs = {tuple(s.constant_map[c] for s in sides) for c in sig.constants}
+        self._start = tuple(sorted(pairs)) if self._set_keys else ()
 
     def _fraction(self, v) -> Fraction:
         """A memoized integer as a Fraction over the common denominator."""
         return Fraction(v, self._den)
 
     def _key(self, position: Position):
-        """The memo key: the position's pairs added in play order by ``_child``."""
-        key = ()
+        """The memo key: the position's pairs added in play order by ``_child``
+        to ``_start``."""
+        key = self._start
         for pair in zip(position.left, position.right):
             key = self._child(key, "L", *pair)
         return key
@@ -405,14 +421,14 @@ class GameSolver:
 
     def _score(self, key) -> int:
         """Largest integer gap over the atoms of a set key: d(t, u) for
-        distinct terms and P over all term tuples, the terms being the pairs
-        and the constants closed ``term_depth`` times under the functions.
-        A key of more than w pairs is the max of its w-pair subsets'
-        memoized leaves."""
+        distinct terms and P over all term tuples, the terms being the key's
+        pairs, the constants' among them, closed ``term_depth`` times under
+        the functions.  A key of more than w pairs is the max of its w-pair
+        subsets' memoized leaves."""
         if len(key) > self._width:
             # every atom lies within some width-pair subset of the position
             return max(self._leaf_at(sub) for sub in combinations(key, self._width))
-        terms = key + self._constants
+        terms = key
         for _ in range(self.term_depth if self._funcs else 0):
             new = {
                 (table_l[tuple(a for a, _ in args)], table_r[tuple(b for _, b in args)])
@@ -440,32 +456,20 @@ class GameSolver:
         return best
 
     def _ply_tables(self) -> dict:
-        """Per spoiler side: leaf({p}) by (element, reply) and the (played
-        side, reply side) matrices whose entries at (element, q) and (q,
-        reply) are the two sides of an atom on p and q: the distances, and
-        each binary predicate with p first and with p second."""
+        """Per spoiler side: leaf({p}) by (element, reply), the gaps of the
+        atoms on p alone, P(p) and P(p, p), and the (played side, reply
+        side) matrices whose entries at (element, q) and (q, reply) are the
+        two sides of an atom on p and q: the distances, and each binary
+        predicate with p first and with p second.  The constants' atoms are
+        in no row: a constant's pair is a pair q of every key."""
         n_left, n_right = self.pair.left.size, self.pair.right.size
         dist_l, dist_r = self._dist
-        consts = self._constants
-        # per atom on p and the constants that mentions p: its values at
-        # each left point and at each right point in the role of p
-        rows = [([row[c] for row in dist_l], [row[e] for row in dist_r]) for c, e in consts]
+        single = [[0] * n_right for _ in range(n_left)]
         for arity, table_l, table_r in self._preds:
-            for args in product(range(-1, len(consts)), repeat=arity):  # -1 stands for p
-                if -1 in args:
-                    rows.append((
-                        [table_l[tuple(a if i < 0 else consts[i][0] for i in args)]
-                         for a in range(n_left)],
-                        [table_r[tuple(b if i < 0 else consts[i][1] for i in args)]
-                         for b in range(n_right)],
-                    ))
-        # leaf({p}) is the max of the constants' own leaf and those atoms' gaps
-        base, single = self._score(()), []
-        for a in range(n_left):
-            row = [base] * n_right
-            for left, right in rows:
-                row = list(map(max, row, map(abs, map(sub, repeat(left[a]), right))))
-            single.append(row)
+            right = [table_r[(b,) * arity] for b in range(n_right)]
+            for a, row in enumerate(single):
+                left = table_l[(a,) * arity]
+                single[a] = [max(v, abs(left - r)) for v, r in zip(row, right)]
         mats_l, mats_r = [(dist_l, dist_r)], [(dist_r, dist_l)]
         for arity, table_l, table_r in self._preds:
             if arity == 2:

@@ -269,10 +269,12 @@ def omega_game_value_atomic(
     """Value of the never-ending game: the least precision the duplicator can
     hold forever.
 
-    Positions are the kernel's sets of pairs, function symbols included.
-    A spoiler move on a covered point is answered by a stay (repeating the
-    played pair forever) and imposes nothing; a move on an uncovered point
-    forces the min over its replies.  So the value is
+    Positions are the kernel's sets of pairs, function symbols included,
+    each holding the constants' pairs (c^L, c^R), so a constant's points
+    count as covered from the start.  A spoiler move on a covered point is
+    answered by a stay (repeating the played pair, or the constant's,
+    forever) and imposes nothing; a move on an uncovered point forces the
+    min over its replies.  So the value is
 
         omega(S) = leaf(S)                                 if S covers every point,
         omega(S) = max over uncovered moves of min over replies of omega(child),

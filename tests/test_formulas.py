@@ -163,6 +163,15 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_formula("P(x0) P(x1)", SIG)
 
+    @pytest.mark.parametrize("text, message", [
+        ("1/\u0662", "unexpected character '/' (at position 1)"),
+        ("\u0660.\u0665 * 1", "unexpected character '\u0660' (at position 0)"),
+    ], ids=["arabic-indic-denominator", "arabic-indic-decimal"])
+    def test_numbers_are_ascii_digits(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_formula(text, SIG)
+        assert str(err.value) == message
+
     def test_huge_exponent_is_a_parse_error_at_once(self):
         # a literal takes no exponent, so nothing is expanded
         start = time.perf_counter()

@@ -44,6 +44,7 @@ from clgames.structures import (
     NamedPair,
     PredicateSymbol,
     Signature,
+    expand_with_constants,
 )
 from clgames.witnesses import cardinality_witness_pair, discrete_structure, distance_witness_pair
 
@@ -102,9 +103,10 @@ class TestAtomicDiscrepancy:
 
     @pytest.mark.parametrize("constants", [(), ("c",), ("c", "e")])
     def test_one_pair_leaf_table_matches_the_scorer(self, constants):
-        # the pairwise search tabulates leaf({p}) from one left and one right
-        # row per atom on p, not with the scorer; both sides' tables must
-        # hold the scorer's value at every pair
+        # the pairwise search tabulates leaf({p}) from the atoms on p alone,
+        # P(p) and R(p, p), not with the scorer; the constants' atoms are not
+        # in it, as the key carries the constants' pairs; both sides' tables
+        # must hold the scorer's value at every one-pair key
         rng = random.Random(len(constants))
         mod = capped_linear(2)
         sig = Signature(
@@ -636,6 +638,64 @@ class TestCertificates:
         [blob_i] = file["i_witness"]
         assert blob_i["kind"] == "spoiler" and ":" in blob_i["move"]
         assert set(blob_i["continuations"].values()) == {None}
+
+
+class TestConstantsAreStartPairs:
+    """The game from (a, b) is the game on the expansions that name a and b
+    by a fresh constant: the kernel keys both by the same set of pairs."""
+
+    @pytest.mark.parametrize("rounds", [1, 2, 3, 9])
+    @pytest.mark.parametrize("extras, depth", [
+        ({}, 0),
+        ({"with_constant": True}, 0),
+        ({"with_constant": True, "with_ternary": True}, 0),
+        ({"with_constant": True, "with_function": True}, 1),
+        ({"with_function": True}, 1),
+    ], ids=["plain", "constant", "ternary", "function", "function-only"])
+    def test_expansion_solves_the_same_game(self, extras, depth, rounds, tmp_path):
+        rng = random.Random(f"{sorted(extras)}{rounds}")
+        for i in range(6):
+            pair = helpers.random_pair(rng, **extras)
+            a, b = rng.randrange(pair.left.size), rng.randrange(pair.right.size)
+            start = Position((a,), (b,))
+            expanded = NamedPair(
+                expand_with_constants(pair.left, [a]), expand_with_constants(pair.right, [b]))
+            value = GameSolver(pair, depth).value(start, rounds)
+            assert GameSolver(expanded, depth).value(Position(), rounds) == value
+            if rounds <= 2:
+                assert value == helpers.brute_force_game_value(pair, (a,), (b,), rounds, depth)
+            # the same table entries for the value and for both certificates
+            for solve in (GameSolver.value, GameSolver.ii_strategy_tree, GameSolver.i_witness_tree):
+                sizes = []
+                for solver, position in ((GameSolver(pair, depth), start),
+                                         (GameSolver(expanded, depth), Position())):
+                    solve(solver, position, rounds)
+                    sizes.append({name: len(table) for name, table in solver._tables.items()})
+                assert sizes[0] == sizes[1]
+            if rounds <= 3:
+                files = tmp_path / f"start{i}.json", tmp_path / f"expanded{i}.json"
+                strategy_to_json(game_value(pair, start, rounds, depth), files[0])
+                strategy_to_json(game_value(expanded, None, rounds, depth), files[1])
+                assert files[0].read_bytes() == files[1].read_bytes()
+
+    def test_constants_on_every_point_leave_only_the_leaf(self):
+        # the start key covers both sides, so the rounds clamp at 0 and the
+        # value is the leaf, with no value entry; a start key no wider than
+        # an atom is one leaf entry, a wider one also memoizes its subsets
+        rng = random.Random(36)
+        for points, extras in ((2, {}), (2, {"with_ternary": True}), (4, {"with_constant": True})):
+            for _ in range(4):
+                pair = helpers.random_pair(rng, max_points=points, **extras)
+                n = max(pair.left.size, pair.right.size)
+                names = [list(range(n)), rng.sample(range(n), n)]
+                expanded = NamedPair(*(
+                    expand_with_constants(side, [i % side.size for i in named])
+                    for side, named in zip((pair.left, pair.right), names)))
+                solver = GameSolver(expanded)
+                assert solver.value(Position(), 50) == helpers.plain_leaf(expanded, (), ())
+                assert solver._tables["value"] == {}
+                if points == 2:
+                    assert len(solver._tables["leaf"]) == 1
 
 
 class TestThetaSoundness:
