@@ -58,6 +58,7 @@ import json
 import os
 import sys
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -202,7 +203,10 @@ class GameSolver:
     non-negative (at least 1 for ``best_move`` and ``best_reply``) and every
     played point in range, and a search deeper than the interpreter's
     recursion limit is refused before the search starts, each in a
-    one-line ``ValueError``.
+    one-line ``ValueError``.  A search the rule admits runs in ``_guard``,
+    which ends in the same line a ``RecursionError`` that the search still
+    meets: Python 3.10 and 3.11 also count the caller's C-level calls
+    against the limit, and the rule sees frames only.
 
     The minimax is a fail-soft alpha-beta in two functions that take a
     window (alpha, beta): ``_value`` looks a key up and ``_scan`` holds the
@@ -225,11 +229,13 @@ class GameSolver:
     around.  The orders are the rotations of ``_replies``, all built with
     the solver, so a move costs two list indexings.  Alpha-beta is exact
     under any order, so every value is the same; the history carries over
-    from one public call to the next, and no option turns it off.  The
-    certificates turn it off for the searches below them, whose table they
-    need in canonical order (with the history it grows).  ``game_value``
-    reads the value off the root scan of I's certificate, which is exact,
-    and searches it only without certificates.
+    from one public call to the next, the searches below a certificate
+    included, and no option turns it off.  A scan that names a move only
+    compares each child's fail-soft result with its window, and which side
+    of the window a result falls on depends on the child's value alone, so
+    the order of the searches below a certificate changes its table, not
+    its choices.  ``game_value`` reads the value off the root scan of I's
+    certificate, which is exact, and searches it only without certificates.
 
     Every memo entry, including the certificates' nodes (the ``certificate``
     table, made by the first certificate built), goes through ``memoize``
@@ -313,7 +319,6 @@ class GameSolver:
         # the value searches' reply order (``_scan``): per spoiler side, the
         # rotations of its n replies, by the reply they start at, and, per
         # move, the reply that last refuted it (the canonical first to start with)
-        self._history = True
         self._orders = {
             side: ([(*range(s, n), *range(s)) for s in range(n)], [0] * moves)
             for side, moves, n in (("L", n_left, n_right), ("R", n_right, n_left))
@@ -369,11 +374,27 @@ class GameSolver:
         frame, depth = sys._getframe(1), 2 * depth + self._leaf_frames
         while frame is not None:
             frame, depth = frame.f_back, depth + 1
-        limit = sys.getrecursionlimit()
-        if depth >= limit:
-            raise ValueError(f"{rounds} rounds need a recursion deeper than the interpreter's "
-                             f"limit of {limit} frames; use fewer rounds")
+        if depth >= sys.getrecursionlimit():
+            raise self._too_deep(rounds)
         return key
+
+    def _too_deep(self, rounds: int) -> ValueError:
+        return ValueError(f"{rounds} rounds need a recursion deeper than the interpreter's "
+                          f"limit of {sys.getrecursionlimit()} frames; use fewer rounds")
+
+    @contextmanager
+    def _guard(self, rounds: int):
+        """Runs the search of a public call that ``_enter`` admitted, and
+        ends a ``RecursionError`` raised in it as ``_enter``'s refusal.  The
+        frame walk sees Python frames only, while Python 3.10 and 3.11 also
+        count C-level calls (a class's ``__call__``, say) against the limit,
+        so a caller deep in such calls can still overflow.  Every memo entry
+        is made by a finished search, and the history only orders replies,
+        so the solver answers later calls as before."""
+        try:
+            yield
+        except RecursionError:
+            raise self._too_deep(rounds) from None
 
     def _uncovered(self, key) -> int:
         """u(key): the points on both sides that the key leaves uncovered."""
@@ -486,7 +507,9 @@ class GameSolver:
         return position.extended(*((element, reply) if side == "L" else (reply, element)))
 
     def value(self, position: Position, rounds: int) -> Fraction:
-        return self._fraction(self._value(self._enter(position, rounds), rounds))
+        key = self._enter(position, rounds)
+        with self._guard(rounds):
+            return self._fraction(self._value(key, rounds))
 
     def _value(self, key, rounds: int, alpha=_LOW, beta=_HIGH, leaf=None):
         """V_rounds(key), fail-soft in the window (alpha, beta): a result
@@ -526,7 +549,8 @@ class GameSolver:
         """I's value-maximizing move as (side, element, value), first in
         canonical order on ties."""
         key = self._enter(position, rounds, least=1)
-        side, element, _, worst = self._scan(key, rounds)
+        with self._guard(rounds):
+            side, element, _, worst = self._scan(key, rounds)
         return side, element, self._fraction(worst)
 
     def best_reply(self, position: Position, side: str, element: int, rounds_left: int):
@@ -538,7 +562,8 @@ class GameSolver:
         name, structure = ("left", self.pair.left) if side == "L" else ("right", self.pair.right)
         if not _is_point(element, structure.size):
             raise ValueError(f"{name} point index {element!r} out of range")
-        _, _, reply, worst = self._scan(key, rounds_left, moves=((side, element),))
+        with self._guard(rounds_left):
+            _, _, reply, worst = self._scan(key, rounds_left, moves=((side, element),))
         return reply, self._fraction(worst)
 
     def _scan(self, key, rounds: int, leaf=None, alpha=_LOW, beta=_HIGH, moves=None,
@@ -556,24 +581,22 @@ class GameSolver:
         the moves stop once the best reaches beta.  The moves go in
         canonical order, and so do the replies unless ``value_search`` is
         on.  A value search (``_value``'s) skips the moves on points the key
-        covers on set keys, and, unless the certificates turned the history
-        off, starts a move's replies at the one that last refuted it (see
-        the class docstring).  Both leave the value as it is, but not the
-        first best move and reply."""
+        covers on set keys, and starts a move's replies at the one that last
+        refuted it (see the class docstring).  Both leave the value as it
+        is, but not the first best move and reply."""
         pairwise = self._pairwise
         if leaf is None:
             leaf = self._leaf_at(key)
         if moves is None:
             moves = self._moves
         uncovered = value_search and self._set_keys
-        history = value_search and self._history
         bound = leaf if leaf > alpha else alpha
         best, seen, covered = None, None, ()
         for side, element in moves:
             if side != seen:
                 seen, mine = side, 0 if side == "L" else 1
                 order = self._replies[side]
-                if history:
+                if value_search:
                     rotations, refuted = self._orders[side]
                 if uncovered:
                     covered = {q[mine] for q in key}
@@ -589,7 +612,7 @@ class GameSolver:
                 continue
             if pairwise:
                 row = single[element]
-            if history:
+            if value_search:
                 order = rotations[refuted[element]]
             best_reply, worst, top = None, None, beta
             for reply in order:
@@ -612,7 +635,7 @@ class GameSolver:
                 if worst is None or v < worst:
                     best_reply, worst = reply, v
                     if v <= bound:
-                        if history:
+                        if value_search:
                             refuted[element] = reply
                         break
                     if v < top:
@@ -640,19 +663,15 @@ class GameSolver:
     def _certificate(self, node, position: Position, rounds: int):
         """The root ``node(key, rounds)`` of a certificate.  Its nodes are
         memoized in the ``certificate`` table, made on first use, so the cap
-        bounds the certificates as they are built."""
+        bounds the certificates as they are built.  The value searches below
+        its scans order II's replies by the history, as every value search
+        does: that order changes the table, not the moves and replies the
+        scans name."""
         key = self._enter(position, rounds, clamp=False)
         if "certificate" not in self._tables:
             self.memo_table("certificate")
-        if rounds == 0:
-            return None
-        # the searches below keep canonical order: they leave the table a
-        # certificate needs, where the history's bounds would leave more
-        self._history = False
-        try:
-            return node(key, rounds)
-        finally:
-            self._history = True
+        with self._guard(rounds):
+            return node(key, rounds) if rounds else None
 
     def _ii_node(self, key, rounds: int) -> IIStrategyNode:
         node = self._tables["certificate"].get(("II", key, rounds))

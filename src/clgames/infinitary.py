@@ -209,7 +209,8 @@ def r_alpha(
     """Rank recursion value at a finite clock stage."""
     solver = RAlphaSolver(pair, leaf or AtomicLeaf(), max_positions)
     key = solver._enter(position or Position(), alpha, name="alpha")
-    return solver._fraction(solver._value(key, alpha))
+    with solver._guard(alpha):
+        return solver._fraction(solver._value(key, alpha))
 
 
 @dataclass(frozen=True)
@@ -250,13 +251,14 @@ def dynamic_game_value(
     game = RAlphaSolver(pair, leaf or AtomicLeaf(), max_positions)
     key = game._enter(start or Position(), clock, name="clock")
     line, left = [], clock
-    target = game._value(key, clock)
-    while left > 0:
-        spent = next(
-            s for s in range(left) if game._value(key, s + 1, target - 1, target) >= target)
-        side, element, reply, _ = game._scan(key, spent + 1)
-        line.append((spent, side, element, reply))
-        left, key = spent, game._child(key, side, element, reply)
+    with game._guard(clock):
+        target = game._value(key, clock)
+        while left > 0:
+            spent = next(
+                s for s in range(left) if game._value(key, s + 1, target - 1, target) >= target)
+            side, element, reply, _ = game._scan(key, spent + 1)
+            line.append((spent, side, element, reply))
+            left, key = spent, game._child(key, side, element, reply)
     return DynamicGameResult(game._fraction(target), clock, tuple(line))
 
 

@@ -932,8 +932,11 @@ def solve_at_least_admitted_limit(solve, rounds: int):
     limit is refused, a RecursionError means the limit was too low for the
     solver's constructor, which runs before the rule, and is skipped; after
     one, it means the rule admitted a search that outgrew the stack, and it
-    fails the test.  ``solve`` must build its solver afresh on each call, as
-    a memo filled at one limit would shorten the search at the next."""
+    fails the test.  The solvers end a RecursionError in a search they
+    admitted as the rule's refusal, raised while handling it, so such a
+    refusal counts as the RecursionError.  ``solve`` must build its solver
+    afresh on each call, as a memo filled at one limit would shorten the
+    search at the next."""
     saved, refused = sys.getrecursionlimit(), False
     try:
         for limit in range(len(inspect.stack(0)) + 1, saved + 1):
@@ -945,6 +948,10 @@ def solve_at_least_admitted_limit(solve, rounds: int):
                     raise
                 continue
             except ValueError as err:
+                if isinstance(err.__context__, RecursionError):
+                    if refused:
+                        raise
+                    continue
                 assert str(err) == (
                     f"{rounds} rounds need a recursion deeper than the interpreter's "
                     f"limit of {limit} frames; use fewer rounds"

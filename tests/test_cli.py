@@ -244,28 +244,28 @@ class TestGameCommand:
 
     def test_certificate_over_the_cap_writes_nothing(self, pair_file, tmp_path, capsys):
         # the certificates' nodes are charged to the solve's cap as they are
-        # built: at 10 rounds the solve holds 17 leaf and 33 value entries
-        # and 152 certificate nodes, 202 entries, so a cap of 201 stops it,
+        # built: at 10 rounds the solve holds 17 leaf and 39 value entries
+        # and 152 certificate nodes, 208 entries, so a cap of 207 stops it,
         # at I's root node, built last, before the file is opened
         out = tmp_path / "cert.json"
         argv = ["game", "--pair", str(pair_file), "--rounds", "10", "--strategy", str(out)]
-        assert main(argv + ["--max-positions", "201"]) == 1
+        assert main(argv + ["--max-positions", "207"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-        assert "cap of 201 entries" in captured.err
+        assert "cap of 207 entries" in captured.err and "value 39," in captured.err
         assert "certificate table" in captured.err and "certificate 151" in captured.err
         assert not out.exists()
-        assert main(argv + ["--max-positions", "202"]) == 0
+        assert main(argv + ["--max-positions", "208"]) == 0
         assert json.loads(out.read_text())["value"] == [1, 8]
         out.unlink()
-        # at 4 rounds the solve holds 50 entries and 44 certificate nodes
+        # at 4 rounds the solve holds 56 entries and 44 certificate nodes
         argv = ["game", "--pair", str(pair_file), "--rounds", "4", "--strategy", str(out)]
-        assert main(argv + ["--max-positions", "93"]) == 1
+        assert main(argv + ["--max-positions", "99"]) == 1
         err = capsys.readouterr().err
-        assert "cap of 93 entries" in err and "certificate 43" in err
+        assert "cap of 99 entries" in err and "certificate 43" in err
         assert not out.exists()
-        assert main(argv + ["--max-positions", "94"]) == 0
+        assert main(argv + ["--max-positions", "100"]) == 0
         assert json.loads(out.read_text())["value"] == [1, 8]
 
     def test_twenty_round_certificate(self, pair_file, tmp_path, capsys, monkeypatch):

@@ -37,6 +37,7 @@ from clgames.infinitary import (
     RAlphaSolver,
     build_nested_levels_pair,
     dynamic_game_value,
+    r_alpha,
 )
 from clgames.moduli import capped_linear, identity_modulus
 from clgames.structures import (
@@ -287,12 +288,12 @@ class TestGameValue:
         assert "value table" in str(err.value)
         # the certificates are built before the value is read, and each
         # node looks up the leaf of its key: at a cap of 20 the duplicator's
-        # certificate holds 2 nodes over 3 leaves and 15 values, and the
+        # certificate holds 1 node over 2 leaves and 17 values, and the
         # next node's leaf is the entry past the cap
         with pytest.raises(ResourceCapError) as err:
             game_value(PAIR_55, rounds=3, max_positions=20)
         assert err.value.cap == 20 and err.value.table == "leaf"
-        assert err.value.entries == {"leaf": 3, "value": 15, "certificate": 2}
+        assert err.value.entries == {"leaf": 2, "value": 17, "certificate": 1}
         assert "leaf table" in str(err.value)
         for cap in (0, -3):
             with pytest.raises(ValueError, match="at least 1"):
@@ -326,11 +327,11 @@ class TestGameValue:
         ),
         pytest.param(
             build_nested_levels_pair(4, 2), 3, {"leaf": 1, "value": 30},
-            {"leaf": 91, "value": 326, "certificate": 113}, id="nested-levels-4",
+            {"leaf": 91, "value": 331, "certificate": 113}, id="nested-levels-4",
         ),
         pytest.param(
             PAIR_55, 6, {"leaf": 1, "value": 18},
-            {"leaf": 17, "value": 36, "certificate": 80}, id="cardinality-witness",
+            {"leaf": 17, "value": 39, "certificate": 80}, id="cardinality-witness",
         ),
     ])
     def test_table_sizes(self, pair, rounds, after_value, after_certificates):
@@ -459,6 +460,62 @@ def test_search_fits_the_least_limit_the_depth_rule_admits(solve, rounds):
     assert result == expected
 
 
+DISCRETE_1212 = NamedPair(discrete_structure(12), discrete_structure(12))
+
+
+class CallHop:
+    """A call through a class's ``__call__``: Python 3.10 and 3.11 count it
+    against the recursion limit twice, as a frame and as a C-level call."""
+
+    def __call__(self, hops: int, call):
+        return self(hops - 1, call) if hops else call()
+
+
+# a search the depth rule admits below a caller deep in C-level calls can
+# still outgrow the stack on Python 3.10 and 3.11: it is refused in the
+# rule's one line, and the solver answers a shallower call as before
+@pytest.mark.parametrize("search", [
+    pytest.param(lambda solver, r: solver.value(Position(), r), id="value"),
+    pytest.param(lambda solver, r: solver.best_move(Position(), r), id="best-move"),
+    pytest.param(lambda solver, r: solver.best_reply(Position(), "L", 0, r), id="best-reply"),
+    pytest.param(lambda solver, r: solver.ii_strategy_tree(Position(), r), id="ii-tree"),
+    pytest.param(lambda solver, r: solver.i_witness_tree(Position(), r), id="i-tree"),
+    pytest.param(
+        lambda solver, r: r_alpha(solver.pair, alpha=r, max_positions=solver.cap), id="r-alpha",
+    ),
+    pytest.param(
+        lambda solver, r: dynamic_game_value(solver.pair, r, max_positions=solver.cap),
+        id="dynamic",
+    ),
+])
+def test_overflow_below_c_level_calls_is_refused_in_one_line(search):
+    saved = sys.getrecursionlimit()
+
+    def deep(solver, rounds):
+        limit = len(inspect.stack(0)) + 60
+        sys.setrecursionlimit(limit)
+        try:
+            search(solver, rounds)
+        except ResourceCapError:
+            return "over the cap"
+        except ValueError as err:
+            assert str(err) == (
+                f"{rounds} rounds need a recursion deeper than the interpreter's "
+                f"limit of {limit} frames; use fewer rounds"
+            )
+            return "refused"
+        finally:
+            sys.setrecursionlimit(saved)
+        return "answered"
+
+    for rounds in range(12, 18):
+        solver = GameSolver(DISCRETE_1212, max_positions=3000)
+        if CallHop()(30, lambda: deep(solver, rounds)) == "refused":
+            # a refusal while reporting a full table leaves no room
+            if solver._entries < solver.cap:
+                assert CallHop()(30, lambda: solver.value(Position(), 3)) == 0
+
+
 class TestCertificates:
     def exhaustive_check(self, pair, rounds):
         result = game_value(pair, rounds=rounds)
@@ -544,16 +601,16 @@ class TestCertificates:
         self.exhaustive_check(cardinality_witness_pair(F(1, 4)), 3)
 
     def test_certificates_counted_against_the_cap(self, monkeypatch, tmp_path):
-        # from the empty start at 4 rounds the solve holds 17 leaf and 33
+        # from the empty start at 4 rounds the solve holds 17 leaf and 39
         # value entries, and the two certificates 44 nodes (25 of II's, 19
-        # of I's) in the certificate table: 94 entries in all; the value is
+        # of I's) in the certificate table: 100 entries in all; the value is
         # read off I's root node, built last, which is the one past a cap
-        # of 93
-        result = game_value(PAIR_55, rounds=4, max_positions=94)
+        # of 99
+        result = game_value(PAIR_55, rounds=4, max_positions=100)
         with pytest.raises(ResourceCapError) as err:
-            game_value(PAIR_55, rounds=4, max_positions=93)
-        assert (err.value.cap, err.value.table) == (93, "certificate")
-        assert err.value.entries == {"leaf": 17, "value": 33, "certificate": 43}
+            game_value(PAIR_55, rounds=4, max_positions=99)
+        assert (err.value.cap, err.value.table) == (99, "certificate")
+        assert err.value.entries == {"leaf": 17, "value": 39, "certificate": 43}
         assert "certificate table" in str(err.value)
         # a solve without certificates makes no certificate table
         solver = GameSolver(PAIR_55)
@@ -563,7 +620,7 @@ class TestCertificates:
         assert len(solver._tables["certificate"]) == 25
         solver.i_witness_tree(Position(), 4)
         assert len(solver._tables["certificate"]) == 44
-        monkeypatch.setenv("CLGAMES_MAX_POSITIONS", "93")
+        monkeypatch.setenv("CLGAMES_MAX_POSITIONS", "99")
         with pytest.raises(ResourceCapError, match="certificate 43"):
             game_value(PAIR_55, rounds=4)
         monkeypatch.delenv("CLGAMES_MAX_POSITIONS")

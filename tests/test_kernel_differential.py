@@ -576,9 +576,9 @@ def test_value_from_mostly_covered_starts_matches_the_oracles(data):
 
 # A value search orders II's replies by the solver's history: a move's
 # replies start at the one that last refuted it, while I's moves keep
-# canonical order.  The history carries over from one call to the next; no
-# value may depend on it, and the scans that name a move keep canonical
-# order.
+# canonical order.  The history carries over from one call to the next, the
+# searches below a certificate included; no value may depend on it, and the
+# scans that name a move keep canonical order.
 
 
 def history_is_used(solver) -> bool:
@@ -674,3 +674,32 @@ def test_value_searches_leave_the_named_moves_and_certificates(pair, rounds, tmp
     assert history_is_used(searched)
     assert named(searched, tmp_path / "searched.json") == named(
         GameSolver(pair), tmp_path / "fresh.json")
+
+
+@settings(max_examples=40, deadline=None)
+@given(pairs(), st.integers(1, 3))
+def test_certificates_do_not_depend_on_the_reply_order(tmp_path_factory, pair, rounds):
+    # the value searches below a certificate order II's replies by the
+    # history, which a scan that names a move never sees: it compares each
+    # child's fail-soft result with its window, and the side of the window
+    # a result falls on depends on the child's value alone.  So both
+    # certificates, built after value searches from other starts have set a
+    # history, are byte for byte those of a solver whose every reply
+    # rotation is canonical order
+    depth = 1 if pair.signature.functions else 0
+
+    def certificate_bytes(canonical: bool) -> bytes:
+        solver = GameSolver(pair, depth)
+        if canonical:
+            for rotations, _ in solver._orders.values():
+                rotations[:] = [rotations[0]] * len(rotations)
+        for a, b in product(range(pair.left.size), range(pair.right.size)):
+            solver.value(Position((a,), (b,)), rounds)
+        ii_tree = solver.ii_strategy_tree(Position(), rounds)
+        i_tree = solver.i_witness_tree(Position(), rounds)
+        result = game.GameValueResult(i_tree.value, rounds, depth, ii_tree, i_tree)
+        path = tmp_path_factory.mktemp("certificate") / "cert.json"
+        game.strategy_to_json(result, path)
+        return path.read_bytes()
+
+    assert certificate_bytes(False) == certificate_bytes(True)
