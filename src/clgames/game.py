@@ -65,7 +65,7 @@ from functools import cached_property
 from itertools import combinations, product
 from math import lcm
 
-from .formulas import compile_formula, enumerate_atomic, is_delta_formula
+from .formulas import enumerate_atomic, evaluate, is_delta_formula
 from .moduli import PwlModulus
 from .rationals import format_rat, rat_to_json
 from .structures import NamedPair, _is_point
@@ -371,14 +371,16 @@ class GameSolver:
         position.check_against(self.pair)
         key = self._key(position)
         depth = min(rounds, self._uncovered(key)) if clamp and self._set_keys else rounds
-        frame, depth = sys._getframe(1), 2 * depth + self._leaf_frames
+        frame, frames = sys._getframe(1), self._leaf_frames
         while frame is not None:
-            frame, depth = frame.f_back, depth + 1
-        if depth >= sys.getrecursionlimit():
-            raise self._too_deep(rounds)
+            frame, frames = frame.f_back, frames + 1
+        if frames + 2 * depth >= sys.getrecursionlimit():
+            raise self._too_deep(rounds, frames)
         return key
 
-    def _too_deep(self, rounds: int) -> ValueError:
+    def _too_deep(self, rounds: int, frames: int = 0) -> ValueError:
+        """The refusal of a search too deep for the recursion limit, which
+        takes ``frames`` frames before its rounds."""
         return ValueError(f"{rounds} rounds need a recursion deeper than the interpreter's "
                           f"limit of {sys.getrecursionlimit()} frames; use fewer rounds")
 
@@ -412,9 +414,9 @@ class GameSolver:
         return key[:i] + (pair,) + key[i:]
 
     def memo_table(self, name: str) -> dict:
-        """A new empty memo table, filled through ``memoize`` under ``name``."""
-        table = self._tables[name] = {}
-        return table
+        """The memo table filled through ``memoize`` under ``name``, made
+        empty on first use."""
+        return self._tables.setdefault(name, {})
 
     def memoize(self, table: str, key, value):
         """Store ``key -> value`` in the named memo table, charging the entry
@@ -668,8 +670,7 @@ class GameSolver:
         does: that order changes the table, not the moves and replies the
         scans name."""
         key = self._enter(position, rounds, clamp=False)
-        if "certificate" not in self._tables:
-            self.memo_table("certificate")
+        self.memo_table("certificate")
         with self._guard(rounds):
             return node(key, rounds) if rounds else None
 
@@ -700,21 +701,6 @@ class GameSolver:
         return node
 
 
-def _gap_scorer(pair: NamedPair, formulas, arity: int, den: int):
-    """The function of the left and right points for x0..x{arity-1} giving
-    ``den`` times the largest |left value - right value| over the formulas, 0
-    for none; each is compiled once per side and scaled by den // N."""
-    terms = []
-    for phi in formulas:
-        (run_l, n_l), (run_r, n_r) = (
-            compile_formula(phi, side, range(arity)) for side in (pair.left, pair.right))
-        if den % n_l or den % n_r:
-            raise ValueError(f"a formula's denominator {n_l} or {n_r} does not divide {den}")
-        terms.append((run_l, den // n_l, run_r, den // n_r))
-    return lambda left, right: max(
-        [abs(k * f(left) - m * g(right)) for f, k, g, m in terms], default=0)
-
-
 def atomic_discrepancy(pair: NamedPair, position: Position, term_depth: int = 0) -> Fraction:
     """Max over atomic formulas of the value gap at the position: the least
     eps making the played map a partial eps-isomorphism (at this term depth)."""
@@ -728,12 +714,15 @@ def is_partial_eps_delta_iso(
     delta: PwlModulus,
     term_depth: int = 0,
 ) -> bool:
-    """Check the position against atomic delta-formulas only."""
+    """Whether the position is a partial (epsilon, delta)-isomorphism: the
+    largest |phi^L - phi^R| at its points over the atomic delta-formulas
+    phi, 0 for none, is at most epsilon."""
     position.check_against(pair)
     sig, k = pair.signature, len(position)
     atoms = [a for a in enumerate_atomic(sig, k, term_depth) if is_delta_formula(a, sig, delta)]
-    den = lcm(pair.left.integer_form.den, pair.right.integer_form.den)
-    return _gap_scorer(pair, atoms, k, den)(position.left, position.right) <= epsilon * den
+    left, right = dict(enumerate(position.left)), dict(enumerate(position.right))
+    gaps = [abs(evaluate(a, pair.left, left) - evaluate(a, pair.right, right)) for a in atoms]
+    return max(gaps, default=0) <= epsilon
 
 
 def game_value(

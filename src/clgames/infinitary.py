@@ -35,6 +35,7 @@ play order and a repeated pair as a second copy.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -47,19 +48,20 @@ from .formulas import (
     Scale,
     TruncAdd,
     TruncSub,
+    compile_formula,
     enumerate_atomic,
     free_vars,
     is_atomic,
     modulus_of,
 )
-from .game import GameSolver, Position, _gap_scorer
+from .game import GameSolver, Position
 from .moduli import WeakModulus, linear_modulus, modulus_leq
 from .structures import MetricStructure, NamedPair, PredicateSymbol, Signature
 
 __all__ = [
     "AtomicLeaf",
     "OmegaLeaf",
-    "RAlphaSolver",
+    "rank_solver",
     "r_alpha",
     "DynamicGameResult",
     "dynamic_game_value",
@@ -100,9 +102,7 @@ def check_basic_omega(phi: Formula, sig: Signature, omega: WeakModulus) -> bool:
 
 
 def _is_basic(phi: Formula) -> bool:
-    if is_atomic(phi):
-        return True
-    return isinstance(phi, Conn) and all(is_atomic(a) for a in phi.args)
+    return is_atomic(phi) or (isinstance(phi, Conn) and all(is_atomic(a) for a in phi.args))
 
 
 def generate_basic_family(
@@ -137,23 +137,31 @@ def _family_size(sig: Signature, arity: int, term_depth: int, scales: int, limit
     return atoms * (1 + scales) + 3 * atoms * (atoms - 1) // 2
 
 
-class RAlphaSolver(GameSolver):
-    """Memoized rank recursion over one structure pair: the finite game's
-    minimax with the leaf scored over the chosen family.
+def _gap_scorer(pair: NamedPair, formulas, arity: int, den: int):
+    """The function of the left and right points for x0..x{arity-1} giving
+    ``den`` times the largest |left value - right value| over the formulas, 0
+    for none; each is compiled once per side and scaled by den // N."""
+    terms = []
+    for phi in formulas:
+        (run_l, n_l), (run_r, n_r) = (
+            compile_formula(phi, side, range(arity)) for side in (pair.left, pair.right))
+        terms.append((run_l, den // n_l, run_r, den // n_r))
+    return lambda left, right: max(
+        [abs(k * f(left) - m * g(right)) for f, k, g, m in terms], default=0)
 
-    With the atomic leaf this is the kernel itself; an ``OmegaLeaf`` is
+
+def rank_solver(pair: NamedPair, leaf: AtomicLeaf | OmegaLeaf, max_positions: int | None = None):
+    """The memoized rank recursion over one structure pair: the finite
+    game's minimax with the leaf scored over the chosen family.  With the
+    atomic leaf this is the kernel itself; an ``OmegaLeaf`` is
     coordinate-indexed, so the order of the pairs at its prefix coordinates
-    matters, and gives an ``_OmegaLeafSolver``.
-    """
-
-    def __new__(cls, pair: NamedPair, leaf: AtomicLeaf | OmegaLeaf, max_positions: int | None = None):
-        return super().__new__(_OmegaLeafSolver if isinstance(leaf, OmegaLeaf) else cls)
-
-    def __init__(self, pair: NamedPair, leaf: AtomicLeaf | OmegaLeaf, max_positions: int | None = None):
-        super().__init__(pair, leaf.term_depth, max_positions)
+    matters, and gives an ``_OmegaLeafSolver``."""
+    if isinstance(leaf, OmegaLeaf):
+        return _OmegaLeafSolver(pair, leaf, max_positions)
+    return GameSolver(pair, leaf.term_depth, max_positions)
 
 
-class _OmegaLeafSolver(RAlphaSolver):
+class _OmegaLeafSolver(GameSolver):
     """The rank recursion with the coordinate-indexed ``OmegaLeaf``, its
     leaves integers over the family compiled once per arity.
 
@@ -170,17 +178,23 @@ class _OmegaLeafSolver(RAlphaSolver):
     stay then adds a copy to the key, so the kernel's three shortcuts for
     set keys (the rounds clamp, the skip of I's moves on covered points and
     the child's leaf from its parent's) are off, and the depth rule counts
-    every round."""
+    every round.
+
+    The leaves are integers over ``_den``, the sides' common denominator
+    times the lcm of the scale factors' denominators.  Every family
+    formula's own denominator N divides it, so ``_gap_scorer`` scales each
+    formula by a whole den // N: an atom's N is a side's denominator, a
+    p/s-scaled atom's is s times it, and a truncated sum or difference of
+    two atoms has the lcm of theirs."""
 
     _set_keys = False
 
     def __init__(self, pair: NamedPair, leaf: OmegaLeaf, max_positions: int | None = None):
-        super().__init__(pair, leaf, max_positions)
+        super().__init__(pair, leaf.term_depth, max_positions)
         self._prefix = len(leaf.omega.coords)
         # the family's moduli and compiled formulas recurse through its
         # terms, two frames a level of term depth
         self._leaf_frames = 40 + 2 * leaf.term_depth
-        # p/s-scaled formulas have N = s * (side's den): the product keeps den // N whole
         self._den *= lcm(*(Fraction(q).denominator for q in leaf.scale_factors))
 
         def family(k):
@@ -198,6 +212,15 @@ class _OmegaLeafSolver(RAlphaSolver):
     def _score(self, key):
         return self._scorer(len(key))(tuple(a for a, _ in key), tuple(b for _, b in key))
 
+    def _too_deep(self, rounds: int, frames: int = 0) -> ValueError:
+        """The kernel's refusal, but naming the term depth when its frames
+        alone take the search to the limit at 0 rounds."""
+        if frames - 2 * self.term_depth < sys.getrecursionlimit() <= frames:
+            return ValueError(f"term depth {self.term_depth} needs a recursion deeper than the "
+                              f"interpreter's limit of {sys.getrecursionlimit()} frames; "
+                              "use a smaller term depth")
+        return super()._too_deep(rounds)
+
 
 def r_alpha(
     pair: NamedPair,
@@ -207,7 +230,7 @@ def r_alpha(
     max_positions: int | None = None,
 ) -> Fraction:
     """Rank recursion value at a finite clock stage."""
-    solver = RAlphaSolver(pair, leaf or AtomicLeaf(), max_positions)
+    solver = rank_solver(pair, leaf or AtomicLeaf(), max_positions)
     key = solver._enter(position or Position(), alpha, name="alpha")
     with solver._guard(alpha):
         return solver._fraction(solver._value(key, alpha))
@@ -248,7 +271,7 @@ def dynamic_game_value(
     (value - 1, value) of the integer values, and only the spend kept is
     scanned in full.
     """
-    game = RAlphaSolver(pair, leaf or AtomicLeaf(), max_positions)
+    game = rank_solver(pair, leaf or AtomicLeaf(), max_positions)
     key = game._enter(start or Position(), clock, name="clock")
     line, left = [], clock
     with game._guard(clock):
@@ -331,9 +354,7 @@ def build_nested_levels_pair(m: int, level_size: int) -> NamedPair:
     )
 
     def depth(idx: int, star_depth) -> int:
-        if idx == 0:
-            return star_depth
-        return (idx - 1) // level_size
+        return star_depth if idx == 0 else (idx - 1) // level_size
 
     def tables(star_depth):
         out = {}

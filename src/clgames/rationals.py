@@ -13,9 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-__all__ = ["Rational", "rat", "rat_from_json", "rat_to_json", "format_rat"]
-
-Rational = Fraction
+__all__ = ["rat", "rat_from_json", "rat_to_json", "format_rat"]
 
 # Fraction expands a decimal exponent exactly, in time and memory that grow
 # with it: "1e-10000000" takes seconds, and a few more digits would not end

@@ -855,12 +855,12 @@ def _read_json(path):
         raise ValueError(f"{path}: JSON nested too deeply to decode") from None
 
 
-def load_structure(path, check: bool = True, allow_pseudometric: bool = False) -> MetricStructure:
+def load_structure(path, check: bool = True) -> MetricStructure:
     """Load and (by default) validate a structure file."""
     data = _read_json(path)
     structure = structure_from_json(data)
     if check:
-        report = validate(structure, allow_pseudometric=allow_pseudometric)
+        report = validate(structure)
         if not report.ok:
             raise StructureValidationError(report)
     return structure

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import inspect
 import random
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -40,7 +41,7 @@ from clgames.formulas import (
 )
 from clgames import moduli as moduli_module
 from clgames.game import IIStrategyNode, Position
-from clgames.infinitary import AtomicLeaf, RAlphaSolver, check_basic_omega, generate_basic_family
+from clgames.infinitary import AtomicLeaf, check_basic_omega, generate_basic_family, rank_solver
 from clgames.moduli import (
     Aggregator,
     PwlModulus,
@@ -601,7 +602,7 @@ class DynamicSolver:
     """
 
     def __init__(self, pair: NamedPair, leaf=None):
-        self.game = RAlphaSolver(pair, leaf or AtomicLeaf())
+        self.game = rank_solver(pair, leaf or AtomicLeaf())
         self.moves = [("L", a) for a in range(pair.left.size)]
         self.moves += [("R", b) for b in range(pair.right.size)]
         self.replies = {"L": range(pair.right.size), "R": range(pair.left.size)}
@@ -934,10 +935,12 @@ def solve_at_least_admitted_limit(solve, rounds: int):
     one, it means the rule admitted a search that outgrew the stack, and it
     fails the test.  The solvers end a RecursionError in a search they
     admitted as the rule's refusal, raised while handling it, so such a
-    refusal counts as the RecursionError.  ``solve`` must build its solver
+    refusal counts as the RecursionError.  A refusal below that one may
+    name the term depth instead, at the limits that the omega leaf's frames
+    for its term depth reach at 0 rounds.  ``solve`` must build its solver
     afresh on each call, as a memo filled at one limit would shorten the
     search at the next."""
-    saved, refused = sys.getrecursionlimit(), False
+    saved, refused = sys.getrecursionlimit(), None
     try:
         for limit in range(len(inspect.stack(0)) + 1, saved + 1):
             try:
@@ -952,13 +955,14 @@ def solve_at_least_admitted_limit(solve, rounds: int):
                     if refused:
                         raise
                     continue
-                assert str(err) == (
-                    f"{rounds} rounds need a recursion deeper than the interpreter's "
-                    f"limit of {limit} frames; use fewer rounds"
-                )
-                refused = True
+                refused = str(err)
+                limit_text = f"a recursion deeper than the interpreter's limit of {limit} frames"
+                assert refused == f"{rounds} rounds need {limit_text}; use fewer rounds" or (
+                    re.fullmatch(rf"term depth \d+ needs {limit_text}; use a smaller term depth",
+                                 refused))
                 continue
             assert refused, f"admitted at {limit} frames, with no lower limit refused"
+            assert refused.startswith(f"{rounds} rounds need"), refused
             return result
     finally:
         sys.setrecursionlimit(saved)

@@ -23,7 +23,7 @@ from clgames.formulas import (
     theta_of,
 )
 from clgames.game import GameSolver, Position, game_value
-from clgames.infinitary import AtomicLeaf, RAlphaSolver, omega_game_value_atomic
+from clgames.infinitary import AtomicLeaf, omega_game_value_atomic
 from clgames.moduli import capped_linear, compose, concave_envelope, linear_modulus
 from clgames.structures import (
     MetricStructure,
@@ -79,7 +79,7 @@ def test_criterion_1_dynamic_game_equals_rank_recursion():
     pairs = _random_pairs(seed=101, count=50, max_points=4)
     checked = 0
     for pair in pairs:
-        recursion = RAlphaSolver(pair, AtomicLeaf())
+        recursion = GameSolver(pair)
         search = helpers.DynamicSolver(pair, AtomicLeaf())
         for alpha in range(5):
             assert search.value(Position(), alpha) == recursion.value(Position(), alpha)
@@ -135,7 +135,7 @@ def test_criterion_3_rank_monotone_symmetric_triangle():
     started = time.monotonic()
     pairs = _random_pairs(seed=301, count=20, max_points=4)
     for pair in pairs:
-        solver = RAlphaSolver(pair, AtomicLeaf())
+        solver = GameSolver(pair)
         values = [solver.value(Position(), alpha) for alpha in range(5)]
         for beta in range(5):
             for alpha in range(beta, 5):
@@ -148,10 +148,10 @@ def test_criterion_3_rank_monotone_symmetric_triangle():
             tuple(helpers.random_structure(rng, sig, max_points=3) for _ in range(3))
         )
     for a, b, c in triples:
-        sab = RAlphaSolver(NamedPair(a, b), AtomicLeaf())
-        sba = RAlphaSolver(NamedPair(b, a), AtomicLeaf())
-        sbc = RAlphaSolver(NamedPair(b, c), AtomicLeaf())
-        sac = RAlphaSolver(NamedPair(a, c), AtomicLeaf())
+        sab = GameSolver(NamedPair(a, b))
+        sba = GameSolver(NamedPair(b, a))
+        sbc = GameSolver(NamedPair(b, c))
+        sac = GameSolver(NamedPair(a, c))
         for alpha in range(4):
             ab = sab.value(Position(), alpha)
             assert ab == sba.value(Position(), alpha)
@@ -446,7 +446,7 @@ def test_criterion_8_omega_fixpoint():
     checked_zero = 0
     for pair in fixtures:
         omega = omega_game_value_atomic(pair)
-        solver = RAlphaSolver(pair, AtomicLeaf())
+        solver = GameSolver(pair)
         values = [solver.value(Position(), alpha) for alpha in range(12)]
         assert values[-1] == values[-2] == values[-3] == values[-4]
         assert omega == values[-1]

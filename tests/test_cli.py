@@ -494,6 +494,23 @@ class TestRalphaCommand:
                               "reached by the family table at arity 2, "
                               "at least 742,368 candidates (entries held: ")
 
+    @pytest.mark.parametrize("term_depth", ["480", "1000000000"])
+    def test_term_depth_too_deep_is_named_in_one_line(self, tmp_path, capsys, term_depth):
+        # the family's frames alone reach the limit, at any number of rounds;
+        # the refusal blamed the rounds, "0 rounds need ..."
+        path, omega = tmp_path / "g.json", tmp_path / "w4.json"
+        save_pair(helpers.binary_function_pair(), path)
+        w = WeakModulus(coords=(), tail=linear_modulus(4), aggregator=Aggregator.MAX)
+        omega.write_text(json.dumps(weak_modulus_to_json(w)))
+        args = ["ralpha", "--pair", str(path), "--alpha", "0", "--leaf", "omega",
+                "--omega", str(omega), "--term-depth"]
+        assert main(args + [term_depth]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: term depth {term_depth} needs a recursion deeper than the interpreter's "
+            f"limit of {sys.getrecursionlimit()} frames; use a smaller term depth\n"))
+        assert main(args + ["1"]) == 0
+        assert capsys.readouterr().out.startswith("r_0 = 0")
+
 
 class TestThetaAndDist:
     def test_theta_report(self, structure_file, capsys):

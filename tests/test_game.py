@@ -7,8 +7,12 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clgames.formulas import (
     enumerate_atomic,
@@ -33,13 +37,11 @@ from clgames.game import (
     winning_strategy,
 )
 from clgames.infinitary import (
-    AtomicLeaf,
-    RAlphaSolver,
     build_nested_levels_pair,
     dynamic_game_value,
     r_alpha,
 )
-from clgames.moduli import capped_linear, identity_modulus
+from clgames.moduli import capped_linear, identity_modulus, linear_modulus
 from clgames.structures import (
     MetricStructure,
     NamedPair,
@@ -192,6 +194,40 @@ class TestPartialIso:
                     if gap:
                         below = gap - F(1, 10**9)
                         assert not is_partial_eps_delta_iso(pair, pos, below, delta)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    kind=st.sampled_from(["constant", "function", "ternary"]),
+)
+def test_partial_iso_matches_the_fraction_walk(rng, kind):
+    """At every position of at most two pairs, for three deltas (t/2 admits
+    no atom), the check holds exactly when epsilon reaches the largest gap
+    of the delta-atoms under ``helpers.fraction_evaluate``, 0 for none.  The
+    epsilons are each atom's gap, one unit of the sides' common denominator
+    below it, and a negative one; the unary function plays at term depth 1."""
+    pair = helpers.random_pair(rng, max_points=3, **{f"with_{kind}": True})
+    sig, term_depth = pair.signature, int(kind == "function")
+    unit = F(1, lcm(pair.left.integer_form.den, pair.right.integer_form.den))
+    for delta in (identity_modulus(), capped_linear(2), linear_modulus(F(1, 2))):
+        for k in range(3):
+            atoms = [
+                a for a in enumerate_atomic(sig, k, term_depth) if is_delta_formula(a, sig, delta)
+            ]
+            for left, right in product(
+                product(range(pair.left.size), repeat=k), product(range(pair.right.size), repeat=k)
+            ):
+                env_l, env_r = dict(enumerate(left)), dict(enumerate(right))
+                gaps = {
+                    abs(helpers.fraction_evaluate(a, pair.left, env_l)
+                        - helpers.fraction_evaluate(a, pair.right, env_r))
+                    for a in atoms
+                }
+                worst = max(gaps, default=F(0))
+                for eps in {*gaps, *(gap - unit for gap in gaps), F(-1)}:
+                    got = is_partial_eps_delta_iso(pair, Position(left, right), eps, delta, term_depth)
+                    assert got == (worst <= eps), (left, right, eps)
 
 
 class TestGameValue:
@@ -379,7 +415,7 @@ class TestGameValue:
         "^3000 rounds need a recursion deeper", id="i-tree-too-deep",
     ),
     pytest.param(
-        lambda: RAlphaSolver(PAIR_55, AtomicLeaf()).value(Position(), -1),
+        lambda: GameSolver(PAIR_55).value(Position(), -1),
         "^rounds must be non-negative, got -1$", id="ralpha-negative-clock",
     ),
     pytest.param(

@@ -16,20 +16,21 @@ from clgames.formulas import (
     Pred,
     Scale,
     Var,
+    compile_formula,
     format_formula,
     modulus_of,
 )
-from clgames.game import Position, ResourceCapError, game_value
+from clgames.game import GameSolver, Position, ResourceCapError, game_value
 from clgames.infinitary import (
     AtomicLeaf,
     OmegaLeaf,
-    RAlphaSolver,
     build_nested_levels_pair,
     check_basic_omega,
     dynamic_game_value,
     generate_basic_family,
     omega_game_value_atomic,
     r_alpha,
+    rank_solver,
 )
 from clgames.moduli import (
     Aggregator,
@@ -123,7 +124,7 @@ class TestRAlpha:
         rng = random.Random(34)
         for _ in range(5):
             pair = helpers.random_pair(rng, max_points=3)
-            solver = RAlphaSolver(pair, AtomicLeaf())
+            solver = GameSolver(pair)
             for alpha in range(4):
                 assert solver.value(Position(), alpha) == game_value(
                     pair, rounds=alpha, build_strategies=False
@@ -139,7 +140,7 @@ class TestDynamicGame:
         rng = random.Random(35)
         for _ in range(6):
             pair = helpers.random_pair(rng, max_points=3)
-            solver = RAlphaSolver(pair, AtomicLeaf())
+            solver = GameSolver(pair)
             for alpha in range(4):
                 dyn = dynamic_game_value(pair, alpha)
                 assert dyn.value == solver.value(Position(), alpha)
@@ -288,7 +289,7 @@ class TestMonotonicityAndPseudometric:
         rng = random.Random(37)
         for _ in range(8):
             pair = helpers.random_pair(rng, max_points=3)
-            solver = RAlphaSolver(pair, AtomicLeaf())
+            solver = GameSolver(pair)
             values = [solver.value(Position(), alpha) for alpha in range(5)]
             assert all(a <= b for a, b in zip(values, values[1:]))
 
@@ -386,7 +387,7 @@ class TestOmegaGame:
         rng = random.Random(42)
         for _ in range(4):
             pair = helpers.random_pair(rng, max_points=3)
-            solver = RAlphaSolver(pair, AtomicLeaf())
+            solver = GameSolver(pair)
             values = [solver.value(Position(), alpha) for alpha in range(12)]
             stable_at = next(
                 a for a in range(1, 12) if values[a] == values[a - 1]
@@ -493,8 +494,8 @@ class TestOmegaLeaf:
         rng = random.Random(44)
         for _ in range(4):
             pair = helpers.random_pair(rng, max_points=3)
-            atomic = RAlphaSolver(pair, AtomicLeaf())
-            omega = RAlphaSolver(pair, OmegaLeaf(generous))
+            atomic = GameSolver(pair)
+            omega = rank_solver(pair, OmegaLeaf(generous))
             for _ in range(6):
                 k = rng.randint(0, 2)
                 pos = Position(
@@ -552,7 +553,7 @@ class TestOmegaLeaf:
                 # one solver and one oracle per leaf, so each family is built once
                 start_leaf = OmegaLeaf(omega, leaf.term_depth, scale_factors)
                 pair = helpers.random_pair(rng, max_points=3, **pair_options)
-                solver = RAlphaSolver(pair, start_leaf)
+                solver = rank_solver(pair, start_leaf)
                 score = helpers.omega_leaf_oracle(pair, start_leaf)
                 for repeat in (False, True):
                     left = [rng.randrange(pair.left.size) for _ in range(c + 2)]
@@ -592,7 +593,7 @@ class TestOmegaLeaf:
         for omega in moduli:
             pair = NamedPair(*(helpers.random_structure(rng, sig, max_points=3) for _ in "LR"))
             leaf = OmegaLeaf(omega, term_depth, (F(2), F(1, 3), F(3, 4)))
-            solver, oracle = RAlphaSolver(pair, leaf), helpers.omega_leaf_oracle(pair, leaf)
+            solver, oracle = rank_solver(pair, leaf), helpers.omega_leaf_oracle(pair, leaf)
             for k in range(4):
                 for _ in range(6):
                     left = tuple(rng.randrange(pair.left.size) for _ in range(k))
@@ -603,7 +604,7 @@ class TestOmegaLeaf:
         # first modulus certifies
         pair = NamedPair(*(helpers.random_structure(rng, sig, max_points=3) for _ in "LR"))
         bare = OmegaLeaf(moduli[0], term_depth, ())
-        solver, oracle = RAlphaSolver(pair, bare), helpers.omega_leaf_oracle(pair, bare)
+        solver, oracle = rank_solver(pair, bare), helpers.omega_leaf_oracle(pair, bare)
         for _ in range(12):
             k = rng.randint(1, 2)
             left = [rng.randrange(pair.left.size) for _ in range(k)]
@@ -682,6 +683,44 @@ class TestOmegaLeaf:
         # at term depth 3 the terms held at 1,002 give a lower bound
         assert infinitary._family_size(sig, 2, 3, 2, 1000) == 377_255_631_753
         assert infinitary._family_size(sig, 2, 3, 2, 10**13) == 1_637_208_397_440
+
+    def test_every_family_denominator_divides_the_solver_den(self):
+        # the leaf scales each compiled formula by den // N, which must be
+        # whole: the sides' denominators differ, a function term reaches
+        # the atoms, and every scaling's denominator multiplies N
+        rng = random.Random(53)
+        sig = helpers.random_signature(rng, with_function=True)
+        coprime = {"values": helpers.COPRIME_VALUE_GRID, "distances": helpers.COPRIME_DIST_GRID}
+        pair = NamedPair(helpers.random_structure(rng, sig, max_points=3, **coprime),
+                         helpers.random_structure(rng, sig, max_points=3))
+        assert pair.left.integer_form.den != pair.right.integer_form.den
+        generous = WeakModulus(coords=(), tail=linear_modulus(10**6), aggregator=Aggregator.MAX)
+        leaf = OmegaLeaf(generous, 1, (F(2), F(1, 3), F(3, 4)))
+        solver = rank_solver(pair, leaf)
+        for arity in (1, 2):
+            family = generate_basic_family(sig, arity, generous, 1, leaf.scale_factors)
+            assert {phi.conn.factor for phi in family if isinstance(phi, Conn)
+                    and isinstance(phi.conn, Scale)} == set(leaf.scale_factors)
+            for phi in family:
+                for side in (pair.left, pair.right):
+                    assert solver._den % compile_formula(phi, side, range(arity))[1] == 0
+
+    def test_term_depth_too_deep_is_named(self):
+        # the family's frames at term depth 480 reach the default limit by
+        # themselves, so no number of rounds fits; a term depth of 1 does
+        pair = helpers.binary_function_pair()
+        omega = WeakModulus(coords=(), tail=linear_modulus(4), aggregator=Aggregator.MAX)
+        for term_depth in (480, 10**9):
+            for solve in (r_alpha, dynamic_game_value):
+                with pytest.raises(ValueError) as err:
+                    solve(pair, 0, leaf=OmegaLeaf(omega, term_depth))
+                assert str(err.value) == (
+                    f"term depth {term_depth} needs a recursion deeper than the interpreter's "
+                    f"limit of {sys.getrecursionlimit()} frames; use a smaller term depth")
+        assert r_alpha(pair, alpha=0, leaf=OmegaLeaf(omega, 1)) == 0
+        # a search that would fit at 0 rounds still names the rounds
+        with pytest.raises(ValueError, match="^600 rounds need a recursion deeper"):
+            r_alpha(pair, alpha=600, leaf=OmegaLeaf(omega, 1))
 
     def test_rank_recursion_with_omega_leaf(self):
         generous = WeakModulus(coords=(), tail=linear_modulus(2), aggregator=Aggregator.MAX)
