@@ -270,18 +270,31 @@ def _cmd_ralpha(args) -> int:
         alpha = int(args.alpha)
     except ValueError:
         raise ValueError(f"--alpha must be an integer or 'omega', got {args.alpha!r}") from None
+    payload = {"alpha": alpha, "leaf": args.leaf}
     if args.dynamic:
         result = infinitary.dynamic_game_value(
             pair, alpha, leaf=leaf, max_positions=args.max_positions
         )
         value = result.value
         label = f"dynamic game value (clock {alpha})"
+        payload["line"] = [_line_entry(pair, *entry) for entry in result.principal_variation]
     else:
         value = infinitary.r_alpha(pair, alpha=alpha, leaf=leaf, max_positions=args.max_positions)
         label = f"r_{alpha}"
-    _emit(args, {"alpha": alpha, "value": rat_to_json(value), "leaf": args.leaf},
-          [f"{label} = {format_rat(value)}"])
+    payload["value"] = rat_to_json(value)
+    _emit(args, payload, [f"{label} = {format_rat(value)}"])
     return 0
+
+
+def _line_entry(pair, spent: int, side: str, element: int, reply: int) -> dict:
+    """One round of the dynamic game's principal variation: the clock
+    spent, I's move as "A <label>" or "B <label>", and II's reply's label."""
+    mover, other = (pair.left, pair.right) if side == "L" else (pair.right, pair.left)
+    return {
+        "spent": spent,
+        "move": f"{'A' if side == 'L' else 'B'} {mover.points[element]}",
+        "reply": other.points[reply],
+    }
 
 
 def _cmd_theta(args) -> int:

@@ -25,6 +25,12 @@ equal to the value over the structure's Fractions.  A quantifier whose
 variable is not free in its body (``sup x2. d(x0, x1)``, or the outer
 ``inf x0`` of ``inf x0. sup x0. P(x0)``) compiles to its body: a structure
 has at least one point, so the inf or sup of a constant is that constant.
+Every other quantifier is one min or max over its body's row, the body's
+integers at all points of its variable made by one call: atoms along the
+variable read lines of the integer form (``IntegerForm.line``), a
+subformula without the variable is computed once and repeated, connectives
+combine rows element by element, and the rest runs per point (see
+``compile_formula``).
 
 Concrete syntax (ASCII): variables ``x0, x1, ...`` (or ``v0, v1, ...``);
 any other bound identifier, such as ``y`` in ``sup y.``, gets the smallest
@@ -45,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Sequence, Union
 
 from .moduli import (
@@ -103,6 +109,7 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
+_NO_VARS = frozenset()
 
 
 class FormulaError(ValueError):
@@ -144,7 +151,7 @@ def term_depth(t: Term) -> int:
 
 def term_vars(t: Term) -> frozenset:
     if isinstance(t, Var):
-        return frozenset({t.index})
+        return frozenset((t.index,))
     if isinstance(t, Apply):
         out = frozenset()
         for a in t.args:
@@ -428,14 +435,38 @@ def compile_formula(phi: Formula, structure: MetricStructure, variables: Sequenc
     connective the lcm of its children's, each child scaled up to it.
     Variables live in one environment list, ``variables`` first, where
     ``run`` writes the points unchecked, so ``points`` must have exactly
-    ``len(variables)`` entries; a quantifier writes each point into its
-    variable's slot and restores the slot afterwards.
+    ``len(variables)`` entries.
+
+    A quantifier is one ``min`` or ``max`` over its body's row: the body's
+    integers at every point of the bound variable x, in point order, made
+    by one call.  The row compiler, case by case:
+
+    * an atom whose arguments are x itself or terms without x, at most two
+      of them, reads a line of the integer form (``IntegerForm.line``): a
+      unary predicate's column, the diagonal of a binary table or of the
+      distances, or their line along x at the point the other term names;
+    * a subformula without x is computed once, and its integer repeated;
+    * a connective combines its arguments' rows element by element, with
+      the integers and denominators of the scalar closures;
+    * everything else (a predicate of arity 3 or more, a function term
+      with x, a nested quantifier whose body reads x) runs its scalar
+      closure at each point, writing the point into x's slot and restoring
+      the slot afterwards.
+
+    Formulas outside every quantifier keep their scalar closures.  Lines
+    are built on first use and kept on the form, one per table, argument
+    position and fixed point, each by reading the table at every point in
+    order.  They hold the form's own integers, so values stay exact, and a
+    malformed table fails where a per-point loop fails: a missing key only
+    when its line is read, a short distance row wherever it is read.  Each
+    node's free variables are computed once per compile, bottom up.
     """
     env = [0] * len(variables)
     slots = {var: i for i, var in enumerate(variables)}
     assigned = frozenset(slots)
     form = structure.integer_form
-    dist, den, points = form.dist, form.den, range(structure.size)
+    den, size = form.den, structure.size
+    points, line = range(size), form.line
 
     def slot(var: int, scope: frozenset) -> int:
         if var not in scope and var not in assigned:
@@ -460,6 +491,7 @@ def compile_formula(phi: Formula, structure: MetricStructure, variables: Sequenc
 
     def atom(f: Formula, scope: frozenset):
         if isinstance(f, Dist):
+            dist = form.dist
             if isinstance(f.left, Var) and isinstance(f.right, Var):
                 i, j = slot(f.left.index, scope), slot(f.right.index, scope)
                 return lambda: dist[env[i]][env[j]]
@@ -476,30 +508,53 @@ def compile_formula(phi: Formula, structure: MetricStructure, variables: Sequenc
         args = [term(a, scope) for a in f.args]
         return lambda: table[tuple([a() for a in args])]
 
-    def formula(f: Formula, scope: frozenset):
+    def node(f: Formula, scope: frozenset, var: int | None):
+        """(run, N, free): ``free`` holds f's free variables, and ``run()``
+        is f's integer times N, or f's row over x``var`` when x``var`` is
+        free in f.  Outside every quantifier (``var`` None) nothing reads
+        ``free``, and it is left empty."""
         if isinstance(f, (Dist, Pred)):
-            return atom(f, scope), den
+            if var is None:
+                return atom(f, scope), den, _NO_VARS
+            if isinstance(f, Dist):
+                name, args = None, (f.left, f.right)
+                free = term_vars(f.left) | term_vars(f.right)
+            else:
+                name, args = f.name, f.args
+                free = _NO_VARS.union(*map(term_vars, args))
+                if name not in form.predicates:
+                    raise KeyError(name)  # at compile time, as for a scalar atom
+            if var not in free:
+                return atom(f, scope), den, free
+            row = _line_row(line, name, args, var, size, term, scope)
+            return row or _each(atom(f, scope), env, slot(var, scope), points), den, free
         if isinstance(f, Conn):
-            return _connective(f.conn, [formula(a, scope) for a in f.args])
+            if var is None:
+                run, n = _connective(f.conn, [node(a, scope, None)[:2] for a in f.args])
+                return run, n, _NO_VARS
+            args, free = [], _NO_VARS
+            for a in f.args:
+                run, n, fv = node(a, scope, var)
+                args.append((run, n, fv))
+                free = free | fv if free else fv
+            if var not in free:
+                run, n = _connective(f.conn, [(run, n) for run, n, _ in args])
+                return run, n, free
+            rows = [(run, n) if var in fv else (_repeat(run, size), n) for run, n, fv in args]
+            run, n = _connective(f.conn, rows, size)
+            return run, n, free
         if isinstance(f, (Inf, Sup)):
-            if f.var not in free_vars(f.body):
-                # the domain is never empty: inf or sup of a constant is it
-                return formula(f.body, scope)
-            inner = scope | {f.var}
-            run, n = formula(f.body, inner)
-            i = slot(f.var, inner)
-            pick = min if isinstance(f, Inf) else max
-
-            def quantified():
-                saved = env[i]
-                best = pick([run() for env[i] in points])
-                env[i] = saved
-                return best
-
-            return quantified, n
+            run, n, free = node(f.body, scope | {f.var}, f.var)
+            if f.var in free:
+                run = _best(min if isinstance(f, Inf) else max, run)
+                free = free - {f.var}
+            # else the domain is never empty: inf or sup of a constant is it
+            if var in free:
+                run = _each(run, env, slot(var, scope), points)
+            return run, n, free
         raise FormulaError(f"unknown formula node {f!r}")
 
-    body, n = formula(phi, frozenset())
+    body, n, _ = node(phi, _NO_VARS, None)
 
     def run(points):
         env[:len(points)] = points
@@ -508,41 +563,106 @@ def compile_formula(phi: Formula, structure: MetricStructure, variables: Sequenc
     return run, n
 
 
-def _connective(conn, args: list):
-    """The (closure, N) of a connective over its compiled arguments."""
+def _connective(conn, args: list, size: int | None = None):
+    """The (closure, N) of a connective over its compiled arguments; given a
+    ``size``, the arguments and the result are rows of ``size`` integers."""
     if isinstance(conn, ConstVal):
         value = conn.value.numerator
+        if size is not None:
+            return (lambda: [value] * size), conn.value.denominator
         return (lambda: value), conn.value.denominator
     if isinstance(conn, Scale):
         (run, n), p = args[0], conn.factor.numerator
         cap = conn.factor.denominator * n
+        if size is not None:
+            return (lambda: [v if v < cap else cap for v in map(p.__mul__, run())]), cap
         return (lambda: min(cap, p * run())), cap
     if isinstance(conn, ComposedConnective):
 
         def go(node):
             if isinstance(node, _Slot):
                 return args[node.index]
-            return _connective(node.base, [go(c) for c in node.children])
+            return _connective(node.base, [go(c) for c in node.children], size)
 
         return go(conn.tree)
     n = lcm(*(m for _, m in args))
-    runs = [run if m == n else _times(n // m, run) for run, m in args]
+    runs = [run if m == n else _times(n // m, run, size) for run, m in args]
     if isinstance(conn, Neg):
         a = runs[0]
+        if size is not None:
+            return (lambda: [n - v if v < n else 0 for v in a()]), n
         return (lambda: max(0, n - a())), n
     if isinstance(conn, TruncSub):
         a, b = runs[:2]
+        if size is not None:
+            return (lambda: [u - v if u > v else 0 for u, v in zip(a(), b())]), n
         return (lambda: max(0, a() - b())), n
     if isinstance(conn, TruncAdd):
         a, b = runs[:2]
+        if size is not None:
+            return (lambda: [s if s < n else n for s in map(add, a(), b())]), n
         return (lambda: min(n, a() + b())), n
     if isinstance(conn, (MinOf, MaxOf)):
         pick = min if isinstance(conn, MinOf) else max
+        if len(runs) == 1:  # min or max of one argument is that argument
+            return runs[0], n
+        if size is not None:
+            return (lambda: list(map(pick, *[r() for r in runs]))), n
         return (lambda: pick([r() for r in runs])), n
     raise FormulaError(f"unknown connective {conn!r}")
 
 
-def _times(k: int, run):
+def _line_row(line, name, args: tuple, var: int, size: int, term, scope: frozenset):
+    """The row over x``var`` of the atom ``name`` (None: the distance) on
+    ``args``, read from the lines ``line`` of an integer form, or None when
+    the atom reads no line: it has more than two arguments, or one of them
+    is a term that mentions x``var`` and is not x``var`` itself.  ``term``
+    compiles the other argument, if there is one, in ``scope``."""
+    if len(args) > 2:
+        return None
+    fixed, other = [], None
+    for a in args:
+        if isinstance(a, Var) and a.index == var:
+            fixed.append(None)
+        elif var in term_vars(a):
+            return None
+        else:
+            fixed.append(a)
+            other = a
+    if other is None:
+        fixed = tuple(fixed)
+        return lambda: line(name, fixed, size)
+    point = term(other, scope)
+    if fixed[0] is None:
+        return lambda: line(name, (None, point()), size)
+    return lambda: line(name, (point(), None), size)
+
+
+def _best(pick, row):
+    """A quantifier's closure: ``pick``, min or max, over its body's row."""
+    return lambda: pick(row())
+
+
+def _each(run, env: list, i: int, points: range):
+    """The row of a scalar closure, run with each point in slot ``i``,
+    which is restored afterwards."""
+
+    def row():
+        saved = env[i]
+        values = [run() for env[i] in points]
+        env[i] = saved
+        return values
+
+    return row
+
+
+def _repeat(run, size: int):
+    return lambda: [run()] * size
+
+
+def _times(k: int, run, size: int | None):
+    if size is not None:
+        return lambda: [k * v for v in run()]
     return lambda: k * run()
 
 # --- modulus calculus -----------------------------------------------------------

@@ -281,6 +281,34 @@ class IntegerForm:
     den: int
     dist: tuple[tuple[int, ...], ...]
     predicates: dict
+    lines: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def line(self, name: str | None, fixed: tuple, size: int) -> list:
+        """The integers of predicate ``name`` (None: the distances) at the
+        argument tuple ``fixed`` with each point 0..size-1 in turn put where
+        ``fixed`` holds None: a unary predicate's column ``(None,)``, a
+        binary table's diagonal ``(None, None)`` or its line ``(p, None)``
+        or ``(None, p)`` at the point p.  ``size`` is the structure's point
+        count.  A line is built on first use, reading the table at every
+        point in order, and kept in ``lines``: the numbers never change, and
+        a table that fails to read keeps no line and fails again."""
+        try:
+            return self.lines[name, fixed]
+        except KeyError:
+            pass
+        if len(fixed) == 1:
+            args = [(i,) for i in range(size)]
+        else:
+            p, q = fixed
+            args = [(i if p is None else p, i if q is None else q) for i in range(size)]
+        if name is None:
+            dist = self.dist
+            line = [dist[i][j] for i, j in args]
+        else:
+            table = self.predicates[name]
+            line = [table[a] for a in args]
+        self.lines[name, fixed] = line
+        return line
 
     @classmethod
     def of(cls, structure: MetricStructure) -> IntegerForm:

@@ -403,6 +403,41 @@ class TestRalphaCommand:
         err = capsys.readouterr().err
         assert err == f"error: --alpha must be an integer or 'omega', got '{alpha}'\n"
 
+    def test_dynamic_json_line_replays_to_the_value(self, tmp_path, capsys):
+        # the principal variation under --json: replayed from the start, its
+        # moves and replies end at a position whose leaf is the value, and
+        # the clock spent falls every round
+        rng = random.Random(39)
+        path = tmp_path / "pair.json"
+        for case in range(40):
+            pair = helpers.random_pair(rng, max_points=3, with_constant=case % 4 == 0)
+            save_pair(pair, path)
+            clock = rng.randint(0, 4)
+            rc = main(["--json", "ralpha", "--pair", str(path), "--alpha", str(clock), "--dynamic"])
+            assert rc == 0
+            out = json.loads(capsys.readouterr().out)
+            left, right, spent = (), (), [clock]
+            for entry in out["line"]:
+                side, label = entry["move"].split(" ")
+                mover, other = (pair.left, pair.right) if side == "A" else (pair.right, pair.left)
+                element, reply = mover.point_index(label), other.point_index(entry["reply"])
+                if side == "A":
+                    left, right = left + (element,), right + (reply,)
+                else:
+                    left, right = left + (reply,), right + (element,)
+                assert entry["spent"] < spent[-1]
+                spent.append(entry["spent"])
+            assert helpers.plain_leaf(pair, left, right) == F(*out["value"])
+            assert bool(out["line"]) == (clock > 0) and spent[-1] == 0
+
+    def test_dynamic_text_output_has_no_line(self, pair_file, capsys):
+        rc = main(["ralpha", "--pair", str(pair_file), "--alpha", "2", "--dynamic"])
+        assert rc == 0
+        assert capsys.readouterr().out == "dynamic game value (clock 2) = 1/8\n"
+        rc = main(["--json", "ralpha", "--pair", str(pair_file), "--alpha", "2"])
+        assert rc == 0
+        assert "line" not in json.loads(capsys.readouterr().out)
+
     def test_deep_dynamic_clock_clamps(self, pair_file, capsys):
         # the kernel's rounds clamp cuts the clock to the uncovered points
         rc = main(["ralpha", "--pair", str(pair_file), "--alpha", "9999", "--dynamic"])

@@ -12,6 +12,8 @@ denominators are coprime to it.  Vacuous and shadowed quantifiers, which
 the evaluator compiles away or rebinds, get sentences of their own.
 """
 
+import dataclasses
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -35,13 +37,15 @@ from clgames.formulas import (
     collapse_connectives,
     compile_formula,
     evaluate,
+    format_formula,
     free_vars,
     normalize_sup,
     parse_formula,
+    qr,
     sample_formulas,
 )
 from clgames.moduli import capped_linear
-from clgames.structures import MetricStructure, PredicateSymbol, Signature
+from clgames.structures import FunctionSymbol, MetricStructure, PredicateSymbol, Signature
 from clgames.witnesses import discrete_structure, line_structure
 
 import helpers
@@ -249,3 +253,126 @@ class TestAssignmentErrors:
     def test_points_at_both_ends_are_accepted(self):
         assert evaluate(self.PHI, discrete_structure(3), {0: 0, 1: 2}) == 1
         assert evaluate(self.PHI, discrete_structure(3), {0: 2, 1: 2}) == 0
+
+
+# --- rows at depth ---------------------------------------------------------------
+#
+# A quantifier takes one min or max over its body's row.  Atoms along the
+# bound variable read lines of the integer form; predicates of arity 3,
+# function terms that mention the variable and nested quantifiers that read
+# it run per point.  These cases go past the rank-2, 3-point structures
+# above, where a row holds at most 3 values.
+
+DEEP_SIG = Signature(
+    predicates=(
+        PredicateSymbol("P", 1, capped_linear(2)),
+        PredicateSymbol("R", 2, capped_linear(2)),
+        PredicateSymbol("T", 3, capped_linear(2)),
+    ),
+    functions=(FunctionSymbol("f", 1, capped_linear(2)),),
+    constants=("c",),
+)
+
+
+def _deep_structure(seed: int, n: int) -> MetricStructure:
+    rng = random.Random(seed)
+    return helpers.random_structure(
+        rng, DEEP_SIG, n_points=n, values=helpers.COPRIME_VALUE_GRID,
+        distances=rng.choice((helpers.DIST_GRID, helpers.COPRIME_DIST_GRID)))
+
+
+def _agrees_everywhere(phi, structure, free=()):
+    for points in product(range(structure.size), repeat=len(free)):
+        env = dict(zip(free, points))
+        assert evaluate(phi, structure, env) == helpers.fraction_evaluate(phi, structure, env), (
+            format_formula(phi), env)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    rank=st.integers(3, 4),
+    free=st.integers(0, 1),
+    seed=st.integers(0, 10**6),
+)
+def test_rows_match_the_fraction_walk_at_depth(rng, rank, free, seed):
+    structure = _deep_structure(seed, rng.randint(4, 6 if rank == 3 else 5))
+    sample = sample_formulas(
+        DEEP_SIG, qr_bound=rank, count=12, seed=seed, free_vars_count=free, term_depth=1
+    )
+    for phi in [phi for phi in sample if qr(phi) == rank][:3]:
+        _agrees_everywhere(phi, structure, sorted(free_vars(phi)))
+
+
+LINE_CASES = [
+    # R with the bound variable x2 in its second and in its first position
+    ("sup x0. inf x1. sup x2. R(x0, x2) -. R(x2, x1)", (), {("R", (0, None)), ("R", (None, 0))}),
+    # R's diagonal, d's line at x0's point and P's column
+    ("inf x0. sup x1. max(R(x1, x1), d(x0, x1), P(x1))", (), {("R", (None, None)), (None, (0, None)), ("P", (None,))}),
+    # a line at the constant's point; d(f(x1), c) mentions x1 through f and runs per point
+    ("inf x0. sup x1. d(f(x1), c) (+) R(c, x1)", (), {("R", ("c", None))}),
+    # a line at a function term's point, at rank 4
+    ("sup x0. inf x1. sup x2. inf x3. min(R(x0, x3), d(x1, x2), R(x3, f(x0)))", (), {("R", (None, "f0"))}),
+    # a ternary predicate runs per point
+    ("sup x0. inf x1. sup x2. T(x0, x1, x2) -. T(x2, x2, c)", (), set()),
+    # a shadowed quantifier: the inner sup x0 reads no outer x0
+    ("sup x0. inf x1. max(sup x0. R(x0, x1), d(x0, x1) -. (inf x1. P(x1)))", (), {("P", (None,))}),
+    # a free variable fixes the line of R at its point
+    ("inf x1. sup x2. R(x0, x2) (+) 1/3 * d(x1, x2)", (0,), {("R", (0, None))}),
+]
+
+
+@pytest.mark.parametrize("text, free, lines", LINE_CASES)
+def test_lines_along_the_bound_variable(text, free, lines):
+    phi = parse_formula(text, DEEP_SIG)
+    for seed, n in ((1, 4), (2, 5), (3, 6)):
+        structure = _deep_structure(seed, n)
+        _agrees_everywhere(phi, structure, free)
+        # the named lines were read; "c" and "f0" stand for the points of c
+        # and of f(x0) at x0 = 0
+        names = {"c": structure.constant_map["c"], "f0": structure.function_tables["f"][0,]}
+        built = set(structure.integer_form.lines)
+        for name, fixed in lines:
+            assert (name, tuple(names.get(a, a) for a in fixed)) in built, (text, name, fixed)
+
+
+# --- failure parity on malformed structures --------------------------------------
+#
+# Lines are read lazily, one per fixed point, over every point in order, so
+# a malformed table fails where a per-point loop fails: a missing key only
+# on the line that reads it, a short distance row wherever it is read.
+
+def _malformed(dist=None, table=None) -> MetricStructure:
+    sig = Signature(predicates=(PredicateSymbol("R", 2, capped_linear(2)),))
+    n = 3
+    full = {(i, j): F(i + j, 4) for i in range(n) for j in range(n)}
+    square = tuple(tuple(F(int(i != j), 2) for j in range(n)) for i in range(n))
+    return MetricStructure(sig, ("a", "b", "c"), dist or square, {"R": table or full})
+
+
+def test_a_missing_table_entry_fails_only_on_its_line():
+    table = {(i, j): F(i + j, 8) for i in range(3) for j in range(3) if (i, j) != (1, 2)}
+    structure = _malformed(table=table)
+    phi = parse_formula("sup x1. R(x0, x1)", structure.signature)
+    assert evaluate(phi, structure, {0: 0}) == F(1, 4)
+    with pytest.raises(KeyError):
+        evaluate(phi, structure, {0: 1})
+    # the failed line was not kept: it fails again, and x0 = 0 still reads its own
+    with pytest.raises(KeyError):
+        evaluate(phi, structure, {0: 1})
+    assert evaluate(phi, structure, {0: 0}) == F(1, 4)
+
+
+def test_a_short_distance_row_fails():
+    dist = ((F(0), F(1, 2), F(1, 2)), (F(1, 2), F(0)), (F(1, 2), F(1, 2), F(0)))
+    structure = _malformed(dist=dist)
+    phi = parse_formula("sup x0. sup x1. d(x0, x1)", structure.signature)
+    with pytest.raises(IndexError):
+        evaluate(phi, structure)
+
+
+def test_a_missing_table_fails_at_compile_time():
+    structure = dataclasses.replace(_malformed(), predicate_tables={})
+    for text in ("sup x0. R(x0, x0)", "R(x0, x0)"):
+        with pytest.raises(KeyError):
+            compile_formula(parse_formula(text, structure.signature), structure, (0,))
