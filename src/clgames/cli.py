@@ -122,6 +122,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for dest, value in vars(args).items():
+        # argparse on Python 3.10-3.12 stores an option given as --opt=-- as
+        # an empty list, alone or inside an append list
+        if isinstance(value, list) and (not value or [] in value):
+            parser.exit(2, f"error: argument --{dest.replace('_', '-')}: expected one argument\n")
     cap = getattr(args, "max_positions", None)
     if cap is not None and cap < 1:
         parser.exit(2, f"error: --max-positions must be at least 1, got {cap}\n")

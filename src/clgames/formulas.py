@@ -453,88 +453,103 @@ def compile_formula(phi: Formula, structure: MetricStructure, variables: Sequenc
       closure at each point, writing the point into x's slot and restoring
       the slot afterwards.
 
-    Formulas outside every quantifier keep their scalar closures.  Lines
-    are built on first use and kept on the form, one per table, argument
-    position and fixed point, each by reading the table at every point in
-    order.  They hold the form's own integers, so values stay exact, and a
-    malformed table fails where a per-point loop fails: a missing key only
-    when its line is read, a short distance row wherever it is read.  Each
-    node's free variables are computed once per compile, bottom up.
+    Each node's free variables are computed once per compile, bottom up,
+    and they answer every variable question: a node runs as a row exactly
+    when the enclosing quantifier's variable is free in it, so formulas
+    outside every quantifier keep their scalar closures; and the root's
+    free variables, less ``variables``, must be empty, else a FormulaError
+    names the smallest unassigned one.  Lines are built on first use and
+    kept on the form, one per table, argument position and fixed point,
+    each by reading the table at every point in order.  They hold the
+    form's own integers, so values stay exact, and a malformed table fails
+    where a per-point loop fails: a missing key only when its line is read,
+    a short distance row wherever it is read.
     """
     env = [0] * len(variables)
     slots = {var: i for i, var in enumerate(variables)}
-    assigned = frozenset(slots)
     form = structure.integer_form
     den, size = form.den, structure.size
     points, line = range(size), form.line
 
-    def slot(var: int, scope: frozenset) -> int:
-        if var not in scope and var not in assigned:
-            raise FormulaError(f"unassigned free variable x{var}")
+    def slot(var: int) -> int:
         if var not in slots:
             slots[var] = len(env)
             env.append(0)
         return slots[var]
 
-    def term(t: Term, scope: frozenset):
+    def term(t: Term):
         if isinstance(t, Var):
-            i = slot(t.index, scope)
+            i = slot(t.index)
             return lambda: env[i]
         if isinstance(t, Const):
             p = structure.constant_map[t.name]
             return lambda: p
         if isinstance(t, Apply):
             table = structure.function_tables[t.func]
-            args = [term(a, scope) for a in t.args]
+            args = [term(a) for a in t.args]
             return lambda: table[tuple([a() for a in args])]
         raise FormulaError(f"unknown term node {t!r}")
 
-    def atom(f: Formula, scope: frozenset):
+    def atom(f: Formula):
         if isinstance(f, Dist):
             dist = form.dist
             if isinstance(f.left, Var) and isinstance(f.right, Var):
-                i, j = slot(f.left.index, scope), slot(f.right.index, scope)
+                i, j = slot(f.left.index), slot(f.right.index)
                 return lambda: dist[env[i]][env[j]]
-            left, right = term(f.left, scope), term(f.right, scope)
+            left, right = term(f.left), term(f.right)
             return lambda: dist[left()][right()]
         table = form.predicates[f.name]
         if all(isinstance(a, Var) for a in f.args):
-            idx = [slot(a.index, scope) for a in f.args]
+            idx = [slot(a.index) for a in f.args]
             if len(idx) == 1:
                 i = idx[0]
                 return lambda: table[env[i],]
             args = itemgetter(*idx)
             return lambda: table[args(env)]
-        args = [term(a, scope) for a in f.args]
+        args = [term(a) for a in f.args]
         return lambda: table[tuple([a() for a in args])]
 
-    def node(f: Formula, scope: frozenset, var: int | None):
+    def line_row(name, args: tuple, var: int):
+        """The row over x``var`` of the atom ``name`` (None: the distance)
+        on ``args``, read from the form's lines, or None when the atom reads
+        no line: it has more than two arguments, or one of them is a term
+        that mentions x``var`` and is not x``var`` itself."""
+        if len(args) > 2:
+            return None
+        fixed, other = [], None
+        for a in args:
+            if isinstance(a, Var) and a.index == var:
+                fixed.append(None)
+            elif var in term_vars(a):
+                return None
+            else:
+                fixed.append(a)
+                other = a
+        if other is None:
+            fixed = tuple(fixed)
+            return lambda: line(name, fixed, size)
+        point = term(other)
+        if fixed[0] is None:
+            return lambda: line(name, (None, point()), size)
+        return lambda: line(name, (point(), None), size)
+
+    def node(f: Formula, var: int | None):
         """(run, N, free): ``free`` holds f's free variables, and ``run()``
         is f's integer times N, or f's row over x``var`` when x``var`` is
-        free in f.  Outside every quantifier (``var`` None) nothing reads
-        ``free``, and it is left empty."""
+        free in f (never at the root, where ``var`` is None)."""
         if isinstance(f, (Dist, Pred)):
-            if var is None:
-                return atom(f, scope), den, _NO_VARS
-            if isinstance(f, Dist):
-                name, args = None, (f.left, f.right)
-                free = term_vars(f.left) | term_vars(f.right)
-            else:
-                name, args = f.name, f.args
-                free = _NO_VARS.union(*map(term_vars, args))
-                if name not in form.predicates:
-                    raise KeyError(name)  # at compile time, as for a scalar atom
+            name, args = (None, (f.left, f.right)) if isinstance(f, Dist) else (f.name, f.args)
+            free = _NO_VARS.union(*map(term_vars, args))
             if var not in free:
-                return atom(f, scope), den, free
-            row = _line_row(line, name, args, var, size, term, scope)
-            return row or _each(atom(f, scope), env, slot(var, scope), points), den, free
+                return atom(f), den, free
+            if name is not None and name not in form.predicates:
+                raise KeyError(name)  # at compile time, as for a scalar atom
+            row = line_row(name, args, var)
+            return row or _each(atom(f), env, slot(var), points), den, free
         if isinstance(f, Conn):
-            if var is None:
-                run, n = _connective(f.conn, [node(a, scope, None)[:2] for a in f.args])
-                return run, n, _NO_VARS
             args, free = [], _NO_VARS
             for a in f.args:
-                run, n, fv = node(a, scope, var)
+                run, n, fv = node(a, var)
                 args.append((run, n, fv))
                 free = free | fv if free else fv
             if var not in free:
@@ -544,17 +559,19 @@ def compile_formula(phi: Formula, structure: MetricStructure, variables: Sequenc
             run, n = _connective(f.conn, rows, size)
             return run, n, free
         if isinstance(f, (Inf, Sup)):
-            run, n, free = node(f.body, scope | {f.var}, f.var)
+            run, n, free = node(f.body, f.var)
             if f.var in free:
                 run = _best(min if isinstance(f, Inf) else max, run)
                 free = free - {f.var}
             # else the domain is never empty: inf or sup of a constant is it
             if var in free:
-                run = _each(run, env, slot(var, scope), points)
+                run = _each(run, env, slot(var), points)
             return run, n, free
         raise FormulaError(f"unknown formula node {f!r}")
 
-    body, n, _ = node(phi, _NO_VARS, None)
+    body, n, free = node(phi, None)
+    if unassigned := free.difference(variables):
+        raise FormulaError(f"unassigned free variable x{min(unassigned)}")
 
     def run(points):
         env[:len(points)] = points
@@ -610,32 +627,6 @@ def _connective(conn, args: list, size: int | None = None):
             return (lambda: list(map(pick, *[r() for r in runs]))), n
         return (lambda: pick([r() for r in runs])), n
     raise FormulaError(f"unknown connective {conn!r}")
-
-
-def _line_row(line, name, args: tuple, var: int, size: int, term, scope: frozenset):
-    """The row over x``var`` of the atom ``name`` (None: the distance) on
-    ``args``, read from the lines ``line`` of an integer form, or None when
-    the atom reads no line: it has more than two arguments, or one of them
-    is a term that mentions x``var`` and is not x``var`` itself.  ``term``
-    compiles the other argument, if there is one, in ``scope``."""
-    if len(args) > 2:
-        return None
-    fixed, other = [], None
-    for a in args:
-        if isinstance(a, Var) and a.index == var:
-            fixed.append(None)
-        elif var in term_vars(a):
-            return None
-        else:
-            fixed.append(a)
-            other = a
-    if other is None:
-        fixed = tuple(fixed)
-        return lambda: line(name, fixed, size)
-    point = term(other, scope)
-    if fixed[0] is None:
-        return lambda: line(name, (None, point()), size)
-    return lambda: line(name, (point(), None), size)
 
 
 def _best(pick, row):
@@ -786,17 +777,14 @@ def collapse_connectives(phi: Formula) -> Formula:
 def enumerate_terms(sig: Signature, k: int, depth: int) -> list:
     """All terms in variables x0..x{k-1} with nesting depth <= depth."""
     level: list[Term] = [Var(i) for i in range(k)] + [Const(c) for c in sig.constants]
-    seen = list(level)
+    seen = dict.fromkeys(level)  # a set in insertion order
     for _ in range(depth if sig.functions else 0):
-        new = []
-        for f in sig.functions:
-            for args in product(seen, repeat=f.arity):
-                t = Apply(f.name, tuple(args))
-                if t not in seen and t not in new:
-                    new.append(t)
-        if not new:
+        new = dict.fromkeys(
+            Apply(f.name, args) for f in sig.functions for args in product(seen, repeat=f.arity)
+        )
+        if new.keys() <= seen.keys():
             break
-        seen.extend(new)
+        seen.update(new)
     return sorted(seen, key=_term_sort_key)
 
 

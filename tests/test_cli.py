@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from clgames import infinitary
-from clgames.cli import main
+from clgames.cli import build_parser, main
 from clgames.infinitary import build_nested_levels_pair
 from clgames.moduli import (
     Aggregator,
@@ -741,6 +741,24 @@ class TestMalformedWeakModulus:
         assert "'allow_infinite'" in err and "true or false" in err
 
 
+# an option given as --opt=--, and the option named in the usage error
+DROPPED_DASH_CASES = [
+    (["eval", "--structure", "{structure}", "--formula=--"], "formula"),
+    (["eval", "--structure", "{structure}", "--formula", "d(x0, x0)", "--at=--"], "at"),
+    (["theta", "--structure=--", "--formula", "d(x0, x0)"], "structure"),
+    (["dist", "--formula=--", "--formula", "1/2", "--corpus", "{structure}"], "formula"),
+    (["game", "--pair", "{pair}", "--rounds=--"], "rounds"),
+    (["game", "--pair", "{pair}", "--rounds", "1", "--start=--"], "start"),
+    (["game", "--pair", "{pair}", "--rounds", "1", "--strategy=--"], "strategy"),
+    (["ralpha", "--pair", "{pair}", "--alpha=--"], "alpha"),
+    (["ralpha", "--pair", "{pair}", "--alpha", "1", "--leaf=--"], "leaf"),
+    (["play", "--pair", "{pair}", "--rounds", "1", "--epsilon", "0", "--human-side=--"],
+     "human-side"),
+    (["demo", "section6", "--m=--"], "m"),
+    (["demo", "section6", "--out=--"], "out"),
+]
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -783,6 +801,28 @@ class TestUsageErrors:
         rc = main(["game", "--pair", str(pair_file), "--rounds", "2", "--epsilon", "0"])
         assert rc == 1
         assert "at eps = 0: I wins" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, name", DROPPED_DASH_CASES,
+        ids=[f"{argv[0]}-{name}" for argv, name in DROPPED_DASH_CASES],
+    )
+    def test_a_dropped_double_dash_value(self, pair_file, structure_file, capsys, monkeypatch,
+                                         argv, name):
+        # Python 3.10-3.12 store --opt=-- as an empty list; a later argparse
+        # keeps "--" as the value, and this usage error cannot arise
+        probe = ["eval", "--structure", "s", "--formula=--"]
+        if build_parser().parse_args(probe).formula != []:
+            pytest.skip("this argparse keeps '--' as the option's value")
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        files = {"structure": structure_file, "pair": pair_file}
+        with pytest.raises(SystemExit) as err:
+            main([a.format(**files) for a in argv])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: argument --{name}: expected one argument\n"
 
     def test_no_command(self):
         with pytest.raises(SystemExit) as err:

@@ -166,6 +166,27 @@ class TestVacuousQuantifiers:
         with pytest.raises(FormulaError, match="^unassigned free variable x1$"):
             evaluate(phi, self.SPACE, {0: 2})
 
+    def test_the_smallest_unassigned_variable_is_named(self):
+        # compiled left to right, x3 is met first; the check at the root names x1
+        phi = parse_formula("d(x3, x1)", self.SIG)
+        with pytest.raises(FormulaError, match="^unassigned free variable x1$"):
+            evaluate(phi, self.SPACE)
+
+    def test_an_unassigned_variable_under_a_vacuous_quantifier_fails(self):
+        phi = parse_formula("sup x2. d(x0, x5)", self.SIG)
+        with pytest.raises(FormulaError, match="^unassigned free variable x5$"):
+            evaluate(phi, self.SPACE, {0: 1})
+
+    @pytest.mark.parametrize("text", [
+        "P(f(x1))",
+        "sup x0. R(x0, f(x1))",  # the other term of a line along x0
+        "sup x0. d(f(x0), f(x1))",  # a function term with x0 runs per point
+    ])
+    def test_an_unassigned_variable_inside_a_function_term_fails(self, text):
+        phi = parse_formula(text, DEEP_SIG)
+        with pytest.raises(FormulaError, match="^unassigned free variable x1$"):
+            evaluate(phi, _deep_structure(1, 4))
+
     def test_a_variable_bound_earlier_and_free_later_still_fails(self):
         # the quantifier's slot for x1 exists by the time the free x1 is compiled
         phi = parse_formula("max(sup x1. P(x1), P(x1))", self.SIG)

@@ -228,6 +228,7 @@ FORMULA_TEXT = st.one_of(
 @FUZZ
 @given(FORMULA_TEXT)
 @example("1/0")
+@example("--")  # --formula=-- reaches argparse as an option without its value
 def test_parse_formula_fuzz(text):
     try:
         parse_formula(text, SIGNATURE)

@@ -415,8 +415,8 @@ class TestGameValue:
         "^3000 rounds need a recursion deeper", id="i-tree-too-deep",
     ),
     pytest.param(
-        lambda: GameSolver(PAIR_55).value(Position(), -1),
-        "^rounds must be non-negative, got -1$", id="ralpha-negative-clock",
+        lambda: r_alpha(PAIR_55, alpha=-1),
+        "^alpha must be non-negative, got -1$", id="ralpha-negative-clock",
     ),
     pytest.param(
         lambda: dynamic_game_value(PAIR_55, -1),
